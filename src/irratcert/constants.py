@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import Enclosure, refinement_budget
-from .errors import (BracketAmbiguousError, PerfectPowerError, Unresolvable,
-                     ZeroExponentError)
+from .enclosure import Enclosure, refine
+from .errors import (BracketAmbiguousError, PerfectPowerError,
+                     PrecisionExhausted, Unresolvable, ZeroExponentError)
 from .intpoly import IntPolynomial, count_roots_between
 
 
@@ -302,16 +302,11 @@ def enclose(spec: ConstantSpec, max_width) -> Enclosure:
 
 def floor_of(spec: ConstantSpec) -> int:
     """z with z <= value < z + 1, found by refining until no integer is straddled."""
-    width = Fraction(1, 4)
-    budget = refinement_budget()
-    for _ in range(budget):
-        z = enclose(spec, width).floor_if_settled()
-        if z is not None:
-            return z
-        width /= 2
-    raise Unresolvable(
-        f"floor of {canonical_text(spec)} still straddles an integer "
-        f"after {budget} refinements")
+    try:
+        return refine(lambda w: enclose(spec, w).floor_if_settled(), Fraction(1, 4),
+                      f"floor of {canonical_text(spec)}")
+    except PrecisionExhausted as exc:
+        raise Unresolvable(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
+from .errors import PrecisionExhausted
+
 DEFAULT_MAX_REFINE = 10**6
 
 
 def refinement_budget() -> int:
-    """Cap on refinement steps; the IRRATCERT_MAX_REFINE env var overrides it."""
+    """Narrowings allowed after a refinement loop's first try.
+
+    The IRRATCERT_MAX_REFINE env var overrides the default; it must be a
+    non-negative integer.
+    """
     raw = os.environ.get("IRRATCERT_MAX_REFINE")
-    return int(raw) if raw else DEFAULT_MAX_REFINE
+    if not raw:
+        return DEFAULT_MAX_REFINE
+    if not raw.strip().isdecimal():
+        raise ValueError(f"IRRATCERT_MAX_REFINE must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def refine(attempt, width, what: str, shrink=2):
+    """First non-None attempt(width), dividing width by shrink between tries.
+
+    This is the one budgeted refinement loop: it makes at most
+    refinement_budget() + 1 tries and then raises PrecisionExhausted, naming
+    `what`, the number of tries and the last width tried.
+    """
+    width = Fraction(width)
+    tries = refinement_budget() + 1
+    for i in range(tries):
+        if i:
+            width /= shrink
+        result = attempt(width)
+        if result is not None:
+            return result
+    exponent = width.numerator.bit_length() - width.denominator.bit_length() + 1
+    raise PrecisionExhausted(f"{what} not settled within the refinement budget "
+                             f"(tries: {tries}, last width < 2^{exponent})")
 
 
 @dataclass(frozen=True)

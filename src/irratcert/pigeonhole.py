@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import floor
 
 from .constants import ConstantSpec, canonical_text, enclose
-from .enclosure import Enclosure, refinement_budget
-from .errors import PrecisionExhausted
+from .enclosure import Enclosure, refine
 
 
 @dataclass(frozen=True)
@@ -46,25 +45,18 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # Each multiple k*value, k <= n, must sit inside a single bin with margin;
     # start from a width that keeps k*width below a quarter bin and refine
     # whenever a floor or bin assignment stays ambiguous.
-    width = Fraction(1, 4 * n * n * (n + 1))
-    budget = refinement_budget()
-    steps = 0
-    while True:
+    def pin(width):
         enc_value = enclose(c, width)
         placed = []
         for k in range(n + 1):
             slot = _place(enc_value, k, n)
             if slot is None:
-                break
+                return None
             placed.append(slot)
-        if len(placed) == n + 1:
-            break
-        steps += 1
-        if steps > budget:
-            raise PrecisionExhausted(
-                f"could not pin all bins for {canonical_text(c)} at n={n} "
-                f"within {budget} refinements")
-        width /= 2
+        return placed
+
+    placed = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
+                    f"bins for {canonical_text(c)} at n={n}")
 
     bins: dict[int, list[int]] = {}
     for k, (_, _, j) in enumerate(placed):
@@ -92,20 +84,15 @@ def fractional_residual(q: int, c: ConstantSpec,
         raise ValueError("q must be nonzero")
     max_width = Fraction(max_width)
     range_enc = Enclosure(Fraction(-1, 4), Fraction(0))
-    width = max_width / (4 * abs(q))
-    budget = refinement_budget()
-    steps = 0
-    while True:
+
+    def attempt(width):
         enc = enclose(c, width) * q
         z = enc.floor_if_settled()
-        if z is not None:
-            frac = enc - z
-            product = (frac * (frac - 1)).intersect(range_enc)
-            if product.width <= max_width:
-                return product
-        steps += 1
-        if steps > budget:
-            raise PrecisionExhausted(
-                f"fractional part of {q} * {canonical_text(c)} not resolved "
-                f"within {budget} refinements")
-        width /= 2
+        if z is None:
+            return None
+        frac = enc - z
+        product = (frac * (frac - 1)).intersect(range_enc)
+        return product if product.width <= max_width else None
+
+    return refine(attempt, max_width / (4 * abs(q)),
+                  f"fractional part of {q} * {canonical_text(c)}")

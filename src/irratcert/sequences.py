@@ -63,22 +63,17 @@ def _check_index(n: int):
 
 
 def sqrt_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
-    """Binomial split of (sqrt(m) - z)**(2n-1), z = floor(sqrt(m)).
+    """The root form (d_0, d_1) of sqrt(m) read as a pair: p = -d_0, q = d_1.
 
-    Odd powers of sqrt(m) collect into q, even ones into p, so that
-    q*sqrt(m) - p equals (sqrt(m) - z)**(2n-1) exactly: a strictly positive
-    quantity shrinking geometrically.
+    Then q*sqrt(m) - p equals (sqrt(m) - z)**(2n-1), z = floor(sqrt(m))
+    exactly: a strictly positive quantity shrinking geometrically.
     """
     _check_index(n)
     spec = Sqrt(m)
-    z = isqrt(m)
-    e = 2 * n - 1
-    p = sum(comb(e, 2 * k - 1) * m ** (n - k) * z ** (2 * k - 1)
-            for k in range(1, n + 1))
-    q = sum(comb(e, 2 * k) * m ** (n - 1 - k) * z ** (2 * k)
-            for k in range(n))
+    d0, d1 = mth_root_form(m, 2, n).coeffs
     hi = enclose(spec, _BOUND_WIDTH).hi
-    return Approximant(n, p, q), BoundedBy((hi - z) ** e, strict_positive=True)
+    bound = (hi - isqrt(m)) ** (2 * n - 1)
+    return Approximant(n, -d0, d1), BoundedBy(bound, strict_positive=True)
 
 
 def mth_root_form(a: int, m: int, n: int) -> PowerForm:
@@ -121,11 +116,10 @@ def e_squared_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     strictly positive and below (e^2 + 1)/(2n).
     """
     _check_index(n)
-    f = factorial(2 * n)
-    p = sum(f // factorial(i) for i in range(2 * n + 1))
-    q = sum((-1) ** i * (f // factorial(i)) for i in range(2 * n + 1))
+    chained = compose_chain(e_approximant(2 * n)[0], reciprocal(inv_e_approximant(2 * n)[0]))
     e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi
-    return Approximant(n, p, q), BoundedBy((e2_hi + 1) / (2 * n), strict_positive=True)
+    return (Approximant(n, chained.p, chained.q),
+            BoundedBy((e2_hi + 1) / (2 * n), strict_positive=True))
 
 
 def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:

@@ -23,10 +23,10 @@ from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, canonical_text, enclose,
                         integer_nth_root)
-from .enclosure import Enclosure, refinement_budget
-from .errors import PrecisionExhausted
+from .enclosure import Enclosure, refine
+from .intpoly import IntPolynomial
 from .niven import exp_functional_int, exp_functional_rational, trig_functional
-from .sequences import (Approximant, BoundedBy, cos_inv_m_approximant,
+from .sequences import (Approximant, cos_inv_m_approximant,
                         e_approximant, e_squared_approximant,
                         inv_e_approximant, mth_root_form,
                         sin_inv_m_approximant, sqrt_approximant)
@@ -232,23 +232,18 @@ def power_form_residual(form: PowerForm, c, max_width) -> Enclosure:
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    coeffs = form.coeffs
-    if all(x == 0 for x in coeffs):
+    if form.is_zero():
         return Enclosure.point(0)
+    poly = IntPolynomial(form.coeffs)
     probe = enclose(c, Fraction(1, 4))
     box = probe.max_abs() + 1
-    slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(coeffs) if i)
-    width = max_width / (slope + 1)
-    budget = refinement_budget()
-    for _ in range(budget + 1):
-        enc = enclose(c, width)
-        acc = Enclosure.point(0)
-        for coeff in reversed(coeffs):
-            acc = acc * enc + coeff
-        if acc.width <= max_width:
-            return acc
-        width /= 2
-    raise PrecisionExhausted("power form residual did not narrow within budget")
+    slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(poly.coeffs) if i)
+
+    def attempt(width):
+        acc = poly.eval_interval(enclose(c, width))
+        return acc if acc.width <= max_width else None
+
+    return refine(attempt, max_width / (slope + 1), "power form residual")
 
 
 def trig_residual(term: TrigTerm, angle: Fraction, max_width) -> Enclosure:
@@ -262,6 +257,13 @@ def trig_residual(term: TrigTerm, angle: Fraction, max_width) -> Enclosure:
     return cos_enc * term.c - sin_enc * term.d - term.a
 
 
+def _decided(enc: Enclosure, bound: Fraction):
+    """enc once it settles both checks against zero and the bound, else None."""
+    zero_decided = enc.excludes_zero() or enc.is_point
+    bound_decided = enc.max_abs() < bound or enc.min_abs() >= bound
+    return enc if zero_decided and bound_decided else None
+
+
 def _residual_eval(term: RowTerm, c, width) -> Enclosure:
     if isinstance(term, PairTerm):
         return pair_residual(term.p, term.q, c, width)
@@ -271,143 +273,60 @@ def _residual_eval(term: RowTerm, c, width) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
-# Families.
+# Families.  Each maps to the constant kind it certifies (a class, or the one
+# constant it certifies) and to row(c, hi, n) -> (term, bound), where hi is a
+# coarse upper enclosure of the constant shared by every row.  Generators are
+# looked up at call time, so rebinding them on this module takes effect.
 
-def _need(c, kind, family):
-    if not isinstance(c, kind):
-        raise ValueError(f"family {family!r} needs a {kind.__name__} constant, "
-                         f"got {canonical_text(c)}")
-
-
-def _gen_sqrt(c):
-    _need(c, Sqrt, "sqrt")
-
-    def gen(n):
-        app, bb = sqrt_approximant(c.m, n)
-        return PairTerm(app.p, app.q), bb
-    return gen
+def _pair(approximant_and_bound):
+    app, bb = approximant_and_bound
+    return PairTerm(app.p, app.q), bb.bound
 
 
-def _gen_root(c):
-    _need(c, Root, "root")
-    z = integer_nth_root(c.a, c.m)
-    hi = enclose(c, _COARSE).hi
-
-    def gen(n):
-        form = mth_root_form(c.a, c.m, n)
-        bound = (hi - z) ** (c.m * n - 1)
-        return FormTerm(form.coeffs), BoundedBy(bound, strict_positive=True)
-    return gen
+def _root_row(c, hi, n):
+    form = mth_root_form(c.a, c.m, n)
+    return FormTerm(form.coeffs), (hi - integer_nth_root(c.a, c.m)) ** (c.m * n - 1)
 
 
-def _gen_e(c):
-    _need(c, E, "e")
-
-    def gen(n):
-        app, bb = e_approximant(n)
-        return PairTerm(app.p, app.q), bb
-    return gen
-
-
-def _gen_inv_e(c):
-    _need(c, InvE, "inv-e")
-
-    def gen(n):
-        app, bb = inv_e_approximant(n)
-        return PairTerm(app.p, app.q), bb
-    return gen
+def _e_squared_naive_row(c, hi, n):
+    # squaring a nice approximation of e term by term; the residual
+    # q^2 e^2 - p^2 = (q e + p)(q e - p) grows at least like n!/(n+1),
+    # so this family exists to be refuted
+    app, _ = e_approximant(n)
+    return PairTerm(app.p ** 2, app.q ** 2), Fraction(1, n)
 
 
-def _gen_e_squared(c):
-    _need(c, EPow, "e-squared")
-    if c.k != 2:
-        raise ValueError("family 'e-squared' certifies e-pow:2")
-
-    def gen(n):
-        app, bb = e_squared_approximant(n)
-        return PairTerm(app.p, app.q), bb
-    return gen
+def _e_pow_row(c, hi, n):
+    pair = exp_functional_int(n, c.k)
+    return PairTerm(p=pair.at0, q=pair.at1), hi * Fraction(c.k ** (2 * n + 1), factorial(n))
 
 
-def _gen_e_squared_naive(c):
-    _need(c, EPow, "e-squared-naive")
-    if c.k != 2:
-        raise ValueError("family 'e-squared-naive' certifies e-pow:2")
-
-    def gen(n):
-        # squaring a nice approximation of e term by term; the residual
-        # q^2 e^2 - p^2 = (q e + p)(q e - p) grows at least like n!/(n+1),
-        # so this family exists to be refuted
-        app, _ = e_approximant(n)
-        return PairTerm(app.p ** 2, app.q ** 2), BoundedBy(Fraction(1, n), strict_positive=True)
-    return gen
+def _e_rat_row(c, hi, n):
+    pair = exp_functional_rational(n, c.r)
+    top = Fraction(1) if c.r < 0 else hi
+    bound = top * Fraction(abs(c.r.numerator) ** (2 * n + 1), factorial(n) * c.r.denominator)
+    return PairTerm(p=pair.at0, q=pair.at1), bound
 
 
-def _gen_e_pow(c):
-    _need(c, EPow, "e-pow")
-    hi = enclose(c, _COARSE).hi
-
-    def gen(n):
-        pair = exp_functional_int(n, c.k)
-        bound = hi * Fraction(c.k ** (2 * n + 1), factorial(n))
-        return PairTerm(p=pair.at0, q=pair.at1), BoundedBy(bound, strict_positive=True)
-    return gen
-
-
-def _gen_e_rat(c):
-    _need(c, ERational, "e-rat")
-    top = Fraction(1) if c.r < 0 else enclose(c, _COARSE).hi
-    p_, q_ = c.r.numerator, c.r.denominator
-
-    def gen(n):
-        pair = exp_functional_rational(n, c.r)
-        bound = top * Fraction(abs(p_) ** (2 * n + 1), factorial(n) * q_)
-        return PairTerm(p=pair.at0, q=pair.at1), BoundedBy(bound)
-    return gen
-
-
-def _gen_sin_inv(c):
-    _need(c, SinInv, "sin-inv")
-
-    def gen(n):
-        app, bb = sin_inv_m_approximant(c.m, n)
-        return PairTerm(app.p, app.q), bb
-    return gen
-
-
-def _gen_cos_inv(c):
-    _need(c, CosInv, "cos-inv")
-
-    def gen(n):
-        app, bb = cos_inv_m_approximant(c.m, n)
-        return PairTerm(app.p, app.q), bb
-    return gen
-
-
-def _gen_trig_angle(c):
-    _need(c, CosOf, "trig-angle")
+def _trig_angle_row(c, hi, n):
     if c.x <= 0:
         raise ValueError("trig-angle needs a positive angle")
-
-    def gen(n):
-        _, witness = trig_functional(n, c.x.numerator, c.x.denominator)
-        return (TrigTerm(witness.a, witness.c, witness.d),
-                BoundedBy(witness.bound))
-    return gen
+    _, witness = trig_functional(n, c.x.numerator, c.x.denominator)
+    return TrigTerm(witness.a, witness.c, witness.d), witness.bound
 
 
 FAMILIES = {
-    "sqrt": _gen_sqrt,
-    "root": _gen_root,
-    "e": _gen_e,
-    "inv-e": _gen_inv_e,
-    "e-squared": _gen_e_squared,
-    "e-squared-naive": _gen_e_squared_naive,
-    "e-pow": _gen_e_pow,
-    "e-rat": _gen_e_rat,
-    "sin-inv": _gen_sin_inv,
-    "cos-inv": _gen_cos_inv,
-    "trig-angle": _gen_trig_angle,
+    "sqrt": (Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n))),
+    "root": (Root, _root_row),
+    "e": (E, lambda c, hi, n: _pair(e_approximant(n))),
+    "inv-e": (InvE, lambda c, hi, n: _pair(inv_e_approximant(n))),
+    "e-squared": (EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n))),
+    "e-squared-naive": (EPow(2), _e_squared_naive_row),
+    "e-pow": (EPow, _e_pow_row),
+    "e-rat": (ERational, _e_rat_row),
+    "sin-inv": (SinInv, lambda c, hi, n: _pair(sin_inv_m_approximant(c.m, n))),
+    "cos-inv": (CosInv, lambda c, hi, n: _pair(cos_inv_m_approximant(c.m, n))),
+    "trig-angle": (CosOf, _trig_angle_row),
 }
 
 FAMILY_DOC = {
@@ -458,39 +377,30 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     try:
-        builder = FAMILIES[family]
+        kind, row = FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; known families: {known}") from None
-    gen = builder(c)
+    if not isinstance(kind, type) and c != kind:
+        raise ValueError(f"family {family!r} certifies {canonical_text(kind)}")
+    if isinstance(kind, type) and not isinstance(c, kind):
+        raise ValueError(f"family {family!r} needs a {kind.__name__} constant, "
+                         f"got {canonical_text(c)}")
     if max_width is not None:
         max_width = Fraction(max_width)
         if max_width <= 0:
             raise ValueError("width override must be positive")
-    budget = refinement_budget()
+    hi = enclose(c, _COARSE).hi
     rows = []
     first_bad = None
     for n in range(1, n_max + 1):
-        term, bb = gen(n)
-        width = max_width if max_width is not None else bb.bound / 1000
-        enc = _residual_eval(term, c, width)
-        steps = 0
-        while True:
-            zero_decided = enc.excludes_zero() or enc.is_point
-            bound_decided = (enc.max_abs() < bb.bound
-                             or enc.min_abs() >= bb.bound)
-            if zero_decided and bound_decided:
-                break
-            steps += 1
-            if steps > budget:
-                raise PrecisionExhausted(
-                    f"residual at n={n} cannot be pinned against zero and "
-                    f"the bound within the refinement budget")
-            width /= 16
-            enc = _residual_eval(term, c, width)
+        term, bound = row(c, hi, n)
+        width = max_width if max_width is not None else bound / 1000
+        enc = refine(lambda w: _decided(_residual_eval(term, c, w), bound), width,
+                     f"residual at n={n} against zero and the bound", shrink=16)
         nonzero_ok = enc.excludes_zero()
-        bound_ok = enc.max_abs() < bb.bound
-        rows.append(CertRow(n=n, term=term, residual=enc, bound=bb.bound,
+        bound_ok = enc.max_abs() < bound
+        rows.append(CertRow(n=n, term=term, residual=enc, bound=bound,
                             nonzero_ok=nonzero_ok, bound_ok=bound_ok))
         if first_bad is None and not (nonzero_ok and bound_ok):
             first_bad = n

@@ -1,0 +1,91 @@
+"""Tests for the refinement driver, its budget, and budget exhaustion."""
+
+from fractions import Fraction
+
+import pytest
+
+from irratcert.cli import main
+from irratcert.constants import Sqrt, floor_of
+from irratcert.enclosure import refine, refinement_budget
+from irratcert.errors import PrecisionExhausted, Unresolvable
+
+
+def _recorder(succeed_on):
+    widths = []
+
+    def attempt(width):
+        widths.append(width)
+        return "done" if len(widths) == succeed_on else None
+    return attempt, widths
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("shrink", [2, 16])
+def test_refine_returns_on_first_success(monkeypatch, k, shrink):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "10")
+    attempt, widths = _recorder(k)
+    w = Fraction(1, 3)
+    assert refine(attempt, w, "probe", shrink=shrink) == "done"
+    assert widths == [w / shrink ** i for i in range(k)]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 4])
+def test_refine_raises_after_budget_plus_one_tries(monkeypatch, budget):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", str(budget))
+    attempt, widths = _recorder(None)
+    with pytest.raises(PrecisionExhausted) as info:
+        refine(attempt, Fraction(1, 4), "probe")
+    assert len(widths) == budget + 1
+    assert widths[-1] == Fraction(1, 4 * 2 ** budget)
+    message = str(info.value)
+    assert message.startswith("probe ")
+    assert f"tries: {budget + 1}" in message
+    assert f"last width < 2^{-1 - budget}" in message
+
+
+def test_refine_keeps_a_falsy_result(monkeypatch):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "3")
+    assert refine(lambda w: 0, Fraction(1), "zero") == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", " "])
+def test_budget_rejects_non_integers(monkeypatch, raw):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", raw)
+    with pytest.raises(ValueError, match="IRRATCERT_MAX_REFINE"):
+        refinement_budget()
+
+
+def test_budget_accepts_zero(monkeypatch):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
+    assert refinement_budget() == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_cli_reports_a_bad_budget(monkeypatch, capsys, raw):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", raw)
+    assert main(["cert", "--family", "e", "--n-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[ValueError]: ")
+    assert "IRRATCERT_MAX_REFINE" in lines[0] and repr(raw) in lines[0]
+
+
+def test_cli_reports_an_exhausted_budget(monkeypatch, capsys):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
+    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[PrecisionExhausted]: residual at n=4 ")
+    assert "tries: 1" in lines[0]
+
+
+def test_floor_of_unresolvable_without_narrowing(monkeypatch):
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
+    with pytest.raises(Unresolvable, match="floor of sqrt:99"):
+        floor_of(Sqrt(99))
+    monkeypatch.delenv("IRRATCERT_MAX_REFINE")
+    assert floor_of(Sqrt(99)) == 9
