@@ -79,17 +79,28 @@ def monic_transform(f: IntPolynomial) -> IntPolynomial:
 
 
 def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending."""
+    """Positive divisors of |n|, ascending; none for n = 0.
+
+    |n| is factored by trial division over a shrinking cofactor, so the
+    search ends near the square root of what is left once the small primes
+    are divided out, not of |n|; the divisors are built from the prime powers.
+    """
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    if n == 0:
+        return []
+    divisors = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divisors = [d * pk for d in divisors for pk in powers]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divisors += [d * n for d in divisors]
+    return sorted(divisors)
 
 
 def integer_root_test(g: IntPolynomial) -> list[int]:

@@ -2,8 +2,9 @@
 
 Each constant is a small frozen spec object that validates its own
 parameters.  `enclose` turns a spec into an interval of requested width
-using exact series tails or integer bisection; no floating point is
-involved at any point.  Specs round-trip through a canonical text form
+with dyadic endpoints, from integer fixed-point series with strict error
+bounds, integer roots, or bisection for algebraic roots; no floating point
+is involved at any point.  Specs round-trip through a canonical text form
 (`sqrt:2`, `root:2,3`, `e`, `inv-e`, `e-pow:3`, `e-rat:1/2`, `sin-inv:3`,
 `cos-inv:3`, `sin:22/7`, `cos:1/2`, `algroot:<coeffs>@<lo>,<hi>`).
 """
@@ -27,6 +28,8 @@ def integer_nth_root(a: int, m: int) -> int:
         raise ValueError("need a >= 0 and m >= 1")
     if a < 2 or m == 1:
         return a
+    if m == 2:
+        return math.isqrt(a)
     x = 1 << -(-a.bit_length() // m)
     while True:
         y = ((m - 1) * x + a // x ** (m - 1)) // m
@@ -173,80 +176,108 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 
 
 # ---------------------------------------------------------------------------
-# Series and bisection enclosures.
+# Fixed-point enclosures.  The exp, sin and cos series are summed as integers
+# at scale 2^-prec: every term is floored, and an integer bound on its
+# distance from the true scaled term travels with it.  The result is the
+# midpoint-radius interval [S - r, S + r] / 2^prec, where r is the tail bound
+# plus the accumulated rounding error; Fractions appear only at that boundary.
+# A sum stops as soon as 2r fits the requested width.  If the tail bound alone
+# fits a quarter of it and 2r still does not, the rounding error is what is
+# too wide, and the sum is redone at a finer scale.
+
+def _width_bits(max_width: Fraction) -> int:
+    """Smallest k >= 0 with 2^-k <= max_width."""
+    p, q = max_width.numerator, max_width.denominator
+    k = max(0, q.bit_length() - p.bit_length())
+    return k + 1 if p << k < q else k
+
+
+def _series_precision(x: Fraction, max_width: Fraction) -> int:
+    """Starting scale for a series at x: the bits of max_width, plus guard bits
+    for the rounding error, which grows like e^|x| times the number of terms."""
+    k = _width_bits(max_width)
+    return k + 2 * (abs(x.numerator) // x.denominator) + k.bit_length() + 10
+
 
 def _exp_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
-    """Partial sum of exp(x) with a geometric bound on the dropped tail.
+    """Fixed-point Taylor sum of exp(x) with a geometric bound on the dropped tail.
 
     After the term x^j/j! the remaining tail is at most
     |x|^(j+1)/(j+1)! * 1/(1 - |x|/(j+2)), valid once |x| < j + 2.
     """
-    ax = abs(x)
-    term = Fraction(1)
-    total = Fraction(1)
-    j = 0
+    a, b = x.numerator, x.denominator
+    aa = abs(a)
+    prec = _series_precision(x, max_width)
     while True:
-        j += 1
-        term *= Fraction(x, j)
-        total += term
-        if ax < j + 2:
-            head = abs(term) * ax / (j + 1)
-            tail = head / (1 - Fraction(ax, j + 2))
-            if 2 * tail <= max_width:
-                return Enclosure(total - tail, total + tail)
+        budget = (max_width.numerator << prec) // max_width.denominator
+        term = total = 1 << prec
+        err = total_err = 0
+        j = 0
+        while True:
+            j += 1
+            d = j * b
+            term = term * a // d
+            err = -(-err * aa // d) + 1
+            total += term
+            total_err += err
+            if aa < (j + 2) * b:
+                tail = -(-(abs(term) + err) * aa * (j + 2) // ((j + 1) * ((j + 2) * b - aa)))
+                r = tail + total_err
+                if 2 * r <= budget:
+                    return Enclosure(Fraction(total - r, 1 << prec),
+                                     Fraction(total + r, 1 << prec))
+                if 4 * tail <= budget:
+                    break
+        prec += total_err.bit_length()
 
 
-def _sin_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
-    """Alternating Maclaurin bracket for sin(x), clipped to [-1, 1].
+def _trig_enclosure(x: Fraction, max_width: Fraction, first_power: int) -> Enclosure:
+    """Fixed-point Maclaurin sum of sin(x) (first_power 1) or cos(x)
+    (first_power 0), clipped to [-1, 1].
 
-    Once the term ratio x^2/((2k+2)(2k+3)) drops below 1 the partial sums
-    bracket the limit, with error at most the first omitted term.
+    Once the term ratio x^2/((s+1)(s+2)) after the power-s term drops below 1
+    the terms decrease, so the dropped tail is at most the first omitted term,
+    which is bounded from the power-s term kept.
     """
-    xx = x * x
-    total = Fraction(0)
-    term = Fraction(x)
-    k = 0
+    a, b = x.numerator, x.denominator
+    a2, b2 = a * a, b * b
+    prec = _series_precision(x, max_width)
     while True:
-        if xx < (2 * k + 2) * (2 * k + 3) and abs(term) <= max_width:
-            lo, hi = (total, total + term) if term >= 0 else (total + term, total)
-            return Enclosure(max(lo, Fraction(-1)), min(hi, Fraction(1)))
-        total += term
-        k += 1
-        term *= Fraction(-xx, (2 * k) * (2 * k + 1))
-
-
-def _cos_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
-    xx = x * x
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        if xx < (2 * k + 1) * (2 * k + 2) and abs(term) <= max_width:
-            lo, hi = (total, total + term) if term >= 0 else (total + term, total)
-            return Enclosure(max(lo, Fraction(-1)), min(hi, Fraction(1)))
-        total += term
-        k += 1
-        term *= Fraction(-xx, (2 * k - 1) * (2 * k))
-
-
-def _power_sign(x: Fraction, m: int, a: int) -> int:
-    """Sign of x**m - a without building large fractions."""
-    v = x.numerator ** m - a * x.denominator ** m
-    return (v > 0) - (v < 0)
-
-
-def _root_bisection(a: int, m: int, max_width: Fraction) -> Enclosure:
-    """Bisect x**m - a over [z, z+1]; endpoints stay rational, the root cannot
-    be hit exactly because a is not a perfect power."""
-    z = integer_nth_root(a, m)
-    lo, hi = Fraction(z), Fraction(z + 1)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        if _power_sign(mid, m, a) < 0:
-            lo = mid
+        one = 1 << prec
+        budget = (max_width.numerator << prec) // max_width.denominator
+        if first_power:
+            term, rem = divmod(a << prec, b)
+            err = 1 if rem else 0
         else:
-            hi = mid
-    return Enclosure(lo, hi)
+            term, err = one, 0
+        total, total_err = term, err
+        s = first_power
+        while True:
+            d = (s + 1) * (s + 2) * b2
+            if a2 < d:
+                tail = -(-(abs(term) + err) * a2 // d)
+                r = tail + total_err
+                if 2 * r <= budget:
+                    return Enclosure(Fraction(max(total - r, -one), one),
+                                     Fraction(min(total + r, one), one))
+                if 4 * tail <= budget:
+                    break
+            term = -term * a2 // d
+            err = -(-err * a2 // d) + 1
+            total += term
+            total_err += err
+            s += 2
+        prec += total_err.bit_length()
+
+
+def _root_enclosure(a: int, m: int, max_width: Fraction) -> Enclosure:
+    """[z, z + 1] / 2^k with z = floor(2^k * a^(1/m)) and k the fewest bits with
+    2^-k <= max_width.  The root is irrational, so it lies strictly inside:
+    this is exactly the interval that halving [floor(root), floor(root) + 1]
+    reaches."""
+    k = _width_bits(max_width)
+    z = integer_nth_root(a << (m * k), m)
+    return Enclosure(Fraction(z, 1 << k), Fraction(z + 1, 1 << k))
 
 
 def _poly_bisection(poly: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -268,17 +299,18 @@ def _poly_bisection(poly: IntPolynomial, lo: Fraction, hi: Fraction,
 def enclose(spec: ConstantSpec, max_width) -> Enclosure:
     """Interval of width <= max_width certified to contain the constant.
 
-    Shrinking max_width yields nested intervals: series enclosures only ever
-    gain terms and bisection only ever halves further.
+    Any two results for one constant overlap, since both contain it.  They
+    need not be nested: the series enclosures are centred on fixed-point
+    sums, so a narrower request may poke out of a wider one.
     """
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     match spec:
         case Sqrt(m=m):
-            return _root_bisection(m, 2, max_width)
+            return _root_enclosure(m, 2, max_width)
         case Root(a=a, m=m):
-            return _root_bisection(a, m, max_width)
+            return _root_enclosure(a, m, max_width)
         case E():
             return _exp_enclosure(Fraction(1), max_width)
         case InvE():
@@ -288,13 +320,13 @@ def enclose(spec: ConstantSpec, max_width) -> Enclosure:
         case ERational(r=r):
             return _exp_enclosure(r, max_width)
         case SinInv(m=m):
-            return _sin_enclosure(Fraction(1, m), max_width)
+            return _trig_enclosure(Fraction(1, m), max_width, first_power=1)
         case CosInv(m=m):
-            return _cos_enclosure(Fraction(1, m), max_width)
+            return _trig_enclosure(Fraction(1, m), max_width, first_power=0)
         case SinOf(x=x):
-            return _sin_enclosure(x, max_width)
+            return _trig_enclosure(x, max_width, first_power=1)
         case CosOf(x=x):
-            return _cos_enclosure(x, max_width)
+            return _trig_enclosure(x, max_width, first_power=0)
         case AlgebraicRoot():
             return _poly_bisection(spec.poly, spec.lo, spec.hi, max_width)
     raise TypeError(f"not a constant spec: {spec!r}")

@@ -142,3 +142,17 @@ def assert_overlaps(enc, lo, hi):
     """Two intervals that both contain the same real value must intersect."""
     assert enc.lo <= hi and lo <= enc.hi, (
         f"enclosure [{enc.lo}, {enc.hi}] misses oracle bracket [{lo}, {hi}]")
+
+
+def trial_divisors(n: int) -> list[int]:
+    """Positive divisors of |n| by trial division up to sqrt(|n|), ascending."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]

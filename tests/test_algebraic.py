@@ -1,18 +1,20 @@
 """Tests for power-form reduction, monic transforms, and root classification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from irratcert.algebraic import (PowerForm, RootBracket, classify_roots,
+from irratcert.algebraic import (PowerForm, RootBracket, _divisors, classify_roots,
                                  integer_root_test, isolate_real_roots,
                                  monic_certificate, monic_transform,
                                  reduce_power_form)
+from irratcert.cli import main
 from irratcert.errors import NotMonicError, NotSquarefreeError
 from irratcert.intpoly import IntPolynomial
 
-from oracles import modular_powers_remainder, sqrt_bracket
+from oracles import modular_powers_remainder, sqrt_bracket, trial_divisors
 
 
 def test_reduce_small_cases():
@@ -76,6 +78,27 @@ def test_integer_root_test():
     assert integer_root_test(IntPolynomial((1, 1, 1))) == []
     with pytest.raises(NotMonicError):
         integer_root_test(IntPolynomial((1, 2)))
+
+
+def test_divisors_match_trial_division():
+    for n in range(5001):
+        assert _divisors(n) == trial_divisors(n), n
+    assert _divisors(-360) == trial_divisors(360)
+    assert len(_divisors(5280 * 72 ** 7)) == 1728
+
+
+def test_classify_with_many_small_factors_is_fast(capsys):
+    # 2 (x - 2)(3x - 5)(3x - 4)(4x - 3)(x^2 + 2)(x^2 + 3x + 11): the integer
+    # root test of its monic transform needs the divisors of 5280 * 72^7
+    start = time.perf_counter()
+    assert main(["classify", "--poly=5280,-15368,17500,-13148,8254,-3128,556,-198,72"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.splitlines() == [
+        "bracket (735/1024, 245/256): rational 3/4",
+        "bracket (1225/1024, 735/512): rational 4/3",
+        "bracket (735/512, 1715/1024): rational 5/3",
+        "bracket (245/128, 2205/1024): rational 2",
+    ]
 
 
 def test_root_bracket_validation_and_refine():

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: golden corpus, formats, exit codes."""
 
+import csv
 import json
 
 from irratcert.cli import main
@@ -43,6 +44,109 @@ def test_corpus_exit_code_partition(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error[")
         assert "\n" not in captured.err.strip()
+
+
+# Recorded from the corpus runs above.  The radical families' output is pinned
+# byte for byte; for the others only the integers, both flags and the verdict
+# are pinned, because residual endpoints (and, for e-pow, e-rat with r > 0 and
+# e-squared, the bound built from a coarse upper endpoint of the constant)
+# depend on the enclosure kernel's internal precision.
+SQRT_ROWS = [
+    ("1", "1", "53/128", "1697/4096",
+     "425/1024"),
+    ("7", "5", "9311/131072", "2329/32768",
+     "76765625/1073741824"),
+    ("41", "29", "51125/4194304", "25577/2097152",
+     "13865791015625/1125899906842624"),
+    ("239", "169", "280747/134217728", "70229/33554432",
+     "2504508502197265625/1180591620717411303424"),
+    ("1393", "985", "1540687/4294967296", "192709/536870912",
+     "452376848209381103515625/1237940039285380274899124224"),
+    ("8119", "5741", "4230675/68719476736", "8467091/137438953472",
+     "81710568207819461822509765625/1298074214633706907132624082305024"),
+]
+ROOT_CSV = """\
+n,coeffs,residual_lo,residual_hi,bound,nonzero_ok,bound_ok
+1,1;-2;1,290132905/4294967296,290198441/4294967296,71289/1048576,true,true
+2,19;-5;-8,667717976447/562949953421312,166982255807/140737488355328,1356926446107/1125899906842624,true,true
+3,1;100;-80,1537072330642059/73786976294838206464,384322621963411/18446744073709551616,25827959154211353441/1208925819614629174706176,true,true
+4,-1079;583;217,28300508536332394249/77371252455336267181195264,7077611603170058593/19342813113834066795298816,491613584498601037846604883/1298074214633706907132624082305024,true,true
+# verdict: nice
+"""
+# family -> (verdict, rows of integers, (nonzero_ok, bound_ok) of every row)
+CORPUS_INTEGERS = {
+    "e": ("nice", [("2", "1"), ("5", "2"), ("16", "6"), ("65", "24"), ("326", "120"),
+                   ("1957", "720"), ("13700", "5040"), ("109601", "40320")], (True, True)),
+    "inv-e": ("nice", [("0", "1"), ("1", "2"), ("2", "6"), ("9", "24"), ("44", "120"),
+                       ("265", "720")], (True, True)),
+    "e-squared": ("nice", [("5", "1"), ("65", "9"), ("1957", "265"), ("109601", "14833"),
+                           ("9864101", "1334961")], (True, True)),
+    "e-pow": ("nice", [("-5", "1"), ("39", "3"), ("-435", "-21"), ("6441", "321"),
+                       ("-119853", "-5967")], (True, True)),
+    "e-rat": ("nice", [("-6", "-10"), ("148", "244"), ("-5944", "-9800"),
+                       ("333456", "549776"), ("-24032608", "-39623072")], (True, True)),
+    "sin-inv": ("nice", [("23", "48"), ("309287", "645120"), ("39192849079", "81749606400"),
+                         ("20543323773249479", "42849873690624000"),
+                         ("30576354410924152553303", "63777066403145711616000")],
+                (True, True)),
+    "cos-inv": ("nice", [("1", "2"), ("389", "720"), ("1960649", "3628800"),
+                         ("47102631757", "87178291200"),
+                         ("3459217276234385", "6402373705728000")], (True, True)),
+    "trig-angle": ("nice", [("-8", "-8", "2"), ("188", "188", "-48"),
+                            ("-7488", "-7488", "1912"), ("418576", "418576", "-106880"),
+                            ("-30107520", "-30107520", "7687712")], (True, True)),
+    "e-squared-naive": ("violated:1", [("4", "1"), ("25", "4"), ("256", "36"),
+                                       ("4225", "576"), ("106276", "14400"),
+                                       ("3829849", "518400"), ("187690000", "25401600"),
+                                       ("12012379201", "1625702400")], (True, False)),
+}
+_NOT_PINNED = {"n", "residual_lo", "residual_hi", "bound", "residual~", "bound~"}
+
+
+def _pinned_fields(text):
+    """(verdict, integer tuples, flag pairs) of a cert run in any output format."""
+    text = text.strip()
+    if text.startswith("{"):
+        data = json.loads(text)
+        rows, verdict = data["rows"], data["verdict"]
+    else:
+        lines = text.splitlines()
+        verdict = lines[-1].split(": ", 1)[1]
+        if lines[-1].startswith("# verdict: "):
+            rows = list(csv.DictReader(lines[:-1]))
+        else:
+            header = lines[0].split()
+            rows = [dict(zip(header, line.split())) for line in lines[1:-1]]
+    integers = [tuple(v for k, v in row.items()
+                      if k not in _NOT_PINNED and not k.endswith("_ok")) for row in rows]
+    flags = [(row["nonzero_ok"] in (True, "true"), row["bound_ok"] in (True, "true"))
+             for row in rows]
+    return verdict, integers, flags
+
+
+def test_corpus_radical_output_is_pinned(capsys):
+    assert main(CORPUS_OK[0]) == 0
+    rows = [{"n": n, "p": p, "q": q, "residual_lo": lo, "residual_hi": hi, "bound": bound,
+             "nonzero_ok": True, "bound_ok": True}
+            for n, (p, q, lo, hi, bound) in enumerate(SQRT_ROWS, start=1)]
+    expected = json.dumps({"constant": "sqrt:2", "family": "sqrt", "rows": rows,
+                           "verdict": "nice"}, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert main(CORPUS_OK[1]) == 0
+    assert capsys.readouterr().out == ROOT_CSV
+
+
+def test_corpus_integers_flags_and_verdicts_are_pinned(capsys):
+    runs = [argv for argv in CORPUS_OK + CORPUS_VIOLATED
+            if argv[0] == "cert" and argv[2] not in ("sqrt", "root")]
+    assert sorted(argv[2] for argv in runs) == sorted(CORPUS_INTEGERS)
+    for argv in runs:
+        main(argv)
+        verdict, integers, flags = _pinned_fields(capsys.readouterr().out)
+        expected_verdict, expected_integers, expected_flags = CORPUS_INTEGERS[argv[2]]
+        assert verdict == expected_verdict, argv
+        assert integers == expected_integers, argv
+        assert flags == [expected_flags] * len(expected_integers), argv
 
 
 def test_json_output_round_trips(capsys):

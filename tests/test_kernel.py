@@ -1,0 +1,152 @@
+"""Property tests of the fixed-point enclosure kernel against mpmath.
+
+mpmath's interval context at 4,200 bits gives a rigorous enclosure of each
+true value; a kernel enclosure must contain it and be no wider than asked.
+Radical enclosures are pinned exactly: [z, z + 1] / 2^k with
+z = floor(2^k * a^(1/m)), checked by integer powers.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import iv
+from mpmath.libmp import to_rational
+
+from irratcert import constants
+from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
+                                 ERational, InvE, Root, SinInv, SinOf, Sqrt,
+                                 canonical_text, enclose, integer_nth_root)
+from irratcert.intpoly import IntPolynomial
+
+ORACLE_BITS = 4200
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _truth(interval) -> tuple[Fraction, Fraction]:
+    """Exact rational endpoints of the mpmath interval interval() at ORACLE_BITS."""
+    saved, iv.prec = iv.prec, ORACLE_BITS
+    try:
+        v = interval()
+    finally:
+        iv.prec = saved
+    lo, hi = (Fraction(*to_rational(raw)) for raw in v._mpi_)
+    return lo, hi
+
+
+def _at(fn, x: Fraction) -> tuple[Fraction, Fraction]:
+    return _truth(lambda: fn(iv.mpf(x.numerator) / x.denominator))
+
+
+def _assert_encloses(enc, truth, max_width):
+    lo, hi = truth
+    assert enc.width <= max_width
+    assert enc.lo <= lo and hi <= enc.hi, (enc, float(lo))
+
+
+def _rationals(limit):
+    """Nonzero n/d with d <= 64 and |n/d| <= limit."""
+    return st.integers(1, 64).flatmap(lambda d: st.builds(
+        Fraction, st.integers(-limit * d, limit * d).filter(bool), st.just(d)))
+
+
+# widths num/den * 2^-k: down to about 2^-2010, up to 1000, mostly not dyadic
+widths = st.builds(lambda k, num, den: Fraction(num, den << k),
+                   st.integers(0, 2000), st.integers(1, 1000), st.integers(1, 1000))
+
+
+@PROPERTY
+@given(x=_rationals(12), max_width=widths)
+def test_exp_encloses_truth(x, max_width):
+    _assert_encloses(enclose(ERational(x), max_width), _at(iv.exp, x), max_width)
+
+
+@PROPERTY
+@given(x=_rationals(40), max_width=widths)
+def test_sin_encloses_truth_inside_unit_range(x, max_width):
+    enc = enclose(SinOf(x), max_width)
+    _assert_encloses(enc, _at(iv.sin, x), max_width)
+    assert -1 <= enc.lo <= enc.hi <= 1
+
+
+@PROPERTY
+@given(x=_rationals(40), max_width=widths)
+def test_cos_encloses_truth_inside_unit_range(x, max_width):
+    enc = enclose(CosOf(x), max_width)
+    _assert_encloses(enc, _at(iv.cos, x), max_width)
+    assert -1 <= enc.lo <= enc.hi <= 1
+
+
+@pytest.mark.parametrize("spec, fn", [
+    (ERational(Fraction(12)), iv.exp), (ERational(Fraction(-12)), iv.exp),
+    (ERational(Fraction(1, 3)), iv.exp), (SinOf(Fraction(40)), iv.sin),
+    (CosOf(Fraction(-37, 3)), iv.cos), (CosOf(Fraction(1, 7)), iv.cos),
+])
+@pytest.mark.parametrize("bits", [1, 50, 700])
+def test_starved_precision_is_raised_until_the_width_fits(monkeypatch, spec, fn, bits):
+    # four guard bits leave the rounding error wider than the request, so
+    # the sums must be redone at a finer scale
+    monkeypatch.setattr(constants, "_series_precision",
+                        lambda x, max_width: constants._width_bits(max_width) + 4)
+    x = spec.r if isinstance(spec, ERational) else spec.x
+    max_width = Fraction(1, 2 ** bits)
+    _assert_encloses(enclose(spec, max_width), _at(fn, x), max_width)
+
+
+def _fewest_bits(max_width):
+    k = 0
+    while Fraction(1, 2 ** k) > max_width:
+        k += 1
+    return k
+
+
+@PROPERTY
+@given(a=st.integers(2, 10 ** 12), m=st.integers(2, 7), max_width=widths)
+def test_radical_enclosure_is_the_dyadic_floor_bracket(a, m, max_width):
+    assume(integer_nth_root(a, m) ** m != a)
+    spec = Sqrt(a) if m == 2 else Root(a, m)
+    enc = enclose(spec, max_width)
+    k = _fewest_bits(max_width)
+    assert enc.hi - enc.lo == Fraction(1, 2 ** k)
+    z = enc.lo * 2 ** k
+    assert z.denominator == 1
+    z = int(z)
+    assert z ** m < a << (m * k) < (z + 1) ** m
+
+
+KINDS = [
+    (Sqrt(2), lambda: iv.sqrt(2)),
+    (Root(5, 3), lambda: iv.exp(iv.log(5) / 3)),
+    (E(), lambda: iv.exp(1)),
+    (InvE(), lambda: iv.exp(-1)),
+    (EPow(7), lambda: iv.exp(7)),
+    (ERational(Fraction(-11, 3)), lambda: iv.exp(iv.mpf(-11) / 3)),
+    (SinInv(3), lambda: iv.sin(iv.mpf(1) / 3)),
+    (CosInv(2), lambda: iv.cos(iv.mpf(1) / 2)),
+    (SinOf(Fraction(22, 7)), lambda: iv.sin(iv.mpf(22) / 7)),
+    (CosOf(Fraction(-31, 2)), lambda: iv.cos(iv.mpf(-31) / 2)),
+]
+
+
+@pytest.mark.parametrize("spec, truth", KINDS, ids=[canonical_text(s) for s, _ in KINDS])
+def test_every_kind_matches_mpmath_at_2_pow_minus_2000(spec, truth):
+    max_width = Fraction(1, 2 ** 2000)
+    _assert_encloses(enclose(spec, max_width), _truth(truth), max_width)
+
+
+CUBIC = IntPolynomial((-5, -2, 0, 1))  # x^3 - 2x - 5, Wallis's cubic
+
+
+def test_algebraic_root_matches_mpmath_at_2_pow_minus_2000():
+    max_width = Fraction(1, 2 ** 2000)
+    enc = enclose(AlgebraicRoot(CUBIC, 2, 3), max_width)
+    with mpmath.workprec(ORACLE_BITS):
+        v = mpmath.findroot(lambda t: t ** 3 - 2 * t - 5, mpmath.mpf(2))
+        v = Fraction(*to_rational(v._mpf_))
+    # the sign change pins the one root of the bracket within 2^-4000 of v
+    eps = Fraction(1, 2 ** 4000)
+    assert CUBIC(v - eps) < 0 < CUBIC(v + eps)
+    assert enc.width <= max_width
+    assert enc.lo <= v - eps and v + eps <= enc.hi
