@@ -62,6 +62,18 @@ def _check_index(n: int):
         raise BadIndexError(f"index must be >= 1, got {n}")
 
 
+def _nested(ratios) -> int:
+    """1 + r_K (1 + r_(K-1) (... (1 + r_1))) for ratios r_1 .. r_K in order.
+
+    A sum T_0 + ... + T_K with T_(i-1) = r_i T_i is T_K times this: Horner's
+    rule from the top term, one small multiplication per term.
+    """
+    acc = 1
+    for r in ratios:
+        acc = 1 + r * acc
+    return acc
+
+
 def sqrt_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     """The root form (d_0, d_1) of sqrt(m) read as a pair: p = -d_0, q = d_1.
 
@@ -96,17 +108,15 @@ def mth_root_form(a: int, m: int, n: int) -> PowerForm:
 def e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """p = sum(n!/i!), q = n!; then 1/(n+1) < q*e - p < 1/n."""
     _check_index(n)
-    q = factorial(n)
-    p = sum(q // factorial(i) for i in range(n + 1))
-    return Approximant(n, p, q), BoundedBy(Fraction(1, n), strict_positive=True)
+    p = _nested(range(1, n + 1))
+    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n), strict_positive=True)
 
 
 def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """Alternating partial sum: p = sum((-1)^i n!/i!), q = n!."""
     _check_index(n)
-    q = factorial(n)
-    p = sum((-1) ** i * (q // factorial(i)) for i in range(n + 1))
-    return Approximant(n, p, q), BoundedBy(Fraction(1, n))
+    p = (-1) ** n * _nested(range(-1, -n - 1, -1))
+    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
 
 
 def e_squared_approximant(n: int) -> tuple[Approximant, BoundedBy]:
@@ -132,10 +142,9 @@ def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     _check_index(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    f = factorial(4 * n - 1)
-    q = m ** (4 * n - 1) * f
-    p = sum((f // factorial(2 * k + 1)) * (-1) ** k * m ** (4 * n - 2 * k - 2)
-            for k in range(2 * n))
+    q = m ** (4 * n - 1) * factorial(4 * n - 1)
+    # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k)(2k+1) m^2
+    p = -_nested(-(2 * k) * (2 * k + 1) * m * m for k in range(1, 2 * n))
     bound = Fraction(1, m * m * (4 * n) ** 2 - 1)
     return Approximant(n, p, q), BoundedBy(bound, strict_positive=True)
 
@@ -150,10 +159,9 @@ def cos_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     _check_index(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    f = factorial(4 * n - 2)
-    q = m ** (4 * n - 2) * f
-    p = sum((f // factorial(2 * k)) * (-1) ** k * m ** (4 * n - 2 * k - 2)
-            for k in range(2 * n))
+    q = m ** (4 * n - 2) * factorial(4 * n - 2)
+    # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k-1)(2k) m^2
+    p = -_nested(-(2 * k - 1) * (2 * k) * m * m for k in range(1, 2 * n))
     bound = Fraction(1, m * m * (4 * n - 1) ** 2 - 1)
     return Approximant(n, p, q), BoundedBy(bound, strict_positive=True)
 

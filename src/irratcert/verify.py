@@ -363,16 +363,65 @@ FAMILY_DOC = {
 }
 
 
+def _settle(term: RowTerm, c, bound: Fraction, width, what: str):
+    """(enclosure, width) at the first of width, width/16, ... that decides the row."""
+    def attempt(w):
+        enc = _decided(_residual_eval(term, c, w), bound)
+        return None if enc is None else (enc, w)
+    return refine(attempt, width, what, shrink=16)
+
+
+def _decay(first: CertRow, last: CertRow, c, first_width, last_width):
+    """The first and last rows, re-enclosed until |last| < |first| is decided.
+
+    Both rows are narrowed together, by 16 from their own decided widths, and
+    each must stay decided against zero and its bound.  The first try keeps
+    the enclosures the rows were decided with.
+    """
+    def attempt(scale):
+        if scale == 1:
+            a, b = first.residual, last.residual
+        else:
+            a = _decided(_residual_eval(first.term, c, first_width * scale), first.bound)
+            b = _decided(_residual_eval(last.term, c, last_width * scale), last.bound)
+            if a is None or b is None:
+                return None
+        if b.max_abs() < a.min_abs() or b.min_abs() >= a.max_abs():
+            return (_row(first.n, first.term, a, first.bound),
+                    _row(last.n, last.term, b, last.bound))
+        return None
+    return refine(attempt, Fraction(1), f"decay of row {last.n} against row {first.n}",
+                  shrink=16)
+
+
+def _row(n: int, term: RowTerm, enc: Enclosure, bound: Fraction) -> CertRow:
+    return CertRow(n=n, term=term, residual=enc, bound=bound,
+                   nonzero_ok=enc.excludes_zero(), bound_ok=enc.max_abs() < bound)
+
+
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     """Certificate for rows n = 1 .. n_max of the given family.
 
-    Per row the residual enclosure is computed at width bound/1000 (or the
-    override), then narrowed further until both checks are decided: zero is
-    excluded (or the residual is exactly zero), and the enclosure sits
+    Per row the residual enclosure is computed at width bound/1000/16^r (or
+    the override), then narrowed by 16 until both checks are decided: zero
+    is excluded (or the residual is exactly zero), and the enclosure sits
     entirely below or entirely at-or-above the bound.  Without the second
     condition an enclosure straddling the bound would fail a row the
-    mathematics actually satisfies.  The verdict also requires the final
-    residual magnitude to sit below the first when n_max >= 2.
+    mathematics actually satisfies.  r is the number of narrowings the row
+    before needed in all, 0 for the first row: the residuals of the Niven
+    families shrink about 4^n faster than their bounds, so a row usually
+    needs at least the depth of the one before.  Every width tried is
+    bound/1000/16^j for some j, so a row whose depth does not drop is decided
+    at the width a fresh start would reach.  An override starts every row at
+    that width and carries nothing.
+
+    The verdict also requires the final residual magnitude to sit below the
+    first when n_max >= 2 and every row passes.  That comparison is decided,
+    not read off whatever enclosures settled the rows: the first and last
+    rows are narrowed together, by 16 from their own decided widths, until
+    |last| < |first| or |last| >= |first| is certain.  Those are the
+    enclosures printed, so the verdict does not depend on where refinement
+    started.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -391,23 +440,24 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         if max_width <= 0:
             raise ValueError("width override must be positive")
     hi = enclose(c, _COARSE).hi
-    rows = []
-    first_bad = None
+    rows, widths = [], []
+    depth = 0
     for n in range(1, n_max + 1):
         term, bound = row(c, hi, n)
-        width = max_width if max_width is not None else bound / 1000
-        enc = refine(lambda w: _decided(_residual_eval(term, c, w), bound), width,
-                     f"residual at n={n} against zero and the bound", shrink=16)
-        nonzero_ok = enc.excludes_zero()
-        bound_ok = enc.max_abs() < bound
-        rows.append(CertRow(n=n, term=term, residual=enc, bound=bound,
-                            nonzero_ok=nonzero_ok, bound_ok=bound_ok))
-        if first_bad is None and not (nonzero_ok and bound_ok):
-            first_bad = n
+        start = max_width if max_width is not None else bound / 1000 / 16 ** depth
+        enc, width = _settle(term, c, bound, start,
+                             f"residual at n={n} against zero and the bound")
+        # start / width is 16^t after t narrowings
+        depth += (start / width).numerator.bit_length() // 4
+        rows.append(_row(n, term, enc, bound))
+        widths.append(width)
+    first_bad = next((r.n for r in rows if not (r.nonzero_ok and r.bound_ok)), None)
     if first_bad is not None:
         verdict = f"violated:{first_bad}"
-    elif len(rows) >= 2 and not rows[-1].residual.max_abs() < rows[0].residual.min_abs():
-        verdict = f"violated:{rows[-1].n}"
+    elif n_max >= 2:
+        rows[0], rows[-1] = _decay(rows[0], rows[-1], c, widths[0], widths[-1])
+        shrinks = rows[-1].residual.max_abs() < rows[0].residual.min_abs()
+        verdict = "nice" if shrinks else f"violated:{n_max}"
     else:
         verdict = "nice"
     return Certificate(constant=canonical_text(c), family=family,

@@ -88,6 +88,16 @@ def bridge_derivative_at(n: int, j: int, point: int) -> int:
     return sum(c * point ** i for i, c in enumerate(coeffs))
 
 
+def bridge_derivative_table(n: int, point: int) -> list[int]:
+    """Derivatives 0 .. 2n of x^n (1 - x)^n at an integer point, term calculus."""
+    coeffs = bridge_poly(n)
+    table = []
+    for _ in range(2 * n + 1):
+        table.append(sum(c * point ** i for i, c in enumerate(coeffs)))
+        coeffs = poly_derivative(coeffs)
+    return table
+
+
 def e_bracket(terms: int) -> tuple[Fraction, Fraction]:
     """Rational bracket around e from the plain partial sum."""
     s = sum(Fraction(1, factorial(i)) for i in range(terms + 1))

@@ -11,7 +11,7 @@ from irratcert.niven import (FPair, RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_derivative_at,
                              niven_poly, trig_functional)
 
-from oracles import bridge_derivative_at, gauss_mul
+from oracles import bridge_derivative_at, bridge_derivative_table, gauss_mul
 
 
 def test_niven_poly_small_cases():
@@ -57,18 +57,25 @@ def test_exp_functional_int_examples():
     assert exp_functional_int(2, 2) == FPair(at0=28, at1=4)
 
 
+# The certificate workloads reach n = 40, so the functionals are checked
+# against the term-calculus tables up to n = 45.
+ORACLE_N = range(1, 46)
+ORACLE_RATES = (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4),
+                Fraction(-3, 5), Fraction(4, 5), Fraction(-3, 2), Fraction(2),
+                Fraction(3), Fraction(4))
+ORACLE_ANGLES = ((1, 1), (1, 2), (1, 3), (2, 3), (3, 1), (7, 3), (8, 5), (5, 2), (2, 5))
+
+
 def test_exp_functional_int_against_oracle():
-    # F(x) = sum over i of (-1)^i k^(2n-i) f^(i)(x), recomputed from the
-    # term-calculus table
-    for n in range(1, 9):
-        for k in range(1, 6):
+    # n! F(x) = sum over i of (-1)^i k^(2n-i) (x^n (1-x)^n)^(i)(x), recomputed
+    # from the term-calculus table
+    for n in ORACLE_N:
+        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
+        for k in range(1, 7):
             pair = exp_functional_int(n, k)
-            for point, got in ((0, pair.at0), (1, pair.at1)):
-                acc = Fraction(0)
-                for i in range(0, 2 * n + 1):
-                    acc += Fraction((-1) ** i * k ** (2 * n - i)
-                                    * bridge_derivative_at(n, i, point), factorial(n))
-                assert acc == got
+            for table, got in zip(tables, (pair.at0, pair.at1)):
+                acc = sum((-1) ** i * k ** (2 * n - i) * d for i, d in enumerate(table))
+                assert acc == factorial(n) * got
 
 
 def test_exp_functional_int_validation():
@@ -86,17 +93,15 @@ def test_exp_functional_rational_examples():
 
 
 def test_exp_functional_rational_against_oracle():
-    for n in range(1, 7):
-        for r in (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
-                  Fraction(-3, 4), Fraction(3, 1)):
+    for n in ORACLE_N:
+        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
+        for r in ORACLE_RATES:
             p, q = r.numerator, r.denominator
             pair = exp_functional_rational(n, r)
-            for point, got in ((0, pair.at0), (1, pair.at1)):
-                acc = Fraction(0)
-                for i in range(0, 2 * n + 1):
-                    acc += Fraction((-1) ** i * p ** (2 * n - i) * q ** i
-                                    * bridge_derivative_at(n, i, point), factorial(n))
-                assert acc == got
+            for table, got in zip(tables, (pair.at0, pair.at1)):
+                acc = sum((-1) ** i * p ** (2 * n - i) * q ** i * d
+                          for i, d in enumerate(table))
+                assert acc == factorial(n) * got
 
 
 def test_trig_functional_example():
@@ -110,24 +115,27 @@ def test_trig_functional_example():
 def test_trig_functional_against_gaussian_oracle():
     # recompute F(x) = sum (-1)^i (ip)^(2n-i) q^i f^(i)(x) with a standalone
     # Gaussian product helper
-    for n in range(1, 6):
-        for p, q in ((1, 1), (1, 2), (1, 3), (3, 1), (2, 3)):
+    for n in ORACLE_N:
+        nf = factorial(n)
+        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
+        for p, q in ORACLE_ANGLES:
             pair, witness = trig_functional(n, p, q)
-            for point, got in ((0, pair.at0), (1, pair.at1)):
+            for table, got in zip(tables, (pair.at0, pair.at1)):
                 total = (0, 0)
-                for i in range(0, 2 * n + 1):
-                    table = bridge_derivative_at(n, i, point)
-                    if table % factorial(n):
+                for i, d in enumerate(table):
+                    if d % nf:
                         raise AssertionError("table not divisible by n!")
-                    coeff = (-1) ** i * q ** i * p ** (2 * n - i) * (table // factorial(n))
+                    coeff = (-1) ** i * q ** i * p ** (2 * n - i) * (d // nf)
                     ipow = [(1, 0), (0, 1), (-1, 0), (0, -1)][(2 * n - i) % 4]
                     term = gauss_mul(ipow, (coeff, 0))
                     total = (total[0] + term[0], total[1] + term[1])
                 assert (got.re, got.im) == total
+            # F(1) is the conjugate of F(0), so a = c
+            assert (pair.at1.re, pair.at1.im) == (pair.at0.re, -pair.at0.im)
             assert witness.a == pair.at0.re
             assert witness.c == pair.at1.re
             assert witness.d == pair.at1.im
-            assert witness.bound == Fraction(p ** (2 * n + 1), factorial(n) * q)
+            assert witness.bound == Fraction(p ** (2 * n + 1), nf * q)
 
 
 def test_trig_angle_guards():

@@ -133,6 +133,28 @@ def test_cos_inv_values():
             assert app.q == m ** (4 * n - 2) * factorial(4 * n - 2)
 
 
+
+def test_series_approximants_match_factorial_definitions():
+    # the generators build p by Horner's rule; the definitions divide
+    # factorials term by term
+    for n in range(1, 131):
+        f = factorial(n)
+        assert e_approximant(n)[0].p == sum(f // factorial(i) for i in range(n + 1))
+        assert inv_e_approximant(n)[0].p == sum((-1) ** i * (f // factorial(i))
+                                                for i in range(n + 1))
+        sin_f, cos_f = factorial(4 * n - 1), factorial(4 * n - 2)
+        sin_parts = [(-1) ** k * (sin_f // factorial(2 * k + 1)) for k in range(2 * n)]
+        cos_parts = [(-1) ** k * (cos_f // factorial(2 * k)) for k in range(2 * n)]
+        for m in range(1, 6):
+            sin_app, _ = sin_inv_m_approximant(m, n)
+            assert sin_app.p == sum(c * m ** (4 * n - 2 * k - 2)
+                                    for k, c in enumerate(sin_parts))
+            assert sin_app.q == m ** (4 * n - 1) * sin_f
+            cos_app, _ = cos_inv_m_approximant(m, n)
+            assert cos_app.p == sum(c * m ** (4 * n - 2 * k - 2)
+                                    for k, c in enumerate(cos_parts))
+            assert cos_app.q == m ** (4 * n - 2) * cos_f
+
 def test_approximant_validation():
     with pytest.raises(BadIndexError):
         Approximant(0, 1, 1)

@@ -5,7 +5,9 @@ from math import factorial
 
 import pytest
 
+from irratcert import verify
 from irratcert.algebraic import PowerForm
+from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
                                  Root, SinInv, Sqrt)
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
@@ -114,6 +116,57 @@ def test_certify_decay_check_catches_growth():
     assert all(row.nonzero_ok and row.bound_ok for row in cert.rows)
     assert cert.verdict == "violated:4"
 
+
+
+def test_certify_decides_the_decay_check(capsys):
+    # row 15 sits far below row 1, but the enclosure that settles row 15's
+    # own checks is wide enough to overlap row 1's; the decay comparison
+    # narrows both rows until it is decided
+    assert main(["cert", "--family", "e-pow", "--k", "5", "--n-max", "15",
+                 "--format", "json"]) == 0
+    data = Certificate.from_json(capsys.readouterr().out)
+    assert data.verdict == "nice"
+    first, last = data.rows[0], data.rows[-1]
+    assert last.residual.max_abs() < first.residual.min_abs()
+    for row in (first, last):
+        assert row.nonzero_ok and row.bound_ok
+        assert row.residual.max_abs() < row.bound
+
+
+DECAY_GRID = [("e-pow", EPow(k), n) for k in (1, 3, 5, 6) for n in (2, 4, 11, 15, 19)]
+DECAY_GRID += [("e-rat", ERational(r), n) for r in (Fraction(-3, 2), Fraction(4, 5), Fraction(4))
+               for n in (2, 7, 15)]
+DECAY_GRID += [("trig-angle", CosOf(x), n) for x in (Fraction(5, 2), Fraction(8, 5), Fraction(3))
+               for n in (2, 15, 36)]
+
+
+@pytest.mark.parametrize("family, c, n_max", DECAY_GRID)
+def test_certify_verdict_independent_of_start_width(family, c, n_max):
+    # flags and verdict are facts about the residuals, so where refinement
+    # starts must not change them
+    def summary(cert):
+        return cert.verdict, [(r.term, r.nonzero_ok, r.bound_ok) for r in cert.rows]
+    default = summary(certify(family, c, n_max))
+    assert summary(certify(family, c, n_max, max_width=Fraction(1, 10))) == default
+    assert summary(certify(family, c, n_max, max_width=Fraction(1, 10 ** 6))) == default
+
+
+@pytest.mark.parametrize("family, c, n_max", [
+    ("e-pow", EPow(3), 30), ("e-pow", EPow(6), 40),
+    ("e-rat", ERational(Fraction(-3, 2)), 30), ("trig-angle", CosOf(Fraction(7, 3)), 30)])
+def test_certify_carries_refinement_depth(monkeypatch, family, c, n_max):
+    # each row starts at the depth the row before needed, so the Niven
+    # families take about one residual evaluation per row, not 6 to 9
+    calls = []
+    evaluate = verify._residual_eval
+
+    def counting(term, c, width):
+        calls.append(width)
+        return evaluate(term, c, width)
+    monkeypatch.setattr(verify, "_residual_eval", counting)
+    cert = certify(family, c, n_max)
+    assert cert.verdict == "nice"
+    assert len(calls) <= 2 * n_max
 
 def test_certify_single_row_skips_decay_check():
     assert certify("e", E(), 1).verdict == "nice"
