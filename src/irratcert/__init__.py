@@ -19,12 +19,11 @@ from .errors import (AngleNearPiError, AngleOutOfRangeError, BadIndexError,
                      IrratCertError, NotMonicError, NotSquarefreeError,
                      PerfectPowerError, PrecisionExhausted, Unresolvable,
                      ZeroExponentError, ZeroNumeratorError, ZeroScaleError)
-from .gaussian import GaussianInteger, i_power
 from .intpoly import (IntPolynomial, cauchy_root_bound, count_roots_between,
                       is_squarefree, squarefree_part, sturm_chain)
 from .niven import (FPair, GaussPair, RationalPolynomial, TrigWitness,
                     exp_functional_int, exp_functional_rational,
-                    niven_derivative_at, niven_poly, trig_functional)
+                    niven_poly, trig_functional)
 from .pigeonhole import (PigeonholeResult, fractional_residual,
                          pigeonhole_approximant)
 from .sequences import (Approximant, BoundedBy, compose_chain,
@@ -32,35 +31,34 @@ from .sequences import (Approximant, BoundedBy, compose_chain,
                         e_squared_approximant, inv_e_approximant,
                         mth_root_form, reciprocal, rescale, scaled_compose,
                         sin_inv_m_approximant, sqrt_approximant)
-from .verify import (Certificate, CertRow, FormTerm, PairTerm, TrigTerm,
-                     certify, integral_exp_poly, integral_sin_poly,
-                     pair_residual, power_form_residual, residual,
-                     trig_residual)
+from .verify import (Certificate, CertRow, LinearForm, certify,
+                     integral_exp_poly, integral_sin_poly, pair_residual,
+                     power_form_residual, trig_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Approximant", "AlgebraicRoot", "AngleNearPiError", "AngleOutOfRangeError",
-    "BadIndexError", "BoundedBy", "BracketAmbiguousError", "CapExceededError",
-    "CertRow", "Certificate", "ChainMismatchError", "ConstantSpec", "CosInv",
-    "CosOf", "DivisibilityViolationError", "E", "EPow", "ERational",
-    "Enclosure", "FPair", "FormTerm", "GaussPair", "GaussianInteger",
-    "IntPolynomial", "InvE", "IrratCertError", "NotMonicError",
-    "NotSquarefreeError", "PairTerm", "PerfectPowerError", "PigeonholeResult",
-    "PowerForm", "PrecisionExhausted", "RationalPolynomial", "Root",
-    "RootBracket", "RootClassification", "SinInv", "SinOf", "Sqrt",
-    "TrigTerm", "TrigWitness", "Unresolvable", "ZeroExponentError",
-    "ZeroNumeratorError", "ZeroScaleError", "canonical_text",
-    "cauchy_root_bound", "certify", "classify_roots", "compose_chain",
-    "cos_inv_m_approximant", "count_roots_between", "e_approximant",
-    "e_squared_approximant", "enclose", "exp_functional_int",
-    "exp_functional_rational", "floor_of", "fractional_residual", "i_power",
-    "integer_nth_root", "integer_root_test", "integral_exp_poly",
-    "integral_sin_poly", "inv_e_approximant", "is_squarefree",
-    "isolate_real_roots", "mth_root_form", "monic_certificate",
-    "monic_transform", "niven_derivative_at", "niven_poly", "pair_residual",
+    "AlgebraicRoot", "AngleNearPiError", "AngleOutOfRangeError",
+    "Approximant", "BadIndexError", "BoundedBy", "BracketAmbiguousError",
+    "CapExceededError", "CertRow", "Certificate", "ChainMismatchError",
+    "ConstantSpec", "CosInv", "CosOf", "DivisibilityViolationError", "E",
+    "EPow", "ERational", "Enclosure", "FPair", "GaussPair",
+    "IntPolynomial", "InvE", "IrratCertError", "LinearForm",
+    "NotMonicError", "NotSquarefreeError", "PerfectPowerError",
+    "PigeonholeResult", "PowerForm", "PrecisionExhausted",
+    "RationalPolynomial", "Root", "RootBracket", "RootClassification",
+    "SinInv", "SinOf", "Sqrt", "TrigWitness", "Unresolvable",
+    "ZeroExponentError", "ZeroNumeratorError", "ZeroScaleError",
+    "canonical_text", "cauchy_root_bound", "certify", "classify_roots",
+    "compose_chain", "cos_inv_m_approximant", "count_roots_between",
+    "e_approximant", "e_squared_approximant", "enclose",
+    "exp_functional_int", "exp_functional_rational", "floor_of",
+    "fractional_residual", "integer_nth_root", "integer_root_test",
+    "integral_exp_poly", "integral_sin_poly", "inv_e_approximant",
+    "is_squarefree", "isolate_real_roots", "monic_certificate",
+    "monic_transform", "mth_root_form", "niven_poly", "pair_residual",
     "parse_constant", "pigeonhole_approximant", "power_form_residual",
     "reciprocal", "reduce_power_form", "refinement_budget", "rescale",
-    "residual", "scaled_compose", "sin_inv_m_approximant", "sqrt_approximant",
+    "scaled_compose", "sin_inv_m_approximant", "sqrt_approximant",
     "squarefree_part", "sturm_chain", "trig_functional", "trig_residual",
 ]

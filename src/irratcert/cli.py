@@ -17,12 +17,12 @@ import sys
 from fractions import Fraction
 
 from .algebraic import classify_roots, reduce_power_form
-from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root,
-                        SinInv, Sqrt, canonical_text, parse_constant)
+from .constants import (CosInv, CosOf, EPow, ERational, Root, SinInv, Sqrt,
+                        canonical_text, parse_constant)
 from .errors import IrratCertError
 from .intpoly import IntPolynomial
 from .pigeonhole import fractional_residual, pigeonhole_approximant
-from .verify import FAMILIES, FAMILY_DOC, _decimal, _frac_str, certify
+from .verify import FAMILIES, _decimal, _frac_str, certify
 
 
 class _UsageError(Exception):
@@ -92,28 +92,23 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise _UsageError(f"{flag} must be a rational like 3/5, got {text!r}") from None
 
 
+# constant kind -> the flag behind each argument of its constructor
+_KIND_FLAGS = {
+    Sqrt: ("--m",), Root: ("--a", "--m"), EPow: ("--k",), ERational: ("--r",),
+    SinInv: ("--m",), CosInv: ("--m",), CosOf: ("--angle",),
+}
+_RATIONAL_FLAGS = ("--r", "--angle")
+
+
 def _constant_for(family: str, args):
-    if family == "sqrt":
-        return Sqrt(_require(args.m, "--m", family))
-    if family == "root":
-        return Root(_require(args.a, "--a", family), _require(args.m, "--m", family))
-    if family == "e":
-        return E()
-    if family == "inv-e":
-        return InvE()
-    if family in ("e-squared", "e-squared-naive"):
-        return EPow(2)
-    if family == "e-pow":
-        return EPow(_require(args.k, "--k", family))
-    if family == "e-rat":
-        return ERational(_parse_fraction(_require(args.r, "--r", family), "--r"))
-    if family == "sin-inv":
-        return SinInv(_require(args.m, "--m", family))
-    if family == "cos-inv":
-        return CosInv(_require(args.m, "--m", family))
-    if family == "trig-angle":
-        return CosOf(_parse_fraction(_require(args.angle, "--angle", family), "--angle"))
-    raise _UsageError(f"unknown family {family!r}")
+    kind = FAMILIES[family].kind
+    if not isinstance(kind, type):
+        return kind
+    values = []
+    for flag in _KIND_FLAGS.get(kind, ()):
+        value = _require(getattr(args, flag[2:]), flag, family)
+        values.append(_parse_fraction(value, flag) if flag in _RATIONAL_FLAGS else value)
+    return kind(*values)
 
 
 def _emit(text: str, output) -> None:
@@ -128,7 +123,7 @@ def _emit(text: str, output) -> None:
 
 def _cmd_cert(args) -> int:
     if args.seed_doc:
-        print(f"{args.family}: {FAMILY_DOC[args.family]}")
+        print(f"{args.family}: {FAMILIES[args.family].doc}")
         return 0
     c = _constant_for(args.family, args)
     width = _parse_fraction(args.width, "--width") if args.width is not None else None
@@ -229,7 +224,7 @@ def main(argv=None) -> int:
     except IrratCertError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

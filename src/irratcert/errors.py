@@ -17,6 +17,11 @@ class BadIndexError(IrratCertError, ValueError):
     """Sequence generators are 1-based; the index fell outside that range."""
 
 
+def check_index(n: int):
+    if n < 1:
+        raise BadIndexError(f"index must be >= 1, got {n}")
+
+
 class ZeroNumeratorError(IrratCertError, ValueError):
     """Reciprocal of an approximant whose numerator is zero."""
 

@@ -117,27 +117,19 @@ def _frac_list(p: IntPolynomial) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def _frac_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
-
-
-def _frac_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division with rational coefficients."""
+def _frac_divmod(num: list[Fraction], den: list[Fraction]):
+    """(quotient, remainder) of polynomial division with rational coefficients."""
     num = list(num)
     dd = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dd and num:
-        factor = num[-1] / lead
+    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    while num and len(num) - 1 >= dd:
+        factor = num[-1] / den[-1]
         shift = len(num) - 1 - dd
+        quot[shift] = factor
         for i, c in enumerate(den):
             num[shift + i] -= factor * c
-        num = _frac_trim(num)
-        if not num:
-            break
-    return num
+        num = _trimmed(num)
+    return quot, num
 
 
 def _eval_frac(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -151,7 +143,7 @@ def sturm_chain(f: IntPolynomial) -> list[list[Fraction]]:
     """Sturm chain of f, coefficient lists over the rationals."""
     chain = [_frac_list(f), _frac_list(f.derivative())]
     while chain[-1]:
-        rem = _frac_rem(chain[-2], chain[-1])
+        rem = _frac_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -182,7 +174,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd with positive leading coefficient."""
     a, b = _frac_list(f), _frac_list(g)
     while b:
-        a, b = b, _frac_rem(a, b)
+        a, b = b, _frac_divmod(a, b)[1]
     return _primitive(a)
 
 
@@ -197,18 +189,8 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return f
-    num = _frac_list(f)
-    den = _frac_list(g)
-    dd = len(den) - 1
-    quot = [Fraction(0)] * (len(num) - dd)
-    while num and len(num) - 1 >= dd:
-        factor = num[-1] / den[-1]
-        shift = len(num) - 1 - dd
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num = _frac_trim(num)
-    if num:
+    quot, rem = _frac_divmod(_frac_list(f), _frac_list(g))
+    if rem:
         raise ValueError("gcd does not divide the polynomial; coefficients corrupt")
     return _primitive(quot)
 

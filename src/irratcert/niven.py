@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import (AngleNearPiError, AngleOutOfRangeError, BadIndexError,
-                     ZeroExponentError)
-from .gaussian import GaussianInteger
+from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
+                     check_index)
+from .intpoly import _eval_frac, _trimmed
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,14 @@ class RationalPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cleaned = [Fraction(c) for c in self.coeffs]
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        object.__setattr__(self, "coeffs", tuple(_trimmed([Fraction(c) for c in self.coeffs])))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _eval_frac(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,10 @@ class FPair:
 
 @dataclass(frozen=True)
 class GaussPair:
-    at0: GaussianInteger
-    at1: GaussianInteger
+    """A Gaussian-integer functional at 0 and 1, each value as (re, im)."""
+
+    at0: tuple[int, int]
+    at1: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -65,39 +61,13 @@ class TrigWitness:
     bound: Fraction
 
 
-def _check_index(n: int):
-    if n < 1:
-        raise BadIndexError(f"index must be >= 1, got {n}")
-
-
 def niven_poly(n: int) -> RationalPolynomial:
     """x^n (1-x)^n / n!; degree 2n, coefficient of x^(n+i) is (-1)^i C(n,i)/n!."""
-    _check_index(n)
+    check_index(n)
     nf = factorial(n)
     coeffs = [Fraction(0)] * n
     coeffs.extend(Fraction((-1) ** i * comb(n, i), nf) for i in range(n + 1))
     return RationalPolynomial(tuple(coeffs))
-
-
-def niven_derivative_at(n: int, j: int, point: int) -> int:
-    """Exact integer value of the j-th derivative of f_n at 0 or 1.
-
-    Derivatives vanish outside n <= j <= 2n; inside, the value at 0 is
-    j!/n! times the coefficient (-1)^(j-n) C(n, j-n), and the symmetry
-    f(x) = f(1-x) flips the sign at 1 for odd j.
-    """
-    _check_index(n)
-    if j < 0:
-        raise ValueError(f"derivative order must be >= 0, got {j}")
-    if point not in (0, 1):
-        raise ValueError(f"point must be 0 or 1, got {point}")
-    if j < n or j > 2 * n:
-        return 0
-    i = j - n
-    value = (-1) ** i * comb(n, i) * (factorial(j) // factorial(n))
-    if point == 1 and j % 2 == 1:
-        value = -value
-    return value
 
 
 def _niven_table(n: int) -> list[int]:
@@ -133,7 +103,7 @@ def exp_functional_int(n: int, k: int) -> FPair:
     Only i = n + j for j = 0 .. n contributes: the term is
     (-1)^n k^(n-j) t_j at 0 and (-1)^j k^(n-j) t_j at 1.
     """
-    _check_index(n)
+    check_index(n)
     if k < 1:
         raise ValueError(f"need an integer exponent k >= 1, got {k}")
     plain, alternating = _scaled_sums(n, k, 1)
@@ -148,7 +118,7 @@ def exp_functional_rational(n: int, r) -> FPair:
     Only i = n + j contributes, with p^(n-j) q^(n+j) t_j as in
     exp_functional_int.
     """
-    _check_index(n)
+    check_index(n)
     r = Fraction(r)
     if r == 0:
         raise ZeroExponentError("exponent must be nonzero")
@@ -173,7 +143,7 @@ def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
     3.14159 are accepted, angles in (3.14159, 355/113] are refused as too
     close to pi to resolve, anything larger is out of range.
     """
-    _check_index(n)
+    check_index(n)
     if p < 1 or q < 1:
         raise ValueError(f"angle must be a ratio of positive integers, got {p}/{q}")
     if p * 100000 > 314159 * q:
@@ -194,8 +164,8 @@ def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
         at1[(n - j) % 4] += -s if j % 2 else s
         qpow *= q
     sign = (-1) ** n
-    pair = GaussPair(GaussianInteger(sign * (at0[0] - at0[2]), sign * (at0[1] - at0[3])),
-                     GaussianInteger(at1[0] - at1[2], at1[1] - at1[3]))
+    pair = GaussPair((sign * (at0[0] - at0[2]), sign * (at0[1] - at0[3])),
+                     (at1[0] - at1[2], at1[1] - at1[3]))
     bound = Fraction(p ** (2 * n + 1), factorial(n) * q)
-    witness = TrigWitness(a=pair.at0.re, c=pair.at1.re, d=pair.at1.im, bound=bound)
+    witness = TrigWitness(a=pair.at0[0], c=pair.at1[0], d=pair.at1[1], bound=bound)
     return pair, witness

@@ -14,9 +14,9 @@ from math import comb, factorial, isqrt
 
 from .algebraic import PowerForm
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
-from .errors import (BadIndexError, CapExceededError, ChainMismatchError,
+from .errors import (CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
-                     ZeroScaleError)
+                     ZeroScaleError, check_index)
 
 # Width of the helper enclosure used when a bound formula needs an upper
 # rational estimate of the constant itself.  Coarse by design: the bound
@@ -34,32 +34,21 @@ class Approximant:
     q: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadIndexError(f"index must be >= 1, got {self.n}")
+        check_index(self.n)
         if self.q == 0:
             raise ValueError("approximant denominator q must be nonzero")
 
 
 @dataclass(frozen=True)
 class BoundedBy:
-    """Upper bound for |q*value - p| at one index.
-
-    strict_positive records whether the construction proves q*value - p > 0
-    rather than merely nonzero.
-    """
+    """Upper bound for |q*value - p| at one index."""
 
     bound: Fraction
-    strict_positive: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "bound", Fraction(self.bound))
         if self.bound <= 0:
             raise ValueError("bound must be positive")
-
-
-def _check_index(n: int):
-    if n < 1:
-        raise BadIndexError(f"index must be >= 1, got {n}")
 
 
 def _nested(ratios) -> int:
@@ -80,17 +69,17 @@ def sqrt_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     Then q*sqrt(m) - p equals (sqrt(m) - z)**(2n-1), z = floor(sqrt(m))
     exactly: a strictly positive quantity shrinking geometrically.
     """
-    _check_index(n)
+    check_index(n)
     spec = Sqrt(m)
     d0, d1 = mth_root_form(m, 2, n).coeffs
     hi = enclose(spec, _BOUND_WIDTH).hi
     bound = (hi - isqrt(m)) ** (2 * n - 1)
-    return Approximant(n, -d0, d1), BoundedBy(bound, strict_positive=True)
+    return Approximant(n, -d0, d1), BoundedBy(bound)
 
 
 def mth_root_form(a: int, m: int, n: int) -> PowerForm:
     """Coefficients (d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1)."""
-    _check_index(n)
+    check_index(n)
     Root(a, m)
     z = integer_nth_root(a, m)
     e = m * n - 1
@@ -107,14 +96,14 @@ def mth_root_form(a: int, m: int, n: int) -> PowerForm:
 
 def e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """p = sum(n!/i!), q = n!; then 1/(n+1) < q*e - p < 1/n."""
-    _check_index(n)
+    check_index(n)
     p = _nested(range(1, n + 1))
-    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n), strict_positive=True)
+    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
 
 
 def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """Alternating partial sum: p = sum((-1)^i n!/i!), q = n!."""
-    _check_index(n)
+    check_index(n)
     p = (-1) ** n * _nested(range(-1, -n - 1, -1))
     return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
 
@@ -125,11 +114,11 @@ def e_squared_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!); the residual q*e^2 - p is
     strictly positive and below (e^2 + 1)/(2n).
     """
-    _check_index(n)
+    check_index(n)
     chained = compose_chain(e_approximant(2 * n)[0], reciprocal(inv_e_approximant(2 * n)[0]))
     e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi
     return (Approximant(n, chained.p, chained.q),
-            BoundedBy((e2_hi + 1) / (2 * n), strict_positive=True))
+            BoundedBy((e2_hi + 1) / (2 * n)))
 
 
 def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
@@ -139,14 +128,14 @@ def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     the tail groups into positive pairs, giving 0 < q*sin(1/m) - p and the
     geometric bound 1/(m^2 (4n)^2 - 1).
     """
-    _check_index(n)
+    check_index(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     q = m ** (4 * n - 1) * factorial(4 * n - 1)
     # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k)(2k+1) m^2
     p = -_nested(-(2 * k) * (2 * k + 1) * m * m for k in range(1, 2 * n))
     bound = Fraction(1, m * m * (4 * n) ** 2 - 1)
-    return Approximant(n, p, q), BoundedBy(bound, strict_positive=True)
+    return Approximant(n, p, q), BoundedBy(bound)
 
 
 def cos_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
@@ -156,14 +145,14 @@ def cos_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     products now start at 4n-1, so the geometric bound is
     1/(m^2 (4n-1)^2 - 1).
     """
-    _check_index(n)
+    check_index(n)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     q = m ** (4 * n - 2) * factorial(4 * n - 2)
     # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k-1)(2k) m^2
     p = -_nested(-(2 * k - 1) * (2 * k) * m * m for k in range(1, 2 * n))
     bound = Fraction(1, m * m * (4 * n - 1) ** 2 - 1)
-    return Approximant(n, p, q), BoundedBy(bound, strict_positive=True)
+    return Approximant(n, p, q), BoundedBy(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Union
+from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
@@ -26,7 +26,7 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
 from .enclosure import Enclosure, refine
 from .intpoly import IntPolynomial
 from .niven import exp_functional_int, exp_functional_rational, trig_functional
-from .sequences import (Approximant, cos_inv_m_approximant,
+from .sequences import (cos_inv_m_approximant,
                         e_approximant, e_squared_approximant,
                         inv_e_approximant, mth_root_form,
                         sin_inv_m_approximant, sqrt_approximant)
@@ -35,30 +35,54 @@ _COARSE = Fraction(1, 1000)
 
 
 @dataclass(frozen=True)
-class PairTerm:
-    p: int
-    q: int
+class Layout:
+    """One shape of row: the wire names of its integers and its residual.
+
+    A vector layout has one field holding all of its integers, written as a
+    JSON list and as one ';'-joined CSV cell.
+    """
+
+    fields: tuple[str, ...]
+    vector: bool
+    evaluate: Callable[[tuple[int, ...], object, Fraction], Enclosure]
+
+    def json_fields(self, ints: tuple[int, ...]) -> dict:
+        if self.vector:
+            return {self.fields[0]: [str(x) for x in ints]}
+        return {name: str(x) for name, x in zip(self.fields, ints)}
+
+    def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
+        if self.vector:
+            return [";".join(str(x) for x in ints)]
+        return [str(x) for x in ints]
+
+    def read(self, d: dict) -> tuple[int, ...]:
+        if self.vector:
+            return tuple(int(x) for x in _field(d, self.fields[0]))
+        return tuple(int(_field(d, name)) for name in self.fields)
 
 
 @dataclass(frozen=True)
-class FormTerm:
-    coeffs: tuple[int, ...]
+class LinearForm:
+    """The integers of one certificate row, read through their layout."""
+
+    layout: Layout
+    ints: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TrigTerm:
-    a: int
-    c: int
-    d: int
-
-
-RowTerm = Union[PairTerm, FormTerm, TrigTerm]
+# The evaluators look the residual functions up at call time, so rebinding
+# them on this module takes effect.
+PAIR = Layout(("p", "q"), False, lambda ints, c, w: pair_residual(*ints, c, w))
+FORM = Layout(("coeffs",), True,
+              lambda ints, c, w: power_form_residual(PowerForm(ints), c, w))
+TRIG = Layout(("a", "c", "d"), False, lambda ints, c, w: trig_residual(ints, c.x, w))
+LAYOUTS = (PAIR, FORM, TRIG)
 
 
 @dataclass(frozen=True)
 class CertRow:
     n: int
-    term: RowTerm
+    term: LinearForm
     residual: Enclosure
     bound: Fraction
     nonzero_ok: bool
@@ -90,9 +114,9 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         data = json.loads(text)
-        rows = tuple(_row_from_dict(d) for d in data["rows"])
-        return cls(constant=data["constant"], family=data["family"],
-                   rows=rows, verdict=data["verdict"])
+        rows = tuple(_row_from_dict(d) for d in _field(data, "rows"))
+        return cls(constant=_field(data, "constant"), family=_field(data, "family"),
+                   rows=rows, verdict=_field(data, "verdict"))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -130,10 +154,6 @@ def _frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def _parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _decimal(fr: Fraction, places: int = 10) -> str:
     """Exact decimal expansion truncated to `places` digits after the point."""
     sign = "-" if fr < 0 else ""
@@ -152,72 +172,49 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _field(d: dict, name: str):
+    try:
+        return d[name]
+    except KeyError:
+        raise ValueError(f"certificate is missing the field {name!r}") from None
+
+
 def _row_dict(row: CertRow) -> dict:
-    d: dict = {"n": row.n}
-    term = row.term
-    if isinstance(term, PairTerm):
-        d["p"] = str(term.p)
-        d["q"] = str(term.q)
-    elif isinstance(term, FormTerm):
-        d["coeffs"] = [str(x) for x in term.coeffs]
-    else:
-        d["a"] = str(term.a)
-        d["c"] = str(term.c)
-        d["d"] = str(term.d)
-    d["residual_lo"] = _frac_str(row.residual.lo)
-    d["residual_hi"] = _frac_str(row.residual.hi)
-    d["bound"] = _frac_str(row.bound)
-    d["nonzero_ok"] = row.nonzero_ok
-    d["bound_ok"] = row.bound_ok
-    return d
+    return {"n": row.n, **row.term.layout.json_fields(row.term.ints),
+            "residual_lo": _frac_str(row.residual.lo),
+            "residual_hi": _frac_str(row.residual.hi),
+            "bound": _frac_str(row.bound),
+            "nonzero_ok": row.nonzero_ok, "bound_ok": row.bound_ok}
 
 
 def _row_from_dict(d: dict) -> CertRow:
-    if "p" in d:
-        term: RowTerm = PairTerm(int(d["p"]), int(d["q"]))
-    elif "coeffs" in d:
-        term = FormTerm(tuple(int(x) for x in d["coeffs"]))
-    else:
-        term = TrigTerm(int(d["a"]), int(d["c"]), int(d["d"]))
-    residual = Enclosure(_parse_frac(d["residual_lo"]), _parse_frac(d["residual_hi"]))
-    return CertRow(n=int(d["n"]), term=term, residual=residual,
-                   bound=_parse_frac(d["bound"]),
-                   nonzero_ok=bool(d["nonzero_ok"]), bound_ok=bool(d["bound_ok"]))
+    layout = next((lay for lay in LAYOUTS if lay.fields[0] in d), None)
+    if layout is None:
+        names = ", ".join(repr(lay.fields[0]) for lay in LAYOUTS)
+        raise ValueError(f"certificate row has none of the fields {names}")
+    residual = Enclosure(Fraction(_field(d, "residual_lo")),
+                         Fraction(_field(d, "residual_hi")))
+    return CertRow(n=int(_field(d, "n")), term=LinearForm(layout, layout.read(d)),
+                   residual=residual, bound=Fraction(_field(d, "bound")),
+                   nonzero_ok=bool(_field(d, "nonzero_ok")),
+                   bound_ok=bool(_field(d, "bound_ok")))
 
 
 def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
-    term = rows[0].term
-    if isinstance(term, PairTerm):
-        header = ["n", "p", "q"]
-    elif isinstance(term, FormTerm):
-        header = ["n", "coeffs"]
-    else:
-        header = ["n", "a", "c", "d"]
-    header += ["residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
-    cells = []
-    for row in rows:
-        t = row.term
-        if isinstance(t, PairTerm):
-            lead = [str(row.n), str(t.p), str(t.q)]
-        elif isinstance(t, FormTerm):
-            lead = [str(row.n), ";".join(str(x) for x in t.coeffs)]
-        else:
-            lead = [str(row.n), str(t.a), str(t.c), str(t.d)]
-        cells.append(lead + [_frac_str(row.residual.lo), _frac_str(row.residual.hi),
-                             _frac_str(row.bound), _bool_str(row.nonzero_ok),
-                             _bool_str(row.bound_ok)])
+    header = ["n", *rows[0].term.layout.fields,
+              "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
+    cells = [[str(row.n), *row.term.layout.csv_cells(row.term.ints),
+              _frac_str(row.residual.lo), _frac_str(row.residual.hi),
+              _frac_str(row.bound), _bool_str(row.nonzero_ok), _bool_str(row.bound_ok)]
+             for row in rows]
     return header, cells
 
 
 # ---------------------------------------------------------------------------
 # Residual evaluation.
 
-def residual(a: Approximant, c, max_width) -> Enclosure:
-    """Enclosure of q*value - p, no wider than max_width."""
-    return pair_residual(a.p, a.q, c, max_width)
-
-
 def pair_residual(p: int, q: int, c, max_width) -> Enclosure:
+    """Enclosure of q*value - p, no wider than max_width."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
@@ -246,15 +243,16 @@ def power_form_residual(form: PowerForm, c, max_width) -> Enclosure:
     return refine(attempt, max_width / (slope + 1), "power form residual")
 
 
-def trig_residual(term: TrigTerm, angle: Fraction, max_width) -> Enclosure:
-    """Enclosure of c*cos(angle) - d*sin(angle) - a."""
+def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width) -> Enclosure:
+    """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d)."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    w = max_width / (2 * (abs(term.c) + abs(term.d) + 1))
+    a, c, d = acd
+    w = max_width / (2 * (abs(c) + abs(d) + 1))
     cos_enc = enclose(CosOf(angle), w)
     sin_enc = enclose(SinOf(angle), w)
-    return cos_enc * term.c - sin_enc * term.d - term.a
+    return cos_enc * c - sin_enc * d - a
 
 
 def _decided(enc: Enclosure, bound: Fraction):
@@ -264,28 +262,31 @@ def _decided(enc: Enclosure, bound: Fraction):
     return enc if zero_decided and bound_decided else None
 
 
-def _residual_eval(term: RowTerm, c, width) -> Enclosure:
-    if isinstance(term, PairTerm):
-        return pair_residual(term.p, term.q, c, width)
-    if isinstance(term, FormTerm):
-        return power_form_residual(PowerForm(term.coeffs), c, width)
-    return trig_residual(term, c.x, width)
+def _residual_eval(term: LinearForm, c, width) -> Enclosure:
+    return term.layout.evaluate(term.ints, c, width)
 
 
 # ---------------------------------------------------------------------------
-# Families.  Each maps to the constant kind it certifies (a class, or the one
-# constant it certifies) and to row(c, hi, n) -> (term, bound), where hi is a
-# coarse upper enclosure of the constant shared by every row.  Generators are
-# looked up at call time, so rebinding them on this module takes effect.
+# Families.  Each names the constant kind it certifies (a class, or the one
+# constant it certifies), row(c, hi, n) -> (form, bound), where hi is a
+# coarse upper enclosure of the constant shared by every row, and the
+# construction behind it.  Generators are looked up at call time, so
+# rebinding them on this module takes effect.
+
+class Family(NamedTuple):
+    kind: object
+    row: Callable
+    doc: str
+
 
 def _pair(approximant_and_bound):
     app, bb = approximant_and_bound
-    return PairTerm(app.p, app.q), bb.bound
+    return LinearForm(PAIR, (app.p, app.q)), bb.bound
 
 
 def _root_row(c, hi, n):
     form = mth_root_form(c.a, c.m, n)
-    return FormTerm(form.coeffs), (hi - integer_nth_root(c.a, c.m)) ** (c.m * n - 1)
+    return LinearForm(FORM, form.coeffs), (hi - integer_nth_root(c.a, c.m)) ** (c.m * n - 1)
 
 
 def _e_squared_naive_row(c, hi, n):
@@ -293,77 +294,85 @@ def _e_squared_naive_row(c, hi, n):
     # q^2 e^2 - p^2 = (q e + p)(q e - p) grows at least like n!/(n+1),
     # so this family exists to be refuted
     app, _ = e_approximant(n)
-    return PairTerm(app.p ** 2, app.q ** 2), Fraction(1, n)
+    return LinearForm(PAIR, (app.p ** 2, app.q ** 2)), Fraction(1, n)
 
 
 def _e_pow_row(c, hi, n):
     pair = exp_functional_int(n, c.k)
-    return PairTerm(p=pair.at0, q=pair.at1), hi * Fraction(c.k ** (2 * n + 1), factorial(n))
+    return LinearForm(PAIR, (pair.at0, pair.at1)), hi * Fraction(c.k ** (2 * n + 1), factorial(n))
 
 
 def _e_rat_row(c, hi, n):
     pair = exp_functional_rational(n, c.r)
     top = Fraction(1) if c.r < 0 else hi
     bound = top * Fraction(abs(c.r.numerator) ** (2 * n + 1), factorial(n) * c.r.denominator)
-    return PairTerm(p=pair.at0, q=pair.at1), bound
+    return LinearForm(PAIR, (pair.at0, pair.at1)), bound
 
 
 def _trig_angle_row(c, hi, n):
     if c.x <= 0:
         raise ValueError("trig-angle needs a positive angle")
     _, witness = trig_functional(n, c.x.numerator, c.x.denominator)
-    return TrigTerm(witness.a, witness.c, witness.d), witness.bound
+    return LinearForm(TRIG, (witness.a, witness.c, witness.d)), witness.bound
 
 
 FAMILIES = {
-    "sqrt": (Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n))),
-    "root": (Root, _root_row),
-    "e": (E, lambda c, hi, n: _pair(e_approximant(n))),
-    "inv-e": (InvE, lambda c, hi, n: _pair(inv_e_approximant(n))),
-    "e-squared": (EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n))),
-    "e-squared-naive": (EPow(2), _e_squared_naive_row),
-    "e-pow": (EPow, _e_pow_row),
-    "e-rat": (ERational, _e_rat_row),
-    "sin-inv": (SinInv, lambda c, hi, n: _pair(sin_inv_m_approximant(c.m, n))),
-    "cos-inv": (CosInv, lambda c, hi, n: _pair(cos_inv_m_approximant(c.m, n))),
-    "trig-angle": (CosOf, _trig_angle_row),
+    "sqrt": Family(
+        Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n)),
+        "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
+        "z = floor(sqrt(m)); residual equals that power exactly, so it is "
+        "positive and shrinks geometrically; bound is an upper enclosure of it."),
+    "root": Family(
+        Root, _root_row,
+        "coefficient vector of (a^(1/m) - z)^(mn-1) reduced below degree m; "
+        "the combination sum(d_l a^(l/m)) equals that positive power; "
+        "bound is an upper enclosure of it."),
+    "e": Family(
+        E, lambda c, hi, n: _pair(e_approximant(n)),
+        "p = sum(n!/i!), q = n!; the residual q e - p is the factorial tail, "
+        "strictly between 1/(n+1) and 1/n."),
+    "inv-e": Family(
+        InvE, lambda c, hi, n: _pair(inv_e_approximant(n)),
+        "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
+        "residual is the alternating tail, nonzero with |.| < 1/n."),
+    "e-squared": Family(
+        EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n)),
+        "chains the e pair at index 2n with the reciprocal 1/e pair; "
+        "q e^2 - p is positive and below (e^2 + 1)/(2n)."),
+    "e-squared-naive": Family(
+        EPow(2), _e_squared_naive_row,
+        "squares the e pair term by term; the residual "
+        "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
+        "certificate is expected to come back violated."),
+    "e-pow": Family(
+        EPow, _e_pow_row,
+        "alternating derivative functional of x^n (1-x)^n / n!; "
+        "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
+        "positive and below e^k k^(2n+1)/n!."),
+    "e-rat": Family(
+        ERational, _e_rat_row,
+        "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
+        "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
+        "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
+    "sin-inv": Family(
+        SinInv, lambda c, hi, n: _pair(sin_inv_m_approximant(c.m, n)),
+        "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
+        "the grouped tail keeps q sin(1/m) - p positive, below "
+        "1/(m^2 (4n)^2 - 1)."),
+    "cos-inv": Family(
+        CosInv, lambda c, hi, n: _pair(cos_inv_m_approximant(c.m, n)),
+        "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
+        "below 1/(m^2 (4n-1)^2 - 1)."),
+    "trig-angle": Family(
+        CosOf, _trig_angle_row,
+        "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
+        "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
+        "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
+        "cannot both be rational."),
 }
 
-FAMILY_DOC = {
-    "sqrt": "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
-            "z = floor(sqrt(m)); residual equals that power exactly, so it is "
-            "positive and shrinks geometrically; bound is an upper enclosure of it.",
-    "root": "coefficient vector of (a^(1/m) - z)^(mn-1) reduced below degree m; "
-            "the combination sum(d_l a^(l/m)) equals that positive power; "
-            "bound is an upper enclosure of it.",
-    "e": "p = sum(n!/i!), q = n!; the residual q e - p is the factorial tail, "
-         "strictly between 1/(n+1) and 1/n.",
-    "inv-e": "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
-             "residual is the alternating tail, nonzero with |.| < 1/n.",
-    "e-squared": "chains the e pair at index 2n with the reciprocal 1/e pair; "
-                 "q e^2 - p is positive and below (e^2 + 1)/(2n).",
-    "e-squared-naive": "squares the e pair term by term; the residual "
-                       "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
-                       "certificate is expected to come back violated.",
-    "e-pow": "alternating derivative functional of x^n (1-x)^n / n!; "
-             "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
-             "positive and below e^k k^(2n+1)/n!.",
-    "e-rat": "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
-             "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
-             "below |p|^(2n+1) max(1, e^(p/q)) / (n! q).",
-    "sin-inv": "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
-               "the grouped tail keeps q sin(1/m) - p positive, below "
-               "1/(m^2 (4n)^2 - 1).",
-    "cos-inv": "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
-               "below 1/(m^2 (4n-1)^2 - 1).",
-    "trig-angle": "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
-                  "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
-                  "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
-                  "cannot both be rational.",
-}
 
-
-def _settle(term: RowTerm, c, bound: Fraction, width, what: str):
+def _settle(term: LinearForm, c, bound: Fraction, width, what: str):
     """(enclosure, width) at the first of width, width/16, ... that decides the row."""
     def attempt(w):
         enc = _decided(_residual_eval(term, c, w), bound)
@@ -394,7 +403,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width):
                   shrink=16)
 
 
-def _row(n: int, term: RowTerm, enc: Enclosure, bound: Fraction) -> CertRow:
+def _row(n: int, term: LinearForm, enc: Enclosure, bound: Fraction) -> CertRow:
     return CertRow(n=n, term=term, residual=enc, bound=bound,
                    nonzero_ok=enc.excludes_zero(), bound_ok=enc.max_abs() < bound)
 
@@ -426,7 +435,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     try:
-        kind, row = FAMILIES[family]
+        kind, row, _ = FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; known families: {known}") from None

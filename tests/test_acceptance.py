@@ -19,8 +19,8 @@ from irratcert.intpoly import IntPolynomial
 from irratcert.niven import RationalPolynomial, exp_functional_int, niven_poly
 from irratcert.pigeonhole import pigeonhole_approximant
 from irratcert.sequences import sin_inv_m_approximant, sqrt_approximant
-from irratcert.verify import (Certificate, TrigTerm, certify,
-                              integral_exp_poly, pair_residual, trig_residual)
+from irratcert.verify import (Certificate, certify, integral_exp_poly,
+                              pair_residual, trig_residual)
 
 from oracles import (bridge_derivative_at, e_bracket, modular_powers_remainder,
                      sqrt_ring_power)
@@ -117,7 +117,7 @@ def test_acceptance_05_trig_angle_certificates():
             assert row.bound_ok
             assert row.bound == Fraction(p ** (2 * row.n + 1),
                                          factorial(row.n) * q)
-    enc = trig_residual(TrigTerm(a=-2, c=-2, d=1), Fraction(1), Fraction(1, 10 ** 6))
+    enc = trig_residual((-2, -2, 1), Fraction(1), Fraction(1, 10 ** 6))
     assert enc.width <= Fraction(1, 10 ** 6)
     assert Fraction(77923, 10 ** 6) < enc.lo <= enc.hi < Fraction(77926, 10 ** 6)
     _ok("criterion 5: Gaussian witnesses nonzero and below p^(2n+1)/(n! q) "

@@ -150,14 +150,23 @@ def test_corpus_integers_flags_and_verdicts_are_pinned(capsys):
 
 
 def test_json_output_round_trips(capsys):
-    assert main(["cert", "--family", "sqrt", "--m", "2", "--n-max", "8",
-                 "--format", "json"]) == 0
-    text = capsys.readouterr().out
-    cert = Certificate.from_json(text)
-    assert cert.to_json() + "\n" == text
-    assert cert.verdict == "nice"
-    assert cert.constant == "sqrt:2"
-    assert len(cert.rows) == 8
+    # one run per row layout: p/q, coeffs, a/c/d
+    for flags, constant, fields in (
+            (["--family", "sqrt", "--m", "2"], "sqrt:2", ["p", "q"]),
+            (["--family", "root", "--a", "2", "--m", "3"], "root:2,3", ["coeffs"]),
+            (["--family", "trig-angle", "--angle", "1/3"], "cos:1/3", ["a", "c", "d"])):
+        argv = ["cert", *flags, "--n-max", "8", "--format"]
+        assert main(argv + ["json"]) == 0
+        text = capsys.readouterr().out
+        cert = Certificate.from_json(text)
+        assert cert.to_json() + "\n" == text
+        assert cert.verdict == "nice"
+        assert cert.constant == constant
+        assert len(cert.rows) == 8
+        assert main(argv + ["csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert header == ["n", *fields, "residual_lo", "residual_hi", "bound",
+                          "nonzero_ok", "bound_ok"]
 
 
 def test_csv_and_json_row_data_agree(capsys):
@@ -183,6 +192,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     cert = Certificate.from_json(target.read_text())
     assert cert.constant == "sqrt:3"
+
+
+def test_output_flag_reports_unwritable_path(tmp_path, capsys):
+    base = ["cert", "--family", "e", "--n-max", "3", "--format", "json", "--output"]
+    for target, error in ((tmp_path / "missing" / "x.json", "FileNotFoundError"),
+                          (tmp_path, "IsADirectoryError")):
+        assert main(base + [str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[{error}]: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_width_override(capsys):

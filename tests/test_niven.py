@@ -6,12 +6,11 @@ from math import factorial
 import pytest
 
 from irratcert.errors import AngleNearPiError, AngleOutOfRangeError
-from irratcert.gaussian import GaussianInteger
 from irratcert.niven import (FPair, RationalPolynomial, exp_functional_int,
-                             exp_functional_rational, niven_derivative_at,
-                             niven_poly, trig_functional)
+                             exp_functional_rational, niven_poly,
+                             trig_functional)
 
-from oracles import bridge_derivative_at, bridge_derivative_table, gauss_mul
+from oracles import bridge_derivative_table, gauss_mul
 
 
 def test_niven_poly_small_cases():
@@ -20,35 +19,6 @@ def test_niven_poly_small_cases():
     p = niven_poly(3)
     assert p(0) == 0 and p(1) == 0
     assert p(Fraction(1, 2)) == Fraction(1, 2 ** 6) / 6
-
-
-def test_derivatives_hand_checked_n1():
-    # x - x^2: f(0)=0, f'(0)=1, f''(0)=-2, everything higher vanishes
-    assert niven_derivative_at(1, 0, 0) == 0
-    assert niven_derivative_at(1, 1, 0) == 1
-    assert niven_derivative_at(1, 2, 0) == -2
-    assert niven_derivative_at(1, 3, 0) == 0
-    assert niven_derivative_at(1, 0, 1) == 0
-    assert niven_derivative_at(1, 1, 1) == -1
-    assert niven_derivative_at(1, 2, 1) == -2
-
-
-def test_derivatives_match_term_calculus_oracle():
-    # n! * value must equal the j-th derivative of x^n (1-x)^n computed by
-    # plain term-by-term differentiation
-    for n in range(1, 11):
-        for j in range(0, 2 * n + 3):
-            for point in (0, 1):
-                got = niven_derivative_at(n, j, point)
-                assert got * 1 == got  # integers, not Fractions
-                assert factorial(n) * got == bridge_derivative_at(n, j, point)
-
-
-def test_derivative_symmetry():
-    # f(1 - x) = f(x) forces f^(j)(1) = (-1)^j f^(j)(0)
-    for n in range(1, 9):
-        for j in range(0, 2 * n + 1):
-            assert niven_derivative_at(n, j, 1) == (-1) ** j * niven_derivative_at(n, j, 0)
 
 
 def test_exp_functional_int_examples():
@@ -106,8 +76,8 @@ def test_exp_functional_rational_against_oracle():
 
 def test_trig_functional_example():
     pair, witness = trig_functional(1, 1, 1)
-    assert pair.at0 == GaussianInteger(-2, -1)
-    assert pair.at1 == GaussianInteger(-2, 1)
+    assert pair.at0 == (-2, -1)
+    assert pair.at1 == (-2, 1)
     assert (witness.a, witness.c, witness.d) == (-2, -2, 1)
     assert witness.bound == Fraction(1, 1)
 
@@ -129,12 +99,12 @@ def test_trig_functional_against_gaussian_oracle():
                     ipow = [(1, 0), (0, 1), (-1, 0), (0, -1)][(2 * n - i) % 4]
                     term = gauss_mul(ipow, (coeff, 0))
                     total = (total[0] + term[0], total[1] + term[1])
-                assert (got.re, got.im) == total
+                assert got == total
             # F(1) is the conjugate of F(0), so a = c
-            assert (pair.at1.re, pair.at1.im) == (pair.at0.re, -pair.at0.im)
-            assert witness.a == pair.at0.re
-            assert witness.c == pair.at1.re
-            assert witness.d == pair.at1.im
+            assert pair.at1 == (pair.at0[0], -pair.at0[1])
+            assert witness.a == pair.at0[0]
+            assert witness.c == pair.at1[0]
+            assert witness.d == pair.at1[1]
             assert witness.bound == Fraction(p ** (2 * n + 1), nf * q)
 
 

@@ -15,15 +15,20 @@ from irratcert.sequences import (Approximant, BoundedBy, compose_chain,
                                  mth_root_form, reciprocal, rescale,
                                  scaled_compose, sin_inv_m_approximant,
                                  sqrt_approximant)
-from irratcert.constants import integer_nth_root
+from irratcert.constants import E, EPow, InvE, SinInv, Sqrt, integer_nth_root
+from irratcert.verify import pair_residual
 
 from oracles import root_ring_power, sqrt_ring_power
+
+
+def _residual(app, c):
+    return pair_residual(app.p, app.q, c, Fraction(1, 10 ** 30))
 
 
 def test_sqrt_worked_examples():
     app, bb = sqrt_approximant(2, 2)
     assert (app.p, app.q) == (7, 5)
-    assert bb.strict_positive
+    assert _residual(app, Sqrt(2)).lo > 0
     app, _ = sqrt_approximant(2, 3)
     assert (app.p, app.q) == (41, 29)
     app, _ = sqrt_approximant(3, 1)
@@ -74,7 +79,7 @@ def test_e_family_values():
         assert app.q == factorial(n)
         assert app.p == sum(factorial(n) // factorial(i) for i in range(n + 1))
         assert bb.bound == Fraction(1, n)
-        assert bb.strict_positive
+        assert _residual(app, E()).lo > 0
     app, _ = e_approximant(3)
     assert (app.p, app.q) == (16, 6)
 
@@ -85,7 +90,10 @@ def test_inv_e_family_values():
         assert app.q == factorial(n)
         assert app.p == sum((-1) ** i * (factorial(n) // factorial(i))
                             for i in range(n + 1))
-        assert not bb.strict_positive
+        # only nonzero is claimed: the alternating tail has sign (-1)^(n+1)
+        enc = _residual(app, InvE())
+        assert enc.excludes_zero() and (enc.lo > 0) == (n % 2 == 1)
+        assert enc.max_abs() < bb.bound
     assert (inv_e_approximant(1)[0].p, inv_e_approximant(1)[0].q) == (0, 1)
     assert (inv_e_approximant(3)[0].p, inv_e_approximant(3)[0].q) == (2, 6)
 
@@ -97,7 +105,7 @@ def test_e_squared_values_and_chain_identity():
         assert (app.p, app.q) == (p, q)
         # bound is (upper estimate of e^2 + 1) / 2n with a coarse estimate
         assert Fraction(8389, 1000) / (2 * n) < bb.bound < Fraction(17, 2) / (2 * n)
-        assert bb.strict_positive
+        assert _residual(app, EPow(2)).lo > 0
     # the family is exactly the chain of the e pair at 2n with the flipped
     # alternating pair: same p, the alternating numerator as q
     for n in range(1, 7):
@@ -114,7 +122,7 @@ def test_sin_inv_values():
         app, bb = sin_inv_m_approximant(m, n)
         assert (app.p, app.q) == (p, q)
         assert bb.bound == Fraction(1, m * m * (4 * n) ** 2 - 1)
-        assert bb.strict_positive
+        assert _residual(app, SinInv(m)).lo > 0
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             app, _ = sin_inv_m_approximant(m, n)

@@ -1,5 +1,6 @@
 """Tests for residual evaluation, certificates, and their serialization."""
 
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -13,9 +14,9 @@ from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              niven_poly)
 from irratcert.sequences import e_approximant
-from irratcert.verify import (Certificate, PairTerm, TrigTerm, certify,
+from irratcert.verify import (PAIR, Certificate, LinearForm, certify,
                               integral_exp_poly, integral_sin_poly,
-                              pair_residual, power_form_residual, residual,
+                              pair_residual, power_form_residual,
                               trig_residual)
 
 from oracles import cos_bracket, sin_bracket
@@ -55,14 +56,14 @@ def test_power_form_residual_zero_vector():
 
 
 def test_residual_wrapper():
+    # an approximant's residual q*e - p, through pair_residual
     app, _ = e_approximant(3)
-    enc = residual(app, E(), Fraction(1, 10 ** 12))
+    enc = pair_residual(app.p, app.q, E(), Fraction(1, 10 ** 12))
     assert Fraction(1, 4) < enc.lo <= enc.hi < Fraction(1, 3)
 
 
 def test_trig_residual_against_series_brackets():
-    term = TrigTerm(a=-2, c=-2, d=1)
-    enc = trig_residual(term, Fraction(1), Fraction(1, 10 ** 9))
+    enc = trig_residual((-2, -2, 1), Fraction(1), Fraction(1, 10 ** 9))
     slo, shi = sin_bracket(1, 15)
     clo, chi = cos_bracket(1, 15)
     # value is 2 - sin(1) - 2 cos(1)
@@ -91,7 +92,8 @@ def test_certify_row_contents_e_family():
     assert len(cert.rows) == 12
     for row in cert.rows:
         assert row.nonzero_ok and row.bound_ok
-        assert row.term.q == factorial(row.n)
+        assert row.term.layout is PAIR
+        assert row.term.ints[1] == factorial(row.n)
         assert row.bound == Fraction(1, row.n)
         # paper-grade sandwich: strictly between 1/(n+1) and 1/n
         assert Fraction(1, row.n + 1) < row.residual.lo
@@ -176,7 +178,7 @@ def test_certify_epow_rows_match_functional():
     cert = certify("e-pow", EPow(3), 6)
     for row in cert.rows:
         pair = exp_functional_int(row.n, 3)
-        assert row.term == PairTerm(p=pair.at0, q=pair.at1)
+        assert row.term == LinearForm(PAIR, (pair.at0, pair.at1))
 
 
 def test_certify_rejects_bad_inputs():
@@ -205,6 +207,25 @@ def test_json_round_trip():
         cert = certify(family, c, n_max)
         again = Certificate.from_json(cert.to_json())
         assert again == cert
+
+
+def test_from_json_names_the_missing_field():
+    text = certify("trig-angle", CosOf(Fraction(1, 3)), 2).to_json()
+
+    def truncated(edit):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    cases = [
+        (lambda d: d.pop("rows"), "'rows'"),
+        (lambda d: d.pop("verdict"), "'verdict'"),
+        (lambda d: [d["rows"][1].pop(k) for k in ("a", "c", "d")], "'p', 'coeffs', 'a'"),
+        (lambda d: d["rows"][0].pop("d"), "'d'"),
+        (lambda d: d["rows"][0].pop("residual_hi"), "'residual_hi'"),
+    ]
+    for edit, named in cases:
+        with pytest.raises(ValueError, match=named):
+            Certificate.from_json(truncated(edit))
 
 
 def test_json_serializes_integers_as_strings():
