@@ -55,12 +55,22 @@ def reduce_power_form(modulus: IntPolynomial, c: Sequence[int]) -> PowerForm:
 
 
 def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
-    """Power form of (alpha - z)**n reduced by the modulus."""
+    """Power form of (alpha - z)**n reduced by the modulus, by repeated squaring."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    from math import comb
-    binomial = [comb(n, k) * (-z) ** (n - k) for k in range(n + 1)]
-    return reduce_power_form(modulus, binomial)
+    acc = reduce_power_form(modulus, (1,)).coeffs
+    for bit in bin(n)[2:]:
+        work = [0] * (2 * len(acc) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(acc):
+                work[i + j] += a * b
+        if bit == "1":
+            # times (alpha - z): shift up one power, subtract z times the unshifted
+            work = [0] + work
+            for i in range(len(work) - 1):
+                work[i] -= z * work[i + 1]
+        acc = reduce_power_form(modulus, work).coeffs
+    return PowerForm(acc)
 
 
 def monic_transform(f: IntPolynomial) -> IntPolynomial:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algebraic import classify_roots, reduce_power_form
 from .constants import (CosInv, CosOf, EPow, ERational, Root, SinInv, Sqrt,
@@ -34,7 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later call."""
     parser = _Parser(prog="irratcert",
                      description="exact-arithmetic irrationality certificates")
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -186,6 +186,8 @@ def is_squarefree(f: IntPolynomial) -> bool:
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """f divided exactly by gcd(f, f'), made primitive."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no squarefree part")
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return f

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import factorial, isqrt
 
-from .algebraic import PowerForm
+from .algebraic import PowerForm, monic_certificate
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
 from .errors import (CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
                      ZeroScaleError, check_index)
+from .intpoly import IntPolynomial
 
 # Width of the helper enclosure used when a bound formula needs an upper
 # rational estimate of the constant itself.  Coarse by design: the bound
@@ -81,17 +82,8 @@ def mth_root_form(a: int, m: int, n: int) -> PowerForm:
     """Coefficients (d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1)."""
     check_index(n)
     Root(a, m)
-    z = integer_nth_root(a, m)
-    e = m * n - 1
-    coeffs = []
-    for l in range(m):
-        total = 0
-        for k in range(n):
-            idx = m * k + l
-            if idx <= e:
-                total += comb(e, idx) * a ** k * (-z) ** (e - idx)
-        coeffs.append(total)
-    return PowerForm(tuple(coeffs))
+    modulus = IntPolynomial((-a,) + (0,) * (m - 1) + (1,))
+    return monic_certificate(modulus, integer_nth_root(a, m), m * n - 1)
 
 
 def e_approximant(n: int) -> tuple[Approximant, BoundedBy]:

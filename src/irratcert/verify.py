@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
-                        SinOf, Sqrt, canonical_text, enclose,
+                        SinOf, Sqrt, _width_bits, canonical_text, enclose,
                         integer_nth_root)
 from .enclosure import Enclosure, refine
 from .intpoly import IntPolynomial
@@ -44,7 +45,7 @@ class Layout:
 
     fields: tuple[str, ...]
     vector: bool
-    evaluate: Callable[[tuple[int, ...], object, Fraction], Enclosure]
+    evaluate: Callable[[tuple[int, ...], object, Fraction, ConstantCache | None], Enclosure]
 
     def json_fields(self, ints: tuple[int, ...]) -> dict:
         if self.vector:
@@ -58,8 +59,9 @@ class Layout:
 
     def read(self, d: dict) -> tuple[int, ...]:
         if self.vector:
-            return tuple(int(x) for x in _field(d, self.fields[0]))
-        return tuple(int(_field(d, name)) for name in self.fields)
+            name = self.fields[0]
+            return tuple(_integer(x, name) for x in _field(d, name, list))
+        return tuple(_integer(_field(d, name), name) for name in self.fields)
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,12 @@ class LinearForm:
 
 # The evaluators look the residual functions up at call time, so rebinding
 # them on this module takes effect.
-PAIR = Layout(("p", "q"), False, lambda ints, c, w: pair_residual(*ints, c, w))
+PAIR = Layout(("p", "q"), False,
+              lambda ints, c, w, cache: pair_residual(*ints, c, w, cache))
 FORM = Layout(("coeffs",), True,
-              lambda ints, c, w: power_form_residual(PowerForm(ints), c, w))
-TRIG = Layout(("a", "c", "d"), False, lambda ints, c, w: trig_residual(ints, c.x, w))
+              lambda ints, c, w, cache: power_form_residual(PowerForm(ints), c, w, cache))
+TRIG = Layout(("a", "c", "d"), False,
+              lambda ints, c, w, cache: trig_residual(ints, c.x, w, cache))
 LAYOUTS = (PAIR, FORM, TRIG)
 
 
@@ -114,9 +118,11 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         data = json.loads(text)
-        rows = tuple(_row_from_dict(d) for d in _field(data, "rows"))
-        return cls(constant=_field(data, "constant"), family=_field(data, "family"),
-                   rows=rows, verdict=_field(data, "verdict"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
+        rows = tuple(_row_from_dict(d) for d in _field(data, "rows", list))
+        return cls(constant=_field(data, "constant", str), family=_field(data, "family", str),
+                   rows=rows, verdict=_field(data, "verdict", str))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -172,11 +178,37 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _field(d: dict, name: str):
+_JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _field(d: dict, name: str, kind=object):
+    """d[name], which must be a JSON value of the given Python type."""
     try:
-        return d[name]
+        value = d[name]
     except KeyError:
         raise ValueError(f"certificate is missing the field {name!r}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """An integer field, written as a JSON integer or a decimal string."""
+    if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"certificate field {name!r} must be an integer or a decimal "
+                     f"string, got {value!r}")
+
+
+def _rational(d: dict, name: str) -> Fraction:
+    text = _field(d, name, str)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"certificate field {name!r} must be a rational like 3/4, "
+                         f"got {text!r}") from None
 
 
 def _row_dict(row: CertRow) -> dict:
@@ -187,17 +219,18 @@ def _row_dict(row: CertRow) -> dict:
             "nonzero_ok": row.nonzero_ok, "bound_ok": row.bound_ok}
 
 
-def _row_from_dict(d: dict) -> CertRow:
+def _row_from_dict(d) -> CertRow:
+    if not isinstance(d, dict):
+        raise ValueError(f"certificate field 'rows' must hold JSON objects, got {d!r}")
     layout = next((lay for lay in LAYOUTS if lay.fields[0] in d), None)
     if layout is None:
         names = ", ".join(repr(lay.fields[0]) for lay in LAYOUTS)
         raise ValueError(f"certificate row has none of the fields {names}")
-    residual = Enclosure(Fraction(_field(d, "residual_lo")),
-                         Fraction(_field(d, "residual_hi")))
-    return CertRow(n=int(_field(d, "n")), term=LinearForm(layout, layout.read(d)),
-                   residual=residual, bound=Fraction(_field(d, "bound")),
-                   nonzero_ok=bool(_field(d, "nonzero_ok")),
-                   bound_ok=bool(_field(d, "bound_ok")))
+    residual = Enclosure(_rational(d, "residual_lo"), _rational(d, "residual_hi"))
+    return CertRow(n=_integer(_field(d, "n"), "n"), term=LinearForm(layout, layout.read(d)),
+                   residual=residual, bound=_rational(d, "bound"),
+                   nonzero_ok=_field(d, "nonzero_ok", bool),
+                   bound_ok=_field(d, "bound_ok", bool))
 
 
 def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
@@ -211,20 +244,55 @@ def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# Residual evaluation.
+# Residual evaluation.  Each evaluator takes its constant's enclosures from a
+# ConstantCache when given one, and encloses afresh otherwise.
 
-def pair_residual(p: int, q: int, c, max_width) -> Enclosure:
+class ConstantCache:
+    """The narrowest enclosure of each constant computed so far, for one run.
+
+    A request for width w is answered from the cached enclosure rounded
+    outward to the grid 2^-k.  For the series constants k = _width_bits(w) + 2,
+    so the answer is at most w/2 wide.  For Sqrt and Root k = _width_bits(w):
+    the cached [z, z + 1] / 2^K truncates to exactly floor(2^k * value) / 2^k,
+    so the answer equals enclose(spec, w).  A cached enclosure wider than 2^-k
+    is replaced by one at max(k, twice its) bits, so a run that narrows step
+    by step makes a number of kernel calls logarithmic in its final precision.
+    """
+
+    def __init__(self):
+        self._best = {}     # spec -> (bits, enclosure no wider than 2^-bits)
+
+    def enclose(self, spec, max_width) -> Enclosure:
+        k = _width_bits(Fraction(max_width))
+        if not isinstance(spec, (Sqrt, Root)):
+            k += 2
+        bits, enc = self._best.get(spec, (-1, None))
+        if bits < k:
+            bits = max(k, 2 * bits)
+            # through the module global, so rebinding `enclose` sees the call
+            enc = enclose(spec, Fraction(1, 1 << bits))
+            self._best[spec] = bits, enc
+        lo, hi = enc.lo, enc.hi
+        return Enclosure(Fraction((lo.numerator << k) // lo.denominator, 1 << k),
+                         Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k))
+
+
+def _enclosure(spec, max_width, cache):
+    return enclose(spec, max_width) if cache is None else cache.enclose(spec, max_width)
+
+
+def pair_residual(p: int, q: int, c, max_width, cache=None) -> Enclosure:
     """Enclosure of q*value - p, no wider than max_width."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     if q == 0:
         return Enclosure.point(-p)
-    enc = enclose(c, max_width / abs(q))
+    enc = _enclosure(c, max_width / abs(q), cache)
     return enc * q - p
 
 
-def power_form_residual(form: PowerForm, c, max_width) -> Enclosure:
+def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     """Enclosure of sum(d_l * value^l), no wider than max_width."""
     max_width = Fraction(max_width)
     if max_width <= 0:
@@ -232,26 +300,27 @@ def power_form_residual(form: PowerForm, c, max_width) -> Enclosure:
     if form.is_zero():
         return Enclosure.point(0)
     poly = IntPolynomial(form.coeffs)
-    probe = enclose(c, Fraction(1, 4))
+    probe = _enclosure(c, Fraction(1, 4), cache)
     box = probe.max_abs() + 1
     slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(poly.coeffs) if i)
 
     def attempt(width):
-        acc = poly.eval_interval(enclose(c, width))
+        acc = poly.eval_interval(_enclosure(c, width, cache))
         return acc if acc.width <= max_width else None
 
     return refine(attempt, max_width / (slope + 1), "power form residual")
 
 
-def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width) -> Enclosure:
+def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
+                  cache=None) -> Enclosure:
     """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d)."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     a, c, d = acd
     w = max_width / (2 * (abs(c) + abs(d) + 1))
-    cos_enc = enclose(CosOf(angle), w)
-    sin_enc = enclose(SinOf(angle), w)
+    cos_enc = _enclosure(CosOf(angle), w, cache)
+    sin_enc = _enclosure(SinOf(angle), w, cache)
     return cos_enc * c - sin_enc * d - a
 
 
@@ -262,8 +331,8 @@ def _decided(enc: Enclosure, bound: Fraction):
     return enc if zero_decided and bound_decided else None
 
 
-def _residual_eval(term: LinearForm, c, width) -> Enclosure:
-    return term.layout.evaluate(term.ints, c, width)
+def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
+    return term.layout.evaluate(term.ints, c, width, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +441,15 @@ FAMILIES = {
 }
 
 
-def _settle(term: LinearForm, c, bound: Fraction, width, what: str):
+def _settle(term: LinearForm, c, bound: Fraction, width, what: str, cache):
     """(enclosure, width) at the first of width, width/16, ... that decides the row."""
     def attempt(w):
-        enc = _decided(_residual_eval(term, c, w), bound)
+        enc = _decided(_residual_eval(term, c, w, cache), bound)
         return None if enc is None else (enc, w)
     return refine(attempt, width, what, shrink=16)
 
 
-def _decay(first: CertRow, last: CertRow, c, first_width, last_width):
+def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
     """The first and last rows, re-enclosed until |last| < |first| is decided.
 
     Both rows are narrowed together, by 16 from their own decided widths, and
@@ -391,8 +460,9 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width):
         if scale == 1:
             a, b = first.residual, last.residual
         else:
-            a = _decided(_residual_eval(first.term, c, first_width * scale), first.bound)
-            b = _decided(_residual_eval(last.term, c, last_width * scale), last.bound)
+            a = _decided(_residual_eval(first.term, c, first_width * scale, cache),
+                         first.bound)
+            b = _decided(_residual_eval(last.term, c, last_width * scale, cache), last.bound)
             if a is None or b is None:
                 return None
         if b.max_abs() < a.min_abs() or b.min_abs() >= a.max_abs():
@@ -431,6 +501,12 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     |last| < |first| or |last| >= |first| is certain.  Those are the
     enclosures printed, so the verdict does not depend on where refinement
     started.
+
+    The residuals take their constant from one ConstantCache per call, which
+    doubles its precision when a request is too narrow for it: a few kernel
+    calls per certificate, not one or more per row.  Radical answers equal
+    fresh enclosures; series residual endpoints may change digits, while the
+    flags and verdict, being decided, do not.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -449,13 +525,14 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         if max_width <= 0:
             raise ValueError("width override must be positive")
     hi = enclose(c, _COARSE).hi
+    cache = ConstantCache()
     rows, widths = [], []
     depth = 0
     for n in range(1, n_max + 1):
         term, bound = row(c, hi, n)
         start = max_width if max_width is not None else bound / 1000 / 16 ** depth
         enc, width = _settle(term, c, bound, start,
-                             f"residual at n={n} against zero and the bound")
+                             f"residual at n={n} against zero and the bound", cache)
         # start / width is 16^t after t narrowings
         depth += (start / width).numerator.bit_length() // 4
         rows.append(_row(n, term, enc, bound))
@@ -464,7 +541,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if first_bad is not None:
         verdict = f"violated:{first_bad}"
     elif n_max >= 2:
-        rows[0], rows[-1] = _decay(rows[0], rows[-1], c, widths[0], widths[-1])
+        rows[0], rows[-1] = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache)
         shrinks = rows[-1].residual.max_abs() < rows[0].residual.min_abs()
         verdict = "nice" if shrinks else f"violated:{n_max}"
     else:

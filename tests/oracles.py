@@ -166,3 +166,12 @@ def trial_divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def root_form_binomials(a: int, m: int, z: int, n: int) -> tuple[int, ...]:
+    """(t - z)^(mn-1) in the basis 1, t, ..., t^(m-1) with t^m = a, from the
+    binomial theorem: d_l = sum over k of C(mn-1, mk+l) a^k (-z)^(mn-1-mk-l)."""
+    e = m * n - 1
+    return tuple(sum(comb(e, m * k + l) * a ** k * (-z) ** (e - m * k - l)
+                     for k in range(n) if m * k + l <= e)
+                 for l in range(m))

@@ -3,8 +3,11 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratcert.algebraic import (PowerForm, RootBracket, _divisors, classify_roots,
                                  integer_root_test, isolate_real_roots,
@@ -55,6 +58,16 @@ def test_monic_certificate():
     want = modular_powers_remainder((-2, 0, 0, 1),
                                     [-1, 5, -10, 10, -5, 1])
     assert monic_certificate(mod, 1, 5).coeffs == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(low=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       z=st.integers(-5, 5), n=st.integers(0, 60))
+def test_monic_certificate_matches_reduced_binomials(low, z, n):
+    # repeated squaring against the expanded binomial reduced in one pass
+    modulus = IntPolynomial(low + [1])
+    binomial = [comb(n, k) * (-z) ** (n - k) for k in range(n + 1)]
+    assert monic_certificate(modulus, z, n) == reduce_power_form(modulus, binomial)
 
 
 def test_monic_transform_example_and_identity():

@@ -3,6 +3,7 @@
 import csv
 import json
 
+from irratcert import cli
 from irratcert.cli import main
 from irratcert.verify import Certificate
 
@@ -274,3 +275,34 @@ def test_missing_flags_are_usage_errors(capsys):
     assert "subcommand" in capsys.readouterr().err
     assert main(["cert", "--family", "trig-angle", "--angle", "22/7"]) == 1
     assert capsys.readouterr().err.startswith("error[AngleOutOfRangeError]")
+
+
+# back-to-back requests across subcommands, with usage errors between them
+PARSER_RUNS = [
+    ["cert", "--family", "e", "--n-max", "3"],
+    ["pigeonhole", "--constant", "sqrt:2", "--n", "20", "--format", "json"],
+    ["pigeonhole", "--n", "3"],
+    ["cert", "--family", "sqrt", "--m", "2", "--n-max", "3", "--format", "csv"],
+    ["cert", "--family", "sqrt"],
+    ["reduce", "--modulus=-2,0,1", "--coeffs", "1,2,3", "--bogus"],
+    ["classify", "--poly", "1,1,-5,2"],
+    [],
+    ["fracpart", "--constant", "e", "--q", "7"],
+    ["cert", "--family", "root", "--a", "2", "--m", "3", "--n-max", "2"],
+]
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys):
+    def outcomes(fresh):
+        seen = []
+        for argv in PARSER_RUNS:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+    shared = outcomes(fresh=False)
+    assert shared == outcomes(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 1, 0, 1, 0, 0]
+    assert cli._build_parser() is cli._build_parser()

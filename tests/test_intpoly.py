@@ -135,3 +135,10 @@ def test_cauchy_root_bound_contains_all_real_roots():
         inside = count_roots_between(f, -b, b)
         wider = count_roots_between(f, -b - 7, b + 7)
         assert inside == wider
+
+
+def test_zero_polynomial_has_no_squarefree_part():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        squarefree_part(IntPolynomial())
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_roots_between(IntPolynomial(), Fraction(0), Fraction(1))

@@ -20,6 +20,7 @@ from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
                                  canonical_text, enclose, integer_nth_root)
 from irratcert.intpoly import IntPolynomial
+from irratcert.verify import ConstantCache
 
 ORACLE_BITS = 4200
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -150,3 +151,37 @@ def test_algebraic_root_matches_mpmath_at_2_pow_minus_2000():
     assert CUBIC(v - eps) < 0 < CUBIC(v + eps)
     assert enc.width <= max_width
     assert enc.lo <= v - eps and v + eps <= enc.hi
+
+
+def _width_runs(width_strategy):
+    """Lists of widths, rising, falling, or in the order drawn."""
+    order = st.sampled_from([sorted, lambda ws: sorted(ws, reverse=True), list])
+    return st.builds(lambda ws, arrange: arrange(ws),
+                     st.lists(width_strategy, min_size=1, max_size=8), order)
+
+
+@PROPERTY
+@given(kind=st.integers(0, len(KINDS) - 1), run=_width_runs(widths))
+def test_cache_answers_contain_the_value_within_the_width(kind, run):
+    spec, truth = KINDS[kind]
+    exact = _truth(truth)
+    cache = ConstantCache()
+    for max_width in run:
+        enc = cache.enclose(spec, max_width)
+        _assert_encloses(enc, exact, max_width)
+        if isinstance(spec, (Sqrt, Root)):
+            assert enc == enclose(spec, max_width)
+
+
+@PROPERTY
+@given(run=_width_runs(st.builds(lambda k, num: Fraction(num, 1 << k),
+                                 st.integers(0, 300), st.integers(1, 1000))))
+def test_cache_answers_for_an_algebraic_root(run):
+    # x^3 - 2x - 5 rises through its one root in (2, 3), and rounding to a
+    # grid of 2^-k with k >= 2 keeps both endpoints in [2, 3]
+    spec = AlgebraicRoot(CUBIC, 2, 3)
+    cache = ConstantCache()
+    for max_width in run:
+        enc = cache.enclose(spec, max_width)
+        assert enc.width <= max_width
+        assert CUBIC(enc.lo) <= 0 <= CUBIC(enc.hi)

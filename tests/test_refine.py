@@ -74,12 +74,12 @@ def test_cli_reports_a_bad_budget(monkeypatch, capsys, raw):
 
 def test_cli_reports_an_exhausted_budget(monkeypatch, capsys):
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
-    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "5"]) == 1
+    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[PrecisionExhausted]: residual at n=4 ")
+    assert lines[0].startswith("error[PrecisionExhausted]: residual at n=6 ")
     assert "tries: 1" in lines[0]
 
 

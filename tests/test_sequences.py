@@ -18,7 +18,7 @@ from irratcert.sequences import (Approximant, BoundedBy, compose_chain,
 from irratcert.constants import E, EPow, InvE, SinInv, Sqrt, integer_nth_root
 from irratcert.verify import pair_residual
 
-from oracles import root_ring_power, sqrt_ring_power
+from oracles import root_form_binomials, root_ring_power, sqrt_ring_power
 
 
 def _residual(app, c):
@@ -63,6 +63,14 @@ def test_root_form_matches_ring_expansion():
         for n in range(1, 7):
             form = mth_root_form(a, m, n)
             assert form.coeffs == root_ring_power(a, m, z, m * n - 1)
+
+
+def test_root_form_matches_binomial_sums():
+    # the repeated-squaring rows equal the binomial-theorem definition
+    for a, m in ((2, 2), (2, 3), (3, 4), (7, 5), (61, 2), (99, 2), (5, 6)):
+        z = integer_nth_root(a, m)
+        for n in range(1, 131):
+            assert mth_root_form(a, m, n).coeffs == root_form_binomials(a, m, z, n), (a, m, n)
 
 
 def test_root_form_sqrt_consistency():

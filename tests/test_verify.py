@@ -162,9 +162,9 @@ def test_certify_carries_refinement_depth(monkeypatch, family, c, n_max):
     calls = []
     evaluate = verify._residual_eval
 
-    def counting(term, c, width):
+    def counting(term, c, width, cache):
         calls.append(width)
-        return evaluate(term, c, width)
+        return evaluate(term, c, width, cache)
     monkeypatch.setattr(verify, "_residual_eval", counting)
     cert = certify(family, c, n_max)
     assert cert.verdict == "nice"
@@ -226,6 +226,67 @@ def test_from_json_names_the_missing_field():
     for edit, named in cases:
         with pytest.raises(ValueError, match=named):
             Certificate.from_json(truncated(edit))
+
+
+def _edited(family, c, n_max, edit):
+    data = json.loads(certify(family, c, n_max).to_json())
+    edit(data)
+    return json.dumps(data)
+
+
+def test_from_json_requires_boolean_flags():
+    for name, value in (("nonzero_ok", "false"), ("bound_ok", 0), ("nonzero_ok", None)):
+        text = _edited("e", E(), 2, lambda d: d["rows"][1].__setitem__(name, value))
+        with pytest.raises(ValueError, match=f"'{name}' must be a JSON boolean"):
+            Certificate.from_json(text)
+
+
+def test_from_json_requires_a_list_of_coeffs():
+    for value in ("12", {"0": "1"}, 12):
+        text = _edited("root", Root(2, 3), 2, lambda d: d["rows"][0].__setitem__("coeffs", value))
+        with pytest.raises(ValueError, match="'coeffs' must be a JSON list"):
+            Certificate.from_json(text)
+
+
+def test_from_json_requires_integers_or_decimal_strings():
+    cases = [
+        ("e", E(), lambda d: d["rows"][0].__setitem__("p", "2.0"), "'p'"),
+        ("e", E(), lambda d: d["rows"][0].__setitem__("q", " 1"), "'q'"),
+        ("e", E(), lambda d: d["rows"][0].__setitem__("q", True), "'q'"),
+        ("e", E(), lambda d: d["rows"][1].__setitem__("n", 2.0), "'n'"),
+        ("root", Root(2, 3), lambda d: d["rows"][1]["coeffs"].__setitem__(0, "1_9"), "'coeffs'"),
+        ("trig-angle", CosOf(Fraction(1, 2)), lambda d: d["rows"][0].__setitem__("d", [2]),
+         "'d'"),
+    ]
+    for family, c, edit, named in cases:
+        with pytest.raises(ValueError, match=f"{named} must be an integer or a decimal string"):
+            Certificate.from_json(_edited(family, c, 2, edit))
+    # both spellings the format allows still load
+    text = _edited("e", E(), 2, lambda d: d["rows"][1].__setitem__("p", 5))
+    assert Certificate.from_json(text) == certify("e", E(), 2)
+
+
+def test_from_json_requires_a_json_object():
+    for text in ("[]", "3", '"certificate"', "null"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            Certificate.from_json(text)
+    text = _edited("e", E(), 2, lambda d: d.__setitem__("rows", ["1"]))
+    with pytest.raises(ValueError, match="'rows' must hold JSON objects"):
+        Certificate.from_json(text)
+
+
+def test_certify_encloses_the_constant_once_per_precision(monkeypatch):
+    # the per-run cache doubles its precision on a miss, so 120 rows take
+    # a handful of kernel calls, not one or more each
+    calls = []
+    kernel = verify.enclose
+
+    def counting(spec, max_width):
+        calls.append(max_width)
+        return kernel(spec, max_width)
+    monkeypatch.setattr(verify, "enclose", counting)
+    assert certify("e", E(), 120).verdict == "nice"
+    assert len(calls) <= 16
 
 
 def test_json_serializes_integers_as_strings():
