@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
 from .intpoly import (IntPolynomial, cauchy_root_bound, count_roots_between,
-                      is_squarefree)
+                      sturm_chain)
 
 
 @dataclass(frozen=True)
@@ -200,17 +200,18 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     """Disjoint brackets, one per distinct real root, each of width <= 1/4.
 
     Sturm-chain sign variations drive the splitting, so the count in every
-    interval is exact; the input must be squarefree.
+    interval is exact.  f must be squarefree: the chain, built once, ends in
+    gcd(f, f') up to a factor, which must be a constant.
     """
     if f.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
-    if not is_squarefree(f):
+    chain = sturm_chain(f)
+    if len(chain[-1]) > 1:
         raise NotSquarefreeError("repeated roots; divide out gcd(f, f') first")
     bound = cauchy_root_bound(f)
     lo, hi = Fraction(-bound), Fraction(bound)
-    total = count_roots_between(f, lo, hi)
     found: list[RootBracket] = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, count_roots_between(f, lo, hi, chain))]
     while stack:
         a, b, count = stack.pop()
         if count == 0:
@@ -219,7 +220,7 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
             found.append(RootBracket(a, b, f))
             continue
         mid = _interior_nonroot(f, a, b)
-        left = count_roots_between(f, a, mid)
+        left = count_roots_between(f, a, mid, chain)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
     found.sort(key=lambda br: br.lo)

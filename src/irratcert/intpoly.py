@@ -206,18 +206,18 @@ def cauchy_root_bound(f: IntPolynomial) -> int:
     return 2 + worst // lead
 
 
-def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction, chain=None) -> int:
     """Number of distinct real roots of f in the open interval (lo, hi).
 
-    Endpoints must not themselves be roots.
+    Endpoints must not be roots.  chain, if given, is sturm_chain(squarefree_part(f)).
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
-    g = squarefree_part(f)
-    if g(lo) == 0 or g(hi) == 0:
+    if chain is None:
+        chain = sturm_chain(squarefree_part(f))
+    at_lo = [_eval_frac(c, lo) for c in chain]
+    at_hi = [_eval_frac(c, hi) for c in chain]
+    if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")
-    chain = sturm_chain(g)
-    at_lo = _sign_variations(_eval_frac(c, lo) for c in chain)
-    at_hi = _sign_variations(_eval_frac(c, hi) for c in chain)
-    return at_lo - at_hi
+    return _sign_variations(at_lo) - _sign_variations(at_hi)

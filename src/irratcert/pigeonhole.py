@@ -3,14 +3,16 @@
 The multiples 0, value, 2*value, ..., n*value have n+1 fractional parts
 landing in the n bins [j/n, (j+1)/n); two must share a bin, and their
 difference yields integers p, q with 0 < q <= n and |q*value - p| < 1/n.
-Everything is resolved through enclosures, refined on demand.
+Everything is resolved through enclosures, refined on demand.  The bin scan
+puts the enclosure over one common denominator and runs on exact integers,
+making the same floor and bin decisions as interval arithmetic would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 from .constants import ConstantSpec, canonical_text, enclose
 from .enclosure import Enclosure, refine
@@ -26,17 +28,26 @@ class PigeonholeResult:
     residual: Enclosure
 
 
-def _place(enc_value: Enclosure, k: int, n: int):
-    """Floor, fractional enclosure, and bin of k*value, or None if ambiguous."""
-    enc = enc_value * k
-    z = enc.floor_if_settled()
-    if z is None:
-        return None
-    frac = enc - z
-    j_lo, j_hi = floor(frac.lo * n), floor(frac.hi * n)
-    if j_lo != j_hi:
-        return None
-    return z, frac, j_lo
+def bin_placements(enc: Enclosure, n: int):
+    """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous.
+
+    With enc = [A/D, B/D], k*value lies in [kA/D, kB/D]; its floor z is
+    settled when kB - zD < D, and its bin when (kA - zD) n // D equals
+    (kB - zD) n // D: the decisions interval arithmetic makes on k*enc - z.
+    """
+    d = lcm(enc.lo.denominator, enc.hi.denominator)
+    a, b = (enc.lo * d).numerator, (enc.hi * d).numerator
+    placed = []
+    ka = kb = 0
+    for _ in range(n + 1):
+        z, ra = divmod(ka, d)
+        rb = kb - z * d
+        j = ra * n // d
+        if rb >= d or rb * n // d != j:
+            return None
+        placed.append((z, j))
+        ka, kb = ka + a, kb + b
+    return placed
 
 
 def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
@@ -46,30 +57,20 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # start from a width that keeps k*width below a quarter bin and refine
     # whenever a floor or bin assignment stays ambiguous.
     def pin(width):
-        enc_value = enclose(c, width)
-        placed = []
-        for k in range(n + 1):
-            slot = _place(enc_value, k, n)
-            if slot is None:
-                return None
-            placed.append(slot)
-        return placed
+        enc = enclose(c, width)
+        placed = bin_placements(enc, n)
+        return None if placed is None else (enc, placed)
 
-    placed = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
-                    f"bins for {canonical_text(c)} at n={n}")
+    enc, placed = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
+                         f"bins for {canonical_text(c)} at n={n}")
 
-    bins: dict[int, list[int]] = {}
-    for k, (_, _, j) in enumerate(placed):
-        bins.setdefault(j, []).append(k)
-    for j in sorted(bins):
-        ks = bins[j]
-        if len(ks) >= 2:
-            k1, k2 = ks[0], ks[1]
-            z1, f1, _ = placed[k1]
-            z2, f2, _ = placed[k2]
-            residual = Enclosure(f2.lo - f1.hi, f2.hi - f1.lo)
-            return PigeonholeResult(n=n, p=z2 - z1, q=k2 - k1, residual=residual)
-    raise AssertionError("unreachable: n+1 values in n bins always collide")
+    # smallest bin holding two multiples, first two k in it (the sort is stable)
+    order = sorted(range(n + 1), key=lambda k: placed[k][1])
+    k1, k2 = next((a, b) for a, b in zip(order, order[1:]) if placed[a][1] == placed[b][1])
+    p, q = placed[k2][0] - placed[k1][0], k2 - k1
+    # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z
+    residual = Enclosure(k2 * enc.lo - k1 * enc.hi - p, k2 * enc.hi - k1 * enc.lo - p)
+    return PigeonholeResult(n=n, p=p, q=q, residual=residual)
 
 
 def fractional_residual(q: int, c: ConstantSpec,

@@ -20,9 +20,9 @@ from .errors import (CapExceededError, ChainMismatchError,
 from .intpoly import IntPolynomial
 
 # Width of the helper enclosure used when a bound formula needs an upper
-# rational estimate of the constant itself.  Coarse by design: the bound
-# stays valid for any positive width, and the slack keeps the certified
-# residual comfortably below it.
+# rational estimate of the constant itself, here and in verify.certify.
+# Coarse by design: the bound stays valid for any positive width, and the
+# slack keeps the certified residual comfortably below it.
 _BOUND_WIDTH = Fraction(1, 1000)
 
 
@@ -64,16 +64,17 @@ def _nested(ratios) -> int:
     return acc
 
 
-def sqrt_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
+def sqrt_approximant(m: int, n: int, hi=None) -> tuple[Approximant, BoundedBy]:
     """The root form (d_0, d_1) of sqrt(m) read as a pair: p = -d_0, q = d_1.
 
     Then q*sqrt(m) - p equals (sqrt(m) - z)**(2n-1), z = floor(sqrt(m))
-    exactly: a strictly positive quantity shrinking geometrically.
+    exactly: a strictly positive quantity shrinking geometrically.  A caller
+    holding hi = enclose(Sqrt(m), _BOUND_WIDTH).hi may pass it in.
     """
     check_index(n)
     spec = Sqrt(m)
     d0, d1 = mth_root_form(m, 2, n).coeffs
-    hi = enclose(spec, _BOUND_WIDTH).hi
+    hi = enclose(spec, _BOUND_WIDTH).hi if hi is None else hi
     bound = (hi - isqrt(m)) ** (2 * n - 1)
     return Approximant(n, -d0, d1), BoundedBy(bound)
 
@@ -100,15 +101,15 @@ def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
 
 
-def e_squared_approximant(n: int) -> tuple[Approximant, BoundedBy]:
+def e_squared_approximant(n: int, e2_hi=None) -> tuple[Approximant, BoundedBy]:
     """Composition of the e chain with the reciprocal 1/e chain at index 2n.
 
     p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!); the residual q*e^2 - p is
-    strictly positive and below (e^2 + 1)/(2n).
+    strictly positive and below (e^2 + 1)/(2n).  e2_hi is as hi in sqrt_approximant.
     """
     check_index(n)
     chained = compose_chain(e_approximant(2 * n)[0], reciprocal(inv_e_approximant(2 * n)[0]))
-    e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi
+    e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi if e2_hi is None else e2_hi
     return (Approximant(n, chained.p, chained.q),
             BoundedBy((e2_hi + 1) / (2 * n)))
 

@@ -27,12 +27,9 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
 from .enclosure import Enclosure, refine
 from .intpoly import IntPolynomial
 from .niven import exp_functional_int, exp_functional_rational, trig_functional
-from .sequences import (cos_inv_m_approximant,
-                        e_approximant, e_squared_approximant,
-                        inv_e_approximant, mth_root_form,
+from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
+                        e_squared_approximant, inv_e_approximant, mth_root_form,
                         sin_inv_m_approximant, sqrt_approximant)
-
-_COARSE = Fraction(1, 1000)
 
 
 @dataclass(frozen=True)
@@ -387,7 +384,7 @@ def _trig_angle_row(c, hi, n):
 
 FAMILIES = {
     "sqrt": Family(
-        Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n)),
+        Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n, hi)),
         "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
         "z = floor(sqrt(m)); residual equals that power exactly, so it is "
         "positive and shrinks geometrically; bound is an upper enclosure of it."),
@@ -405,7 +402,7 @@ FAMILIES = {
         "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
         "residual is the alternating tail, nonzero with |.| < 1/n."),
     "e-squared": Family(
-        EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n)),
+        EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n, hi)),
         "chains the e pair at index 2n with the reciprocal 1/e pair; "
         "q e^2 - p is positive and below (e^2 + 1)/(2n)."),
     "e-squared-naive": Family(
@@ -524,7 +521,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         max_width = Fraction(max_width)
         if max_width <= 0:
             raise ValueError("width override must be positive")
-    hi = enclose(c, _COARSE).hi
+    hi = enclose(c, _BOUND_WIDTH).hi
     cache = ConstantCache()
     rows, widths = [], []
     depth = 0

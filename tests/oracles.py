@@ -10,7 +10,7 @@ back into the code paths it checks.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, floor
 
 
 def sqrt_ring_power(m: int, z: int, exponent: int) -> tuple[int, int]:
@@ -175,3 +175,20 @@ def root_form_binomials(a: int, m: int, z: int, n: int) -> tuple[int, ...]:
     return tuple(sum(comb(e, m * k + l) * a ** k * (-z) ** (e - m * k - l)
                      for k in range(n) if m * k + l <= e)
                  for l in range(m))
+
+
+def fraction_bin_placements(lo: Fraction, hi: Fraction, n: int):
+    """(floor, bin) of k*x for k = 0..n, x in [lo, hi], or None if any is ambiguous.
+
+    One Fraction interval step per k, as the pigeonhole scan was first
+    written: [k*lo, k*hi] must have one floor z, and its fractional part
+    [k*lo - z, k*hi - z] times n one floor j.
+    """
+    placed = []
+    for k in range(n + 1):
+        a, b = k * lo, k * hi
+        z = floor(a)
+        if floor(b) != z or floor((a - z) * n) != floor((b - z) * n):
+            return None
+        placed.append((z, floor((a - z) * n)))
+    return placed

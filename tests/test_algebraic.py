@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irratcert import algebraic, intpoly
 from irratcert.algebraic import (PowerForm, RootBracket, _divisors, classify_roots,
                                  integer_root_test, isolate_real_roots,
                                  monic_certificate, monic_transform,
@@ -174,3 +175,24 @@ def test_classify_pure_rational_roots():
     assert [v.rational_value for v in out] == [-2, 2]
     out = classify_roots(IntPolynomial((2, -7, 3)))   # 3x^2 - 7x + 2 = (3x-1)(x-2)
     assert [v.rational_value for v in out] == [Fraction(1, 3), 2]
+
+
+def test_isolation_builds_one_sturm_chain_and_no_gcd(monkeypatch):
+    # (x - 1)(x + 1)(2x - 1)(x - 2)(3x + 1)(x - 3)(x^2 - 2): eight real roots
+    f = IntPolynomial((-12, -2, 98, -59, -114, 92, 22, -31, 6))
+    chains, gcds = [], []
+
+    def counting(record, fn):
+        def wrapper(*args):
+            record.append(args)
+            return fn(*args)
+        return wrapper
+
+    chain_fn = intpoly.sturm_chain
+    monkeypatch.setattr(intpoly, "sturm_chain", counting(chains, chain_fn))
+    monkeypatch.setattr(algebraic, "sturm_chain", counting(chains, chain_fn))
+    monkeypatch.setattr(intpoly, "poly_gcd", counting(gcds, intpoly.poly_gcd))
+    brackets = isolate_real_roots(f)
+    assert len(brackets) == 8
+    assert len(chains) <= 1
+    assert gcds == []

@@ -306,3 +306,92 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
     assert shared == outcomes(fresh=True)
     assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 1, 0, 1, 0, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+# Witness golden corpus, recorded before the pigeonhole bin scan moved to
+# integers.  Each pigeonhole case is (constant, n, p, q, residual_lo,
+# residual_hi, decimal midpoint) and is run in both formats; the full stdout
+# is compared.  sqrt:761 at 1500, root:41,5 at 50, e-pow:3 at 200, e-pow:6
+# at 1500, sin:22/7 at 1 and cos:1/3 at 1 need more than one refine try.
+PIGEONHOLE_GOLDEN = [
+    ("sqrt:2", 1, "1", "1", "3/8", "1/2", "0.4375000000"),
+    ("sqrt:761", 1500, "800", "29", "10737409/17179869184", "42949665/68719476736",
+     "0.0006249996.."),
+    ("root:3,3", 3, "4", "3", "83/256", "169/512", "0.3271484375"),
+    ("root:41,5", 50, "21", "10", "8557/524288", "17119/1048576", "0.0163235664.."),
+    ("e", 7, "19", "7", "3328719/134217728", "3754977/134217728", "0.0263888239.."),
+    ("e", 850, "1264", "465", "147784585573/140737488355328",
+     "591228896857/562949953421312", "0.0010501530.."),
+    ("inv-e", 2, "0", "1", "191363/524288", "403705/1048576", "0.3749995231.."),
+    ("inv-e", 533, "71", "193", "6439985553/8796093022208", "51524586483/70368744177664",
+     "0.0007321750.."),
+    ("e-pow:3", 200, "3053", "152", "28355375303/17592186044416",
+     "28364319249/17592186044416", "0.0016120706.."),
+    ("e-pow:6", 1500, "260615", "646", "687485095324223/1152921504606846976",
+     "687495042275245/1152921504606846976", "0.0005963025.."),
+    ("e-rat:-1/3", 1500, "91", "127", "-73685581849/140737488355328",
+     "-2302587839/4398046511104", "-0.0005235577.."),
+    ("e-rat:7/9", 50, "37", "17", "23177709/8589934592", "1454305/536870912",
+     "0.0027035473.."),
+    ("sin:-19/6", 850, "9", "359", "2825970361689/4503599627370496",
+     "5652022404135/9007199254740992", "0.0006274960.."),
+    ("sin:22/7", 1, "-1", "1", "66962503/67108864", "67025445/67108864", "0.9982880055.."),
+    ("cos:1/3", 1, "0", "1", "123721/131072", "123859/131072", "0.9444427490.."),
+    ("cos:1/3", 1500, "103", "109", "43227281011/140737488355328",
+     "86454848801/281474976710656", "0.0003071488.."),
+    ("algroot:-5,-2,0,1@2,3", 200, "155", "74", "-107071/33554432", "-106995/33554432",
+     "-0.0031898319.."),
+    ("algroot:-1,0,6@1/3,1/2", 1500, "198", "485", "10845797/25769803776",
+     "5423141/12884901888", "0.0004208817.."),
+]
+
+
+def test_pigeonhole_golden_stdout(capsys):
+    for constant, n, p, q, lo, hi, mid in PIGEONHOLE_GOLDEN:
+        argv = ["pigeonhole", "--constant", constant, "--n", str(n), "--format"]
+        assert main(argv + ["json"]) == 0
+        expected = json.dumps({"constant": constant, "n": n, "p": p, "q": q,
+                               "residual_lo": lo, "residual_hi": hi}, indent=2) + "\n"
+        assert capsys.readouterr().out == expected, (constant, n)
+        assert main(argv + ["table"]) == 0
+        expected = (f"constant: {constant}\nn: {n}\nq: {q}\np: {p}\n"
+                    f"residual: [{lo}, {hi}]\nresidual ~ {mid}  (|residual| < 1/{n})\n")
+        assert capsys.readouterr().out == expected, (constant, n)
+
+
+# (poly, exit code, stdout, stderr): degrees 2 to 8, with and without rational
+# roots, the last of degree 8 with eight real roots, then a squared factor.
+CLASSIFY_GOLDEN = [
+    ("-3,5,2", 0, "bracket (-28/9, -26/9): rational -3\nbracket (4/9, 2/3): rational 1/2\n",
+     ""),
+    ("1,1,-5,2", 0, "bracket (-1/2, -1/4): irrational\nbracket (1/2, 3/4): irrational\n"
+                    "bracket (2, 9/4): irrational\n", ""),
+    ("2,-4,-7,2,3", 0, "bracket (-3/2, -4/3): irrational\n"
+                       "bracket (-10/9, -8/9): rational -1\n"
+                       "bracket (1/4, 1/2): rational 1/3\n"
+                       "bracket (5/4, 3/2): irrational\n", ""),
+    ("-1,-1,0,0,0,1", 0, "bracket (9/8, 21/16): irrational\n", ""),
+    ("-18,-21,25,49,10,-12,16", 0, "bracket (-25/32, -5/8): rational -3/4\n"
+                                   "bracket (5/8, 25/32): irrational\n", ""),
+    ("9,8,6,9,5,-2,1,-1", 0, "bracket (143/64, 77/32): irrational\n", ""),
+    ("0,-18,0,-18,15,-27,18,3,12", 0, "bracket (-4/81, 4/27): rational 0\n"
+                                      "bracket (8/9, 10/9): irrational\n", ""),
+    ("-12,-2,98,-59,-114,92,22,-31,6", 0,
+     "bracket (-189/128, -21/16): irrational\n"
+     "bracket (-147/128, -63/64): rational -1\n"
+     "bracket (-63/128, -21/64): rational -1/3\n"
+     "bracket (63/128, 21/32): rational 1/2\n"
+     "bracket (63/64, 147/128): rational 1\n"
+     "bracket (21/16, 189/128): irrational\n"
+     "bracket (63/32, 273/128): rational 2\n"
+     "bracket (189/64, 399/128): rational 3\n", ""),
+    ("1,1,-7,-8,4", 1, "",
+     "error[NotSquarefreeError]: repeated roots; divide out gcd(f, f') first\n"),
+]
+
+
+def test_classify_golden_stdout(capsys):
+    for poly, code, out, err in CLASSIFY_GOLDEN:
+        assert main(["classify", f"--poly={poly}"]) == code, poly
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err), poly

@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from irratcert.algebraic import isolate_real_roots
 from irratcert.enclosure import Enclosure
+from irratcert.errors import NotSquarefreeError
 from irratcert.intpoly import (IntPolynomial, cauchy_root_bound,
                                count_roots_between, is_squarefree,
                                poly_gcd, squarefree_part, sturm_chain)
@@ -142,3 +146,36 @@ def test_zero_polynomial_has_no_squarefree_part():
         squarefree_part(IntPolynomial())
     with pytest.raises(ValueError, match="zero polynomial"):
         count_roots_between(IntPolynomial(), Fraction(0), Fraction(1))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+polys = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(IntPolynomial).filter(
+    lambda f: f.degree >= 1)
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@PROPERTY
+@given(f=polys, g=polys, square=st.booleans(), a=rationals, b=rationals)
+def test_shared_chain_counts_like_the_three_argument_call(f, g, square, a, b):
+    # isolation passes the chain of f itself, which is squarefree there;
+    # square=True gives a product with a squared factor, whose chain is
+    # that of its squarefree part
+    f = f * f * g if square else f
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and f(lo) != 0 and f(hi) != 0)
+    chain = sturm_chain(f if is_squarefree(f) else squarefree_part(f))
+    assert count_roots_between(f, lo, hi, chain) == count_roots_between(f, lo, hi)
+
+
+@PROPERTY
+@given(f=polys, g=polys, square=st.booleans())
+def test_chain_squarefree_test_agrees_with_is_squarefree(f, g, square):
+    f = f * f * g if square else f * g
+    if is_squarefree(f):
+        assert len(sturm_chain(f)[-1]) == 1
+        assert len(isolate_real_roots(f)) == count_roots_between(
+            f, -cauchy_root_bound(f), cauchy_root_bound(f))
+    else:
+        assert len(sturm_chain(f)[-1]) > 1
+        with pytest.raises(NotSquarefreeError):
+            isolate_real_roots(f)

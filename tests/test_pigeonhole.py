@@ -4,12 +4,17 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irratcert import pigeonhole
 from irratcert.constants import (CosInv, E, EPow, ERational, InvE, Root,
                                  SinInv, SinOf, Sqrt)
-from irratcert.pigeonhole import fractional_residual, pigeonhole_approximant
+from irratcert.enclosure import Enclosure
+from irratcert.pigeonhole import (bin_placements, fractional_residual,
+                                  pigeonhole_approximant)
 
-from oracles import sqrt_bracket
+from oracles import fraction_bin_placements, sqrt_bracket
 
 
 def test_worked_examples():
@@ -89,3 +94,62 @@ def test_fractional_residual_factorial_denominators_shrink():
 def test_fractional_residual_rejects_zero():
     with pytest.raises(ValueError):
         fractional_residual(0, E())
+
+
+@st.composite
+def scan_cases(draw):
+    """(lo, hi, n) around the widths pigeonhole_approximant tries.
+
+    Denominators are dyadic or not; an enclosure may be a point; "edge"
+    puts lo or hi where some multiple k*x is exactly i + j/n, an integer
+    when j = 0.
+    """
+    n = draw(st.integers(1, 400))
+    den = draw(st.one_of(st.integers(1, 10 ** 6), st.integers(0, 40).map(lambda e: 2 ** e)))
+    width = Fraction(draw(st.integers(1, 64)), 4 * n * n * (n + 1) * draw(st.integers(1, 4)))
+    if draw(st.integers(0, 3)) == 0:
+        width = Fraction(0)
+    if draw(st.booleans()):
+        k, i, j = draw(st.integers(1, n)), draw(st.integers(-30, 30)), draw(st.integers(0, n - 1))
+        edge = Fraction(i * n + j, k * n)
+        lo = edge if draw(st.booleans()) else edge - width
+    else:
+        lo = Fraction(draw(st.integers(-10 ** 7, 10 ** 7)), den)
+    return lo, lo + width, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=scan_cases())
+def test_integer_bin_scan_matches_fraction_placement(case):
+    lo, hi, n = case
+    assert bin_placements(Enclosure(lo, hi), n) == fraction_bin_placements(lo, hi, n)
+
+
+def test_bin_scan_edge_examples():
+    # 3 * (1/3) is exactly 1: a point settles it, any width above it does not
+    assert bin_placements(Enclosure.point(Fraction(1, 3)), 3) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert bin_placements(Enclosure(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 9)),
+                          3) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert bin_placements(Enclosure(Fraction(1, 3) - Fraction(1, 10 ** 9), Fraction(1, 3)),
+                          3) is None
+    # negative values floor downwards
+    assert bin_placements(Enclosure.point(Fraction(-1, 4)), 2) == [(0, 0), (-1, 1), (-1, 1)]
+
+
+def test_pigeonhole_makes_no_interval_product_per_multiple(monkeypatch):
+    products, tries = [], []
+    original_mul, original_enclose = Enclosure.__mul__, pigeonhole.enclose
+
+    def counting_mul(self, other):
+        products.append(other)
+        return original_mul(self, other)
+
+    def counting_enclose(c, width):
+        tries.append(width)
+        return original_enclose(c, width)
+
+    monkeypatch.setattr(Enclosure, "__mul__", counting_mul)
+    monkeypatch.setattr(pigeonhole, "enclose", counting_enclose)
+    r = pigeonhole_approximant(E(), 1500)
+    assert (r.p, r.q) == (2721, 1001)
+    assert tries and len(products) <= 2 * len(tries)
