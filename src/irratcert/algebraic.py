@@ -4,17 +4,21 @@ A power form is the coefficient vector of an integer combination
 sum(d_l * alpha^l), 0 <= l < deg(modulus), for alpha a root of a monic
 integer modulus.  Reduction rewrites any higher-degree combination into
 that canonical window by eliminating the top power repeatedly.
+
+Real roots are isolated by Sturm-chain counts; `classify_roots` decides each
+one's rationality exactly by narrowing its bracket with `intpoly.bisect_root`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
-from .intpoly import (IntPolynomial, cauchy_root_bound, count_roots_between,
-                      sturm_chain)
+from .intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
+                      count_roots_between, squarefree_part, sturm_chain)
 
 
 @dataclass(frozen=True)
@@ -88,56 +92,15 @@ def monic_transform(f: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending; none for n = 0.
-
-    |n| is factored by trial division over a shrinking cofactor, so the
-    search ends near the square root of what is left once the small primes
-    are divided out, not of |n|; the divisors are built from the prime powers.
-    """
-    n = abs(n)
-    if n == 0:
-        return []
-    divisors = [1]
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            powers = [1]
-            while n % p == 0:
-                n //= p
-                powers.append(powers[-1] * p)
-            divisors = [d * pk for d in divisors for pk in powers]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        divisors += [d * n for d in divisors]
-    return sorted(divisors)
-
-
 def integer_root_test(g: IntPolynomial) -> list[int]:
-    """All integer roots of a monic g, by trying divisors of the constant term.
-
-    Candidates are tested in order of absolute value, positive first; a zero
-    constant term contributes the root 0.
-    """
+    """All integer roots of a monic g, ascending: the rational roots that
+    `classify_roots` finds on its squarefree part."""
     if not g.is_monic:
         raise NotMonicError(f"integer root test needs a monic input, leading is {g.leading}")
-    roots = []
-    coeffs = list(g.coeffs)
-    shift = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(0)
-    h = IntPolynomial(coeffs)
-    if h.degree < 1:
-        return roots
-    for d in _divisors(h.coeffs[0]):
-        if h(d) == 0:
-            roots.append(d)
-        if h(-d) == 0:
-            roots.append(-d)
-    return roots
+    if g.degree < 1:
+        return []
+    return [int(v.rational_value) for v in classify_roots(squarefree_part(g))
+            if v.rational_value is not None and v.rational_value.denominator == 1]
 
 
 @dataclass(frozen=True)
@@ -161,38 +124,21 @@ class RootBracket:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def refine(self, max_width: Fraction) -> "RootBracket":
-        """Shrink by repeated splitting until width <= max_width.
 
-        Split points that happen to be roots are stepped around, so the
-        endpoint sign-change invariant survives refinement.
-        """
-        max_width = Fraction(max_width)
-        lo, hi = self.lo, self.hi
-        sign_lo = 1 if self.poly(lo) > 0 else -1
-        while hi - lo > max_width:
-            mid = _interior_nonroot(self.poly, lo, hi)
-            if (self.poly(mid) > 0) == (sign_lo > 0):
-                lo = mid
-            else:
-                hi = mid
-        return RootBracket(lo, hi, self.poly)
-
-
-def _interior_nonroot(f: IntPolynomial, lo: Fraction, hi: Fraction) -> Fraction:
-    """An interior point that is not a root; tries the midpoint first.
+def _interior_nonroot(f: IntPolynomial, lo: Fraction,
+                      hi: Fraction) -> tuple[Fraction, Fraction]:
+    """An interior point that is not a root, and f there; tries the midpoint first.
 
     f has at most deg(f) roots, so scanning deg(f) + 2 distinct interior
     points always finds one.
     """
     span = hi - lo
-    mid = lo + span / 2
-    if f(mid) != 0:
-        return mid
-    for i in range(1, f.degree + 3):
+    x = lo + span / 2
+    for i in range(1, f.degree + 4):
+        v = f(x)
+        if v != 0:
+            return x, v
         x = lo + span * Fraction(i, 2 * i + 1)
-        if f(x) != 0:
-            return x
     raise AssertionError("unreachable: more roots than the degree allows")
 
 
@@ -201,7 +147,8 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
 
     Sturm-chain sign variations drive the splitting, so the count in every
     interval is exact.  f must be squarefree: the chain, built once, ends in
-    gcd(f, f') up to a factor, which must be a constant.
+    gcd(f, f') up to a factor, which must be a constant.  Endpoints are never
+    roots, so a one-root interval's root lies in the half where f changes sign.
     """
     if f.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -211,20 +158,24 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     bound = cauchy_root_bound(f)
     lo, hi = Fraction(-bound), Fraction(bound)
     found: list[RootBracket] = []
-    stack = [(lo, hi, count_roots_between(f, lo, hi, chain))]
+    # (left end, right end, f at the left end, roots strictly between)
+    stack = [(lo, hi, f(lo), count_roots_between(f, lo, hi, chain))]
     while stack:
-        a, b, count = stack.pop()
+        a, b, fa, count = stack.pop()
         if count == 0:
             continue
-        if count == 1 and f(a) * f(b) < 0:
+        if count == 1 and b - a <= Fraction(1, 4):
             found.append(RootBracket(a, b, f))
             continue
-        mid = _interior_nonroot(f, a, b)
-        left = count_roots_between(f, a, mid, chain)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
+        mid, fmid = _interior_nonroot(f, a, b)
+        if count == 1:
+            left = int((fmid > 0) != (fa > 0))
+        else:
+            left = count_roots_between(f, a, mid, chain)
+        stack.append((a, mid, fa, left))
+        stack.append((mid, b, fmid, count - left))
     found.sort(key=lambda br: br.lo)
-    return [br.refine(Fraction(1, 4)) for br in found]
+    return found
 
 
 @dataclass(frozen=True)
@@ -242,21 +193,16 @@ class RootClassification:
 def classify_roots(f: IntPolynomial) -> list[RootClassification]:
     """Exact rational-or-irrational verdict for every real root of f.
 
-    The monic transform g has integer roots exactly where f has rational
-    ones (scaled by the leading coefficient), and the integer root test is
-    exhaustive, so the verdict involves no numeric tolerance at all.
+    A rational root of f is z/a with a the leading coefficient.  Narrowed by
+    `bisect_root` to width at most 1/|a|, a bracket holds at most one multiple
+    of 1/|a| that can be the root, the first at or above its left end; the
+    root is rational exactly when that multiple is in the bracket and f
+    vanishes there, so the verdict involves no numeric tolerance at all.
     """
-    brackets = isolate_real_roots(f)
-    a = f.leading
-    g = monic_transform(f)
-    int_roots = integer_root_test(g)
+    a = abs(f.leading)
     out = []
-    for br in brackets:
-        s_lo, s_hi = sorted((a * br.lo, a * br.hi))
-        value = None
-        for z in int_roots:
-            if s_lo < z < s_hi:
-                value = Fraction(z, a)
-                break
-        out.append(RootClassification(br, value))
+    for br in isolate_real_roots(f):
+        enc = bisect_root(f, br.lo, br.hi, Fraction(1, a))
+        x = Fraction(math.ceil(enc.lo * a), a)
+        out.append(RootClassification(br, x if x <= enc.hi and f(x) == 0 else None))
     return out

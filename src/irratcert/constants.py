@@ -3,10 +3,11 @@
 Each constant is a small frozen spec object that validates its own
 parameters.  `enclose` turns a spec into an interval of requested width
 with dyadic endpoints, from integer fixed-point series with strict error
-bounds, integer roots, or bisection for algebraic roots; no floating point
-is involved at any point.  Specs round-trip through a canonical text form
-(`sqrt:2`, `root:2,3`, `e`, `inv-e`, `e-pow:3`, `e-rat:1/2`, `sin-inv:3`,
-`cos-inv:3`, `sin:22/7`, `cos:1/2`, `algroot:<coeffs>@<lo>,<hi>`).
+bounds, integer roots, or `intpoly.bisect_root` for algebraic roots; no
+floating point is involved at any point.  Specs round-trip through a
+canonical text form (`sqrt:2`, `root:2,3`, `e`, `inv-e`, `e-pow:3`,
+`e-rat:1/2`, `sin-inv:3`, `cos-inv:3`, `sin:22/7`, `cos:1/2`,
+`algroot:<coeffs>@<lo>,<hi>`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Union
 from .enclosure import Enclosure, refine
 from .errors import (BracketAmbiguousError, PerfectPowerError,
                      PrecisionExhausted, Unresolvable, ZeroExponentError)
-from .intpoly import IntPolynomial, count_roots_between
+from .intpoly import IntPolynomial, bisect_root, count_roots_between
 
 
 def integer_nth_root(a: int, m: int) -> int:
@@ -280,22 +281,6 @@ def _root_enclosure(a: int, m: int, max_width: Fraction) -> Enclosure:
     return Enclosure(Fraction(z, 1 << k), Fraction(z + 1, 1 << k))
 
 
-def _poly_bisection(poly: IntPolynomial, lo: Fraction, hi: Fraction,
-                    max_width: Fraction) -> Enclosure:
-    s_lo = poly(lo)
-    sign_lo = (s_lo > 0) - (s_lo < 0)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        v = poly(mid)
-        if v == 0:
-            return Enclosure(mid, mid)
-        if ((v > 0) - (v < 0)) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
-
-
 def enclose(spec: ConstantSpec, max_width) -> Enclosure:
     """Interval of width <= max_width certified to contain the constant.
 
@@ -328,7 +313,7 @@ def enclose(spec: ConstantSpec, max_width) -> Enclosure:
         case CosOf(x=x):
             return _trig_enclosure(x, max_width, first_power=0)
         case AlgebraicRoot():
-            return _poly_bisection(spec.poly, spec.lo, spec.hi, max_width)
+            return bisect_root(spec.poly, spec.lo, spec.hi, max_width)
     raise TypeError(f"not a constant spec: {spec!r}")
 
 

@@ -4,6 +4,7 @@ Coefficient index equals the exponent, trailing zeros are trimmed, and the
 zero polynomial has an empty coefficient tuple (degree -1).  Sturm-chain
 helpers at module level count distinct real roots in an interval exactly;
 they are the backbone of root isolation and bracket validation.
+`bisect_root` narrows an interval around one root by sign bisection.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cauchy_root_bound(f: IntPolynomial) -> int:
     if f.degree < 1:
         raise ValueError("need degree >= 1")
     lead = abs(f.leading)
-    worst = max(abs(c) for c in f.coeffs[:-1]) if f.degree >= 1 else 0
+    worst = max(abs(c) for c in f.coeffs[:-1])
     return 2 + worst // lead
 
 
@@ -221,3 +222,21 @@ def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction, chain=None
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")
     return _sign_variations(at_lo) - _sign_variations(at_hi)
+
+
+def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
+                max_width: Fraction) -> Enclosure:
+    """Halve [lo, hi], whose ends f gives opposite nonzero signs, until it is at
+    most max_width wide; a midpoint that is the root comes back as a point."""
+    s_lo = f(lo)
+    sign_lo = (s_lo > 0) - (s_lo < 0)
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        v = f(mid)
+        if v == 0:
+            return Enclosure(mid, mid)
+        if ((v > 0) - (v < 0)) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Enclosure(lo, hi)

@@ -154,20 +154,6 @@ def assert_overlaps(enc, lo, hi):
         f"enclosure [{enc.lo}, {enc.hi}] misses oracle bracket [{lo}, {hi}]")
 
 
-def trial_divisors(n: int) -> list[int]:
-    """Positive divisors of |n| by trial division up to sqrt(|n|), ascending."""
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def root_form_binomials(a: int, m: int, z: int, n: int) -> tuple[int, ...]:
     """(t - z)^(mn-1) in the basis 1, t, ..., t^(m-1) with t^m = a, from the
     binomial theorem: d_l = sum over k of C(mn-1, mk+l) a^k (-z)^(mn-1-mk-l)."""

@@ -3,22 +3,22 @@
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irratcert import algebraic, intpoly
-from irratcert.algebraic import (PowerForm, RootBracket, _divisors, classify_roots,
+from irratcert.algebraic import (PowerForm, RootBracket, classify_roots,
                                  integer_root_test, isolate_real_roots,
                                  monic_certificate, monic_transform,
                                  reduce_power_form)
 from irratcert.cli import main
 from irratcert.errors import NotMonicError, NotSquarefreeError
-from irratcert.intpoly import IntPolynomial
+from irratcert.intpoly import IntPolynomial, count_roots_between
 
-from oracles import modular_powers_remainder, sqrt_bracket, trial_divisors
+from oracles import modular_powers_remainder
 
 
 def test_reduce_small_cases():
@@ -94,16 +94,10 @@ def test_integer_root_test():
         integer_root_test(IntPolynomial((1, 2)))
 
 
-def test_divisors_match_trial_division():
-    for n in range(5001):
-        assert _divisors(n) == trial_divisors(n), n
-    assert _divisors(-360) == trial_divisors(360)
-    assert len(_divisors(5280 * 72 ** 7)) == 1728
-
-
-def test_classify_with_many_small_factors_is_fast(capsys):
-    # 2 (x - 2)(3x - 5)(3x - 4)(4x - 3)(x^2 + 2)(x^2 + 3x + 11): the integer
-    # root test of its monic transform needs the divisors of 5280 * 72^7
+def test_root_classification_is_fast(capsys):
+    # inputs on which a rational-root test by divisors of the constant term
+    # is slow: 2 (x - 2)(3x - 5)(3x - 4)(4x - 3)(x^2 + 2)(x^2 + 3x + 11),
+    # whose monic transform has constant term 5280 * 72^7 with 1728 divisors
     start = time.perf_counter()
     assert main(["classify", "--poly=5280,-15368,17500,-13148,8254,-3128,556,-198,72"]) == 0
     assert time.perf_counter() - start < 2
@@ -113,16 +107,30 @@ def test_classify_with_many_small_factors_is_fast(capsys):
         "bracket (735/512, 1715/1024): rational 5/3",
         "bracket (245/128, 2205/1024): rational 2",
     ]
+    # x^2 - (2^61 - 1) and (2^61 - 1) x^2 + 1: the prime 2^61 - 1 is the
+    # constant term of each monic transform; the second has no real root
+    start = time.perf_counter()
+    assert main(["classify", "--poly=-2305843009213693951,0,1"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.splitlines() == [
+        "bracket (-1750711592975873285526994125/1152921504606846976, "
+        "-28011385485308129559218212047/18446744073709551616): irrational",
+        "bracket (28011385485308129559218212047/18446744073709551616, "
+        "1750711592975873285526994125/1152921504606846976): irrational",
+    ]
+    start = time.perf_counter()
+    assert main(["classify", "--poly=1,0,2305843009213693951"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == ""
+    start = time.perf_counter()
+    assert integer_root_test(IntPolynomial((-(2 ** 61 - 1), 0, 1))) == []
+    assert time.perf_counter() - start < 2
 
 
-def test_root_bracket_validation_and_refine():
+def test_root_bracket_validation():
     f = IntPolynomial((-2, 0, 1))
     br = RootBracket(Fraction(1), Fraction(2), f)
     assert br.width == 1
-    tight = br.refine(Fraction(1, 1000))
-    assert tight.width <= Fraction(1, 1000)
-    lo, hi = sqrt_bracket(2, 60)
-    assert tight.lo <= hi and lo <= tight.hi
     with pytest.raises(ValueError):
         RootBracket(Fraction(2), Fraction(1), f)
     with pytest.raises(ValueError):
@@ -175,6 +183,28 @@ def test_classify_pure_rational_roots():
     assert [v.rational_value for v in out] == [-2, 2]
     out = classify_roots(IntPolynomial((2, -7, 3)))   # 3x^2 - 7x + 2 = (3x-1)(x-2)
     assert [v.rational_value for v in out] == [Fraction(1, 3), 2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(planted=st.sets(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+                       max_size=5),
+       d=st.one_of(st.just(-1), st.integers(2, 60).filter(lambda d: isqrt(d) ** 2 != d)))
+def test_classify_finds_exactly_the_planted_rational_roots(planted, d):
+    # x^2 - d times (q x - p) for each distinct planted p/q; x^2 - d has two
+    # irrational roots for d > 1 not a square, and none for d = -1
+    f = IntPolynomial((-d, 0, 1))
+    for r in planted:
+        f = f * IntPolynomial((-r.numerator, r.denominator))
+    out = classify_roots(f)
+    assert len(out) == len(planted) + (2 if d > 0 else 0)
+    assert sorted(v.rational_value for v in out if not v.is_irrational) == sorted(planted)
+    for v in out:
+        br = v.bracket
+        assert br.width <= Fraction(1, 4)
+        assert f(br.lo) != 0 and f(br.hi) != 0
+        assert count_roots_between(f, br.lo, br.hi) == 1
+        assert v.is_irrational or br.lo < v.rational_value < br.hi
+    assert all(x.bracket.hi <= y.bracket.lo for x, y in zip(out, out[1:]))
 
 
 def test_isolation_builds_one_sturm_chain_and_no_gcd(monkeypatch):

@@ -313,6 +313,8 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
 # residual_hi, decimal midpoint) and is run in both formats; the full stdout
 # is compared.  sqrt:761 at 1500, root:41,5 at 50, e-pow:3 at 200, e-pow:6
 # at 1500, sin:22/7 at 1 and cos:1/3 at 1 need more than one refine try.
+# algroot:-1,2@0,1 is the exact root 1/2, which `enclose` must return as a
+# point: any interval around it straddles a bin boundary.
 PIGEONHOLE_GOLDEN = [
     ("sqrt:2", 1, "1", "1", "3/8", "1/2", "0.4375000000"),
     ("sqrt:761", 1500, "800", "29", "10737409/17179869184", "42949665/68719476736",
@@ -343,6 +345,7 @@ PIGEONHOLE_GOLDEN = [
      "-0.0031898319.."),
     ("algroot:-1,0,6@1/3,1/2", 1500, "198", "485", "10845797/25769803776",
      "5423141/12884901888", "0.0004208817.."),
+    ("algroot:-1,2@0,1", 2, "1", "2", "0/1", "0/1", "0.0000000000"),
 ]
 
 
