@@ -101,11 +101,18 @@ class IntPolynomial:
         return acc
 
     def eval_interval(self, enc: Enclosure) -> Enclosure:
-        """Interval Horner evaluation."""
-        acc = Enclosure.point(0)
+        """Interval Horner evaluation, exact: enc is [a, b] / D over the common
+        denominator D of its endpoints, the accumulator after j steps is
+        [x, y] / D^j, and one Fraction per endpoint is built at the end."""
+        lo, hi = enc.lo, enc.hi
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        x, y, scale = 0, 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * enc + c
-        return acc
+            products = (x * a, x * b, y * a, y * b)
+            scale *= d
+            x, y = min(products) + c * scale, max(products) + c * scale
+        return Enclosure(Fraction(x, scale), Fraction(y, scale))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)

@@ -6,7 +6,9 @@ construction's explicit bound, and two checks (residual nonzero, residual
 below bound).  The verdict is `nice` when every row passes and the final
 residual magnitude sits below the first; otherwise `violated:<n>` names the
 offending row.  Verdicts are data, not exceptions: a violated certificate
-is a meaningful result about a sequence that fails to shrink.
+is a meaningful result about a sequence that fails to shrink.  Residuals
+are formed on integers, the constant taken on a dyadic grid 2^-k, and both
+checks decided by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ class Certificate:
         if not isinstance(data, dict):
             raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
         rows = tuple(_row_from_dict(d) for d in _field(data, "rows", list))
+        if not rows:
+            raise ValueError("certificate field 'rows' must hold at least one row")
+        for i, row in enumerate(rows, 1):
+            if row.term.layout is not rows[0].term.layout:
+                raise ValueError(f"certificate row {i} lacks the field "
+                                 f"{rows[0].term.layout.fields[0]!r} that row 1 has")
         return cls(constant=_field(data, "constant", str), family=_field(data, "family", str),
                    rows=rows, verdict=_field(data, "verdict", str))
 
@@ -241,69 +249,81 @@ def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# Residual evaluation.  Each evaluator takes its constant's enclosures from a
-# ConstantCache when given one, and encloses afresh otherwise.
+# Residual evaluation.  Each evaluator takes its constant from a ConstantCache
+# (a fresh one when given none) as integers on a grid 2^-k, forms its linear
+# form there, and builds one Fraction per endpoint of the Enclosure returned.
 
 class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
 
-    A request for width w is answered from the cached enclosure rounded
-    outward to the grid 2^-k.  For the series constants k = _width_bits(w) + 2,
-    so the answer is at most w/2 wide.  For Sqrt and Root k = _width_bits(w):
-    the cached [z, z + 1] / 2^K truncates to exactly floor(2^k * value) / 2^k,
-    so the answer equals enclose(spec, w).  A cached enclosure wider than 2^-k
-    is replaced by one at max(k, twice its) bits, so a run that narrows step
-    by step makes a number of kernel calls logarithmic in its final precision.
+    Each constant is kept as integers (K, L, H), its value in [L, H] / 2^K.
+    A request for width w is answered on the grid 2^-k by L >> (K - k) and
+    -((-H) >> (K - k)): as floor(floor(x) / 2^s) = floor(x / 2^s), that is
+    the kernel's enclosure rounded outward to 2^-k.  For the series constants
+    k = _width_bits(w) + 2, so the answer is at most w/2 wide.  For Sqrt and
+    Root k = _width_bits(w), and the answer equals enclose(spec, w), since
+    [z, z + 1] / 2^K truncates to floor(2^k * value) / 2^k.  A constant kept
+    at K < k bits is enclosed again at max(k, 2K) bits, so a run makes a
+    number of kernel calls logarithmic in its final precision.
     """
 
     def __init__(self):
-        self._best = {}     # spec -> (bits, enclosure no wider than 2^-bits)
+        self._best = {}     # spec -> (K, L, H)
 
-    def enclose(self, spec, max_width) -> Enclosure:
+    def grid(self, spec, max_width) -> tuple[int, int, int]:
+        """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most max_width wide."""
         k = _width_bits(Fraction(max_width))
         if not isinstance(spec, (Sqrt, Root)):
             k += 2
-        bits, enc = self._best.get(spec, (-1, None))
+        bits, lo, hi = self._best.get(spec, (-1, 0, 0))
         if bits < k:
             bits = max(k, 2 * bits)
             # through the module global, so rebinding `enclose` sees the call
             enc = enclose(spec, Fraction(1, 1 << bits))
-            self._best[spec] = bits, enc
-        lo, hi = enc.lo, enc.hi
-        return Enclosure(Fraction((lo.numerator << k) // lo.denominator, 1 << k),
-                         Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k))
+            lo = (enc.lo.numerator << bits) // enc.lo.denominator
+            hi = -((-enc.hi.numerator << bits) // enc.hi.denominator)
+            self._best[spec] = bits, lo, hi
+        return k, lo >> (bits - k), -((-hi) >> (bits - k))
+
+    def enclose(self, spec, max_width) -> Enclosure:
+        k, lo, hi = self.grid(spec, max_width)
+        return Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
 
 
-def _enclosure(spec, max_width, cache):
-    return enclose(spec, max_width) if cache is None else cache.enclose(spec, max_width)
+def _positive(max_width) -> Fraction:
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    return max_width
 
 
 def pair_residual(p: int, q: int, c, max_width, cache=None) -> Enclosure:
     """Enclosure of q*value - p, no wider than max_width."""
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
+    max_width = _positive(max_width)
     if q == 0:
         return Enclosure.point(-p)
-    enc = _enclosure(c, max_width / abs(q), cache)
-    return enc * q - p
+    k, lo, hi = (cache or ConstantCache()).grid(c, max_width / abs(q))
+    if q < 0:
+        lo, hi = hi, lo
+    return Enclosure(Fraction(q * lo - (p << k), 1 << k), Fraction(q * hi - (p << k), 1 << k))
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     """Enclosure of sum(d_l * value^l), no wider than max_width."""
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
+    max_width = _positive(max_width)
     if form.is_zero():
         return Enclosure.point(0)
+    cache = cache or ConstantCache()
     poly = IntPolynomial(form.coeffs)
-    probe = _enclosure(c, Fraction(1, 4), cache)
-    box = probe.max_abs() + 1
+    box = cache.enclose(c, Fraction(1, 4)).max_abs() + 1
     slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(poly.coeffs) if i)
 
     def attempt(width):
-        acc = poly.eval_interval(_enclosure(c, width, cache))
-        return acc if acc.width <= max_width else None
+        acc = poly.eval_interval(cache.enclose(c, width))
+        (a, b), (x, y) = acc.lo.as_integer_ratio(), acc.hi.as_integer_ratio()
+        # acc.width <= max_width, cross-multiplied
+        fits = (x * b - a * y) * max_width.denominator <= max_width.numerator * b * y
+        return acc if fits else None
 
     return refine(attempt, max_width / (slope + 1), "power form residual")
 
@@ -311,21 +331,40 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
                   cache=None) -> Enclosure:
     """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d)."""
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
+    max_width = _positive(max_width)
     a, c, d = acd
+    cache = cache or ConstantCache()
     w = max_width / (2 * (abs(c) + abs(d) + 1))
-    cos_enc = _enclosure(CosOf(angle), w, cache)
-    sin_enc = _enclosure(SinOf(angle), w, cache)
-    return cos_enc * c - sin_enc * d - a
+    # two series constants at one width: both answers are on one grid 2^-k
+    k, cos_lo, cos_hi = cache.grid(CosOf(angle), w)
+    _, sin_lo, sin_hi = cache.grid(SinOf(angle), w)
+    if c < 0:
+        cos_lo, cos_hi = cos_hi, cos_lo
+    if d < 0:
+        sin_lo, sin_hi = sin_hi, sin_lo
+    return Enclosure(Fraction(c * cos_lo - d * sin_hi - (a << k), 1 << k),
+                     Fraction(c * cos_hi - d * sin_lo - (a << k), 1 << k))
 
 
-def _decided(enc: Enclosure, bound: Fraction):
-    """enc once it settles both checks against zero and the bound, else None."""
-    zero_decided = enc.excludes_zero() or enc.is_point
-    bound_decided = enc.max_abs() < bound or enc.min_abs() >= bound
-    return enc if zero_decided and bound_decided else None
+def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
+    """(nonzero_ok, bound_ok, decided) of enc against zero and the bound, by
+    integer products of numerators and (positive) denominators: zero is
+    excluded; |x| < bound on enc; zero is excluded or enc is a point, and
+    enc sits entirely below the bound or entirely at or above it."""
+    (a, b), (c, d) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    u, v = bound.as_integer_ratio()
+    nonzero = a > 0 or c < 0
+    below = abs(a) * v < u * b and abs(c) * v < u * d
+    # min |x| over enc is 0 when enc holds zero
+    above = abs(a) * v >= u * b and abs(c) * v >= u * d if nonzero else u <= 0
+    # an enclosure holding zero is a point only at zero
+    return nonzero, below, (nonzero or a == c == 0) and (below or above)
+
+
+def _decided(n: int, term: LinearForm, enc: Enclosure, bound: Fraction):
+    """Row n with residual enc once enc settles both checks, else None."""
+    nonzero_ok, bound_ok, decided = _checks(enc, bound)
+    return CertRow(n, term, enc, bound, nonzero_ok, bound_ok) if decided else None
 
 
 def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
@@ -438,12 +477,12 @@ FAMILIES = {
 }
 
 
-def _settle(term: LinearForm, c, bound: Fraction, width, what: str, cache):
-    """(enclosure, width) at the first of width, width/16, ... that decides the row."""
+def _settle(n: int, term: LinearForm, c, bound: Fraction, width, cache):
+    """(row, width) at the first of width, width/16, ... that decides row n."""
     def attempt(w):
-        enc = _decided(_residual_eval(term, c, w, cache), bound)
-        return None if enc is None else (enc, w)
-    return refine(attempt, width, what, shrink=16)
+        row = _decided(n, term, _residual_eval(term, c, w, cache), bound)
+        return None if row is None else (row, w)
+    return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16)
 
 
 def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
@@ -455,24 +494,17 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
     """
     def attempt(scale):
         if scale == 1:
-            a, b = first.residual, last.residual
+            a, b = first, last
         else:
-            a = _decided(_residual_eval(first.term, c, first_width * scale, cache),
-                         first.bound)
-            b = _decided(_residual_eval(last.term, c, last_width * scale, cache), last.bound)
+            a, b = (_decided(row.n, row.term, _residual_eval(row.term, c, width * scale, cache),
+                             row.bound)
+                    for row, width in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None
-        if b.max_abs() < a.min_abs() or b.min_abs() >= a.max_abs():
-            return (_row(first.n, first.term, a, first.bound),
-                    _row(last.n, last.term, b, last.bound))
-        return None
+        x, y = a.residual, b.residual
+        return (a, b) if y.max_abs() < x.min_abs() or y.min_abs() >= x.max_abs() else None
     return refine(attempt, Fraction(1), f"decay of row {last.n} against row {first.n}",
                   shrink=16)
-
-
-def _row(n: int, term: LinearForm, enc: Enclosure, bound: Fraction) -> CertRow:
-    return CertRow(n=n, term=term, residual=enc, bound=bound,
-                   nonzero_ok=enc.excludes_zero(), bound_ok=enc.max_abs() < bound)
 
 
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
@@ -528,11 +560,10 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     for n in range(1, n_max + 1):
         term, bound = row(c, hi, n)
         start = max_width if max_width is not None else bound / 1000 / 16 ** depth
-        enc, width = _settle(term, c, bound, start,
-                             f"residual at n={n} against zero and the bound", cache)
+        settled, width = _settle(n, term, c, bound, start, cache)
         # start / width is 16^t after t narrowings
         depth += (start / width).numerator.bit_length() // 4
-        rows.append(_row(n, term, enc, bound))
+        rows.append(settled)
         widths.append(width)
     first_bad = next((r.n for r in rows if not (r.nonzero_ok and r.bound_ok)), None)
     if first_bad is not None:

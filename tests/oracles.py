@@ -4,13 +4,17 @@ Everything here recomputes values along an independent path: quadratic and
 higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, and schoolbook
-bisection for square roots.  Agreement between a library value and its
-oracle twin is the point of most tests, so nothing in this file may call
-back into the code paths it checks.
+bisection for square roots, and interval arithmetic on `Enclosure`s for
+certificate residuals.  Agreement between a library value and its oracle
+twin is the point of most tests, so nothing in this file may call back into
+the code paths it checks.
 """
 
 from fractions import Fraction
-from math import comb, factorial, floor
+from math import ceil, comb, factorial, floor
+
+from irratcert.constants import Root, Sqrt, enclose
+from irratcert.enclosure import Enclosure
 
 
 def sqrt_ring_power(m: int, z: int, exponent: int) -> tuple[int, int]:
@@ -178,3 +182,67 @@ def fraction_bin_placements(lo: Fraction, hi: Fraction, n: int):
             return None
         placed.append((z, floor((a - z) * n)))
     return placed
+
+
+# Certificate residuals by `Enclosure` arithmetic, as verify first formed
+# them.  `enclose_at(width)` is the constant's enclosure at that width; the
+# library forms the same linear forms on integers on a dyadic grid.
+
+class FractionConstantCache:
+    """Per-run constant enclosures as Fractions: the kernel's enclosure at K
+    bits, rounded outward to the grid 2^-k by `floor` and `ceil`, with K
+    raised to max(k, 2K) on a miss.  k is the fewest bits with 2^-k <= the
+    width, plus two for every constant but a radical."""
+
+    def __init__(self):
+        self._best = {}
+
+    def enclose(self, spec, max_width) -> Enclosure:
+        max_width = Fraction(max_width)
+        k = max(0, max_width.denominator.bit_length() - max_width.numerator.bit_length() - 1)
+        while Fraction(1, 2 ** k) > max_width:
+            k += 1
+        if not isinstance(spec, (Sqrt, Root)):
+            k += 2
+        bits, enc = self._best.get(spec, (-1, None))
+        if bits < k:
+            bits = max(k, 2 * bits)
+            enc = enclose(spec, Fraction(1, 2 ** bits))
+            self._best[spec] = bits, enc
+        return Enclosure(Fraction(floor(enc.lo * 2 ** k), 2 ** k),
+                         Fraction(ceil(enc.hi * 2 ** k), 2 ** k))
+
+
+def enclosure_horner(coeffs, enc: Enclosure) -> Enclosure:
+    """Interval Horner evaluation of sum(coeffs[i] x^i) over enc."""
+    acc = Enclosure.point(0)
+    for c in reversed(coeffs):
+        acc = acc * enc + c
+    return acc
+
+
+def enclosure_pair_residual(p: int, q: int, enclose_at, max_width) -> Enclosure:
+    if q == 0:
+        return Enclosure.point(-p)
+    return enclose_at(Fraction(max_width) / abs(q)) * q - p
+
+
+def enclosure_trig_residual(acd, cos_at, sin_at, max_width) -> Enclosure:
+    a, c, d = acd
+    w = Fraction(max_width) / (2 * (abs(c) + abs(d) + 1))
+    return cos_at(w) * c - sin_at(w) * d - a
+
+
+def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
+    """Horner at width max_width / (slope + 1), halved until the result fits."""
+    max_width = Fraction(max_width)
+    if not any(coeffs):
+        return Enclosure.point(0)
+    box = enclose_at(Fraction(1, 4)).max_abs() + 1
+    slope = sum(abs(c) * i * box ** (i - 1) for i, c in enumerate(coeffs) if i)
+    width = max_width / (slope + 1)
+    while True:
+        acc = enclosure_horner(coeffs, enclose_at(width))
+        if acc.width <= max_width:
+            return acc
+        width /= 2

@@ -5,21 +5,30 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irratcert import verify
 from irratcert.algebraic import PowerForm
 from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
-                                 Root, SinInv, Sqrt)
+                                 Root, SinInv, SinOf, Sqrt)
+from irratcert.enclosure import Enclosure
+from irratcert.intpoly import IntPolynomial
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              niven_poly)
 from irratcert.sequences import e_approximant
-from irratcert.verify import (PAIR, Certificate, LinearForm, certify,
-                              integral_exp_poly, integral_sin_poly,
-                              pair_residual, power_form_residual,
-                              trig_residual)
+from irratcert.verify import (FAMILIES, PAIR, Certificate, ConstantCache,
+                              LinearForm, certify, integral_exp_poly,
+                              integral_sin_poly, pair_residual,
+                              power_form_residual, trig_residual)
 
-from oracles import cos_bracket, sin_bracket
+from oracles import (FractionConstantCache, cos_bracket, enclosure_horner,
+                     enclosure_pair_residual, enclosure_power_form_residual,
+                     enclosure_trig_residual, sin_bracket)
+from test_kernel import KINDS
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_pair_residual_sqrt_exact_containment():
@@ -359,3 +368,145 @@ def test_integral_zero_poly():
     zero = RationalPolynomial((Fraction(0),))
     assert integral_exp_poly(2, zero, Fraction(1, 100)).is_point
     assert integral_sin_poly(2, zero, Fraction(1, 100)).is_point
+
+
+# ---------------------------------------------------------------------------
+# The residuals are formed on integers on a dyadic grid; they must equal the
+# Enclosure arithmetic of the references in oracles.py exactly, with the
+# constant taken from a Fraction-rounding cache fed the same requests.
+
+residual_widths = st.builds(lambda k, num, den: Fraction(num, den << k),
+                            st.integers(0, 300), st.integers(1, 1000), st.integers(1, 1000))
+multipliers = st.sampled_from((0, 1, -1)) | st.integers(-2 ** 90, 2 ** 90)
+TRIG_ANGLES = (Fraction(22, 7), Fraction(-31, 2), Fraction(1, 3), Fraction(1, 2))
+
+
+def _caches(shared):
+    """(cache, reference) for one run: one cache each, or fresh ones per call."""
+    if shared:
+        return ConstantCache(), FractionConstantCache()
+    return None, None
+
+
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), shared=st.booleans(),
+       calls=st.lists(st.tuples(multipliers, multipliers, residual_widths), min_size=1,
+                      max_size=6))
+@example(kind=KINDS[2], shared=True, calls=[(5, 0, Fraction(1, 10)), (7, -3, Fraction(1, 999)),
+                                           (-7, 3, Fraction(1, 3)), (0, -1, Fraction(5))])
+def test_pair_residual_equals_enclosure_arithmetic(kind, shared, calls):
+    spec = kind[0]
+    cache, ref = _caches(shared)
+    for p, q, w in calls:
+        at = (ref or FractionConstantCache()).enclose
+        assert pair_residual(p, q, spec, w, cache) == \
+            enclosure_pair_residual(p, q, lambda x: at(spec, x), w)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), shared=st.booleans(),
+       calls=st.lists(st.tuples(st.lists(multipliers, max_size=5), residual_widths),
+                      min_size=1, max_size=4))
+@example(kind=KINDS[1], shared=True, calls=[([0, 0, 0], Fraction(1, 100)),
+                                           ([19, -5, -8], Fraction(1, 10 ** 15))])
+def test_power_form_residual_equals_enclosure_arithmetic(kind, shared, calls):
+    spec = kind[0]
+    cache, ref = _caches(shared)
+    for coeffs, w in calls:
+        at = (ref or FractionConstantCache()).enclose
+        assert power_form_residual(PowerForm(coeffs), spec, w, cache) == \
+            enclosure_power_form_residual(coeffs, lambda x: at(spec, x), w)
+
+
+@PROPERTY
+@given(angle=st.sampled_from(TRIG_ANGLES), shared=st.booleans(),
+       calls=st.lists(st.tuples(multipliers, multipliers, multipliers, residual_widths),
+                      min_size=1, max_size=6))
+@example(angle=Fraction(1, 2), shared=True,
+         calls=[(a, c, d, Fraction(1, 10 ** 6)) for a in (-1, 2) for c in (-3, 0, 2)
+                for d in (-5, 0, 4)])
+def test_trig_residual_equals_enclosure_arithmetic(angle, shared, calls):
+    cache, ref = _caches(shared)
+    for a, c, d, w in calls:
+        at = (ref or FractionConstantCache()).enclose
+        assert trig_residual((a, c, d), angle, w, cache) == enclosure_trig_residual(
+            (a, c, d), lambda x: at(CosOf(angle), x), lambda x: at(SinOf(angle), x), w)
+
+
+def _rationals(limit=10 ** 6, den=10 ** 6):
+    return st.builds(Fraction, st.integers(-limit, limit), st.integers(1, den))
+
+
+@PROPERTY
+@given(ends=st.lists(_rationals(), min_size=2, max_size=2),
+       coeffs=st.lists(multipliers, max_size=6))
+@example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2])
+@example(ends=[Fraction(1, 3), Fraction(1, 3)], coeffs=[0, 0, -7])
+def test_eval_interval_equals_enclosure_horner(ends, coeffs):
+    box = Enclosure(min(ends), max(ends))
+    assert IntPolynomial(coeffs).eval_interval(box) == enclosure_horner(coeffs, box)
+
+
+@st.composite
+def _enclosure_and_bound(draw):
+    """An enclosure whose endpoints are often exactly 0 or +-bound, and a bound."""
+    bound = draw(st.just(Fraction(0)) | _rationals(10 ** 4, 10 ** 3).map(abs))
+    end = st.sampled_from((0, bound, -bound)) | _rationals(10 ** 4, 10 ** 3)
+    lo = draw(end)
+    hi = draw(st.just(lo) | end)
+    return Enclosure(min(lo, hi), max(lo, hi)), bound
+
+
+@PROPERTY
+@given(case=_enclosure_and_bound())
+@example(case=(Enclosure.point(0), Fraction(1, 2)))
+@example(case=(Enclosure.point(0), Fraction(0)))
+@example(case=(Enclosure(Fraction(-1, 2), Fraction(1, 2)), Fraction(1, 2)))
+@example(case=(Enclosure(Fraction(0), Fraction(1, 2)), Fraction(1, 2)))
+@example(case=(Enclosure.point(Fraction(-3, 7)), Fraction(3, 7)))
+def test_checks_agree_with_enclosure_predicates(case):
+    enc, bound = case
+    nonzero_ok, bound_ok, decided = verify._checks(enc, bound)
+    assert nonzero_ok == enc.excludes_zero()
+    assert bound_ok == (enc.max_abs() < bound)
+    assert decided == ((enc.excludes_zero() or enc.is_point)
+                       and (enc.max_abs() < bound or enc.min_abs() >= bound))
+
+
+FAMILY_CONSTANTS = {
+    "sqrt": Sqrt(2), "root": Root(2, 3), "e": E(), "inv-e": InvE(),
+    "e-squared": EPow(2), "e-squared-naive": EPow(2), "e-pow": EPow(3),
+    "e-rat": ERational(Fraction(-1, 2)), "sin-inv": SinInv(2), "cos-inv": CosInv(1),
+    "trig-angle": CosOf(Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_certify_does_no_enclosure_arithmetic(monkeypatch, family):
+    # every residual and both of its checks are computed on integers
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__"):
+        def counting(*args, _op=getattr(Enclosure, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Enclosure, name, counting)
+    certify(family, FAMILY_CONSTANTS[family], 12)
+    assert calls == []
+
+
+def test_from_json_rejects_an_empty_row_list():
+    text = _edited("e", E(), 2, lambda d: d.__setitem__("rows", []))
+    with pytest.raises(ValueError, match="'rows' must hold at least one row"):
+        Certificate.from_json(text)
+
+
+def test_from_json_rejects_mixed_layouts():
+    root_row = json.loads(certify("root", Root(2, 3), 2).to_json())["rows"][1]
+    text = _edited("e", E(), 3, lambda d: d["rows"].__setitem__(1, root_row))
+    with pytest.raises(ValueError, match="row 2 lacks the field 'p'"):
+        Certificate.from_json(text)
+    trig_row = json.loads(certify("trig-angle", CosOf(Fraction(1, 2)), 3).to_json())["rows"][2]
+    text = _edited("root", Root(2, 3), 3, lambda d: d["rows"].__setitem__(2, trig_row))
+    with pytest.raises(ValueError, match="row 3 lacks the field 'coeffs'"):
+        Certificate.from_json(text)
