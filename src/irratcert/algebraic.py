@@ -58,22 +58,24 @@ def reduce_power_form(modulus: IntPolynomial, c: Sequence[int]) -> PowerForm:
     return PowerForm(tuple(work))
 
 
+def multiply_forms(modulus: IntPolynomial, x: Sequence[int], y: Sequence[int]) -> PowerForm:
+    """Power form of the product of the combinations x and y, reduced by the modulus."""
+    work = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            work[i + j] += a * b
+    return reduce_power_form(modulus, work)
+
+
 def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
     """Power form of (alpha - z)**n reduced by the modulus, by repeated squaring."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
     acc = reduce_power_form(modulus, (1,)).coeffs
     for bit in bin(n)[2:]:
-        work = [0] * (2 * len(acc) - 1)
-        for i, a in enumerate(acc):
-            for j, b in enumerate(acc):
-                work[i + j] += a * b
-        if bit == "1":
-            # times (alpha - z): shift up one power, subtract z times the unshifted
-            work = [0] + work
-            for i in range(len(work) - 1):
-                work[i] -= z * work[i + 1]
-        acc = reduce_power_form(modulus, work).coeffs
+        # on a 1 bit, times (alpha - z): shift up one power, subtract z times the unshifted
+        other = acc if bit == "0" else [s - z * a for s, a in zip((0, *acc), (*acc, 0))]
+        acc = multiply_forms(modulus, acc, other).coeffs
     return PowerForm(acc)
 
 

@@ -23,7 +23,7 @@ from .constants import (CosInv, CosOf, EPow, ERational, Root, SinInv, Sqrt,
 from .errors import IrratCertError
 from .intpoly import IntPolynomial
 from .pigeonhole import fractional_residual, pigeonhole_approximant
-from .verify import FAMILIES, _decimal, _frac_str, certify
+from .verify import FAMILIES, _decimal, _digits, _frac_str, certify
 
 
 class _UsageError(Exception):
@@ -93,6 +93,13 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"{flag} must be a rational like 3/5, got {text!r}") from None
+
+
+def _parse_poly(text: str, flag: str) -> IntPolynomial:
+    try:
+        return IntPolynomial.from_csv(text)
+    except ValueError:
+        raise _UsageError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 # constant kind -> the flag behind each argument of its constructor
@@ -169,15 +176,15 @@ def _cmd_pigeonhole(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    modulus = IntPolynomial.from_csv(args.modulus)
-    coeffs = IntPolynomial.from_csv(args.coeffs)
+    modulus = _parse_poly(args.modulus, "--modulus")
+    coeffs = _parse_poly(args.coeffs, "--coeffs")
     form = reduce_power_form(modulus, coeffs.coeffs)
-    print(",".join(str(x) for x in form.coeffs))
+    print(",".join(_digits(x) for x in form.coeffs))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    poly = IntPolynomial.from_csv(args.poly)
+    poly = _parse_poly(args.poly, "--poly")
     for verdict in classify_roots(poly):
         lo, hi = verdict.bracket.lo, verdict.bracket.hi
         if verdict.is_irrational:

@@ -394,5 +394,6 @@ def parse_constant(text: str) -> ConstantSpec:
     except (ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, (PerfectPowerError, ZeroExponentError, BracketAmbiguousError)):
             raise
-        raise ValueError(f"malformed constant spec {text!r}: {exc}") from exc
+        detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"malformed constant spec {text!r}: {detail}") from exc
     raise ValueError(f"unrecognized constant spec {text!r}")

@@ -1,18 +1,22 @@
 """Closed-form approximant generators and the sequence transformation rules.
 
-Each generator returns, for one 1-based index n, the exact integer pair
-(p, q) of its construction together with the explicit upper bound that
-construction guarantees for |q*value - p|.  Pairs are used exactly as
-built; nothing is reduced to lowest terms.
+Each construction is one generator of its rows n = 1, 2, ...: the exact
+integers of the construction together with the explicit upper bound it
+guarantees for |q*value - p|.  Row n is built from row n-1 by a fixed
+recurrence, a few multiplications of big integers by small ones, so a run
+over n rows costs about n such steps.  The per-n functions return row n of
+the same generator.  Pairs are used exactly as built; nothing is reduced to
+lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import factorial, isqrt
 
-from .algebraic import PowerForm, monic_certificate
+from .algebraic import PowerForm, monic_certificate, multiply_forms
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
 from .errors import (CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
@@ -52,100 +56,113 @@ class BoundedBy:
             raise ValueError("bound must be positive")
 
 
-def _nested(ratios) -> int:
-    """1 + r_K (1 + r_(K-1) (... (1 + r_1))) for ratios r_1 .. r_K in order.
+def _nth(rows, n: int):
+    """Row n (1-based) of a row generator."""
+    check_index(n)
+    return next(islice(rows, n - 1, None))
 
-    A sum T_0 + ... + T_K with T_(i-1) = r_i T_i is T_K times this: Horner's
-    rule from the top term, one small multiplication per term.
-    """
-    acc = 1
-    for r in ratios:
-        acc = 1 + r * acc
-    return acc
+
+def root_forms(a: int, m: int):
+    """(d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1), z the floor:
+    (t - z)**(m-1) modulo t**m - a, then each row times (t - z)**m, reduced."""
+    Root(a, m)
+    modulus = IntPolynomial((-a,) + (0,) * (m - 1) + (1,))
+    z = integer_nth_root(a, m)
+    step = monic_certificate(modulus, z, m).coeffs
+    form = monic_certificate(modulus, z, m - 1)
+    while True:
+        yield form
+        form = multiply_forms(modulus, form.coeffs, step)
+
+
+def sqrt_rows(m: int, hi):
+    """The root forms (d_0, d_1) of sqrt(m) read as p = -d_0, q = d_1, so that
+    q*sqrt(m) - p = (sqrt(m) - z)**(2n-1) > 0 exactly; hi is an upper bound on sqrt(m)."""
+    Sqrt(m)
+    base = hi - isqrt(m)
+    for n, (d0, d1) in enumerate((form.coeffs for form in root_forms(m, 2)), 1):
+        yield Approximant(n, -d0, d1), BoundedBy(base ** (2 * n - 1))
+
+
+def factorial_rows(s: int):
+    """p = sum(s**i * n!/i!), q = n! as p_n = n p_(n-1) + s**n: for s = 1 the e sums,
+    1/(n+1) < q*e - p < 1/n; for s = -1 the 1/e sums, 0 < |q/e - p| < 1/n."""
+    for n, p, q in _factorial_sums(s):
+        yield Approximant(n, p, q), BoundedBy(Fraction(1, n))
+
+
+def _factorial_sums(s: int):
+    """(n, p, q) of factorial_rows(s) as bare integers."""
+    p = q = 1
+    for n in count(1):
+        p, q = n * p + s ** n, n * q
+        yield n, p, q
+
+
+def e_squared_rows(e2_hi):
+    """The e chain composed with the reciprocal 1/e chain at index 2n, both
+    advanced two indices per row: p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!),
+    and 0 < q*e^2 - p < (e^2 + 1)/(2n), e2_hi an upper bound on e^2."""
+    outer = islice(_factorial_sums(1), 1, None, 2)
+    inner = islice(_factorial_sums(-1), 1, None, 2)
+    for (k, p, q), (_, p1, q1) in zip(outer, inner):
+        chained = compose_chain(Approximant(k, p, q), reciprocal(Approximant(k, p1, q1)))
+        yield Approximant(k // 2, chained.p, chained.q), BoundedBy((e2_hi + 1) / k)
+
+
+def trig_rows(m: int, first: int):
+    """Sine (first = 3) or cosine (first = 2) series at 1/m: row n has N = first + 4(n-1),
+    q = m^N N!, and p is q times the terms of order below N + 2, so the tail groups into
+    positive pairs: 0 < q*value - p < 1/(m^2 (N+1)^2 - 1).  Row 1 has p = N(N-1) m^2 - 1;
+    the next row is F = (N+1)(N+2)(N+3)(N+4) m^4 times it plus (N+3)(N+4) m^2 - 1 in p."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    mm, big_n = m * m, first
+    p, q = big_n * (big_n - 1) * mm - 1, m ** big_n * factorial(big_n)
+    for n in count(1):
+        yield Approximant(n, p, q), BoundedBy(Fraction(1, mm * (big_n + 1) ** 2 - 1))
+        f = (big_n + 1) * (big_n + 2) * (big_n + 3) * (big_n + 4) * mm * mm
+        p, q = f * p + (big_n + 3) * (big_n + 4) * mm - 1, f * q
+        big_n += 4
 
 
 def sqrt_approximant(m: int, n: int, hi=None) -> tuple[Approximant, BoundedBy]:
-    """The root form (d_0, d_1) of sqrt(m) read as a pair: p = -d_0, q = d_1.
-
-    Then q*sqrt(m) - p equals (sqrt(m) - z)**(2n-1), z = floor(sqrt(m))
-    exactly: a strictly positive quantity shrinking geometrically.  A caller
-    holding hi = enclose(Sqrt(m), _BOUND_WIDTH).hi may pass it in.
-    """
+    """Row n of sqrt_rows(m, hi); hi defaults to enclose(Sqrt(m), _BOUND_WIDTH).hi."""
     check_index(n)
-    spec = Sqrt(m)
-    d0, d1 = mth_root_form(m, 2, n).coeffs
-    hi = enclose(spec, _BOUND_WIDTH).hi if hi is None else hi
-    bound = (hi - isqrt(m)) ** (2 * n - 1)
-    return Approximant(n, -d0, d1), BoundedBy(bound)
+    hi = enclose(Sqrt(m), _BOUND_WIDTH).hi if hi is None else hi
+    return _nth(sqrt_rows(m, hi), n)
 
 
 def mth_root_form(a: int, m: int, n: int) -> PowerForm:
-    """Coefficients (d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1)."""
-    check_index(n)
-    Root(a, m)
-    modulus = IntPolynomial((-a,) + (0,) * (m - 1) + (1,))
-    return monic_certificate(modulus, integer_nth_root(a, m), m * n - 1)
+    """Row n of root_forms(a, m): the power form of (a**(1/m) - z)**(mn-1)."""
+    return _nth(root_forms(a, m), n)
 
 
 def e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """p = sum(n!/i!), q = n!; then 1/(n+1) < q*e - p < 1/n."""
-    check_index(n)
-    p = _nested(range(1, n + 1))
-    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
+    return _nth(factorial_rows(1), n)
 
 
 def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """Alternating partial sum: p = sum((-1)^i n!/i!), q = n!."""
-    check_index(n)
-    p = (-1) ** n * _nested(range(-1, -n - 1, -1))
-    return Approximant(n, p, factorial(n)), BoundedBy(Fraction(1, n))
+    return _nth(factorial_rows(-1), n)
 
 
 def e_squared_approximant(n: int, e2_hi=None) -> tuple[Approximant, BoundedBy]:
-    """Composition of the e chain with the reciprocal 1/e chain at index 2n.
-
-    p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!); the residual q*e^2 - p is
-    strictly positive and below (e^2 + 1)/(2n).  e2_hi is as hi in sqrt_approximant.
-    """
+    """Row n of e_squared_rows(e2_hi); e2_hi defaults to an upper bound on e^2."""
     check_index(n)
-    chained = compose_chain(e_approximant(2 * n)[0], reciprocal(inv_e_approximant(2 * n)[0]))
     e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi if e2_hi is None else e2_hi
-    return (Approximant(n, chained.p, chained.q),
-            BoundedBy((e2_hi + 1) / (2 * n)))
+    return _nth(e_squared_rows(e2_hi), n)
 
 
 def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
-    """Truncated sine series cleared of denominators at x = 1/m.
-
-    q = m^(4n-1) (4n-1)!, p = sum over k < 2n of (4n-1)!/(2k+1)! (-1)^k m^(4n-2k-2);
-    the tail groups into positive pairs, giving 0 < q*sin(1/m) - p and the
-    geometric bound 1/(m^2 (4n)^2 - 1).
-    """
-    check_index(n)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    q = m ** (4 * n - 1) * factorial(4 * n - 1)
-    # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k)(2k+1) m^2
-    p = -_nested(-(2 * k) * (2 * k + 1) * m * m for k in range(1, 2 * n))
-    bound = Fraction(1, m * m * (4 * n) ** 2 - 1)
-    return Approximant(n, p, q), BoundedBy(bound)
+    """Sine series at 1/m: q = m^(4n-1) (4n-1)!, bound 1/(m^2 (4n)^2 - 1)."""
+    return _nth(trig_rows(m, 3), n)
 
 
 def cos_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
-    """Cosine analogue: q = m^(4n-2) (4n-2)!, even factorials in p.
-
-    The grouped tail is positive exactly as in the sine case; the factor
-    products now start at 4n-1, so the geometric bound is
-    1/(m^2 (4n-1)^2 - 1).
-    """
-    check_index(n)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    q = m ** (4 * n - 2) * factorial(4 * n - 2)
-    # the top term (k = 2n-1) is -1; term k-1 is term k times -(2k-1)(2k) m^2
-    p = -_nested(-(2 * k - 1) * (2 * k) * m * m for k in range(1, 2 * n))
-    bound = Fraction(1, m * m * (4 * n - 1) ** 2 - 1)
-    return Approximant(n, p, q), BoundedBy(bound)
+    """Cosine series at 1/m: q = m^(4n-2) (4n-2)!, bound 1/(m^2 (4n-1)^2 - 1)."""
+    return _nth(trig_rows(m, 2), n)
 
 
 # ---------------------------------------------------------------------------

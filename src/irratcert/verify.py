@@ -19,6 +19,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count, islice
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -29,9 +31,11 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
 from .enclosure import Enclosure, refine
 from .intpoly import IntPolynomial
 from .niven import exp_functional_int, exp_functional_rational, trig_functional
+# the per-n functions (*_approximant, mth_root_form) are unused here; perfbench traces them
 from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
-                        e_squared_approximant, inv_e_approximant, mth_root_form,
-                        sin_inv_m_approximant, sqrt_approximant)
+                        e_squared_approximant, e_squared_rows, factorial_rows,
+                        inv_e_approximant, mth_root_form, root_forms,
+                        sin_inv_m_approximant, sqrt_approximant, sqrt_rows, trig_rows)
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,13 @@ class Layout:
 
     def json_fields(self, ints: tuple[int, ...]) -> dict:
         if self.vector:
-            return {self.fields[0]: [str(x) for x in ints]}
-        return {name: str(x) for name, x in zip(self.fields, ints)}
+            return {self.fields[0]: [_digits(x) for x in ints]}
+        return {name: _digits(x) for name, x in zip(self.fields, ints)}
 
     def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
         if self.vector:
-            return [";".join(str(x) for x in ints)]
-        return [str(x) for x in ints]
+            return [";".join(_digits(x) for x in ints)]
+        return [_digits(x) for x in ints]
 
     def read(self, d: dict) -> tuple[int, ...]:
         if self.vector:
@@ -161,8 +165,29 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
+def _digits(x: int) -> str:
+    """str(x), also where x has more digits than the interpreter converts at
+    once (sys.get_int_max_str_digits): there x is split by a power of 10."""
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 3 // 20     # about half of x's decimal digits
+        high, low = divmod(abs(x), 10 ** half)
+        return "-" * (x < 0) + _digits(high) + _digits(low).zfill(half)
+
+
+def _from_digits(text: str) -> int:
+    """int(text) for a string matching -?[0-9]+, split as in _digits."""
+    try:
+        return int(text)
+    except ValueError:
+        half = len(text) // 2
+        low = _from_digits(text[-half:])
+        return _from_digits(text[:-half]) * 10 ** half + (-low if text[0] == "-" else low)
+
+
 def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{_digits(fr.numerator)}/{_digits(fr.denominator)}"
 
 
 def _decimal(fr: Fraction, places: int = 10) -> str:
@@ -176,7 +201,7 @@ def _decimal(fr: Fraction, places: int = 10) -> str:
         d, rem = divmod(rem, fr.denominator)
         digits.append(str(d))
     suffix = "" if rem == 0 else ".."
-    return f"{sign}{whole}." + "".join(digits) + suffix
+    return f"{sign}{_digits(whole)}." + "".join(digits) + suffix
 
 
 def _bool_str(flag: bool) -> str:
@@ -185,6 +210,7 @@ def _bool_str(flag: bool) -> str:
 
 _JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
 _DECIMAL = re.compile(r"-?[0-9]+")
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _field(d: dict, name: str, kind=object):
@@ -202,15 +228,16 @@ def _field(d: dict, name: str, kind=object):
 def _integer(value, name: str) -> int:
     """An integer field, written as a JSON integer or a decimal string."""
     if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        return _from_digits(value) if isinstance(value, str) else value
     raise ValueError(f"certificate field {name!r} must be an integer or a decimal "
                      f"string, got {value!r}")
 
 
 def _rational(d: dict, name: str) -> Fraction:
     text = _field(d, name, str)
+    ratio = _RATIO.fullmatch(text)
     try:
-        return Fraction(text)
+        return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2])) if ratio else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"certificate field {name!r} must be a rational like 3/4, "
                          f"got {text!r}") from None
@@ -373,33 +400,38 @@ def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
 
 # ---------------------------------------------------------------------------
 # Families.  Each names the constant kind it certifies (a class, or the one
-# constant it certifies), row(c, hi, n) -> (form, bound), where hi is a
-# coarse upper enclosure of the constant shared by every row, and the
-# construction behind it.  Generators are looked up at call time, so
-# rebinding them on this module takes effect.
+# constant it certifies), rows(c, hi) -> an iterator of (form, bound) for
+# n = 1, 2, ..., where hi is a coarse upper enclosure of the constant shared
+# by every row, and the construction behind it.  The Niven functionals are
+# looked up at call time, so rebinding them on this module takes effect.
 
 class Family(NamedTuple):
     kind: object
-    row: Callable
+    rows: Callable
     doc: str
 
 
-def _pair(approximant_and_bound):
-    app, bb = approximant_and_bound
-    return LinearForm(PAIR, (app.p, app.q)), bb.bound
+def _pairs(rows):
+    return ((LinearForm(PAIR, (app.p, app.q)), bb.bound) for app, bb in rows)
 
 
-def _root_row(c, hi, n):
-    form = mth_root_form(c.a, c.m, n)
-    return LinearForm(FORM, form.coeffs), (hi - integer_nth_root(c.a, c.m)) ** (c.m * n - 1)
+def _root_rows(c, hi):
+    base = hi - integer_nth_root(c.a, c.m)
+    for n, form in enumerate(root_forms(c.a, c.m), 1):
+        yield LinearForm(FORM, form.coeffs), base ** (c.m * n - 1)
 
 
-def _e_squared_naive_row(c, hi, n):
+def _e_squared_naive_rows(c, hi):
     # squaring a nice approximation of e term by term; the residual
     # q^2 e^2 - p^2 = (q e + p)(q e - p) grows at least like n!/(n+1),
     # so this family exists to be refuted
-    app, _ = e_approximant(n)
-    return LinearForm(PAIR, (app.p ** 2, app.q ** 2)), Fraction(1, n)
+    for app, bb in factorial_rows(1):
+        yield LinearForm(PAIR, (app.p ** 2, app.q ** 2)), bb.bound
+
+
+def _each_n(row):
+    """rows(c, hi) of a family built one index at a time by row(c, hi, n)."""
+    return lambda c, hi: map(partial(row, c, hi), count(1))
 
 
 def _e_pow_row(c, hi, n):
@@ -423,53 +455,53 @@ def _trig_angle_row(c, hi, n):
 
 FAMILIES = {
     "sqrt": Family(
-        Sqrt, lambda c, hi, n: _pair(sqrt_approximant(c.m, n, hi)),
+        Sqrt, lambda c, hi: _pairs(sqrt_rows(c.m, hi)),
         "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
         "z = floor(sqrt(m)); residual equals that power exactly, so it is "
         "positive and shrinks geometrically; bound is an upper enclosure of it."),
     "root": Family(
-        Root, _root_row,
+        Root, _root_rows,
         "coefficient vector of (a^(1/m) - z)^(mn-1) reduced below degree m; "
         "the combination sum(d_l a^(l/m)) equals that positive power; "
         "bound is an upper enclosure of it."),
     "e": Family(
-        E, lambda c, hi, n: _pair(e_approximant(n)),
+        E, lambda c, hi: _pairs(factorial_rows(1)),
         "p = sum(n!/i!), q = n!; the residual q e - p is the factorial tail, "
         "strictly between 1/(n+1) and 1/n."),
     "inv-e": Family(
-        InvE, lambda c, hi, n: _pair(inv_e_approximant(n)),
+        InvE, lambda c, hi: _pairs(factorial_rows(-1)),
         "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
         "residual is the alternating tail, nonzero with |.| < 1/n."),
     "e-squared": Family(
-        EPow(2), lambda c, hi, n: _pair(e_squared_approximant(n, hi)),
+        EPow(2), lambda c, hi: _pairs(e_squared_rows(hi)),
         "chains the e pair at index 2n with the reciprocal 1/e pair; "
         "q e^2 - p is positive and below (e^2 + 1)/(2n)."),
     "e-squared-naive": Family(
-        EPow(2), _e_squared_naive_row,
+        EPow(2), _e_squared_naive_rows,
         "squares the e pair term by term; the residual "
         "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
         "certificate is expected to come back violated."),
     "e-pow": Family(
-        EPow, _e_pow_row,
+        EPow, _each_n(_e_pow_row),
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
         "positive and below e^k k^(2n+1)/n!."),
     "e-rat": Family(
-        ERational, _e_rat_row,
+        ERational, _each_n(_e_rat_row),
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
         "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
     "sin-inv": Family(
-        SinInv, lambda c, hi, n: _pair(sin_inv_m_approximant(c.m, n)),
+        SinInv, lambda c, hi: _pairs(trig_rows(c.m, 3)),
         "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
         "the grouped tail keeps q sin(1/m) - p positive, below "
         "1/(m^2 (4n)^2 - 1)."),
     "cos-inv": Family(
-        CosInv, lambda c, hi, n: _pair(cos_inv_m_approximant(c.m, n)),
+        CosInv, lambda c, hi: _pairs(trig_rows(c.m, 2)),
         "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
         "below 1/(m^2 (4n-1)^2 - 1)."),
     "trig-angle": Family(
-        CosOf, _trig_angle_row,
+        CosOf, _each_n(_trig_angle_row),
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
@@ -508,7 +540,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
 
 
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
-    """Certificate for rows n = 1 .. n_max of the given family.
+    """Certificate for rows n = 1 .. n_max: the first n_max of the family's rows(c, hi).
 
     Per row the residual enclosure is computed at width bound/1000/16^r (or
     the override), then narrowed by 16 until both checks are decided: zero
@@ -540,7 +572,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     try:
-        kind, row, _ = FAMILIES[family]
+        kind, rows_of, _ = FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; known families: {known}") from None
@@ -557,8 +589,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     cache = ConstantCache()
     rows, widths = [], []
     depth = 0
-    for n in range(1, n_max + 1):
-        term, bound = row(c, hi, n)
+    for n, (term, bound) in enumerate(islice(rows_of(c, hi), n_max), 1):
         start = max_width if max_width is not None else bound / 1000 / 16 ** depth
         settled, width = _settle(n, term, c, bound, start, cache)
         # start / width is 16^t after t narrowings

@@ -248,6 +248,12 @@ def test_reduce_subcommand(capsys):
     assert main(["reduce", "--modulus", "1,2", "--coeffs", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[NotMonicError]")
+    # x^10000 = 9^5000 modulo x^2 - 9: 4,772 digits, past the interpreter's
+    # default limit of 4,300 on int-to-str conversion
+    assert main(["reduce", "--modulus=-9,0,1", "--coeffs=" + "0," * 10000 + "1"]) == 0
+    high, low = capsys.readouterr().out.strip().split(",")
+    assert (len(high), int(high[:40]), int(high[-40:]), low) == (
+        4772, 9 ** 5000 // 10 ** 4732, 9 ** 5000 % 10 ** 40, "0")
 
 
 def test_fracpart_subcommand(capsys):
@@ -275,6 +281,15 @@ def test_missing_flags_are_usage_errors(capsys):
     assert "subcommand" in capsys.readouterr().err
     assert main(["cert", "--family", "trig-angle", "--angle", "22/7"]) == 1
     assert capsys.readouterr().err.startswith("error[AngleOutOfRangeError]")
+    assert main(["classify", "--poly=1,x"]) == 1
+    assert capsys.readouterr().err == (
+        "error[usage]: --poly must be comma-separated integers, got '1,x'\n")
+    assert main(["reduce", "--modulus=-2,0,1", "--coeffs=1,,2"]) == 1
+    assert capsys.readouterr().err == (
+        "error[usage]: --coeffs must be comma-separated integers, got '1,,2'\n")
+    assert main(["reduce", "--modulus=-2,y,1", "--coeffs=1,2"]) == 1
+    assert capsys.readouterr().err == (
+        "error[usage]: --modulus must be comma-separated integers, got '-2,y,1'\n")
 
 
 # back-to-back requests across subcommands, with usage errors between them

@@ -183,5 +183,8 @@ def test_parse_errors():
         parse_constant("sin:0")
     with pytest.raises(ValueError):
         parse_constant("what:7")
+    for text in ("cos:1/0", "e-rat:3/0", "algroot:-2,0,1@0,1/0"):
+        with pytest.raises(ValueError, match=f"spec '{text}': zero denominator$"):
+            parse_constant(text)
     with pytest.raises(ValueError):
         parse_constant("")

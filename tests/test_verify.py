@@ -1,6 +1,7 @@
 """Tests for residual evaluation, certificates, and their serialization."""
 
 import json
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -8,16 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irratcert import verify
+from irratcert import algebraic, verify
 from irratcert.algebraic import PowerForm
 from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
-                                 Root, SinInv, SinOf, Sqrt)
+                                 Root, SinInv, SinOf, Sqrt, enclose,
+                                 integer_nth_root)
 from irratcert.enclosure import Enclosure
 from irratcert.intpoly import IntPolynomial
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              niven_poly)
-from irratcert.sequences import e_approximant
+from irratcert.sequences import (_BOUND_WIDTH, cos_inv_m_approximant,
+                                 e_approximant, e_squared_approximant,
+                                 inv_e_approximant, mth_root_form,
+                                 sin_inv_m_approximant, sqrt_approximant)
 from irratcert.verify import (FAMILIES, PAIR, Certificate, ConstantCache,
                               LinearForm, certify, integral_exp_poly,
                               integral_sin_poly, pair_residual,
@@ -510,3 +515,73 @@ def test_from_json_rejects_mixed_layouts():
     text = _edited("root", Root(2, 3), 3, lambda d: d["rows"].__setitem__(2, trig_row))
     with pytest.raises(ValueError, match="row 3 lacks the field 'coeffs'"):
         Certificate.from_json(text)
+
+
+def _per_n_row(family, c, hi, n):
+    """Row n of a closed family from its per-n public function: (ints, bound)."""
+    if family == "root":
+        z = integer_nth_root(c.a, c.m)
+        return mth_root_form(c.a, c.m, n).coeffs, (hi - z) ** (c.m * n - 1)
+    if family == "e-squared-naive":
+        app, _ = e_approximant(n)
+        return (app.p ** 2, app.q ** 2), Fraction(1, n)
+    app, bb = {
+        "sqrt": lambda: sqrt_approximant(c.m, n, hi),
+        "e": lambda: e_approximant(n),
+        "inv-e": lambda: inv_e_approximant(n),
+        "e-squared": lambda: e_squared_approximant(n, hi),
+        "sin-inv": lambda: sin_inv_m_approximant(c.m, n),
+        "cos-inv": lambda: cos_inv_m_approximant(c.m, n),
+    }[family]()
+    return (app.p, app.q), bb.bound
+
+
+@pytest.mark.parametrize("family, c", [
+    ("sqrt", Sqrt(2)), ("sqrt", Sqrt(13)), ("root", Root(7, 4)), ("root", Root(3, 5)),
+    ("e", E()), ("inv-e", InvE()), ("e-squared", EPow(2)), ("e-squared-naive", EPow(2)),
+    ("sin-inv", SinInv(1)), ("sin-inv", SinInv(3)), ("cos-inv", CosInv(2)),
+    ("cos-inv", CosInv(5)),
+])
+def test_certify_rows_equal_the_per_n_functions(family, c):
+    # certify walks each closed family's row generator; row n must be the
+    # per-n function's row n, and a second run must not see the first's state
+    cert = certify(family, c, 60)
+    hi = enclose(c, _BOUND_WIDTH).hi
+    for row in cert.rows:
+        assert (row.term.ints, row.bound) == _per_n_row(family, c, hi, row.n), row.n
+    assert [row.n for row in cert.rows] == list(range(1, 61))
+    assert certify(family, c, 60) == cert
+
+
+def test_root_rows_reduce_once_per_row(monkeypatch):
+    # row n is row n-1 times (t - z)^m, one reduction each; rebuilding
+    # every row by repeated squaring takes about nine
+    calls = []
+    reduce = algebraic.reduce_power_form
+
+    def counting(modulus, c):
+        calls.append(len(c))
+        return reduce(modulus, c)
+    monkeypatch.setattr(algebraic, "reduce_power_form", counting)
+    assert certify("root", Root(7, 4), 120).verdict == "nice"
+    assert 120 <= len(calls) <= 2 * 120
+
+
+def test_certificates_print_past_the_int_digit_limit():
+    # 400! has 869 digits, over the lowest limit the interpreter allows
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-str digits")
+    cert = certify("e", E(), 400)
+    full = cert.to_json(), cert.to_csv(), cert.to_table()
+    negative = -factorial(400) * 10 ** 300 - 7
+    negative_text = str(negative)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert (cert.to_json(), cert.to_csv(), cert.to_table()) == full
+        assert Certificate.from_json(full[0]) == cert
+        assert verify._digits(negative) == negative_text
+        assert verify._from_digits(negative_text) == negative
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(factorial(400)) in full[0]
