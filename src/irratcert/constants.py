@@ -20,7 +20,7 @@ from typing import Union
 from .enclosure import Enclosure, refine
 from .errors import (BracketAmbiguousError, PerfectPowerError,
                      PrecisionExhausted, Unresolvable, ZeroExponentError)
-from .intpoly import IntPolynomial, bisect_root, count_roots_between
+from .intpoly import IntPolynomial, _digits, _from_digits, bisect_root, count_roots_between
 
 
 def integer_nth_root(a: int, m: int) -> int:
@@ -332,21 +332,21 @@ def floor_of(spec: ConstantSpec) -> int:
 def canonical_text(spec: ConstantSpec) -> str:
     match spec:
         case Sqrt(m=m):
-            return f"sqrt:{m}"
+            return f"sqrt:{_digits(m)}"
         case Root(a=a, m=m):
-            return f"root:{a},{m}"
+            return f"root:{_digits(a)},{_digits(m)}"
         case E():
             return "e"
         case InvE():
             return "inv-e"
         case EPow(k=k):
-            return f"e-pow:{k}"
+            return f"e-pow:{_digits(k)}"
         case ERational(r=r):
             return f"e-rat:{r}"
         case SinInv(m=m):
-            return f"sin-inv:{m}"
+            return f"sin-inv:{_digits(m)}"
         case CosInv(m=m):
-            return f"cos-inv:{m}"
+            return f"cos-inv:{_digits(m)}"
         case SinOf(x=x):
             return f"sin:{x}"
         case CosOf(x=x):
@@ -368,18 +368,18 @@ def parse_constant(text: str) -> ConstantSpec:
         raise ValueError(f"unrecognized constant spec {text!r}")
     try:
         if head == "sqrt":
-            return Sqrt(int(rest))
+            return Sqrt(_from_digits(rest))
         if head == "root":
             a, m = rest.split(",")
-            return Root(int(a), int(m))
+            return Root(_from_digits(a), _from_digits(m))
         if head == "e-pow":
-            return EPow(int(rest))
+            return EPow(_from_digits(rest))
         if head == "e-rat":
             return ERational(Fraction(rest))
         if head == "sin-inv":
-            return SinInv(int(rest))
+            return SinInv(_from_digits(rest))
         if head == "cos-inv":
-            return CosInv(int(rest))
+            return CosInv(_from_digits(rest))
         if head == "sin":
             return SinOf(Fraction(rest))
         if head == "cos":

@@ -9,10 +9,38 @@ they are the backbone of root isolation and bracket validation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from .enclosure import Enclosure
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _digits(x: int) -> str:
+    """str(x), also where x has more digits than the interpreter converts at
+    once (sys.get_int_max_str_digits): there x is split by a power of 10."""
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 3 // 20     # about half of x's decimal digits
+        high, low = divmod(abs(x), 10 ** half)
+        return "-" * (x < 0) + _digits(high) + _digits(low).zfill(half)
+
+
+def _from_digits(text: str) -> int:
+    """int(text), also past that limit where text is [+-]?[0-9]+ (stripped):
+    there it is split as in _digits.  Other text keeps int()'s error."""
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        if not _DECIMAL.fullmatch(text):
+            raise
+        half = len(text) // 2
+        low = _from_digits(text[-half:])
+        return _from_digits(text[:-half]) * 10 ** half + (-low if text[0] == "-" else low)
 
 
 def _trimmed(coeffs):
@@ -34,10 +62,10 @@ class IntPolynomial:
     @classmethod
     def from_csv(cls, text: str) -> "IntPolynomial":
         """Parse the wire format: ascending decimal coefficients, comma-separated."""
-        return cls(int(part.strip()) for part in text.split(","))
+        return cls(_from_digits(part.strip()) for part in text.split(","))
 
     def to_csv(self) -> str:
-        return ",".join(str(c) for c in (self.coeffs or (0,)))
+        return ",".join(_digits(c) for c in (self.coeffs or (0,)))
 
     @property
     def degree(self) -> int:

@@ -5,17 +5,22 @@ and suitable alternating combinations F of those derivatives satisfy an
 exact integral identity: F(1) * e^k - F(0) equals a positive integral that
 shrinks to zero.  A Gaussian-integer variant produces an integer triple
 (a, c, d) with c*cos(p/q) - d*sin(p/q) - a provably small but nonzero.
+One generator, functional_rows, builds row n of each functional from the
+two rows before it by a three-term recurrence; the per-n functions
+return row n of that generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 
 from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
                      check_index)
 from .intpoly import _eval_frac, _trimmed
+from .sequences import _nth
 
 
 @dataclass(frozen=True)
@@ -70,80 +75,59 @@ def niven_poly(n: int) -> RationalPolynomial:
     return RationalPolynomial(tuple(coeffs))
 
 
-def _niven_table(n: int) -> list[int]:
-    """t_i = C(n, i) (n+i)!/n! for i = 0 .. n, so f_n^(n+i)(0) = (-1)^i t_i.
+def functional_rows(p: int, q: int, gaussian: bool = False):
+    """Row n = 1, 2, ... of the functional for x = p/q, or for x = ip/q if gaussian.
 
-    Built by the exact running product t_{i+1} = t_i (n-i)(n+i+1) / (i+1).
-    With f_n^(j)(1) = (-1)^j f_n^(j)(0), these are every nonzero endpoint
-    derivative of f_n.
+    F_n = sum((-1)^i (qx)^(2n-i) q^i f_n^(i)) is yielded at 0 and 1, as
+    (F(0), F(1)), or as (Re F(0), Im F(0), Re F(1), Im F(1)) in the Gaussian
+    case.  Up to sign and scaling these are the diagonal Pade approximants
+    of e^x, so every entry follows one three-term recurrence from
+    X_0 = (1, 1) and X_1 = (-q(p + 2q), q(p - 2q)), or (1, 0, 1, 0) and
+    (-2q^2, -pq, -2q^2, pq):
+    X_(n+1) = -(4n + 2) q^2 X_n + (qx)^2 X_(n-1), with (qx)^2 = p^2, or -p^2.
     """
-    table = [1]
-    for i in range(n):
-        table.append(table[-1] * (n - i) * (n + i + 1) // (i + 1))
-    return table
-
-
-def _scaled_sums(n: int, p: int, q: int) -> tuple[int, int]:
-    """(sum t_i p^(n-i) q^i, sum (-1)^i t_i p^(n-i) q^i) over i = 0 .. n."""
-    plain = alternating = 0
-    qpow = 1
-    for i, t in enumerate(_niven_table(n)):
-        term = t * qpow
-        plain = plain * p + term
-        alternating = alternating * p + (-term if i % 2 else term)
-        qpow *= q
-    return plain, alternating
+    qq = q * q
+    step = (-p * p if gaussian else p * p) * qq
+    if gaussian:
+        before, row = (1, 0, 1, 0), (-2 * qq, -p * q, -2 * qq, p * q)
+    else:
+        before, row = (1, 1), (-q * (p + 2 * q), q * (p - 2 * q))
+    for n in count(1):
+        yield row
+        scale = -(4 * n + 2) * qq
+        before, row = row, tuple(scale * x + step * y for x, y in zip(row, before))
 
 
 def exp_functional_int(n: int, k: int) -> FPair:
-    """F = sum((-1)^i k^(2n-i) f^(i)) at 0 and 1, for integer k >= 1.
+    """F = sum((-1)^i k^(2n-i) f^(i)) at 0 and 1, for integer k >= 1: row n of
+    functional_rows(k, 1).
 
     The pair satisfies 0 < F(1) e^k - F(0) < e^k k^(2n+1) / n!, because the
     mismatch equals the integral of e^(kx) k^(2n+1) f_n over [0, 1].
-    Only i = n + j for j = 0 .. n contributes: the term is
-    (-1)^n k^(n-j) t_j at 0 and (-1)^j k^(n-j) t_j at 1.
     """
     check_index(n)
     if k < 1:
         raise ValueError(f"need an integer exponent k >= 1, got {k}")
-    plain, alternating = _scaled_sums(n, k, 1)
-    return FPair((-1) ** n * plain, alternating)
+    return FPair(*_nth(functional_rows(k, 1), n))
 
 
 def exp_functional_rational(n: int, r) -> FPair:
-    """F = sum((-1)^i p^(2n-i) q^i f^(i)) at 0 and 1, for r = p/q nonzero.
+    """F = sum((-1)^i p^(2n-i) q^i f^(i)) at 0 and 1, for r = p/q nonzero: row n
+    of functional_rows(p, q).
 
     F(1) e^r - F(0) equals (p^(2n+1)/q) times the integral of e^(rx) f_n,
     so it is nonzero with |.| <= |p|^(2n+1) max(1, e^r) / (n! q).
-    Only i = n + j contributes, with p^(n-j) q^(n+j) t_j as in
-    exp_functional_int.
     """
     check_index(n)
     r = Fraction(r)
     if r == 0:
         raise ZeroExponentError("exponent must be nonzero")
-    p, q = r.numerator, r.denominator
-    plain, alternating = _scaled_sums(n, p, q)
-    qn = q ** n
-    return FPair((-1) ** n * qn * plain, qn * alternating)
+    return FPair(*_nth(functional_rows(r.numerator, r.denominator), n))
 
 
-def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
-    """Gaussian-integer functional for the angle p/q in (0, pi].
-
-    F = sum((-1)^i (ip)^(2n-i) q^i f^(i)); writing F(0) = a + bi and
-    F(1) = c + di, the combination c*cos(p/q) - d*sin(p/q) - a is nonzero
-    with absolute value below p^(2n+1) / (n! q).
-
-    Only i = n + j contributes, with s_j = p^(n-j) q^(n+j) t_j times
-    (-1)^n i^(n-j) at 0 and (-1)^j i^(n-j) at 1; the terms are summed in
-    four buckets by (n-j) mod 4.
-
-    The upper end of the angle range is policed rationally: angles at most
-    3.14159 are accepted, angles in (3.14159, 355/113] are refused as too
-    close to pi to resolve, anything larger is out of range.
-    """
-    check_index(n)
+def check_angle(p: int, q: int) -> None:
+    """Refuse an angle p/q outside (0, 3.14159]: up to 355/113 as too close to
+    pi to resolve, above it as out of range."""
     if p < 1 or q < 1:
         raise ValueError(f"angle must be a ratio of positive integers, got {p}/{q}")
     if p * 100000 > 314159 * q:
@@ -151,21 +135,18 @@ def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
             raise AngleNearPiError(
                 f"angle {p}/{q} lies within the refusal window just below pi")
         raise AngleOutOfRangeError(f"angle {p}/{q} exceeds pi")
-    # at0[r], at1[r]: terms with (n-j) % 4 == r, still to be multiplied by i^r
-    # (and at0 by (-1)^n)
-    at0, at1 = [0] * 4, [0] * 4
-    ppow = [1]
-    for _ in range(n):
-        ppow.append(ppow[-1] * p)
-    qpow = q ** n
-    for j, t in enumerate(_niven_table(n)):
-        s = ppow[n - j] * qpow * t
-        at0[(n - j) % 4] += s
-        at1[(n - j) % 4] += -s if j % 2 else s
-        qpow *= q
-    sign = (-1) ** n
-    pair = GaussPair((sign * (at0[0] - at0[2]), sign * (at0[1] - at0[3])),
-                     (at1[0] - at1[2], at1[1] - at1[3]))
+
+
+def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
+    """Gaussian-integer functional for the angle p/q in (0, pi]: row n of
+    functional_rows(p, q, gaussian=True).
+
+    F = sum((-1)^i (ip)^(2n-i) q^i f^(i)); writing F(0) = a + bi and
+    F(1) = c + di, the combination c*cos(p/q) - d*sin(p/q) - a is nonzero
+    with absolute value below p^(2n+1) / (n! q).
+    """
+    check_index(n)
+    check_angle(p, q)
+    a, b, c, d = _nth(functional_rows(p, q, gaussian=True), n)
     bound = Fraction(p ** (2 * n + 1), factorial(n) * q)
-    witness = TrigWitness(a=pair.at0[0], c=pair.at1[0], d=pair.at1[1], bound=bound)
-    return pair, witness
+    return GaussPair((a, b), (c, d)), TrigWitness(a=a, c=c, d=d, bound=bound)

@@ -19,9 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import count, islice
-from math import factorial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
@@ -29,9 +27,11 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _width_bits, canonical_text, enclose,
                         integer_nth_root)
 from .enclosure import Enclosure, refine
-from .intpoly import IntPolynomial
-from .niven import exp_functional_int, exp_functional_rational, trig_functional
-# the per-n functions (*_approximant, mth_root_form) are unused here; perfbench traces them
+from .intpoly import IntPolynomial, _digits, _from_digits
+# the per-n functions (*_approximant, mth_root_form, *_functional) are unused
+# here; they are imported only for perfbench/tracing.py to wrap
+from .niven import (check_angle, exp_functional_int, exp_functional_rational,
+                    functional_rows, trig_functional)
 from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
                         e_squared_approximant, e_squared_rows, factorial_rows,
                         inv_e_approximant, mth_root_form, root_forms,
@@ -163,27 +163,6 @@ class Certificate:
             lines.append("  ".join(str(entry[c]).ljust(widths[c]) for c in columns))
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines) + "\n"
-
-
-def _digits(x: int) -> str:
-    """str(x), also where x has more digits than the interpreter converts at
-    once (sys.get_int_max_str_digits): there x is split by a power of 10."""
-    try:
-        return str(x)
-    except ValueError:
-        half = x.bit_length() * 3 // 20     # about half of x's decimal digits
-        high, low = divmod(abs(x), 10 ** half)
-        return "-" * (x < 0) + _digits(high) + _digits(low).zfill(half)
-
-
-def _from_digits(text: str) -> int:
-    """int(text) for a string matching -?[0-9]+, split as in _digits."""
-    try:
-        return int(text)
-    except ValueError:
-        half = len(text) // 2
-        low = _from_digits(text[-half:])
-        return _from_digits(text[:-half]) * 10 ** half + (-low if text[0] == "-" else low)
 
 
 def _frac_str(fr: Fraction) -> str:
@@ -402,8 +381,7 @@ def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
 # Families.  Each names the constant kind it certifies (a class, or the one
 # constant it certifies), rows(c, hi) -> an iterator of (form, bound) for
 # n = 1, 2, ..., where hi is a coarse upper enclosure of the constant shared
-# by every row, and the construction behind it.  The Niven functionals are
-# looked up at call time, so rebinding them on this module takes effect.
+# by every row, and the construction behind it.
 
 class Family(NamedTuple):
     kind: object
@@ -429,28 +407,24 @@ def _e_squared_naive_rows(c, hi):
         yield LinearForm(PAIR, (app.p ** 2, app.q ** 2)), bb.bound
 
 
-def _each_n(row):
-    """rows(c, hi) of a family built one index at a time by row(c, hi, n)."""
-    return lambda c, hi: map(partial(row, c, hi), count(1))
-
-
-def _e_pow_row(c, hi, n):
-    pair = exp_functional_int(n, c.k)
-    return LinearForm(PAIR, (pair.at0, pair.at1)), hi * Fraction(c.k ** (2 * n + 1), factorial(n))
-
-
-def _e_rat_row(c, hi, n):
-    pair = exp_functional_rational(n, c.r)
-    top = Fraction(1) if c.r < 0 else hi
-    bound = top * Fraction(abs(c.r.numerator) ** (2 * n + 1), factorial(n) * c.r.denominator)
-    return LinearForm(PAIR, (pair.at0, pair.at1)), bound
-
-
-def _trig_angle_row(c, hi, n):
-    if c.x <= 0:
-        raise ValueError("trig-angle needs a positive angle")
-    _, witness = trig_functional(n, c.x.numerator, c.x.denominator)
-    return LinearForm(TRIG, (witness.a, witness.c, witness.d)), witness.bound
+def _niven_rows(c, hi):
+    """e-pow k is e-rat with r = k/1, and trig-angle p/q the Gaussian case of
+    the same functional rows; row n's bound is top |p|^(2n+1) / (n! q)."""
+    gaussian = isinstance(c, CosOf)
+    if gaussian:
+        if c.x <= 0:
+            raise ValueError("trig-angle needs a positive angle")
+        check_angle(c.x.numerator, c.x.denominator)
+        r, top = c.x, 1
+    else:
+        r = Fraction(c.k if isinstance(c, EPow) else c.r)
+        top = hi if r > 0 else 1
+    p, q = r.numerator, r.denominator
+    bound = top * Fraction(abs(p), q)
+    for n, x in enumerate(functional_rows(p, q, gaussian), 1):
+        bound *= Fraction(p * p, n)
+        # the trig triple (a, c, d) is (Re F(0), Re F(1), Im F(1))
+        yield (LinearForm(TRIG, x[:1] + x[2:]) if gaussian else LinearForm(PAIR, x)), bound
 
 
 FAMILIES = {
@@ -482,12 +456,12 @@ FAMILIES = {
         "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
         "certificate is expected to come back violated."),
     "e-pow": Family(
-        EPow, _each_n(_e_pow_row),
+        EPow, _niven_rows,
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
         "positive and below e^k k^(2n+1)/n!."),
     "e-rat": Family(
-        ERational, _each_n(_e_rat_row),
+        ERational, _niven_rows,
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
         "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
@@ -501,7 +475,7 @@ FAMILIES = {
         "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
         "below 1/(m^2 (4n-1)^2 - 1)."),
     "trig-angle": Family(
-        CosOf, _each_n(_trig_angle_row),
+        CosOf, _niven_rows,
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
@@ -622,9 +596,7 @@ def integral_exp_poly(rate, poly, max_width) -> Enclosure:
     upper estimate of e^|rate| times the integral of |poly|.
     """
     rate = Fraction(rate)
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
+    max_width = _positive(max_width)
     coeffs = [Fraction(c) for c in poly.coeffs]
     abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
     if abs_integral == 0:
@@ -647,9 +619,7 @@ def integral_exp_poly(rate, poly, max_width) -> Enclosure:
 def integral_sin_poly(angle, poly, max_width) -> Enclosure:
     """Enclosure of the integral over [0, 1] of sin(angle*x) * poly(x)."""
     angle = Fraction(angle)
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
+    max_width = _positive(max_width)
     coeffs = [Fraction(c) for c in poly.coeffs]
     abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
     if abs_integral == 0:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import sys
+
+import pytest
 
 from irratcert import cli
 from irratcert.cli import main
@@ -254,6 +257,34 @@ def test_reduce_subcommand(capsys):
     high, low = capsys.readouterr().out.strip().split(",")
     assert (len(high), int(high[:40]), int(high[-40:]), low) == (
         4772, 9 ** 5000 // 10 ** 4732, 9 ** 5000 % 10 ** 40, "0")
+
+
+def test_reduce_reads_integers_past_the_digit_limit(capsys):
+    # 4,400 digits, past the interpreter's default limit of 4,300 on
+    # str-to-int conversion; text that is not decimal keeps its usage error
+    ones = "1" * 4400
+    assert main(["reduce", "--modulus=-2,0,1", "--coeffs=" + ones]) == 0
+    assert capsys.readouterr().out.strip() == ones + ",0"
+    assert main(["reduce", "--modulus=-2,0,1", "--coeffs=" + ones + "x"]) == 1
+    assert capsys.readouterr().err.startswith("error[usage]: --coeffs must be")
+
+
+def test_pigeonhole_reads_a_constant_past_the_digit_limit(capsys):
+    # under the lowest limit the interpreter allows, so that the radicand
+    # stays small enough for a quick search
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on str-to-int digits")
+    ones = "1" * 700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["pigeonhole", "--constant=sqrt:" + ones, "--n", "5"]) == 0
+        assert capsys.readouterr().out.startswith(f"constant: sqrt:{ones}\nn: 5\n")
+        assert main(["pigeonhole", "--constant=root:" + ones + "x,3", "--n", "5"]) == 1
+        err = capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.startswith("error[ValueError]: malformed constant spec")
 
 
 def test_fracpart_subcommand(capsys):

@@ -1,6 +1,7 @@
 """Tests for the bridge polynomial machinery behind the e^k and trig certificates."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -27,21 +28,37 @@ def test_exp_functional_int_examples():
     assert exp_functional_int(2, 2) == FPair(at0=28, at1=4)
 
 
-# The certificate workloads reach n = 40, so the functionals are checked
-# against the term-calculus tables up to n = 45.
-ORACLE_N = range(1, 46)
-ORACLE_RATES = (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4),
-                Fraction(-3, 5), Fraction(4, 5), Fraction(-3, 2), Fraction(2),
-                Fraction(3), Fraction(4))
-ORACLE_ANGLES = ((1, 1), (1, 2), (1, 3), (2, 3), (3, 1), (7, 3), (8, 5), (5, 2), (2, 5))
+# The functionals are rows of one recurrence, so the term-calculus tables are
+# the only reference for them past row 1: every case below is checked up to
+# n = 45, beyond what the certificate workloads reach (n = 40), and a subset
+# with negative p and q > 1 up to n = 130.
+ORACLE_N = range(1, 131)
+SHALLOW_N = 45
+ORACLE_KS = ((2, 4, 6), (1, 3, 5))
+ORACLE_RATES = ((Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(-3, 5),
+                 Fraction(4, 5), Fraction(2), Fraction(4)),
+                (Fraction(-1, 2), Fraction(-3, 2), Fraction(3)))
+ORACLE_ANGLES = (((1, 1), (1, 2), (2, 3), (3, 1), (8, 5), (5, 2)),
+                 ((1, 3), (7, 3), (2, 5)))
+
+
+def _oracle_cases(cases):
+    """(n, term-calculus tables at 0 and 1, cases checked at n) for each n."""
+    shallow, deep = cases
+    for n in ORACLE_N:
+        yield n, _tables(n), (shallow + deep if n <= SHALLOW_N else deep)
+
+
+@cache
+def _tables(n):
+    return tuple(bridge_derivative_table(n, point) for point in (0, 1))
 
 
 def test_exp_functional_int_against_oracle():
     # n! F(x) = sum over i of (-1)^i k^(2n-i) (x^n (1-x)^n)^(i)(x), recomputed
     # from the term-calculus table
-    for n in ORACLE_N:
-        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
-        for k in range(1, 7):
+    for n, tables, ks in _oracle_cases(ORACLE_KS):
+        for k in ks:
             pair = exp_functional_int(n, k)
             for table, got in zip(tables, (pair.at0, pair.at1)):
                 acc = sum((-1) ** i * k ** (2 * n - i) * d for i, d in enumerate(table))
@@ -63,9 +80,8 @@ def test_exp_functional_rational_examples():
 
 
 def test_exp_functional_rational_against_oracle():
-    for n in ORACLE_N:
-        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
-        for r in ORACLE_RATES:
+    for n, tables, rates in _oracle_cases(ORACLE_RATES):
+        for r in rates:
             p, q = r.numerator, r.denominator
             pair = exp_functional_rational(n, r)
             for table, got in zip(tables, (pair.at0, pair.at1)):
@@ -85,10 +101,9 @@ def test_trig_functional_example():
 def test_trig_functional_against_gaussian_oracle():
     # recompute F(x) = sum (-1)^i (ip)^(2n-i) q^i f^(i)(x) with a standalone
     # Gaussian product helper
-    for n in ORACLE_N:
+    for n, tables, angles in _oracle_cases(ORACLE_ANGLES):
         nf = factorial(n)
-        tables = [bridge_derivative_table(n, point) for point in (0, 1)]
-        for p, q in ORACLE_ANGLES:
+        for p, q in angles:
             pair, witness = trig_functional(n, p, q)
             for table, got in zip(tables, (pair.at0, pair.at1)):
                 total = (0, 0)

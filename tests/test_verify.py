@@ -1,9 +1,12 @@
 """Tests for residual evaluation, certificates, and their serialization."""
 
+import importlib
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +21,8 @@ from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
 from irratcert.enclosure import Enclosure
 from irratcert.intpoly import IntPolynomial
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
-                             niven_poly)
+                             exp_functional_rational, niven_poly,
+                             trig_functional)
 from irratcert.sequences import (_BOUND_WIDTH, cos_inv_m_approximant,
                                  e_approximant, e_squared_approximant,
                                  inv_e_approximant, mth_root_form,
@@ -518,7 +522,20 @@ def test_from_json_rejects_mixed_layouts():
 
 
 def _per_n_row(family, c, hi, n):
-    """Row n of a closed family from its per-n public function: (ints, bound)."""
+    """Row n of a family from its per-n public function: (ints, bound), with a
+    Niven family's bound in closed form."""
+    if family == "e-pow":
+        pair = exp_functional_int(n, c.k)
+        return (pair.at0, pair.at1), hi * Fraction(c.k ** (2 * n + 1), factorial(n))
+    if family == "e-rat":
+        pair = exp_functional_rational(n, c.r)
+        p, q = c.r.numerator, c.r.denominator
+        top = hi if c.r > 0 else 1
+        return (pair.at0, pair.at1), top * Fraction(abs(p) ** (2 * n + 1), factorial(n) * q)
+    if family == "trig-angle":
+        p, q = c.x.numerator, c.x.denominator
+        _, w = trig_functional(n, p, q)
+        return (w.a, w.c, w.d), Fraction(p ** (2 * n + 1), factorial(n) * q)
     if family == "root":
         z = integer_nth_root(c.a, c.m)
         return mth_root_form(c.a, c.m, n).coeffs, (hi - z) ** (c.m * n - 1)
@@ -540,11 +557,15 @@ def _per_n_row(family, c, hi, n):
     ("sqrt", Sqrt(2)), ("sqrt", Sqrt(13)), ("root", Root(7, 4)), ("root", Root(3, 5)),
     ("e", E()), ("inv-e", InvE()), ("e-squared", EPow(2)), ("e-squared-naive", EPow(2)),
     ("sin-inv", SinInv(1)), ("sin-inv", SinInv(3)), ("cos-inv", CosInv(2)),
-    ("cos-inv", CosInv(5)),
+    ("cos-inv", CosInv(5)), ("e-pow", EPow(1)), ("e-pow", EPow(3)), ("e-pow", EPow(5)),
+    ("e-rat", ERational(Fraction(-1, 2))), ("e-rat", ERational(Fraction(2, 3))),
+    ("e-rat", ERational(Fraction(-5, 7))), ("trig-angle", CosOf(Fraction(1, 3))),
+    ("trig-angle", CosOf(Fraction(2, 5))), ("trig-angle", CosOf(Fraction(3))),
 ])
 def test_certify_rows_equal_the_per_n_functions(family, c):
-    # certify walks each closed family's row generator; row n must be the
-    # per-n function's row n, and a second run must not see the first's state
+    # certify walks each family's row generator; row n must be the per-n
+    # function's row n, each Niven bound its closed form, and a second run
+    # must not see the first's state
     cert = certify(family, c, 60)
     hi = enclose(c, _BOUND_WIDTH).hi
     for row in cert.rows:
@@ -585,3 +606,20 @@ def test_certificates_print_past_the_int_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(factorial(400)) in full[0]
+
+
+def test_perfbench_trace_sites_exist():
+    # perfbench/tracing.py wraps each (module, attribute) of LAYERS by name;
+    # verify imports its per-n functions only for that, so dropping one of
+    # them, or renaming any traced function, must fail here
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, sites in tracing.LAYERS.items():
+        for module_name, attr in sites:
+            owner = importlib.import_module(f"irratcert.{module_name}")
+            *cls, name = attr.split(".")
+            if cls:
+                owner = owner.__dict__[cls[0]]
+            assert name in owner.__dict__, (layer, module_name, attr)
