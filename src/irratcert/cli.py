@@ -183,14 +183,19 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _rational_str(x: Fraction) -> str:
+    """str(x), also for integers past the interpreter's digit limit."""
+    return _digits(x.numerator) if x.denominator == 1 else _frac_str(x)
+
+
 def _cmd_classify(args) -> int:
     poly = _parse_poly(args.poly, "--poly")
     for verdict in classify_roots(poly):
-        lo, hi = verdict.bracket.lo, verdict.bracket.hi
+        lo, hi = (_rational_str(x) for x in (verdict.bracket.lo, verdict.bracket.hi))
         if verdict.is_irrational:
             print(f"bracket ({lo}, {hi}): irrational")
         else:
-            print(f"bracket ({lo}, {hi}): rational {verdict.rational_value}")
+            print(f"bracket ({lo}, {hi}): rational {_rational_str(verdict.rational_value)}")
     return 0
 
 

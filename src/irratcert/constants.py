@@ -188,9 +188,14 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 
 def _width_bits(max_width: Fraction) -> int:
     """Smallest k >= 0 with 2^-k <= max_width."""
-    p, q = max_width.numerator, max_width.denominator
-    k = max(0, q.bit_length() - p.bit_length())
-    return k + 1 if p << k < q else k
+    return _grid_bits(max_width.numerator, max_width.denominator)
+
+
+def _grid_bits(u: int, v: int) -> int:
+    """Smallest k >= 0 with v <= u * 2^k, for positive u and v, from their bit
+    lengths: 2^-k <= u/v whether or not the pair is in lowest terms."""
+    k = max(0, v.bit_length() - u.bit_length())
+    return k + 1 if u << k < v else k
 
 
 def _series_precision(x: Fraction, max_width: Fraction) -> int:

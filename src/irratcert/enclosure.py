@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import floor
 
 from .errors import PrecisionExhausted
@@ -32,21 +33,53 @@ def refinement_budget() -> int:
     return int(raw)
 
 
+def _coprime_constructor(cls=Fraction):
+    """The cheapest way to build a cls from a numerator and a positive
+    denominator already in lowest terms.  No public Fraction constructor
+    skips the gcd: Python 3.12 and later have `_from_coprime_ints`, 3.10 and
+    3.11 take `_normalize=False`, and anything else gets plain cls(n, d)."""
+    if hasattr(cls, "_from_coprime_ints"):
+        return cls._from_coprime_ints
+    try:
+        cls(1, 2, _normalize=False)
+    except TypeError:
+        return cls
+    return partial(cls, _normalize=False)
+
+
+_COPRIME = _coprime_constructor()
+
+
+def dyadic(n: int, k: int) -> Fraction:
+    """n / 2^k, for k >= 0, in lowest terms by shifting out the trailing zeros
+    of n instead of taking a gcd."""
+    if not n:
+        return _COPRIME(0, 1)
+    t = min((n & -n).bit_length() - 1, k)
+    return _COPRIME(n >> t, 1 << (k - t))
+
+
 def refine(attempt, width, what: str, shrink=2):
     """First non-None attempt(width), dividing width by shrink between tries.
 
-    This is the one budgeted refinement loop: it makes at most
+    width is a Fraction, or an integer pair (num, den) standing for num/den:
+    a pair steps to (num, den * shrink) and reaches attempt as a pair, never
+    reduced.  This is the one budgeted refinement loop: it makes at most
     refinement_budget() + 1 tries and then raises PrecisionExhausted, naming
     `what`, the number of tries and the last width tried.
     """
-    width = Fraction(width)
+    pair = isinstance(width, tuple)
+    if not pair:
+        width = Fraction(width)
     tries = refinement_budget() + 1
     for i in range(tries):
         if i:
-            width /= shrink
+            width = (width[0], width[1] * shrink) if pair else width / shrink
         result = attempt(width)
         if result is not None:
             return result
+    if pair:
+        width = Fraction(*width)
     exponent = width.numerator.bit_length() - width.denominator.bit_length() + 1
     raise PrecisionExhausted(f"{what} not settled within the refinement budget "
                              f"(tries: {tries}, last width < 2^{exponent})")

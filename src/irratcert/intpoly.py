@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, dyadic
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
@@ -131,7 +131,8 @@ class IntPolynomial:
     def eval_interval(self, enc: Enclosure) -> Enclosure:
         """Interval Horner evaluation, exact: enc is [a, b] / D over the common
         denominator D of its endpoints, the accumulator after j steps is
-        [x, y] / D^j, and one Fraction per endpoint is built at the end."""
+        [x, y] / D^j, and one Fraction per endpoint is built at the end, by
+        `dyadic` when D is a power of two."""
         lo, hi = enc.lo, enc.hi
         d = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
@@ -140,6 +141,9 @@ class IntPolynomial:
             products = (x * a, x * b, y * a, y * b)
             scale *= d
             x, y = min(products) + c * scale, max(products) + c * scale
+        if d & (d - 1) == 0:
+            k = scale.bit_length() - 1
+            return Enclosure(dyadic(x, k), dyadic(y, k))
         return Enclosure(Fraction(x, scale), Fraction(y, scale))
 
     def derivative(self) -> "IntPolynomial":

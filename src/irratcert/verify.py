@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
-                        SinOf, Sqrt, _width_bits, canonical_text, enclose,
+                        SinOf, Sqrt, _grid_bits, canonical_text, enclose,
                         integer_nth_root)
-from .enclosure import Enclosure, refine
+from .enclosure import Enclosure, dyadic, refine
 from .intpoly import IntPolynomial, _digits, _from_digits
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
@@ -48,7 +48,8 @@ class Layout:
 
     fields: tuple[str, ...]
     vector: bool
-    evaluate: Callable[[tuple[int, ...], object, Fraction, ConstantCache | None], Enclosure]
+    evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None],
+                       Enclosure]
 
     def json_fields(self, ints: tuple[int, ...]) -> dict:
         if self.vector:
@@ -257,99 +258,112 @@ def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
 # ---------------------------------------------------------------------------
 # Residual evaluation.  Each evaluator takes its constant from a ConstantCache
 # (a fresh one when given none) as integers on a grid 2^-k, forms its linear
-# form there, and builds one Fraction per endpoint of the Enclosure returned.
+# form there, and builds one Fraction per endpoint of the Enclosure returned,
+# by `dyadic`.  A width is a Fraction, or an integer pair (num, den) standing
+# for num/den, in lowest terms or not: certify hands its widths on as pairs.
 
 class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
 
     Each constant is kept as integers (K, L, H), its value in [L, H] / 2^K.
-    A request for width w is answered on the grid 2^-k by L >> (K - k) and
-    -((-H) >> (K - k)): as floor(floor(x) / 2^s) = floor(x / 2^s), that is
-    the kernel's enclosure rounded outward to 2^-k.  For the series constants
-    k = _width_bits(w) + 2, so the answer is at most w/2 wide.  For Sqrt and
-    Root k = _width_bits(w), and the answer equals enclose(spec, w), since
-    [z, z + 1] / 2^K truncates to floor(2^k * value) / 2^k.  A constant kept
-    at K < k bits is enclosed again at max(k, 2K) bits, so a run makes a
-    number of kernel calls logarithmic in its final precision.
+    A request for width u/v, given as the integers u and v, is answered on
+    the grid 2^-k by L >> (K - k) and -((-H) >> (K - k)): as
+    floor(floor(x) / 2^s) = floor(x / 2^s), that is the kernel's enclosure
+    rounded outward to 2^-k.  k comes from the bit lengths of u and v
+    (`_grid_bits`), with no Fraction built.  For the series constants k is
+    the smallest k0 with 2^-k0 <= u/v, plus 2, so the answer is at most half
+    as wide as asked.  For Sqrt and Root k = k0, and the answer equals
+    enclose(spec, u/v), since [z, z + 1] / 2^K truncates to
+    floor(2^k * value) / 2^k.  A constant kept at K < k bits is enclosed
+    again at max(k, 2K) bits, so a run makes a number of kernel calls
+    logarithmic in its final precision.
     """
 
     def __init__(self):
         self._best = {}     # spec -> (K, L, H)
 
-    def grid(self, spec, max_width) -> tuple[int, int, int]:
-        """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most max_width wide."""
-        k = _width_bits(Fraction(max_width))
+    def grid(self, spec, u: int, v: int) -> tuple[int, int, int]:
+        """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/v wide."""
+        k = _grid_bits(u, v)
         if not isinstance(spec, (Sqrt, Root)):
             k += 2
         bits, lo, hi = self._best.get(spec, (-1, 0, 0))
         if bits < k:
             bits = max(k, 2 * bits)
             # through the module global, so rebinding `enclose` sees the call
-            enc = enclose(spec, Fraction(1, 1 << bits))
+            enc = enclose(spec, dyadic(1, bits))
             lo = (enc.lo.numerator << bits) // enc.lo.denominator
             hi = -((-enc.hi.numerator << bits) // enc.hi.denominator)
             self._best[spec] = bits, lo, hi
         return k, lo >> (bits - k), -((-hi) >> (bits - k))
 
     def enclose(self, spec, max_width) -> Enclosure:
-        k, lo, hi = self.grid(spec, max_width)
-        return Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+        k, lo, hi = self.grid(spec, *_width(max_width))
+        return Enclosure(dyadic(lo, k), dyadic(hi, k))
+
+
+def _width(max_width) -> tuple[int, int]:
+    """max_width as integers (num, den), den > 0: a pair as given, unreduced."""
+    num, den = (max_width if isinstance(max_width, tuple)
+                else Fraction(max_width).as_integer_ratio())
+    if num <= 0:
+        raise ValueError("max_width must be positive")
+    return num, den
 
 
 def _positive(max_width) -> Fraction:
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
-    return max_width
+    return Fraction(*_width(max_width))
 
 
 def pair_residual(p: int, q: int, c, max_width, cache=None) -> Enclosure:
     """Enclosure of q*value - p, no wider than max_width."""
-    max_width = _positive(max_width)
+    num, den = _width(max_width)
     if q == 0:
         return Enclosure.point(-p)
-    k, lo, hi = (cache or ConstantCache()).grid(c, max_width / abs(q))
+    k, lo, hi = (cache or ConstantCache()).grid(c, num, den * abs(q))
     if q < 0:
         lo, hi = hi, lo
-    return Enclosure(Fraction(q * lo - (p << k), 1 << k), Fraction(q * hi - (p << k), 1 << k))
+    return Enclosure(dyadic(q * lo - (p << k), k), dyadic(q * hi - (p << k), k))
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     """Enclosure of sum(d_l * value^l), no wider than max_width."""
-    max_width = _positive(max_width)
+    num, den = _width(max_width)
     if form.is_zero():
         return Enclosure.point(0)
     cache = cache or ConstantCache()
     poly = IntPolynomial(form.coeffs)
     box = cache.enclose(c, Fraction(1, 4)).max_abs() + 1
     slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(poly.coeffs) if i)
+    s, t = (slope + 1).as_integer_ratio()
 
     def attempt(width):
         acc = poly.eval_interval(cache.enclose(c, width))
         (a, b), (x, y) = acc.lo.as_integer_ratio(), acc.hi.as_integer_ratio()
-        # acc.width <= max_width, cross-multiplied
-        fits = (x * b - a * y) * max_width.denominator <= max_width.numerator * b * y
+        # acc.width <= num/den, cross-multiplied
+        fits = (x * b - a * y) * den <= num * b * y
         return acc if fits else None
 
-    return refine(attempt, max_width / (slope + 1), "power form residual")
+    # the widths num/den / (slope + 1) / 2^j, as integer pairs
+    return refine(attempt, (num * t, den * s), "power form residual")
 
 
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
                   cache=None) -> Enclosure:
     """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d)."""
-    max_width = _positive(max_width)
+    num, den = _width(max_width)
     a, c, d = acd
     cache = cache or ConstantCache()
-    w = max_width / (2 * (abs(c) + abs(d) + 1))
+    v = den * 2 * (abs(c) + abs(d) + 1)
     # two series constants at one width: both answers are on one grid 2^-k
-    k, cos_lo, cos_hi = cache.grid(CosOf(angle), w)
-    _, sin_lo, sin_hi = cache.grid(SinOf(angle), w)
+    k, cos_lo, cos_hi = cache.grid(CosOf(angle), num, v)
+    _, sin_lo, sin_hi = cache.grid(SinOf(angle), num, v)
     if c < 0:
         cos_lo, cos_hi = cos_hi, cos_lo
     if d < 0:
         sin_lo, sin_hi = sin_hi, sin_lo
-    return Enclosure(Fraction(c * cos_lo - d * sin_hi - (a << k), 1 << k),
-                     Fraction(c * cos_hi - d * sin_lo - (a << k), 1 << k))
+    return Enclosure(dyadic(c * cos_lo - d * sin_hi - (a << k), k),
+                     dyadic(c * cos_hi - d * sin_lo - (a << k), k))
 
 
 def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
@@ -483,8 +497,9 @@ FAMILIES = {
 }
 
 
-def _settle(n: int, term: LinearForm, c, bound: Fraction, width, cache):
-    """(row, width) at the first of width, width/16, ... that decides row n."""
+def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int], cache):
+    """(row, width) at the first of (num, den), (num, 16 den), ... that decides
+    row n, the widths as integer pairs."""
     def attempt(w):
         row = _decided(n, term, _residual_eval(term, c, w, cache), bound)
         return None if row is None else (row, w)
@@ -499,17 +514,18 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
     the enclosures the rows were decided with.
     """
     def attempt(scale):
-        if scale == 1:
+        _, s = scale    # the widths are divided by s = 16^j
+        if s == 1:
             a, b = first, last
         else:
-            a, b = (_decided(row.n, row.term, _residual_eval(row.term, c, width * scale, cache),
-                             row.bound)
-                    for row, width in ((first, first_width), (last, last_width)))
+            a, b = (_decided(row.n, row.term,
+                             _residual_eval(row.term, c, (num, den * s), cache), row.bound)
+                    for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None
         x, y = a.residual, b.residual
         return (a, b) if y.max_abs() < x.min_abs() or y.min_abs() >= x.max_abs() else None
-    return refine(attempt, Fraction(1), f"decay of row {last.n} against row {first.n}",
+    return refine(attempt, (1, 1), f"decay of row {last.n} against row {first.n}",
                   shrink=16)
 
 
@@ -527,7 +543,9 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     needs at least the depth of the one before.  Every width tried is
     bound/1000/16^j for some j, so a row whose depth does not drop is decided
     at the width a fresh start would reach.  An override starts every row at
-    that width and carries nothing.
+    that width and carries nothing.  The widths travel from here to the
+    constant's grid as unreduced integer pairs (num, den), den shifted left
+    4 bits per narrowing, so no try divides a Fraction.
 
     The verdict also requires the final residual magnitude to sit below the
     first when n_max >= 2 and every row passes.  That comparison is decided,
@@ -559,15 +577,20 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         max_width = Fraction(max_width)
         if max_width <= 0:
             raise ValueError("width override must be positive")
+        max_width = max_width.as_integer_ratio()
     hi = enclose(c, _BOUND_WIDTH).hi
     cache = ConstantCache()
     rows, widths = [], []
     depth = 0
     for n, (term, bound) in enumerate(islice(rows_of(c, hi), n_max), 1):
-        start = max_width if max_width is not None else bound / 1000 / 16 ** depth
+        if max_width is None:
+            u, v = bound.as_integer_ratio()
+            start = u, v * 1000 << 4 * depth
+        else:
+            start = max_width
         settled, width = _settle(n, term, c, bound, start, cache)
-        # start / width is 16^t after t narrowings
-        depth += (start / width).numerator.bit_length() // 4
+        # each narrowing multiplies the denominator by 16, 4 more bits
+        depth += (width[1].bit_length() - start[1].bit_length()) // 4
         rows.append(settled)
         widths.append(width)
     first_bad = next((r.n for r in rows if not (r.nonzero_ok and r.bound_ok)), None)

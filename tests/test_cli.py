@@ -287,6 +287,25 @@ def test_pigeonhole_reads_a_constant_past_the_digit_limit(capsys):
     assert err.startswith("error[ValueError]: malformed constant spec")
 
 
+def test_classify_prints_a_root_past_the_digit_limit(capsys):
+    # x - N for N of 700 digits, under the lowest limit the interpreter
+    # allows: str() of N would raise, and isolating a root this large costs
+    # one bisection step per bit, so N is kept short of 4,300 digits
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-str digits")
+    ones = "1" * 700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["classify", f"--poly=-{ones},1"]) == 0
+        out = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.startswith("bracket (")
+    assert out.endswith(f"): rational {ones}\n")
+    assert out.count("\n") == 1
+
+
 def test_fracpart_subcommand(capsys):
     assert main(["fracpart", "--constant", "e", "--q", "6"]) == 0
     out = capsys.readouterr().out

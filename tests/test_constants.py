@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
-                                 canonical_text, enclose, floor_of,
-                                 integer_nth_root, parse_constant)
+                                 _grid_bits, _width_bits, canonical_text,
+                                 enclose, floor_of, integer_nth_root,
+                                 parse_constant)
 from irratcert.errors import (BracketAmbiguousError, PerfectPowerError,
                               ZeroExponentError)
 from irratcert.intpoly import IntPolynomial
@@ -188,3 +191,20 @@ def test_parse_errors():
             parse_constant(text)
     with pytest.raises(ValueError):
         parse_constant("")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=st.integers(1, 2 ** 300), v=st.integers(1, 2 ** 300),
+       g=st.sampled_from((1, 2, 3, 16)) | st.integers(1, 2 ** 100))
+@example(u=1, v=1, g=1)
+@example(u=3, v=1, g=5)
+@example(u=1, v=2 ** 64, g=2 ** 10)
+@example(u=1, v=2 ** 64 + 1, g=3)
+@example(u=7, v=7 * 2 ** 40 - 1, g=2)
+def test_grid_bits_of_an_unreduced_pair(u, v, g):
+    # the grid exponent is read off the bit lengths of the pair as given, so
+    # a common factor g does not move it
+    k = _grid_bits(u * g, v * g)
+    assert k == _width_bits(Fraction(u, v))
+    assert v <= u << k
+    assert k == 0 or u << (k - 1) < v

@@ -1,10 +1,16 @@
 """Tests for the rational interval type."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from irratcert.enclosure import DEFAULT_MAX_REFINE, Enclosure, refinement_budget
+from irratcert import enclosure
+from irratcert.enclosure import DEFAULT_MAX_REFINE, Enclosure, dyadic, refinement_budget
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def test_construction_coerces_and_orders():
@@ -115,3 +121,119 @@ def test_refinement_budget_env(monkeypatch):
     assert refinement_budget() == DEFAULT_MAX_REFINE
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "123")
     assert refinement_budget() == 123
+
+
+# ---------------------------------------------------------------------------
+# Containment: every operation's result holds the result of the same
+# operation on any points drawn from its operands.
+
+_ends = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=1000)
+# where in [lo, hi] a point sits, the endpoints themselves included
+_where = st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_denominator=97)
+
+
+@st.composite
+def _enclosure_and_point(draw):
+    a, b = draw(_ends), draw(st.just(None) | _ends)
+    lo, hi = (a, a) if b is None else (min(a, b), max(a, b))
+    return Enclosure(lo, hi), lo + draw(_where) * (hi - lo)
+
+
+@PROPERTY
+@given(first=_enclosure_and_point(), second=_enclosure_and_point(),
+       s=st.sampled_from((0, 1, -1)) | _ends)
+@example(first=(Enclosure(-2, 3), Fraction(-2)), second=(Enclosure(-5, -1), Fraction(-5)), s=-3)
+def test_arithmetic_contains_the_point_results(first, second, s):
+    (a, x), (b, y) = first, second
+    assert (a + b).contains(x + y)
+    assert (a - b).contains(x - y)
+    assert (a * b).contains(x * y)
+    assert (-a).contains(-x)
+    assert (a * s).contains(x * s) and (s * a).contains(s * x)
+    assert (a + s).contains(x + s) and (s + a).contains(s + x)
+    assert (a - s).contains(x - s) and (s - a).contains(s - x)
+
+
+@PROPERTY
+@given(first=_enclosure_and_point(), second=_enclosure_and_point())
+@example(first=(Enclosure(0, 2), Fraction(2)), second=(Enclosure(2, 5), Fraction(2)))
+@example(first=(Enclosure(0, 2), Fraction(1)), second=(Enclosure(3, 4), Fraction(3)))
+def test_intersect_agrees_with_the_points(first, second):
+    (a, x), (b, y) = first, second
+    if a.hi < b.lo or b.hi < a.lo:
+        with pytest.raises(ValueError, match="disjoint"):
+            a.intersect(b)
+        assert not b.contains(x) and not a.contains(y)
+        return
+    both = a.intersect(b)
+    assert both == b.intersect(a)
+    assert both.contains(x) == b.contains(x)
+    assert both.contains(y) == a.contains(y)
+    assert a.contains(both.lo) and b.contains(both.lo)
+    assert a.contains(both.hi) and b.contains(both.hi)
+
+
+@PROPERTY
+@given(case=_enclosure_and_point())
+@example(case=(Enclosure(-3, 2), Fraction(0)))
+@example(case=(Enclosure(0, 0), Fraction(0)))
+@example(case=(Enclosure(-4, -1), Fraction(-1)))
+def test_abs_extremes_agree_with_the_points(case):
+    a, x = case
+    assert a.min_abs() <= abs(x) <= a.max_abs()
+    # both are attained at a point of the enclosure
+    assert a.contains(a.max_abs()) or a.contains(-a.max_abs())
+    assert a.contains(a.min_abs()) or a.contains(-a.min_abs())
+    assert (a.min_abs() == 0) == a.contains(0)
+
+
+# ---------------------------------------------------------------------------
+# dyadic(n, k) must be Fraction(n, 2^k) exactly, whichever constructor it
+# was given at import time.
+
+_numerators = (st.sampled_from((0, 1, -1)) | st.integers(-2 ** 200, 2 ** 200)
+               | st.builds(lambda m, t: m << t, st.integers(-2 ** 64, 2 ** 64),
+                           st.integers(0, 500)))
+_OVER_THE_DIGIT_LIMIT = 10 ** 4400 + 1
+
+
+def _same_fraction(x, y):
+    assert type(x) is Fraction
+    assert (x, x.numerator, x.denominator, hash(x)) == (y, y.numerator, y.denominator, hash(y))
+
+
+@PROPERTY
+@given(n=_numerators, k=st.integers(0, 600))
+@example(n=0, k=0)
+@example(n=0, k=77)
+@example(n=-12, k=0)
+@example(n=-(3 << 300), k=5)
+@example(n=3 << 300, k=301)
+@example(n=10 ** 4400, k=100)
+@example(n=-10 ** 4400, k=5000)
+@example(n=_OVER_THE_DIGIT_LIMIT, k=64)
+def test_dyadic_equals_the_reduced_fraction(n, k):
+    _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
+
+
+def test_dyadic_skips_the_gcd_here():
+    chosen = enclosure._coprime_constructor()
+    if hasattr(Fraction, "_from_coprime_ints"):
+        assert chosen == Fraction._from_coprime_ints
+    elif sys.version_info < (3, 12):
+        assert (chosen.func, chosen.keywords) == (Fraction, {"_normalize": False})
+
+
+def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
+    calls = []
+
+    def plain(n, d):
+        # takes neither `_normalize` nor has `_from_coprime_ints`
+        calls.append((n, d))
+        return Fraction(n, d)
+    fallback = enclosure._coprime_constructor(plain)
+    assert fallback is plain
+    monkeypatch.setattr(enclosure, "_COPRIME", fallback)
+    for n, k in ((0, 0), (0, 3), (-12, 0), (6, 3), (-(5 << 40), 41), (_OVER_THE_DIGIT_LIMIT, 9)):
+        _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
+    assert len(calls) == 6

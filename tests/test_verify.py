@@ -504,6 +504,32 @@ def test_certify_does_no_enclosure_arithmetic(monkeypatch, family):
     assert calls == []
 
 
+@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {"e-squared"}))
+def test_certify_does_no_fraction_division(monkeypatch, family):
+    # widths travel from certify to the constant's grid as integer pairs;
+    # e-squared divides in its bound
+    calls = []
+    for name in ("__truediv__", "__rtruediv__"):
+        def counting(*args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counting)
+    certify(family, FAMILY_CONSTANTS[family], 30)
+    assert calls == []
+
+
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), p=multipliers, q=multipliers,
+       angle=st.sampled_from(TRIG_ANGLES), w=residual_widths, g=st.integers(1, 2 ** 70))
+def test_residuals_take_an_unreduced_width_pair(kind, p, q, angle, w, g):
+    # a pair (num, den) is the width num/den, whatever factor they share
+    pair = (w.numerator * g, w.denominator * g)
+    assert pair_residual(p, q, kind[0], pair) == pair_residual(p, q, kind[0], w)
+    assert trig_residual((p, q, -p), angle, pair) == trig_residual((p, q, -p), angle, w)
+    assert power_form_residual(PowerForm((p, q)), kind[0], pair) == \
+        power_form_residual(PowerForm((p, q)), kind[0], w)
+
+
 def test_from_json_rejects_an_empty_row_list():
     text = _edited("e", E(), 2, lambda d: d.__setitem__("rows", []))
     with pytest.raises(ValueError, match="'rows' must hold at least one row"):
