@@ -7,18 +7,21 @@ that canonical window by eliminating the top power repeatedly.
 
 Real roots are isolated by Sturm-chain counts; `classify_roots` decides each
 one's rationality exactly by narrowing its bracket with `intpoly.bisect_root`.
+Every sign on the way is read on integers by `intpoly.sign_at`: isolation
+carries each interval as integers (a, b, s) for [a, b] / s, and Fractions
+are built only for Sturm counts and for the brackets and roots returned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
-from .intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
-                      count_roots_between, squarefree_part, sturm_chain)
+from .enclosure import _grid_bits
+from .intpoly import (IntPolynomial, _narrow, bisect_root, cauchy_root_bound,
+                      count_roots_between, sign_at, squarefree_part, sturm_chain)
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ class RootBracket:
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo >= self.hi:
             raise ValueError("bracket needs lo < hi")
-        flo, fhi = self.poly(self.lo), self.poly(self.hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+        flo, fhi = (sign_at(self.poly.coeffs, *x.as_integer_ratio()) for x in (self.lo, self.hi))
+        if flo * fhi >= 0:
             raise ValueError("bracket endpoints must straddle a sign change")
 
     @property
@@ -127,20 +130,20 @@ class RootBracket:
         return self.hi - self.lo
 
 
-def _interior_nonroot(f: IntPolynomial, lo: Fraction,
-                      hi: Fraction) -> tuple[Fraction, Fraction]:
-    """An interior point that is not a root, and f there; tries the midpoint first.
+def _interior_nonroot(coeffs, a: int, b: int, s: int) -> tuple[int, int, int]:
+    """(t, x, sign): x / (s t) is a point inside [a, b] / s that is not a root,
+    and f has that sign there; the midpoint is tried first, then the points
+    i / (2i + 1) of the way across.
 
     f has at most deg(f) roots, so scanning deg(f) + 2 distinct interior
     points always finds one.
     """
-    span = hi - lo
-    x = lo + span / 2
-    for i in range(1, f.degree + 4):
-        v = f(x)
-        if v != 0:
-            return x, v
-        x = lo + span * Fraction(i, 2 * i + 1)
+    for i in range(len(coeffs) + 2):
+        num, t = (i, 2 * i + 1) if i else (1, 2)
+        x = a * (t - num) + b * num
+        sign = sign_at(coeffs, x, s * t)
+        if sign:
+            return t, x, sign
     raise AssertionError("unreachable: more roots than the degree allows")
 
 
@@ -150,32 +153,41 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     Sturm-chain sign variations drive the splitting, so the count in every
     interval is exact.  f must be squarefree: the chain, built once, ends in
     gcd(f, f') up to a factor, which must be a constant.  Endpoints are never
-    roots, so a one-root interval's root lies in the half where f changes sign.
+    roots, so a one-root interval's root lies in the half where f changes
+    sign; such an interval is halved by `intpoly._narrow` down to 1/4 wide,
+    and split at another interior point where a midpoint is the root.  Each
+    interval is integers (a, b, s) for [a, b] / s; Fractions are built for
+    the Sturm counts and the brackets returned.
     """
     if f.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
     chain = sturm_chain(f)
     if len(chain[-1]) > 1:
         raise NotSquarefreeError("repeated roots; divide out gcd(f, f') first")
+    coeffs = f.coeffs
     bound = cauchy_root_bound(f)
-    lo, hi = Fraction(-bound), Fraction(bound)
     found: list[RootBracket] = []
-    # (left end, right end, f at the left end, roots strictly between)
-    stack = [(lo, hi, f(lo), count_roots_between(f, lo, hi, chain))]
+    # (a, b, s, f's sign at a / s, roots strictly between a / s and b / s)
+    stack = [(-bound, bound, 1, sign_at(coeffs, -bound, 1),
+              count_roots_between(f, Fraction(-bound), Fraction(bound), chain))]
     while stack:
-        a, b, fa, count = stack.pop()
+        a, b, s, sign_a, count = stack.pop()
         if count == 0:
             continue
-        if count == 1 and b - a <= Fraction(1, 4):
-            found.append(RootBracket(a, b, f))
-            continue
-        mid, fmid = _interior_nonroot(f, a, b)
         if count == 1:
-            left = int((fmid > 0) != (fa > 0))
+            # the fewest halvings k with (b - a) / (s 2^k) <= 1/4
+            a, b, s, hit = _narrow(coeffs, a, b, s, _grid_bits(s, 4 * (b - a)), sign_a)
+            if not hit:
+                found.append(RootBracket(Fraction(a, s), Fraction(b, s), f))
+                continue
+        t, x, sign_x = _interior_nonroot(coeffs, a, b, s)
+        a, b, s = a * t, b * t, s * t
+        if count == 1:
+            left = int(sign_x != sign_a)
         else:
-            left = count_roots_between(f, a, mid, chain)
-        stack.append((a, mid, fa, left))
-        stack.append((mid, b, fmid, count - left))
+            left = count_roots_between(f, Fraction(a, s), Fraction(x, s), chain)
+        stack.append((a, x, s, sign_a, left))
+        stack.append((x, b, s, sign_x, count - left))
     found.sort(key=lambda br: br.lo)
     return found
 
@@ -205,6 +217,8 @@ def classify_roots(f: IntPolynomial) -> list[RootClassification]:
     out = []
     for br in isolate_real_roots(f):
         enc = bisect_root(f, br.lo, br.hi, Fraction(1, a))
-        x = Fraction(math.ceil(enc.lo * a), a)
-        out.append(RootClassification(br, x if x <= enc.hi and f(x) == 0 else None))
+        (p, q), (u, v) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        z = -(-p * a // q)      # ceil(lo * a): the candidate is z / a
+        rational = z * v <= u * a and sign_at(f.coeffs, z, a) == 0
+        out.append(RootClassification(br, Fraction(z, a) if rational else None))
     return out

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import Enclosure, refine
+from .enclosure import Enclosure, _grid_bits, refine
 from .errors import (BracketAmbiguousError, PerfectPowerError,
                      PrecisionExhausted, Unresolvable, ZeroExponentError)
-from .intpoly import IntPolynomial, _digits, _from_digits, bisect_root, count_roots_between
+from .intpoly import (IntPolynomial, _digits, _from_digits, bisect_root,
+                      count_roots_between, sign_at)
 
 
 def integer_nth_root(a: int, m: int) -> int:
@@ -162,10 +163,10 @@ class AlgebraicRoot:
             raise ValueError("polynomial must have degree >= 1")
         if self.lo >= self.hi:
             raise ValueError("bracket must satisfy lo < hi")
-        flo, fhi = self.poly(self.lo), self.poly(self.hi)
+        flo, fhi = (sign_at(self.poly.coeffs, *x.as_integer_ratio()) for x in (self.lo, self.hi))
         if flo == 0 or fhi == 0:
             raise BracketAmbiguousError("bracket endpoint is itself a root")
-        if (flo > 0) == (fhi > 0):
+        if flo == fhi:
             raise BracketAmbiguousError("no sign change over the bracket")
         n = count_roots_between(self.poly, self.lo, self.hi)
         if n != 1:
@@ -189,13 +190,6 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 def _width_bits(max_width: Fraction) -> int:
     """Smallest k >= 0 with 2^-k <= max_width."""
     return _grid_bits(max_width.numerator, max_width.denominator)
-
-
-def _grid_bits(u: int, v: int) -> int:
-    """Smallest k >= 0 with v <= u * 2^k, for positive u and v, from their bit
-    lengths: 2^-k <= u/v whether or not the pair is in lowest terms."""
-    k = max(0, v.bit_length() - u.bit_length())
-    return k + 1 if u << k < v else k
 
 
 def _series_precision(x: Fraction, max_width: Fraction) -> int:

@@ -59,6 +59,13 @@ def dyadic(n: int, k: int) -> Fraction:
     return _COPRIME(n >> t, 1 << (k - t))
 
 
+def _grid_bits(u: int, v: int) -> int:
+    """Smallest k >= 0 with v <= u * 2^k, for positive u and v, from their bit
+    lengths: 2^-k <= u/v whether or not the pair is in lowest terms."""
+    k = max(0, v.bit_length() - u.bit_length())
+    return k + 1 if u << k < v else k
+
+
 def refine(attempt, width, what: str, shrink=2):
     """First non-None attempt(width), dividing width by shrink between tries.
 

@@ -4,7 +4,14 @@ Coefficient index equals the exponent, trailing zeros are trimmed, and the
 zero polynomial has an empty coefficient tuple (degree -1).  Sturm-chain
 helpers at module level count distinct real roots in an interval exactly;
 they are the backbone of root isolation and bracket validation.
-`bisect_root` narrows an interval around one root by sign bisection.
+
+Every sign is exact and read on integers: `sign_at` gives the sign of
+q^d f(p/q) by homogeneous Horner, with no Fraction arithmetic.  The Sturm
+chain is kept over the rationals, and `count_roots_between` scales each row
+to integers before reading its signs.  `bisect_root` narrows an interval
+around one root by sign bisection on integer numerators over one common
+denominator; past JUMP_LEVELS halvings a Newton jump with precision
+doubling, confirmed by exact signs, reaches the same cell in a few steps.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .enclosure import Enclosure, dyadic
+from .enclosure import Enclosure, _grid_bits, dyadic
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
@@ -172,13 +179,6 @@ def _frac_divmod(num: list[Fraction], den: list[Fraction]):
     return quot, num
 
 
-def _eval_frac(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def sturm_chain(f: IntPolynomial) -> list[list[Fraction]]:
     """Sturm chain of f, coefficient lists over the rationals."""
     chain = [_frac_list(f), _frac_list(f.derivative())]
@@ -246,36 +246,206 @@ def cauchy_root_bound(f: IntPolynomial) -> int:
     return 2 + worst // lead
 
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def sign_at(coeffs, p: int, q: int) -> int:
+    """Sign of q^d * f(p/q), d = len(coeffs) - 1, for the polynomial f with
+    ascending coefficients coeffs and q > 0: the sign of f at p/q, by
+    homogeneous integer Horner, sum c_i p^i q^(d-i)."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= q
+    return _sign(acc)
+
+
+def _dyadic_value(coeffs, p: int, k: int) -> int:
+    """2^(kd) * f(p / 2^k), the homogeneous Horner of sign_at with shifts."""
+    acc, shift = 0, 0
+    for c in reversed(coeffs):
+        acc = acc * p + (c << shift)
+        shift += k
+    return acc
+
+
 def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction, chain=None) -> int:
     """Number of distinct real roots of f in the open interval (lo, hi).
 
     Endpoints must not be roots.  chain, if given, is sturm_chain(squarefree_part(f)).
+    Each row of the chain is scaled once to integers by the lcm of its
+    denominators, a positive factor, and its signs are read by `sign_at`.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if chain is None:
         chain = sturm_chain(squarefree_part(f))
-    at_lo = [_eval_frac(c, lo) for c in chain]
-    at_hi = [_eval_frac(c, hi) for c in chain]
+    rows = []
+    for row in chain:
+        scale = lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (scale // c.denominator) for c in row])
+    at_lo = [sign_at(row, *lo.as_integer_ratio()) for row in rows]
+    at_hi = [sign_at(row, *hi.as_integer_ratio()) for row in rows]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")
     return _sign_variations(at_lo) - _sign_variations(at_hi)
 
 
+# ---------------------------------------------------------------------------
+# Bisection on integers.  A cell [a, b] / s is halved into [a, a + b] / 2s
+# or [a + b, b] / 2s, so after j halvings of [a, b] / s every cell is
+# [x, x + b - a] / (s 2^j), and f's sign at x / (s 2^j) is the sign of
+# sum c_i s^(d-i) x^i 2^(j(d-i)): the coefficients times powers of s once,
+# then shifts.  Every JUMP_LEVELS halvings a Newton jump tries to skip the
+# rest: the cell, as t in [0, 1], gives an integer polynomial g (`_shifted`);
+# when g has exactly one root there, and it simple (`_one_simple_root`),
+# Newton's method guesses the cell the remaining halvings reach
+# (`_newton_guess`) and exact signs confirm it (`_confirm`).  Unconfirmed,
+# the halving goes on, so the result never depends on Newton converging.
+
+JUMP_LEVELS = 64
+
+
+def _shifted(cs, a: int, w: int, j: int) -> list[int]:
+    """Coefficients of g(t) = sum cs_i (a + w t)^i 2^(j(d-i)), which is f at
+    (a + w t) / (s 2^j) times (s 2^j)^d: the cell [a, a + w] / (s 2^j) as
+    t in [0, 1]."""
+    d = len(cs) - 1
+    g = [cs[d]]
+    for i in range(d - 1, -1, -1):
+        g = [a * x + w * y for x, y in zip(g + [0], [0] + g)]
+        g[0] += cs[i] << (j * (d - i))
+    return g
+
+
+def _one_simple_root(g) -> bool:
+    """Whether g has exactly one root in (0, 1), and it simple, by Descartes'
+    rule of signs on (1 + y)^d g(1 / (1 + y)): g reversed, shifted by one."""
+    h = g[::-1]
+    d = len(h) - 1
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            h[k] += h[k + 1]
+    signs = [c > 0 for c in h if c]
+    return sum(x != y for x, y in zip(signs, signs[1:])) == 1
+
+
+def _newton_guess(g, levels: int):
+    """About 2^levels times the one root of g in (0, 1), as an integer in
+    [0, 2^levels), by Newton's method on integers with the precision
+    doubling each step (Brent and Zimmermann, Modern Computer Arithmetic,
+    ch. 4); None if g' vanishes on the way.  Only a guess: `_confirm`
+    checks it."""
+    dg = [i * c for i, c in enumerate(g)][1:]
+    precisions = [levels + 8]
+    while precisions[-1] > 48:
+        precisions.append(precisions[-1] // 2 + 1)
+    precisions.reverse()
+    p = precisions[0]
+    u = 1 << (p - 1)
+    for target in [p] * 5 + precisions[1:]:
+        u <<= target - p
+        p = target
+        # t = u / 2^p; u - 2^p g(t) / g'(t) is u - G // G1 for these G, G1
+        G1 = _dyadic_value(dg, u, p)
+        if not G1:
+            return None
+        u = min(max(u - _dyadic_value(g, u, p) // G1, 0), 1 << p)
+    return min(u >> (p - levels), (1 << levels) - 1)
+
+
+def _confirm(g, levels: int, i: int, sign0: int):
+    """(i', hit) for the one root r of g in (0, 1), g(0) of sign sign0, from
+    the guess i: r = i' / 2^levels if hit, else i' / 2^levels < r <
+    (i' + 1) / 2^levels, both read off exact signs.  The guess may move by
+    one a few times; None if that does not reach r."""
+    def sign(x):
+        return _sign(_dyadic_value(g, x, levels))
+    lo, hi = sign(i), sign(i + 1)
+    for _ in range(4):
+        if lo == 0 or hi == 0:
+            return i + (lo != 0), True
+        if lo == sign0 != hi:
+            return i, False
+        if lo != sign0:
+            i -= 1
+            lo, hi = sign(i), lo
+        else:
+            i += 1
+            lo, hi = hi, sign(i + 1)
+    return None
+
+
+def _narrow(coeffs, a: int, b: int, s: int, levels: int, sign_a: int):
+    """(a', b', s', hit): halve [a, b] / s up to `levels` times, keeping the
+    right half when f at the midpoint has sign sign_a (f's sign at a / s)
+    and the left half otherwise.  hit is False when all `levels` halvings
+    were made, and [a', b'] / s' is the cell reached; it is True when a
+    midpoint is a root, and [a', b'] / s' is the cell it is the midpoint of.
+
+    A Newton jump leaves the result as it is: it is tried only on a cell
+    where g of `_shifted` has exactly one root, simple, which every later
+    halving then follows, and its cell is confirmed by exact signs.
+    """
+    d = len(coeffs) - 1
+    w = b - a
+    cs = [c * s ** (d - i) for i, c in enumerate(coeffs)]
+    jumps = sign_a != 0
+    j = 0
+    while j < levels:
+        if jumps and j and j % JUMP_LEVELS == 0:
+            g = _shifted(cs, a, w, j)
+            if _one_simple_root(g):
+                guess = _newton_guess(g, levels - j)
+                found = None if guess is None else _confirm(g, levels - j, guess, sign_a)
+                if found is not None:
+                    i, hit = found
+                    if not hit:
+                        a = (a << (levels - j)) + w * i
+                        return a, a + w, s << levels, False
+                    # i / 2^(levels - j) is first a grid point after
+                    # levels - j - z halvings, z its trailing zero bits
+                    z = (i & -i).bit_length() - 1
+                    up = levels - j - z - 1
+                    a = (a << up) + w * (i >> (z + 1))
+                    return a, a + w, s << (j + up), True
+                jumps = False
+        m = a + b
+        v = _sign(_dyadic_value(cs, m, j + 1))
+        if v == 0:
+            return a, b, s << j, True
+        if v == sign_a:
+            a, b = m, b << 1
+        else:
+            a, b = a << 1, m
+        j += 1
+    return a, b, s << j, False
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d in lowest terms, by a shift when d is a power of two."""
+    return dyadic(n, d.bit_length() - 1) if d & (d - 1) == 0 else Fraction(n, d)
+
+
 def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
                 max_width: Fraction) -> Enclosure:
     """Halve [lo, hi], whose ends f gives opposite nonzero signs, until it is at
-    most max_width wide; a midpoint that is the root comes back as a point."""
-    s_lo = f(lo)
-    sign_lo = (s_lo > 0) - (s_lo < 0)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        v = f(mid)
-        if v == 0:
-            return Enclosure(mid, mid)
-        if ((v > 0) - (v < 0)) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    most max_width wide; a midpoint that is the root comes back as a point.
+
+    The ends go over one common denominator S, the cells are integers over
+    S 2^j, halved or skipped ahead by a confirmed Newton jump (`_narrow`),
+    and Fractions are built only for the result.
+    """
+    lo, hi, max_width = Fraction(lo), Fraction(hi), Fraction(max_width)
+    s = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (s // lo.denominator), hi.numerator * (s // hi.denominator)
+    u, v = max_width.as_integer_ratio()
+    # the fewest halvings k with (b - a) / (s 2^k) <= u / v
+    levels = _grid_bits(u * s, (b - a) * v)
+    a, b, s, hit = _narrow(f.coeffs, a, b, s, levels, sign_at(f.coeffs, a, s))
+    if hit:
+        x = _ratio(a + b, s << 1)
+        return Enclosure(x, x)
+    return Enclosure(_ratio(a, s), _ratio(b, s))

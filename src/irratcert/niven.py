@@ -19,7 +19,7 @@ from math import comb, factorial
 
 from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
                      check_index)
-from .intpoly import _eval_frac, _trimmed
+from .intpoly import _trimmed
 from .sequences import _nth
 
 
@@ -37,7 +37,10 @@ class RationalPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        return _eval_frac(self.coeffs, x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
 
 @dataclass(frozen=True)

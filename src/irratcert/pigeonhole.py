@@ -4,8 +4,9 @@ The multiples 0, value, 2*value, ..., n*value have n+1 fractional parts
 landing in the n bins [j/n, (j+1)/n); two must share a bin, and their
 difference yields integers p, q with 0 < q <= n and |q*value - p| < 1/n.
 Everything is resolved through enclosures, refined on demand.  The bin scan
-puts the enclosure over one common denominator and runs on exact integers,
-making the same floor and bin decisions as interval arithmetic would.
+puts the enclosure over one common denominator D and reads every placement
+off floor(n*k*A/D), one integer per multiple and endpoint, making the same
+floor and bin decisions as interval arithmetic would.
 """
 
 from __future__ import annotations
@@ -31,23 +32,19 @@ class PigeonholeResult:
 def bin_placements(enc: Enclosure, n: int):
     """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous.
 
-    With enc = [A/D, B/D], k*value lies in [kA/D, kB/D]; its floor z is
-    settled when kB - zD < D, and its bin when (kA - zD) n // D equals
-    (kB - zD) n // D: the decisions interval arithmetic makes on k*enc - z.
+    With enc = [A/D, B/D], n*k*value lies in [nkA/D, nkB/D].  For z the
+    floor of kA/D and j the bin of its fractional part, floor(nkA/D) is
+    nz + j, so the placement is divmod(floor(nkA/D), n), and it is settled
+    exactly when floor(nkB/D) is the same integer: the decisions interval
+    arithmetic makes on k*enc - z, from one list of floors per endpoint.
     """
-    d = lcm(enc.lo.denominator, enc.hi.denominator)
-    a, b = (enc.lo * d).numerator, (enc.hi * d).numerator
-    placed = []
-    ka = kb = 0
-    for _ in range(n + 1):
-        z, ra = divmod(ka, d)
-        rb = kb - z * d
-        j = ra * n // d
-        if rb >= d or rb * n // d != j:
-            return None
-        placed.append((z, j))
-        ka, kb = ka + a, kb + b
-    return placed
+    (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    d = lcm(da, db)
+    na, nb = n * a * (d // da), n * b * (d // db)
+    floors = [k * na // d for k in range(n + 1)]
+    if floors != [k * nb // d for k in range(n + 1)]:
+        return None
+    return [divmod(f, n) for f in floors]
 
 
 def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
@@ -65,8 +62,9 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
                          f"bins for {canonical_text(c)} at n={n}")
 
     # smallest bin holding two multiples, first two k in it (the sort is stable)
-    order = sorted(range(n + 1), key=lambda k: placed[k][1])
-    k1, k2 = next((a, b) for a, b in zip(order, order[1:]) if placed[a][1] == placed[b][1])
+    bins = [j for _, j in placed]
+    order = sorted(range(n + 1), key=bins.__getitem__)
+    k1, k2 = next((a, b) for a, b in zip(order, order[1:]) if bins[a] == bins[b])
     p, q = placed[k2][0] - placed[k1][0], k2 - k1
     # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z
     residual = Enclosure(k2 * enc.lo - k1 * enc.hi - p, k2 * enc.hi - k1 * enc.lo - p)

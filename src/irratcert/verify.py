@@ -280,21 +280,38 @@ class ConstantCache:
     """
 
     def __init__(self):
-        self._best = {}     # spec -> (K, L, H)
+        self._best = {}     # spec -> [K, L, H]
+        self._seen = {}     # id(obj) -> (obj, what _memo made for it)
+
+    def _memo(self, obj, make):
+        """make() for the first call with obj, and the same value for every
+        later call with that object, found by its id: hashing a spec that
+        holds a Fraction, or the Fraction, costs microseconds.  obj is kept,
+        so its id is not reused."""
+        hit = self._seen.get(id(obj))
+        if hit is None:
+            hit = self._seen[id(obj)] = obj, make()
+        return hit[1]
+
+    def trig_specs(self, angle: Fraction):
+        """(CosOf(angle), SinOf(angle)), built once per angle object."""
+        return self._memo(angle, lambda: (CosOf(angle), SinOf(angle)))
 
     def grid(self, spec, u: int, v: int) -> tuple[int, int, int]:
         """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/v wide."""
         k = _grid_bits(u, v)
         if not isinstance(spec, (Sqrt, Root)):
             k += 2
-        bits, lo, hi = self._best.get(spec, (-1, 0, 0))
+        # equal specs share one entry; each spec object is hashed once
+        entry = self._memo(spec, lambda: self._best.setdefault(spec, [-1, 0, 0]))
+        bits, lo, hi = entry
         if bits < k:
             bits = max(k, 2 * bits)
             # through the module global, so rebinding `enclose` sees the call
             enc = enclose(spec, dyadic(1, bits))
             lo = (enc.lo.numerator << bits) // enc.lo.denominator
             hi = -((-enc.hi.numerator << bits) // enc.hi.denominator)
-            self._best[spec] = bits, lo, hi
+            entry[:] = bits, lo, hi
         return k, lo >> (bits - k), -((-hi) >> (bits - k))
 
     def enclose(self, spec, max_width) -> Enclosure:
@@ -356,8 +373,9 @@ def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
     cache = cache or ConstantCache()
     v = den * 2 * (abs(c) + abs(d) + 1)
     # two series constants at one width: both answers are on one grid 2^-k
-    k, cos_lo, cos_hi = cache.grid(CosOf(angle), num, v)
-    _, sin_lo, sin_hi = cache.grid(SinOf(angle), num, v)
+    cos, sin = cache.trig_specs(angle)
+    k, cos_lo, cos_hi = cache.grid(cos, num, v)
+    _, sin_lo, sin_hi = cache.grid(sin, num, v)
     if c < 0:
         cos_lo, cos_hi = cos_hi, cos_lo
     if d < 0:

@@ -3,9 +3,10 @@
 Everything here recomputes values along an independent path: quadratic and
 higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
-partial sums with Lagrange tails for the series constants, and schoolbook
-bisection for square roots, and interval arithmetic on `Enclosure`s for
-certificate residuals.  Agreement between a library value and its oracle
+partial sums with Lagrange tails for the series constants, schoolbook
+bisection for square roots, interval arithmetic on `Enclosure`s for
+certificate residuals, and `Fraction` Horner, bisection and Sturm counts
+for polynomial signs and roots.  Agreement between a library value and its oracle
 twin is the point of most tests, so nothing in this file may call back into
 the code paths it checks.
 """
@@ -246,3 +247,71 @@ def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
         if acc.width <= max_width:
             return acc
         width /= 2
+
+
+# Polynomial signs and roots on Fractions, as intpoly and algebraic first
+# computed them; the library computes the same on integers.
+
+def fraction_horner(coeffs, x: Fraction) -> Fraction:
+    """sum(coeffs[i] x^i) by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def fraction_bisect_root(coeffs, lo, hi, max_width) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi] until it is at most max_width wide, keeping the right
+    half when the midpoint's sign is that of lo; a midpoint that is a root
+    comes back as (mid, mid)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    sign_lo = _sign(fraction_horner(coeffs, lo))
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        v = _sign(fraction_horner(coeffs, mid))
+        if v == 0:
+            return mid, mid
+        if v == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def fraction_sturm_count(chain, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of the Fraction Sturm chain at lo minus those at hi."""
+    def variations(x):
+        signs = [s for s in (_sign(fraction_horner(row, x)) for row in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+def fraction_isolate(coeffs, chain, bound: int) -> list[tuple[Fraction, Fraction]]:
+    """Brackets (lo, hi) of the real roots of the squarefree polynomial with
+    the given Sturm chain inside (-bound, bound), ascending: split at the
+    midpoint, or at the first of i/(2i+1) of the way across that is not a
+    root, until each interval holds one root and is at most 1/4 wide."""
+    def nonroot(a, b):
+        for i in range(len(coeffs) + 2):
+            x = a + (b - a) * (Fraction(i, 2 * i + 1) if i else Fraction(1, 2))
+            if fraction_horner(coeffs, x) != 0:
+                return x
+        raise AssertionError("more roots than the degree allows")
+
+    found = []
+    stack = [(Fraction(-bound), Fraction(bound))]
+    while stack:
+        a, b = stack.pop()
+        count = fraction_sturm_count(chain, a, b)
+        if count == 0:
+            continue
+        if count == 1 and b - a <= Fraction(1, 4):
+            found.append((a, b))
+            continue
+        x = nonroot(a, b)
+        stack += [(a, x), (x, b)]
+    return sorted(found)

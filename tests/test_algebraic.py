@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irratcert import algebraic, intpoly
@@ -15,10 +15,13 @@ from irratcert.algebraic import (PowerForm, RootBracket, classify_roots,
                                  monic_certificate, monic_transform,
                                  reduce_power_form)
 from irratcert.cli import main
+from irratcert.constants import Sqrt, enclose
 from irratcert.errors import NotMonicError, NotSquarefreeError
-from irratcert.intpoly import IntPolynomial, count_roots_between
+from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
+                               count_roots_between, sturm_chain)
+from irratcert.pigeonhole import bin_placements
 
-from oracles import modular_powers_remainder
+from oracles import fraction_isolate, modular_powers_remainder
 
 
 def test_reduce_small_cases():
@@ -226,3 +229,47 @@ def test_isolation_builds_one_sturm_chain_and_no_gcd(monkeypatch):
     assert len(brackets) == 8
     assert len(chains) <= 1
     assert gcds == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(planted=st.sets(st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 4, 8))),
+                       max_size=4),
+       quadratic=st.lists(st.integers(-30, 30), min_size=3, max_size=3).filter(lambda c: c[2]))
+@example(planted={Fraction(0)}, quadratic=[-2, 0, 1])      # 0 is the first midpoint
+@example(planted={Fraction(0), Fraction(1, 2), Fraction(-3, 4)}, quadratic=[1, 0, 1])
+def test_isolation_equals_fraction_isolation(planted, quadratic):
+    # planted rational roots, dyadic ones among them so that midpoints hit
+    # roots, times a quadratic with two, one or no real roots
+    f = IntPolynomial(quadratic)
+    for r in planted:
+        f = f * IntPolynomial((-r.numerator, r.denominator))
+    if len(sturm_chain(f)[-1]) > 1:
+        return
+    want = fraction_isolate(f.coeffs, sturm_chain(f), cauchy_root_bound(f))
+    assert [(br.lo, br.hi) for br in isolate_real_roots(f)] == want
+
+
+def test_no_fraction_arithmetic_in_the_integer_loops(monkeypatch):
+    # signs, halvings, Newton jumps and bin floors all run on integers;
+    # Fractions are only built, for Sturm counts and results
+    f = IntPolynomial((-12, -2, 98, -59, -114, 92, 22, -31, 6))
+    chain = sturm_chain(f)
+    enc = enclose(Sqrt(2), Fraction(1, 10 ** 12))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__"):
+        def counting(*args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counting)
+    # the chain is built once per polynomial, on Fractions, before the loop
+    monkeypatch.setattr(algebraic, "sturm_chain", lambda g: chain)
+    assert len(isolate_real_roots(f)) == 8
+    assert len(classify_roots(f)) == 8
+    cubic = IntPolynomial((-5, -2, 0, 1))
+    deep = bisect_root(cubic, Fraction(2), Fraction(3), Fraction(1, 2 ** 5000))
+    bisect_root(cubic, Fraction(13, 7), Fraction(31, 10), Fraction(1, 3 * 10 ** 300))
+    assert bin_placements(enc, 800) is not None
+    assert calls == []
+    monkeypatch.undo()
+    assert deep.width == Fraction(1, 2 ** 5000)

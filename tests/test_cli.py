@@ -288,22 +288,24 @@ def test_pigeonhole_reads_a_constant_past_the_digit_limit(capsys):
 
 
 def test_classify_prints_a_root_past_the_digit_limit(capsys):
-    # x - N for N of 700 digits, under the lowest limit the interpreter
-    # allows: str() of N would raise, and isolating a root this large costs
-    # one bisection step per bit, so N is kept short of 4,300 digits
+    # x - N for N of 700 digits under the lowest limit the interpreter
+    # allows, and of 4,400 digits under the default limit: str() of N would
+    # raise.  Isolating the root halves (-N - 2, N + 2) about 3.3 times per
+    # digit, on integers and past the first 64 halvings by a Newton jump
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no limit on int-to-str digits")
-    ones = "1" * 700
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert main(["classify", f"--poly=-{ones},1"]) == 0
-        out = capsys.readouterr().out
-    finally:
+    for digits, limit in ((700, 640), (4400, sys.get_int_max_str_digits())):
+        ones = "1" * digits
+        saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
-    assert out.startswith("bracket (")
-    assert out.endswith(f"): rational {ones}\n")
-    assert out.count("\n") == 1
+        try:
+            assert main(["classify", f"--poly=-{ones},1"]) == 0
+            out = capsys.readouterr().out
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert out.startswith("bracket (")
+        assert out.endswith(f"): rational {ones}\n")
+        assert out.count("\n") == 1
 
 
 def test_fracpart_subcommand(capsys):

@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from irratcert import intpoly
 from irratcert.algebraic import isolate_real_roots
 from irratcert.enclosure import Enclosure
 from irratcert.errors import NotSquarefreeError
-from irratcert.intpoly import (IntPolynomial, cauchy_root_bound,
+from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
                                count_roots_between, is_squarefree,
-                               poly_gcd, squarefree_part, sturm_chain)
+                               poly_gcd, sign_at, squarefree_part, sturm_chain)
+
+from oracles import fraction_bisect_root, fraction_horner, fraction_sturm_count
 
 
 def test_csv_round_trip_and_trimming():
@@ -179,3 +182,105 @@ def test_chain_squarefree_test_agrees_with_is_squarefree(f, g, square):
         assert len(sturm_chain(f)[-1]) > 1
         with pytest.raises(NotSquarefreeError):
             isolate_real_roots(f)
+
+
+# ---------------------------------------------------------------------------
+# Integer signs and bisection against their Fraction references.
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@PROPERTY
+@given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       p=st.integers(-10 ** 9, 10 ** 9), q=st.integers(1, 10 ** 9))
+@example(coeffs=[-6, 1, 1], p=2, q=1)                  # (x - 2)(x + 3) at its root
+@example(coeffs=[-6, 1, 1], p=-12, q=4)                # at -3, unreduced
+@example(coeffs=[-1, 9, -27, 27], p=1, q=3)            # (3x - 1)^3 at its root
+@example(coeffs=[], p=5, q=7)
+def test_sign_at_is_the_sign_of_fraction_horner(coeffs, p, q):
+    assert sign_at(coeffs, p, q) == _sign(fraction_horner(coeffs, Fraction(p, q)))
+
+
+@PROPERTY
+@given(f=polys, a=rationals, b=rationals)
+def test_sturm_count_equals_the_fraction_count(f, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and fraction_horner(f.coeffs, lo) != 0 and fraction_horner(f.coeffs, hi) != 0)
+    chain = sturm_chain(squarefree_part(f))
+    assert count_roots_between(f, lo, hi, chain) == fraction_sturm_count(chain, lo, hi)
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+CUBIC = [-5, -2, 0, 1]                                  # x^3 - 2x - 5, root in (2, 3)
+TRIPLE = _times([-1, 9, -27, 27], [1, 0, 1])           # (3x - 1)^3 (x^2 + 1)
+# a root 2 + 2^-2000 of (2^2000 x - 2^2001 - 1)(x^2 + 1): on the bisection
+# grid of (2, 3) after 2,000 halvings, so a deeper width gives a point
+ON_GRID = _times([-(2 ** 2001 + 1), 2 ** 2000], [1, 0, 1])
+# three roots 2 + k / (20 * 2^64), k = 1, 5, 9, all in the cell halving
+# reaches after 64 steps: halving follows the middle one, Newton from the
+# cell's middle the last, so no jump may be tried there
+CLUSTER = [1]
+for _k in (1, 5, 9):
+    CLUSTER = _times(CLUSTER, [-(40 * 2 ** 64 + _k), 20 * 2 ** 64])
+
+
+@st.composite
+def _sign_changes(draw, max_bits):
+    """(coeffs, lo, hi, max_width): f changes sign over [lo, hi], whose ends
+    are often not dyadic.  f is x^2 + c times linear factors, some cubed;
+    with on_grid one root sits on the bracket's bisection grid."""
+    ends = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 40))
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    bits = draw(st.integers(1, max_bits))
+    coeffs = [draw(st.integers(1, 5)), 0, 1]
+    if draw(st.booleans()):
+        level = draw(st.integers(1, bits + 2))
+        r = lo + (hi - lo) * Fraction(2 * draw(st.integers(0, 2 ** (level - 1) - 1)) + 1,
+                                      2 ** level)
+        coeffs = _times(coeffs, [-r.numerator, r.denominator])
+    for p, q, power in draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12),
+                                               st.sampled_from((1, 1, 3))), max_size=3)):
+        for _ in range(power):
+            coeffs = _times(coeffs, [-p, q])
+    assume(_sign(fraction_horner(coeffs, lo)) * _sign(fraction_horner(coeffs, hi)) < 0)
+    max_width = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 7)) << bits)
+    return coeffs, lo, hi, max_width
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_sign_changes(300))
+@example(case=(CUBIC, Fraction(2), Fraction(3), Fraction(1, 2 ** 3000)))
+@example(case=(TRIPLE, Fraction(1, 7), Fraction(5, 11), Fraction(1, 2 ** 3000)))
+@example(case=(ON_GRID, Fraction(2), Fraction(3), Fraction(1, 2 ** 2100)))
+@example(case=(CUBIC, Fraction(2), Fraction(3), Fraction(1, 2)))
+@example(case=(CLUSTER, Fraction(2), Fraction(3), Fraction(1, 2 ** 300)))
+def test_bisect_root_equals_fraction_bisection(case):
+    coeffs, lo, hi, max_width = case
+    enc = bisect_root(IntPolynomial(coeffs), lo, hi, max_width)
+    assert (enc.lo, enc.hi) == fraction_bisect_root(coeffs, lo, hi, max_width)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=_sign_changes(3000), guess=st.sampled_from((0, -1, None)))
+def test_newton_jumps_land_where_halving_does(case, guess):
+    # deep widths, where the Fraction reference is too slow: the result with
+    # Newton jumps equals plain integer halving, and a wrong guess (the first
+    # or last cell, or none) falls back to halving with the same result
+    coeffs, lo, hi, max_width = case
+    f = IntPolynomial(coeffs)
+    want = bisect_root(f, lo, hi, max_width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intpoly, "JUMP_LEVELS", 10 ** 9)
+        assert bisect_root(f, lo, hi, max_width) == want
+        mp.undo()
+        mp.setattr(intpoly, "_newton_guess", lambda g, levels: (
+            None if guess is None else guess % (1 << levels)))
+        assert bisect_root(f, lo, hi, max_width) == want

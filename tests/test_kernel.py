@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-from irratcert import constants
+from irratcert import constants, intpoly
+from irratcert.algebraic import isolate_real_roots
 from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
-                                 canonical_text, enclose, integer_nth_root)
+                                 canonical_text, enclose, integer_nth_root,
+                                 parse_constant)
 from irratcert.intpoly import IntPolynomial
 from irratcert.verify import ConstantCache
+
+from oracles import fraction_bisect_root
 
 ORACLE_BITS = 4200
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -151,6 +155,74 @@ def test_algebraic_root_matches_mpmath_at_2_pow_minus_2000():
     assert CUBIC(v - eps) < 0 < CUBIC(v + eps)
     assert enc.width <= max_width
     assert enc.lo <= v - eps and v + eps <= enc.hi
+
+
+def test_algebraic_root_at_2_pow_minus_20000_by_a_newton_jump(monkeypatch):
+    confirmed = []
+    confirm = intpoly._confirm
+
+    def recording(*args):
+        confirmed.append(confirm(*args))
+        return confirmed[-1]
+    monkeypatch.setattr(intpoly, "_confirm", recording)
+    max_width = Fraction(1, 2 ** 20000)
+    enc = enclose(AlgebraicRoot(CUBIC, 2, 3), max_width)
+    assert enc.width == max_width
+    assert CUBIC(enc.lo) < 0 < CUBIC(enc.hi)
+    assert len(confirmed) == 1 and confirmed[0] is not None
+
+
+def test_algebraic_root_matches_fraction_bisection_at_2_pow_minus_2000():
+    max_width = Fraction(1, 2 ** 2000)
+    enc = enclose(AlgebraicRoot(CUBIC, 2, 3), max_width)
+    assert (enc.lo, enc.hi) == fraction_bisect_root(CUBIC.coeffs, 2, 3, max_width)
+
+
+def test_an_exact_rational_root_comes_back_as_a_point_at_a_deep_width():
+    # 2 + 2^-3000 + 2^-4000 is a midpoint after 4,000 halvings of (2, 3),
+    # past the first Newton jump; x^2 - 2 has no root in (2, 3)
+    root = 2 + Fraction(1, 2 ** 3000) + Fraction(1, 2 ** 4000)
+    poly = IntPolynomial((-root.numerator, root.denominator)) * IntPolynomial((-2, 0, 1))
+    enc = enclose(AlgebraicRoot(poly, 2, 3), Fraction(1, 2 ** 10000))
+    assert enc.lo == enc.hi == root
+    # a width the halving stops short of gives the cell around it
+    enc = enclose(AlgebraicRoot(poly, 2, 3), Fraction(1, 2 ** 3999))
+    assert enc.lo < root < enc.hi and enc.width == Fraction(1, 2 ** 3999)
+
+
+_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                       st.integers(1, 10 ** 30))
+
+
+@st.composite
+def _algebraic_roots(draw):
+    """x^2 - D times rational roots, one of its isolated brackets."""
+    f = IntPolynomial((-draw(st.integers(2, 10 ** 6)), 0, 1))
+    for r in draw(st.lists(_fractions, max_size=3)):
+        f = f * IntPolynomial((-r.numerator, r.denominator))
+    assume(len(intpoly.sturm_chain(f)[-1]) == 1)
+    brackets = isolate_real_roots(f)
+    br = brackets[draw(st.integers(0, len(brackets) - 1))]
+    return AlgebraicRoot(f, br.lo, br.hi)
+
+
+def _non_power(m):
+    return st.integers(2, 10 ** 40).filter(lambda a: integer_nth_root(a, m) ** m != a)
+
+
+SPECS = st.one_of(
+    _non_power(2).map(Sqrt),
+    st.integers(2, 9).flatmap(lambda m: _non_power(m).map(lambda a: Root(a, m))),
+    st.just(E()), st.just(InvE()),
+    st.integers(1, 10 ** 30).map(EPow), _fractions.map(ERational),
+    st.integers(1, 10 ** 30).map(SinInv), st.integers(1, 10 ** 30).map(CosInv),
+    _fractions.map(SinOf), _fractions.map(CosOf), _algebraic_roots())
+
+
+@PROPERTY
+@given(spec=SPECS)
+def test_canonical_text_round_trips(spec):
+    assert parse_constant(canonical_text(spec)) == spec
 
 
 def _width_runs(width_strategy):
