@@ -5,11 +5,12 @@ sum(d_l * alpha^l), 0 <= l < deg(modulus), for alpha a root of a monic
 integer modulus.  Reduction rewrites any higher-degree combination into
 that canonical window by eliminating the top power repeatedly.
 
-Real roots are isolated by Sturm-chain counts; `classify_roots` decides each
-one's rationality exactly by narrowing its bracket with `intpoly.bisect_root`.
-Every sign on the way is read on integers by `intpoly.sign_at`: isolation
-carries each interval as integers (a, b, s) for [a, b] / s, and Fractions
-are built only for Sturm counts and for the brackets and roots returned.
+Real roots are isolated by counts on an integer Sturm chain, and
+`classify_roots` decides each one's rationality exactly by
+`intpoly.rational_root`.  Every sign on the way is read on integers by
+`intpoly.sign_at`: isolation carries each interval as integers (a, b, s) for
+[a, b] / s, and Fractions are built only for the brackets and roots returned
+and as the ends handed to `count_roots_between`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
 from .enclosure import _grid_bits
-from .intpoly import (IntPolynomial, _narrow, bisect_root, cauchy_root_bound,
-                      count_roots_between, sign_at, squarefree_part, sturm_chain)
+from .intpoly import (IntPolynomial, _narrow, cauchy_root_bound, count_roots_between,
+                      rational_root, sign_at, squarefree_part, sturm_chain)
 
 
 @dataclass(frozen=True)
@@ -205,20 +206,7 @@ class RootClassification:
 
 
 def classify_roots(f: IntPolynomial) -> list[RootClassification]:
-    """Exact rational-or-irrational verdict for every real root of f.
-
-    A rational root of f is z/a with a the leading coefficient.  Narrowed by
-    `bisect_root` to width at most 1/|a|, a bracket holds at most one multiple
-    of 1/|a| that can be the root, the first at or above its left end; the
-    root is rational exactly when that multiple is in the bracket and f
-    vanishes there, so the verdict involves no numeric tolerance at all.
-    """
-    a = abs(f.leading)
-    out = []
-    for br in isolate_real_roots(f):
-        enc = bisect_root(f, br.lo, br.hi, Fraction(1, a))
-        (p, q), (u, v) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-        z = -(-p * a // q)      # ceil(lo * a): the candidate is z / a
-        rational = z * v <= u * a and sign_at(f.coeffs, z, a) == 0
-        out.append(RootClassification(br, Fraction(z, a) if rational else None))
-    return out
+    """Exact rational-or-irrational verdict for every real root of f, each
+    decided by `intpoly.rational_root` on its isolating bracket."""
+    return [RootClassification(br, rational_root(f, br.lo, br.hi))
+            for br in isolate_real_roots(f)]

@@ -21,9 +21,9 @@ from .algebraic import classify_roots, reduce_power_form
 from .constants import (CosInv, CosOf, EPow, ERational, Root, SinInv, Sqrt,
                         canonical_text, parse_constant)
 from .errors import IrratCertError
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, _digits, _from_rational_str, _rational_str
 from .pigeonhole import fractional_residual, pigeonhole_approximant
-from .verify import FAMILIES, _decimal, _digits, _frac_str, certify
+from .verify import FAMILIES, _decimal, _frac_str, certify
 
 
 class _UsageError(Exception):
@@ -90,7 +90,7 @@ def _require(value, flag: str, family: str):
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _from_rational_str(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"{flag} must be a rational like 3/5, got {text!r}") from None
 
@@ -156,8 +156,8 @@ def _cmd_pigeonhole(args) -> int:
         text = json.dumps({
             "constant": canonical_text(c),
             "n": result.n,
-            "p": str(result.p),
-            "q": str(result.q),
+            "p": _digits(result.p),
+            "q": _digits(result.q),
             "residual_lo": _frac_str(result.residual.lo),
             "residual_hi": _frac_str(result.residual.hi),
         }, indent=2)
@@ -166,8 +166,8 @@ def _cmd_pigeonhole(args) -> int:
         text = "\n".join([
             f"constant: {canonical_text(c)}",
             f"n: {result.n}",
-            f"q: {result.q}",
-            f"p: {result.p}",
+            f"q: {_digits(result.q)}",
+            f"p: {_digits(result.p)}",
             f"residual: [{_frac_str(result.residual.lo)}, {_frac_str(result.residual.hi)}]",
             f"residual ~ {_decimal(mid)}  (|residual| < 1/{result.n})",
         ])
@@ -181,11 +181,6 @@ def _cmd_reduce(args) -> int:
     form = reduce_power_form(modulus, coeffs.coeffs)
     print(",".join(_digits(x) for x in form.coeffs))
     return 0
-
-
-def _rational_str(x: Fraction) -> str:
-    """str(x), also for integers past the interpreter's digit limit."""
-    return _digits(x.numerator) if x.denominator == 1 else _frac_str(x)
 
 
 def _cmd_classify(args) -> int:

@@ -13,15 +13,16 @@ canonical text form (`sqrt:2`, `root:2,3`, `e`, `inv-e`, `e-pow:3`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .enclosure import Enclosure, _grid_bits, refine
 from .errors import (BracketAmbiguousError, PerfectPowerError,
                      PrecisionExhausted, Unresolvable, ZeroExponentError)
-from .intpoly import (IntPolynomial, _digits, _from_digits, bisect_root,
-                      count_roots_between, sign_at)
+from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
+                      _rational_str, bisect_root, count_roots_between, rational_root,
+                      sign_at)
 
 
 def integer_nth_root(a: int, m: int) -> int:
@@ -150,11 +151,13 @@ class CosOf:
 
 @dataclass(frozen=True)
 class AlgebraicRoot:
-    """The unique real root of an integer polynomial inside (lo, hi)."""
+    """The unique real root of an integer polynomial inside (lo, hi); rational
+    holds its value when it is rational, decided once by `intpoly.rational_root`."""
 
     poly: IntPolynomial
     lo: Fraction
     hi: Fraction
+    rational: Optional[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
@@ -171,6 +174,7 @@ class AlgebraicRoot:
         n = count_roots_between(self.poly, self.lo, self.hi)
         if n != 1:
             raise BracketAmbiguousError(f"bracket holds {n} roots, need exactly 1")
+        object.__setattr__(self, "rational", rational_root(self.poly, self.lo, self.hi))
 
 
 ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
@@ -311,8 +315,10 @@ def enclose(spec: ConstantSpec, max_width) -> Enclosure:
             return _trig_enclosure(x, max_width, first_power=1)
         case CosOf(x=x):
             return _trig_enclosure(x, max_width, first_power=0)
-        case AlgebraicRoot():
+        case AlgebraicRoot(rational=None):
             return bisect_root(spec.poly, spec.lo, spec.hi, max_width)
+        case AlgebraicRoot(rational=r):
+            return Enclosure(r, r)
     raise TypeError(f"not a constant spec: {spec!r}")
 
 
@@ -341,17 +347,17 @@ def canonical_text(spec: ConstantSpec) -> str:
         case EPow(k=k):
             return f"e-pow:{_digits(k)}"
         case ERational(r=r):
-            return f"e-rat:{r}"
+            return f"e-rat:{_rational_str(r)}"
         case SinInv(m=m):
             return f"sin-inv:{_digits(m)}"
         case CosInv(m=m):
             return f"cos-inv:{_digits(m)}"
         case SinOf(x=x):
-            return f"sin:{x}"
+            return f"sin:{_rational_str(x)}"
         case CosOf(x=x):
-            return f"cos:{x}"
+            return f"cos:{_rational_str(x)}"
         case AlgebraicRoot(poly=poly, lo=lo, hi=hi):
-            return f"algroot:{poly.to_csv()}@{lo},{hi}"
+            return f"algroot:{poly.to_csv()}@{_rational_str(lo)},{_rational_str(hi)}"
     raise TypeError(f"not a constant spec: {spec!r}")
 
 
@@ -374,22 +380,22 @@ def parse_constant(text: str) -> ConstantSpec:
         if head == "e-pow":
             return EPow(_from_digits(rest))
         if head == "e-rat":
-            return ERational(Fraction(rest))
+            return ERational(_from_rational_str(rest))
         if head == "sin-inv":
             return SinInv(_from_digits(rest))
         if head == "cos-inv":
             return CosInv(_from_digits(rest))
         if head == "sin":
-            return SinOf(Fraction(rest))
+            return SinOf(_from_rational_str(rest))
         if head == "cos":
-            return CosOf(Fraction(rest))
+            return CosOf(_from_rational_str(rest))
         if head == "algroot":
             body, sep2, bracket = rest.partition("@")
             if not sep2:
                 raise ValueError("algroot spec needs coeffs@lo,hi")
             lo, hi = bracket.split(",")
             return AlgebraicRoot(IntPolynomial.from_csv(body),
-                                 Fraction(lo), Fraction(hi))
+                                 _from_rational_str(lo), _from_rational_str(hi))
     except (ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, (PerfectPowerError, ZeroExponentError, BracketAmbiguousError)):
             raise

@@ -5,13 +5,11 @@ zero polynomial has an empty coefficient tuple (degree -1).  Sturm-chain
 helpers at module level count distinct real roots in an interval exactly;
 they are the backbone of root isolation and bracket validation.
 
-Every sign is exact and read on integers: `sign_at` gives the sign of
-q^d f(p/q) by homogeneous Horner, with no Fraction arithmetic.  The Sturm
-chain is kept over the rationals, and `count_roots_between` scales each row
-to integers before reading its signs.  `bisect_root` narrows an interval
-around one root by sign bisection on integer numerators over one common
-denominator; past JUMP_LEVELS halvings a Newton jump with precision
-doubling, confirmed by exact signs, reaches the same cell in a few steps.
+Everything is exact and on integers, with no Fraction arithmetic: Sturm
+chains, gcds and squarefree parts come from one integer pseudo-remainder
+sequence, `sign_at` gives the sign of q^d f(p/q) by homogeneous Horner, and
+`bisect_root` halves integer numerators over one common denominator, past
+JUMP_LEVELS halvings skipping ahead by a Newton jump confirmed by signs.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from math import gcd, lcm
 from .enclosure import Enclosure, _grid_bits, dyadic
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _digits(x: int) -> str:
@@ -48,6 +47,18 @@ def _from_digits(text: str) -> int:
         half = len(text) // 2
         low = _from_digits(text[-half:])
         return _from_digits(text[:-half]) * 10 ** half + (-low if text[0] == "-" else low)
+
+
+def _rational_str(x: Fraction) -> str:
+    """str(x), also past the digit limit, as _digits."""
+    return _digits(x.numerator) + ("/" + _digits(x.denominator)) * (x.denominator != 1)
+
+
+def _from_rational_str(text: str) -> Fraction:
+    """Fraction(text), also past the digit limit where text is an integer or
+    num/den (stripped), as _from_digits.  Other text keeps Fraction's errors."""
+    ratio = _RATIO.fullmatch(text.strip())
+    return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2] or "1")) if ratio else Fraction(text)
 
 
 def _trimmed(coeffs):
@@ -139,7 +150,7 @@ class IntPolynomial:
         """Interval Horner evaluation, exact: enc is [a, b] / D over the common
         denominator D of its endpoints, the accumulator after j steps is
         [x, y] / D^j, and one Fraction per endpoint is built at the end, by
-        `dyadic` when D is a power of two."""
+        `_ratio`."""
         lo, hi = enc.lo, enc.hi
         d = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
@@ -148,46 +159,55 @@ class IntPolynomial:
             products = (x * a, x * b, y * a, y * b)
             scale *= d
             x, y = min(products) + c * scale, max(products) + c * scale
-        if d & (d - 1) == 0:
-            k = scale.bit_length() - 1
-            return Enclosure(dyadic(x, k), dyadic(y, k))
-        return Enclosure(Fraction(x, scale), Fraction(y, scale))
+        return Enclosure(_ratio(x, scale), _ratio(y, scale))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains over the rationals.
+# Sturm chains, gcds and squarefree parts from one primitive remainder
+# sequence on integers (Collins 1967; Brown 1971): each row is the negated
+# pseudo-remainder of the two before it divided by its positive content, a
+# positive multiple of the row that division over the rationals gives.
 
-def _frac_list(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _primitive(coeffs) -> list[int]:
+    """coeffs divided by their positive content; the zero list stays empty."""
+    content = gcd(*coeffs) or 1
+    return [c // content for c in coeffs]
 
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]):
-    """(quotient, remainder) of polynomial division with rational coefficients."""
-    num = list(num)
-    dd = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    while num and len(num) - 1 >= dd:
-        factor = num[-1] / den[-1]
-        shift = len(num) - 1 - dd
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
+def _pdivmod(num, den):
+    """(quot, rem) with c num = quot den + rem, deg rem < deg den, for integer
+    lists and a factor c > 0: each step multiplies by |lead(den)|, never by
+    lead(den), so rem is a positive multiple of the rational remainder."""
+    num, dd, scale = list(num), len(den) - 1, abs(den[-1])
+    quot = [0] * max(len(num) - dd, 0)
+    while len(num) > dd:
+        top = num.pop() if den[-1] > 0 else -num.pop()
+        shift = len(num) - dd
+        quot = [c * scale for c in quot]
+        quot[shift] = top
+        num = [c * scale for c in num]
+        for i, c in enumerate(den[:-1]):
+            num[shift + i] -= top * c
         num = _trimmed(num)
     return quot, num
 
 
-def sturm_chain(f: IntPolynomial) -> list[list[Fraction]]:
-    """Sturm chain of f, coefficient lists over the rationals."""
-    chain = [_frac_list(f), _frac_list(f.derivative())]
-    while chain[-1]:
-        rem = _frac_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
+def _remainder_sequence(f, g) -> list[list[int]]:
+    """The nonzero rows f, g, -prem(f, g), ..., each made primitive, up to
+    the first zero remainder; the last row is gcd(f, g) up to a factor."""
+    rows = [_primitive(f), _primitive(g)]
+    while rows[-1]:
+        rows.append(_primitive([-c for c in _pdivmod(rows[-2], rows[-1])[1]]))
+    return [row for row in rows if row]
+
+
+def sturm_chain(f: IntPolynomial) -> list[list[int]]:
+    """Sturm chain of f: primitive integer rows, each a positive multiple of
+    the row over the rationals, so every sign and count is the same."""
+    return _remainder_sequence(f.coeffs, f.derivative().coeffs)
 
 
 def _sign_variations(values) -> int:
@@ -195,33 +215,20 @@ def _sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _primitive(coeffs: list[Fraction]) -> IntPolynomial:
-    """Clear denominators and the content, normalize the leading sign."""
-    if not coeffs:
-        return IntPolynomial()
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
+def _positive(coeffs) -> IntPolynomial:
+    """The nonzero list coeffs, made primitive with a positive leading coefficient."""
+    return IntPolynomial(c * _sign(coeffs[-1]) for c in _primitive(coeffs))
 
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient."""
-    a, b = _frac_list(f), _frac_list(g)
-    while b:
-        a, b = b, _frac_divmod(a, b)[1]
-    return _primitive(a)
+    """Primitive gcd with positive leading coefficient: the last row of the
+    remainder sequence, whose signs do not matter for a gcd."""
+    rows = _remainder_sequence(f.coeffs, g.coeffs)
+    return _positive(rows[-1]) if rows else IntPolynomial()
 
 
 def is_squarefree(f: IntPolynomial) -> bool:
-    if f.degree < 2:
-        return not f.is_zero
-    return poly_gcd(f, f.derivative()).degree == 0
+    return not f.is_zero and poly_gcd(f, f.derivative()).degree == 0
 
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
@@ -231,10 +238,10 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return f
-    quot, rem = _frac_divmod(_frac_list(f), _frac_list(g))
+    quot, rem = _pdivmod(f.coeffs, g.coeffs)
     if rem:
         raise ValueError("gcd does not divide the polynomial; coefficients corrupt")
-    return _primitive(quot)
+    return _positive(quot)
 
 
 def cauchy_root_bound(f: IntPolynomial) -> int:
@@ -273,21 +280,15 @@ def _dyadic_value(coeffs, p: int, k: int) -> int:
 def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction, chain=None) -> int:
     """Number of distinct real roots of f in the open interval (lo, hi).
 
-    Endpoints must not be roots.  chain, if given, is sturm_chain(squarefree_part(f)).
-    Each row of the chain is scaled once to integers by the lcm of its
-    denominators, a positive factor, and its signs are read by `sign_at`.
+    Endpoints must not be roots.  chain, if given, is sturm_chain(squarefree_part(f)),
+    whose integer rows `sign_at` reads as they are.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if chain is None:
         chain = sturm_chain(squarefree_part(f))
-    rows = []
-    for row in chain:
-        scale = lcm(*(c.denominator for c in row))
-        rows.append([c.numerator * (scale // c.denominator) for c in row])
-    at_lo = [sign_at(row, *lo.as_integer_ratio()) for row in rows]
-    at_hi = [sign_at(row, *hi.as_integer_ratio()) for row in rows]
+    at_lo, at_hi = ([sign_at(row, *x.as_integer_ratio()) for row in chain] for x in (lo, hi))
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")
     return _sign_variations(at_lo) - _sign_variations(at_hi)
@@ -449,3 +450,16 @@ def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
         x = _ratio(a + b, s << 1)
         return Enclosure(x, x)
     return Enclosure(_ratio(a, s), _ratio(b, s))
+
+
+def rational_root(f: IntPolynomial, lo: Fraction, hi: Fraction):
+    """The one root of f in (lo, hi), whose ends f gives opposite nonzero
+    signs, if it is rational, else None.  A rational root is z/a for a =
+    |lead(f)|; narrowed by `bisect_root` to width at most 1/a, the bracket
+    holds one candidate, the first multiple of 1/a at or above its left end,
+    and f's sign there decides, with no numeric tolerance at all."""
+    a = abs(f.leading)
+    enc = bisect_root(f, lo, hi, Fraction(1, a))
+    (p, q), (u, v) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    z = -(-p * a // q)      # ceil(lo * a): the candidate is z / a
+    return Fraction(z, a) if z * v <= u * a and sign_at(f.coeffs, z, a) == 0 else None

@@ -27,7 +27,7 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _grid_bits, canonical_text, enclose,
                         integer_nth_root)
 from .enclosure import Enclosure, dyadic, refine
-from .intpoly import IntPolynomial, _digits, _from_digits
+from .intpoly import IntPolynomial, _digits, _from_digits, _from_rational_str
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
 from .niven import (check_angle, exp_functional_int, exp_functional_rational,
@@ -184,13 +184,8 @@ def _decimal(fr: Fraction, places: int = 10) -> str:
     return f"{sign}{_digits(whole)}." + "".join(digits) + suffix
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 _JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
 _DECIMAL = re.compile(r"-?[0-9]+")
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _field(d: dict, name: str, kind=object):
@@ -215,9 +210,8 @@ def _integer(value, name: str) -> int:
 
 def _rational(d: dict, name: str) -> Fraction:
     text = _field(d, name, str)
-    ratio = _RATIO.fullmatch(text)
     try:
-        return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2])) if ratio else Fraction(text)
+        return _from_rational_str(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"certificate field {name!r} must be a rational like 3/4, "
                          f"got {text!r}") from None
@@ -250,7 +244,7 @@ def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
               "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
     cells = [[str(row.n), *row.term.layout.csv_cells(row.term.ints),
               _frac_str(row.residual.lo), _frac_str(row.residual.hi),
-              _frac_str(row.bound), _bool_str(row.nonzero_ok), _bool_str(row.bound_ok)]
+              _frac_str(row.bound), str(row.nonzero_ok).lower(), str(row.bound_ok).lower()]
              for row in rows]
     return header, cells
 

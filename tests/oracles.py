@@ -5,14 +5,14 @@ higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, schoolbook
 bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals, and `Fraction` Horner, bisection and Sturm counts
-for polynomial signs and roots.  Agreement between a library value and its oracle
-twin is the point of most tests, so nothing in this file may call back into
-the code paths it checks.
+certificate residuals, and `Fraction` Horner, bisection, division, gcds,
+Sturm chains and Sturm counts for polynomial signs and roots.  Agreement
+between a library value and its oracle twin is the point of most tests, so
+nothing in this file may call back into the code paths it checks.
 """
 
 from fractions import Fraction
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, gcd, lcm
 
 from irratcert.constants import Root, Sqrt, enclose
 from irratcert.enclosure import Enclosure
@@ -280,6 +280,71 @@ def fraction_bisect_root(coeffs, lo, hi, max_width) -> tuple[Fraction, Fraction]
         else:
             hi = mid
     return lo, hi
+
+
+def _fraction_divmod(num, den):
+    """(quotient, remainder) of polynomial division with rational coefficients."""
+    num = [Fraction(c) for c in num]
+    dd = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    while num and len(num) - 1 >= dd:
+        factor = num[-1] / den[-1]
+        shift = len(num) - 1 - dd
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            num[shift + i] -= factor * c
+        while num and num[-1] == 0:
+            num.pop()
+    return quot, num
+
+
+def _fraction_derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
+    """Sturm chain of the polynomial with ascending coefficients coeffs (trimmed),
+    by division over the rationals: f, f', then each negated remainder."""
+    chain = [[Fraction(c) for c in coeffs],
+             [Fraction(c) for c in _fraction_derivative(coeffs)]]
+    while chain[-1]:
+        rem = _fraction_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return [c for c in chain if c]
+
+
+def _fraction_primitive(coeffs) -> tuple[int, ...]:
+    """Denominators and content cleared, leading coefficient made positive."""
+    if not coeffs:
+        return ()
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    sign = -1 if ints[-1] < 0 else 1
+    return tuple(sign * c // content for c in ints)
+
+
+def fraction_poly_gcd(f, g) -> tuple[int, ...]:
+    """Primitive gcd, positive leading coefficient, by Euclid over the rationals."""
+    a, b = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return _fraction_primitive(a)
+
+
+def fraction_squarefree_part(coeffs) -> tuple[int, ...]:
+    """coeffs divided by gcd(f, f') over the rationals, made primitive;
+    coeffs itself when the gcd is a constant."""
+    g = fraction_poly_gcd(coeffs, _fraction_derivative(coeffs))
+    if len(g) == 1:
+        return tuple(coeffs)
+    quot, rem = _fraction_divmod(coeffs, g)
+    assert not rem
+    return _fraction_primitive(quot)
 
 
 def fraction_sturm_count(chain, lo: Fraction, hi: Fraction) -> int:

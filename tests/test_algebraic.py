@@ -18,10 +18,10 @@ from irratcert.cli import main
 from irratcert.constants import Sqrt, enclose
 from irratcert.errors import NotMonicError, NotSquarefreeError
 from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
-                               count_roots_between, sturm_chain)
+                               count_roots_between, squarefree_part, sturm_chain)
 from irratcert.pigeonhole import bin_placements
 
-from oracles import fraction_isolate, modular_powers_remainder
+from oracles import fraction_isolate, fraction_sturm_chain, modular_powers_remainder
 
 
 def test_reduce_small_cases():
@@ -245,15 +245,15 @@ def test_isolation_equals_fraction_isolation(planted, quadratic):
         f = f * IntPolynomial((-r.numerator, r.denominator))
     if len(sturm_chain(f)[-1]) > 1:
         return
-    want = fraction_isolate(f.coeffs, sturm_chain(f), cauchy_root_bound(f))
+    want = fraction_isolate(f.coeffs, fraction_sturm_chain(f.coeffs), cauchy_root_bound(f))
     assert [(br.lo, br.hi) for br in isolate_real_roots(f)] == want
 
 
 def test_no_fraction_arithmetic_in_the_integer_loops(monkeypatch):
-    # signs, halvings, Newton jumps and bin floors all run on integers;
-    # Fractions are only built, for Sturm counts and results
+    # Sturm chains, gcds, squarefree parts, signs, halvings, Newton jumps
+    # and bin floors all run on integers; Fractions are only built, for
+    # Sturm counts and results
     f = IntPolynomial((-12, -2, 98, -59, -114, 92, 22, -31, 6))
-    chain = sturm_chain(f)
     enc = enclose(Sqrt(2), Fraction(1, 10 ** 12))
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -262,9 +262,9 @@ def test_no_fraction_arithmetic_in_the_integer_loops(monkeypatch):
             calls.append(_name)
             return _op(*args)
         monkeypatch.setattr(Fraction, name, counting)
-    # the chain is built once per polynomial, on Fractions, before the loop
-    monkeypatch.setattr(algebraic, "sturm_chain", lambda g: chain)
     assert len(isolate_real_roots(f)) == 8
+    # (x - 1)^2 (x + 2)^3 (3x^2 - 2): its squarefree part by the same sequence
+    part = squarefree_part(IntPolynomial((-16, 8, 44, -14, -38, 1, 12, 3)))
     assert len(classify_roots(f)) == 8
     cubic = IntPolynomial((-5, -2, 0, 1))
     deep = bisect_root(cubic, Fraction(2), Fraction(3), Fraction(1, 2 ** 5000))
@@ -273,3 +273,4 @@ def test_no_fraction_arithmetic_in_the_integer_loops(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert deep.width == Fraction(1, 2 ** 5000)
+    assert part == IntPolynomial((4, -2, -8, 3, 3))

@@ -3,6 +3,7 @@
 import csv
 import json
 import sys
+import time
 
 import pytest
 
@@ -306,6 +307,34 @@ def test_classify_prints_a_root_past_the_digit_limit(capsys):
         assert out.startswith("bracket (")
         assert out.endswith(f"): rational {ones}\n")
         assert out.count("\n") == 1
+
+
+def test_a_rational_algebraic_root_is_placed_as_a_point(capsys):
+    # 3 in (2, 17/5) and 3/2 in (1, 17/5): no bisection midpoint is the root,
+    # so an interval around it would straddle a bin edge at every width
+    start = time.perf_counter()
+    assert main(["pigeonhole", "--constant", "algroot:-3,1@2,17/5", "--n", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "constant: algroot:-3,1@2,17/5\nn: 5\nq: 1\np: 3\nresidual: [0/1, 0/1]\n"
+        "residual ~ 0.0000000000  (|residual| < 1/5)\n")
+    assert main(["fracpart", "--constant", "algroot:-3,1@2,17/5", "--q", "2"]) == 0
+    assert capsys.readouterr().out == "{q*x}({q*x} - 1) in [0/1, 0/1]\nvalue ~ 0.0000000000\n"
+    assert main(["fracpart", "--constant", "algroot:-3,2@1,17/5", "--q", "3"]) == 0
+    assert capsys.readouterr().out == "{q*x}({q*x} - 1) in [-1/4, -1/4]\nvalue ~ -0.2500000000\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_a_classify_bracket_past_the_digit_limit_feeds_pigeonhole(capsys):
+    # the bracket printed for the root 11...1 of 4,400 digits, under the
+    # default limit, read back as an algroot constant
+    ones = "1" * 4400
+    assert main(["classify", f"--poly=-{ones},1"]) == 0
+    bracket = capsys.readouterr().out.split("(", 1)[1].split(")", 1)[0].replace(" ", "")
+    constant = f"algroot:-{ones},1@{bracket}"
+    assert main(["pigeonhole", "--constant", constant, "--n", "5", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["constant"] == constant
+    assert (out["p"], out["q"], out["residual_lo"], out["residual_hi"]) == (ones, "1", "0/1", "0/1")
 
 
 def test_fracpart_subcommand(capsys):

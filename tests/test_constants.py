@@ -144,6 +144,10 @@ def test_floor_of():
     assert floor_of(InvE()) == 0
     assert floor_of(SinInv(2)) == 0
     assert floor_of(CosOf(Fraction(3))) == -1
+    # 3 in (2, 17/5) and -5/3 in (-2, -3/2): no bisection midpoint is the
+    # root, which the spec finds rational and encloses as a point
+    assert floor_of(AlgebraicRoot(IntPolynomial((-3, 1)), 2, Fraction(17, 5))) == 3
+    assert floor_of(AlgebraicRoot(IntPolynomial((5, 3)), -2, Fraction(-3, 2))) == -2
 
 
 def test_canonical_text_round_trip():

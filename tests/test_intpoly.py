@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,7 +16,8 @@ from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
                                count_roots_between, is_squarefree,
                                poly_gcd, sign_at, squarefree_part, sturm_chain)
 
-from oracles import fraction_bisect_root, fraction_horner, fraction_sturm_count
+from oracles import (fraction_bisect_root, fraction_horner, fraction_poly_gcd,
+                     fraction_squarefree_part, fraction_sturm_chain, fraction_sturm_count)
 
 
 def test_csv_round_trip_and_trimming():
@@ -81,14 +83,27 @@ def test_eval_interval_contains_pointwise_values():
         assert out.lo <= f(x) <= out.hi
 
 
+def _positive_multiple(row, ref) -> bool:
+    """Whether the integer row is a positive rational multiple of ref."""
+    ratio = Fraction(row[-1]) / ref[-1]
+    return len(row) == len(ref) and ratio > 0 and all(r == ratio * c for r, c in zip(row, ref))
+
+
 def test_sturm_chain_known_values():
-    # chain for x^3 - 2x^2 + 3x - 5, matching values published elsewhere
+    # chain for x^3 - 2x^2 + 3x - 5: the published rows over the rationals,
+    # and the library's primitive integer rows, positive multiples of them
     f = IntPolynomial((-5, 3, -2, 1))
+    published = [[Fraction(-5), Fraction(3), Fraction(-2), Fraction(1)],
+                 [Fraction(3), Fraction(-4), Fraction(3)],
+                 [Fraction(13, 3), Fraction(-10, 9)],
+                 [Fraction(-3303, 100)]]
     chain = sturm_chain(f)
-    assert chain[0] == [Fraction(-5), Fraction(3), Fraction(-2), Fraction(1)]
-    assert chain[1] == [Fraction(3), Fraction(-4), Fraction(3)]
-    assert chain[2] == [Fraction(13, 3), Fraction(-10, 9)]
-    assert chain[3] == [Fraction(-3303, 100)]
+    assert len(chain) == len(published)
+    for row, ref in zip(chain, published):
+        assert all(type(c) is int for c in row)
+        assert gcd(*row) == 1
+        assert _positive_multiple(row, ref)
+    assert chain == [[-5, 3, -2, 1], [3, -4, 3], [39, -10], [-1]]
 
 
 def test_count_roots_between():
@@ -207,8 +222,49 @@ def test_sign_at_is_the_sign_of_fraction_horner(coeffs, p, q):
 def test_sturm_count_equals_the_fraction_count(f, a, b):
     lo, hi = min(a, b), max(a, b)
     assume(lo < hi and fraction_horner(f.coeffs, lo) != 0 and fraction_horner(f.coeffs, hi) != 0)
-    chain = sturm_chain(squarefree_part(f))
-    assert count_roots_between(f, lo, hi, chain) == fraction_sturm_count(chain, lo, hi)
+    want = fraction_sturm_count(fraction_sturm_chain(fraction_squarefree_part(f.coeffs)), lo, hi)
+    assert count_roots_between(f, lo, hi) == want
+    assert count_roots_between(f, lo, hi, sturm_chain(squarefree_part(f))) == want
+
+
+# Sparse polynomials, whose remainders drop by more than one degree at a
+# time, odd and even gaps alike, with leading coefficients of either sign;
+# squared factors give chains that end in a gcd of positive degree.
+sparse = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5, -7)), min_size=2, max_size=9).map(
+    IntPolynomial)
+chain_polys = st.one_of(polys, sparse, st.builds(lambda f, g: f * f * g, polys, sparse))
+
+
+@PROPERTY
+@given(f=chain_polys)
+@example(f=IntPolynomial((-1, 0, 0, 0, 0, -1)))        # -x^5 - 1: a gap of three
+@example(f=IntPolynomial((2, 0, 0, -3)))               # -3x^3 + 2: a gap of two
+@example(f=IntPolynomial((1, 0, -1, 0, 0, 0, -2)))     # lead -2, gaps of two and more
+@example(f=IntPolynomial((4,)))
+@example(f=IntPolynomial())
+def test_integer_chain_rows_are_positive_multiples_of_the_fraction_rows(f):
+    chain, ref = sturm_chain(f), fraction_sturm_chain(f.coeffs)
+    assert len(chain) == len(ref)
+    for row, want in zip(chain, ref):
+        assert gcd(*row) == 1
+        assert _positive_multiple(row, want)
+
+
+@PROPERTY
+@given(f=chain_polys, g=chain_polys)
+@example(f=IntPolynomial(), g=IntPolynomial())
+@example(f=IntPolynomial(), g=IntPolynomial((0, -2, 4)))
+@example(f=IntPolynomial((-6, 3)), g=IntPolynomial())
+def test_gcd_and_squarefree_part_equal_the_fraction_references(f, g):
+    assert poly_gcd(f, g).coeffs == fraction_poly_gcd(f.coeffs, g.coeffs)
+    if f.is_zero:
+        assert not is_squarefree(f)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            squarefree_part(f)
+        return
+    want = fraction_squarefree_part(f.coeffs)
+    assert squarefree_part(f).coeffs == want
+    assert is_squarefree(f) == (want == f.coeffs)
 
 
 def _times(f, g):

@@ -21,6 +21,7 @@ from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
                                  canonical_text, enclose, integer_nth_root,
                                  parse_constant)
+from irratcert.enclosure import Enclosure
 from irratcert.intpoly import IntPolynomial
 from irratcert.verify import ConstantCache
 
@@ -183,11 +184,16 @@ def test_an_exact_rational_root_comes_back_as_a_point_at_a_deep_width():
     # past the first Newton jump; x^2 - 2 has no root in (2, 3)
     root = 2 + Fraction(1, 2 ** 3000) + Fraction(1, 2 ** 4000)
     poly = IntPolynomial((-root.numerator, root.denominator)) * IntPolynomial((-2, 0, 1))
-    enc = enclose(AlgebraicRoot(poly, 2, 3), Fraction(1, 2 ** 10000))
+    enc = intpoly.bisect_root(poly, 2, 3, Fraction(1, 2 ** 10000))
     assert enc.lo == enc.hi == root
     # a width the halving stops short of gives the cell around it
-    enc = enclose(AlgebraicRoot(poly, 2, 3), Fraction(1, 2 ** 3999))
+    enc = intpoly.bisect_root(poly, 2, 3, Fraction(1, 2 ** 3999))
     assert enc.lo < root < enc.hi and enc.width == Fraction(1, 2 ** 3999)
+    # the spec knows the root is rational, so every width gives the point
+    spec = AlgebraicRoot(poly, 2, 3)
+    assert spec.rational == root
+    for width in (Fraction(1, 2 ** 10000), Fraction(1, 2 ** 3999), Fraction(1)):
+        assert enclose(spec, width) == Enclosure(root, root)
 
 
 _fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
@@ -219,8 +225,20 @@ SPECS = st.one_of(
     _fractions.map(SinOf), _fractions.map(CosOf), _algebraic_roots())
 
 
+# rationals of 4,300 to 4,500 digits, past the interpreter's default limit
+# on int-to-str and str-to-int conversions
+_long = st.integers(10 ** 4300, 10 ** 4500)
+_long_fractions = st.builds(lambda sign, n, d: Fraction(sign * n, d),
+                            st.sampled_from((-1, 1)), _long, st.one_of(st.just(1), _long))
+# sqrt(2) bracketed by ends of 4,300 digits and more
+_long_bracket = st.builds(lambda n: AlgebraicRoot(IntPolynomial((-2, 0, 1)), 1 + Fraction(1, n),
+                                                  2 - Fraction(1, n)), _long)
+LONG_SPECS = st.one_of(_long_fractions.map(ERational), _long_fractions.map(SinOf),
+                       _long_fractions.map(CosOf), _long_bracket)
+
+
 @PROPERTY
-@given(spec=SPECS)
+@given(spec=st.one_of(SPECS, LONG_SPECS))
 def test_canonical_text_round_trips(spec):
     assert parse_constant(canonical_text(spec)) == spec
 
