@@ -9,8 +9,8 @@ Real roots are isolated by counts on an integer Sturm chain, and
 `classify_roots` decides each one's rationality exactly by
 `intpoly.rational_root`.  Every sign on the way is read on integers by
 `intpoly.sign_at`: isolation carries each interval as integers (a, b, s) for
-[a, b] / s, and Fractions are built only for the brackets and roots returned
-and as the ends handed to `count_roots_between`.
+[a, b] / s, hands `count_roots_between` its ends as integer pairs, and
+builds Fractions only for the brackets and roots returned.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     roots, so a one-root interval's root lies in the half where f changes
     sign; such an interval is halved by `intpoly._narrow` down to 1/4 wide,
     and split at another interior point where a midpoint is the root.  Each
-    interval is integers (a, b, s) for [a, b] / s; Fractions are built for
-    the Sturm counts and the brackets returned.
+    interval is integers (a, b, s) for [a, b] / s, counted by the pairs
+    (a, s) and (b, s); Fractions are built only for the brackets returned.
     """
     if f.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -170,7 +170,7 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     found: list[RootBracket] = []
     # (a, b, s, f's sign at a / s, roots strictly between a / s and b / s)
     stack = [(-bound, bound, 1, sign_at(coeffs, -bound, 1),
-              count_roots_between(f, Fraction(-bound), Fraction(bound), chain))]
+              count_roots_between(f, (-bound, 1), (bound, 1), chain))]
     while stack:
         a, b, s, sign_a, count = stack.pop()
         if count == 0:
@@ -186,7 +186,7 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
         if count == 1:
             left = int(sign_x != sign_a)
         else:
-            left = count_roots_between(f, Fraction(a, s), Fraction(x, s), chain)
+            left = count_roots_between(f, (a, s), (x, s), chain)
         stack.append((a, x, s, sign_a, left))
         stack.append((x, b, s, sign_x, count - left))
     found.sort(key=lambda br: br.lo)

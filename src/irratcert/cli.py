@@ -82,12 +82,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(value, flag: str, family: str):
-    if value is None:
-        raise _UsageError(f"family {family!r} requires {flag}")
-    return value
-
-
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return _from_rational_str(text)
@@ -116,7 +110,9 @@ def _constant_for(family: str, args):
         return kind
     values = []
     for flag in _KIND_FLAGS.get(kind, ()):
-        value = _require(getattr(args, flag[2:]), flag, family)
+        value = getattr(args, flag[2:])
+        if value is None:
+            raise _UsageError(f"family {family!r} requires {flag}")
         values.append(_parse_fraction(value, flag) if flag in _RATIONAL_FLAGS else value)
     return kind(*values)
 
@@ -231,10 +227,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
-    except IrratCertError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (IrratCertError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

@@ -7,9 +7,11 @@ they are the backbone of root isolation and bracket validation.
 
 Everything is exact and on integers, with no Fraction arithmetic: Sturm
 chains, gcds and squarefree parts come from one integer pseudo-remainder
-sequence, `sign_at` gives the sign of q^d f(p/q) by homogeneous Horner, and
-`bisect_root` halves integer numerators over one common denominator, past
-JUMP_LEVELS halvings skipping ahead by a Newton jump confirmed by signs.
+sequence, `sign_at` gives the sign of q^d f(p/q) by homogeneous Horner,
+`_interval_horner` encloses f over a dyadic interval [a, b] / 2^k by
+interval Horner with shifts, and `bisect_root` halves integer numerators
+over one common denominator, past JUMP_LEVELS halvings skipping ahead by a
+Newton jump confirmed by signs.
 """
 
 from __future__ import annotations
@@ -146,21 +148,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_interval(self, enc: Enclosure) -> Enclosure:
-        """Interval Horner evaluation, exact: enc is [a, b] / D over the common
-        denominator D of its endpoints, the accumulator after j steps is
-        [x, y] / D^j, and one Fraction per endpoint is built at the end, by
-        `_ratio`."""
-        lo, hi = enc.lo, enc.hi
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        x, y, scale = 0, 0, 1
-        for c in reversed(self.coeffs):
-            products = (x * a, x * b, y * a, y * b)
-            scale *= d
-            x, y = min(products) + c * scale, max(products) + c * scale
-        return Enclosure(_ratio(x, scale), _ratio(y, scale))
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
@@ -277,18 +264,33 @@ def _dyadic_value(coeffs, p: int, k: int) -> int:
     return acc
 
 
-def count_roots_between(f: IntPolynomial, lo: Fraction, hi: Fraction, chain=None) -> int:
+def _interval_horner(coeffs, a: int, b: int, k: int) -> tuple[int, int]:
+    """(x, y) with [x, y] / 2^(kd) the exact interval Horner enclosure over
+    [a, b] / 2^k, a <= b, of the polynomial with ascending coefficients
+    coeffs, d = len(coeffs) - 1 >= 0: the accumulator after j multiplications
+    is [x, y] / 2^(kj), and each step adds the next coefficient << kj."""
+    x = y = coeffs[-1]
+    for j in range(1, len(coeffs)):
+        c = coeffs[-1 - j] << k * j
+        products = x * a, x * b, y * a, y * b
+        x, y = min(products) + c, max(products) + c
+    return x, y
+
+
+def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     """Number of distinct real roots of f in the open interval (lo, hi).
 
-    Endpoints must not be roots.  chain, if given, is sturm_chain(squarefree_part(f)),
-    whose integer rows `sign_at` reads as they are.
+    Each end is a rational or an integer pair (p, q), q > 0, for p/q reduced
+    or not.  Endpoints must not be roots.  chain, if given, is
+    sturm_chain(squarefree_part(f)), whose integer rows `sign_at` reads as they are.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo >= hi:
+    (p, q), (r, s) = (x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
+                      for x in (lo, hi))
+    if p * s >= r * q:
         raise ValueError("need lo < hi")
     if chain is None:
         chain = sturm_chain(squarefree_part(f))
-    at_lo, at_hi = ([sign_at(row, *x.as_integer_ratio()) for row in chain] for x in (lo, hi))
+    at_lo, at_hi = [sign_at(row, p, q) for row in chain], [sign_at(row, r, s) for row in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")
     return _sign_variations(at_lo) - _sign_variations(at_hi)

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
@@ -27,7 +28,7 @@ from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _grid_bits, canonical_text, enclose,
                         integer_nth_root)
 from .enclosure import Enclosure, dyadic, refine
-from .intpoly import IntPolynomial, _digits, _from_digits, _from_rational_str
+from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
 from .niven import (check_angle, exp_functional_int, exp_functional_rational,
@@ -50,11 +51,6 @@ class Layout:
     vector: bool
     evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None],
                        Enclosure]
-
-    def json_fields(self, ints: tuple[int, ...]) -> dict:
-        if self.vector:
-            return {self.fields[0]: [_digits(x) for x in ints]}
-        return {name: _digits(x) for name, x in zip(self.fields, ints)}
 
     def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
         if self.vector:
@@ -109,15 +105,14 @@ class Certificate:
         return self.verdict == "nice"
 
     def to_json_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "family": self.family,
-            "rows": [_row_dict(row) for row in self.rows],
-            "verdict": self.verdict,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """json.dumps(indent=2) of the documented shape, written in one pass."""
+        rows = _json_list([_row_json(row) for row in self.rows], "  ")
+        return (f'{{\n  "constant": {_quote(self.constant)},\n'
+                f'  "family": {_quote(self.family)},\n  "rows": {rows},\n'
+                f'  "verdict": {_quote(self.verdict)}\n}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -138,32 +133,25 @@ class Certificate:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         header, cells = _csv_layout(self.rows)
-        writer.writerow(header)
-        for row_cells in cells:
-            writer.writerow(row_cells)
+        writer.writerows([header, *cells])
         out.write(f"# verdict: {self.verdict}\n")
         return out.getvalue()
 
     def to_table(self) -> str:
         header, cells = _csv_layout(self.rows)
         # residual shown as one approximate midpoint column for reading ease
-        lines = []
         display = []
         for row, row_cells in zip(self.rows, cells):
-            named = dict(zip(header, row_cells))
-            entry = {k: named[k] for k in header
+            entry = {k: v for k, v in zip(header, row_cells)
                      if k not in ("residual_lo", "residual_hi", "bound")}
-            mid = (row.residual.lo + row.residual.hi) / 2
-            entry["residual~"] = _decimal(mid)
+            entry["residual~"] = _decimal((row.residual.lo + row.residual.hi) / 2)
             entry["bound~"] = _decimal(row.bound)
             display.append(entry)
-        columns = list(display[0].keys())
-        widths = {c: max(len(c), max(len(str(e[c])) for e in display)) for c in columns}
-        lines.append("  ".join(c.ljust(widths[c]) for c in columns))
-        for entry in display:
-            lines.append("  ".join(str(entry[c]).ljust(widths[c]) for c in columns))
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines) + "\n"
+        columns = list(display[0])
+        widths = {c: max(len(c), max(len(e[c]) for e in display)) for c in columns}
+        lines = ["  ".join(e[c].ljust(widths[c]) for c in columns)
+                 for e in [dict(zip(columns, columns)), *display]]
+        return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
 
 
 def _frac_str(fr: Fraction) -> str:
@@ -217,12 +205,27 @@ def _rational(d: dict, name: str) -> Fraction:
                          f"got {text!r}") from None
 
 
-def _row_dict(row: CertRow) -> dict:
-    return {"n": row.n, **row.term.layout.json_fields(row.term.ints),
-            "residual_lo": _frac_str(row.residual.lo),
-            "residual_hi": _frac_str(row.residual.hi),
-            "bound": _frac_str(row.bound),
-            "nonzero_ok": row.nonzero_ok, "bound_ok": row.bound_ok}
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of items already indented 2 past indent, closed at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _row_json(row: CertRow) -> str:
+    """One row as an object of the top-level "rows" list: integers as strings,
+    a vector layout as a list of them."""
+    layout, ints, enc = row.term.layout, row.term.ints, row.residual
+    if layout.vector:
+        items = _json_list([f'        "{_digits(x)}"' for x in ints], "      ")
+        integers = f'"{layout.fields[0]}": {items}'
+    else:
+        integers = ",\n      ".join(f'"{name}": "{_digits(x)}"'
+                                    for name, x in zip(layout.fields, ints))
+    return (f'    {{\n      "n": {_digits(row.n)},\n      {integers},\n'
+            f'      "residual_lo": "{_frac_str(enc.lo)}",\n'
+            f'      "residual_hi": "{_frac_str(enc.hi)}",\n'
+            f'      "bound": "{_frac_str(row.bound)}",\n'
+            f'      "nonzero_ok": {"true" if row.nonzero_ok else "false"},\n'
+            f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
 
 
 def _row_from_dict(d) -> CertRow:
@@ -252,9 +255,10 @@ def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
 # ---------------------------------------------------------------------------
 # Residual evaluation.  Each evaluator takes its constant from a ConstantCache
 # (a fresh one when given none) as integers on a grid 2^-k, forms its linear
-# form there, and builds one Fraction per endpoint of the Enclosure returned,
-# by `dyadic`.  A width is a Fraction, or an integer pair (num, den) standing
-# for num/den, in lowest terms or not: certify hands its widths on as pairs.
+# form there on integers (the power form by interval Horner with shifts), and
+# builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
+# A width is a Fraction, or an integer pair (num, den) standing for num/den,
+# in lowest terms or not: certify hands its widths on as pairs.
 
 class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
@@ -308,10 +312,6 @@ class ConstantCache:
             entry[:] = bits, lo, hi
         return k, lo >> (bits - k), -((-hi) >> (bits - k))
 
-    def enclose(self, spec, max_width) -> Enclosure:
-        k, lo, hi = self.grid(spec, *_width(max_width))
-        return Enclosure(dyadic(lo, k), dyadic(hi, k))
-
 
 def _width(max_width) -> tuple[int, int]:
     """max_width as integers (num, den), den > 0: a pair as given, unreduced."""
@@ -338,24 +338,29 @@ def pair_residual(p: int, q: int, c, max_width, cache=None) -> Enclosure:
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
-    """Enclosure of sum(d_l * value^l), no wider than max_width."""
+    """Enclosure of sum(d_l * value^l), no wider than max_width: interval
+    Horner on the grid answer [a, z] / 2^k at width num/den / (slope + 1) / 2^j,
+    j = 0, 1, ..., until it fits, the slope bounded on the grid answer at 1/4."""
     num, den = _width(max_width)
     if form.is_zero():
         return Enclosure.point(0)
     cache = cache or ConstantCache()
-    poly = IntPolynomial(form.coeffs)
-    box = cache.enclose(c, Fraction(1, 4)).max_abs() + 1
-    slope = sum(abs(coeff) * i * box ** (i - 1) for i, coeff in enumerate(poly.coeffs) if i)
-    s, t = (slope + 1).as_integer_ratio()
+    coeffs, deg = form.coeffs, len(form.coeffs) - 1
+    b, lo, hi = cache.grid(c, 1, 4)
+    box = max(-lo, hi) + (1 << b)
+    # |value| + 1 <= box / 2^b, and slope + 1 = s / t over t = 2^(b (deg - 1))
+    t = 1 << b * max(deg - 1, 0)
+    s = t + sum(abs(d) * i * box ** (i - 1) << b * (deg - i)
+                for i, d in enumerate(coeffs) if i)
 
     def attempt(width):
-        acc = poly.eval_interval(cache.enclose(c, width))
-        (a, b), (x, y) = acc.lo.as_integer_ratio(), acc.hi.as_integer_ratio()
-        # acc.width <= num/den, cross-multiplied
-        fits = (x * b - a * y) * den <= num * b * y
-        return acc if fits else None
+        k, a, z = cache.grid(c, *width)
+        x, y = _interval_horner(coeffs, a, z, k)
+        # [x, y] / 2^(k deg) is at most num/den wide, cross-multiplied
+        fits = (y - x) * den <= num << k * deg
+        return Enclosure(dyadic(x, k * deg), dyadic(y, k * deg)) if fits else None
 
-    # the widths num/den / (slope + 1) / 2^j, as integer pairs
+    # the widths num/den / (slope + 1) / 2^j, as unreduced integer pairs
     return refine(attempt, (num * t, den * s), "power form residual")
 
 

@@ -5,12 +5,14 @@ higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, schoolbook
 bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals, and `Fraction` Horner, bisection, division, gcds,
-Sturm chains and Sturm counts for polynomial signs and roots.  Agreement
+certificate residuals, `json.dumps` for certificate text, and `Fraction`
+Horner, bisection, division, gcds, Sturm chains and Sturm counts for
+polynomial signs and roots.  Agreement
 between a library value and its oracle twin is the point of most tests, so
 nothing in this file may call back into the code paths it checks.
 """
 
+import json
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, gcd, lcm
 
@@ -247,6 +249,36 @@ def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
         if acc.width <= max_width:
             return acc
         width /= 2
+
+
+# Certificate JSON as verify first wrote it: a dict of the documented shape
+# through json.dumps(indent=2); the library writes the same text by hand.
+
+def decimal_text(x: int) -> str:
+    """x in decimal by 18-digit chunks, also past the interpreter's limit on
+    converting one integer."""
+    sign, x, chunks = "-" * (x < 0), abs(x), []
+    while x >= 10 ** 18:
+        x, low = divmod(x, 10 ** 18)
+        chunks.append(f"{low:018d}")
+    return sign + str(x) + "".join(reversed(chunks))
+
+
+def certificate_json(cert) -> str:
+    """json.dumps(indent=2) of cert: integers and rationals as strings, a
+    vector layout's integers as one list."""
+    def ratio(x):
+        return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+    rows = []
+    for row in cert.rows:
+        layout, ints = row.term.layout, row.term.ints
+        fields = ({layout.fields[0]: [decimal_text(x) for x in ints]} if layout.vector
+                  else {name: decimal_text(x) for name, x in zip(layout.fields, ints)})
+        rows.append({"n": row.n, **fields, "residual_lo": ratio(row.residual.lo),
+                     "residual_hi": ratio(row.residual.hi), "bound": ratio(row.bound),
+                     "nonzero_ok": row.nonzero_ok, "bound_ok": row.bound_ok})
+    return json.dumps({"constant": cert.constant, "family": cert.family, "rows": rows,
+                       "verdict": cert.verdict}, indent=2)
 
 
 # Polynomial signs and roots on Fractions, as intpoly and algebraic first

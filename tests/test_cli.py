@@ -11,6 +11,8 @@ from irratcert import cli
 from irratcert.cli import main
 from irratcert.verify import Certificate
 
+from oracles import certificate_json
+
 # The golden corpus: 15 runs whose exit codes partition exactly into
 # eleven successes, one violated certificate, and three input errors.
 CORPUS_OK = [
@@ -152,6 +154,18 @@ def test_corpus_integers_flags_and_verdicts_are_pinned(capsys):
         assert verdict == expected_verdict, argv
         assert integers == expected_integers, argv
         assert flags == [expected_flags] * len(expected_integers), argv
+
+
+def test_corpus_certificates_equal_the_json_dumps_text(capsys):
+    # every corpus certificate, written as JSON, is what json.dumps(indent=2)
+    # writes for its data
+    runs = [argv for argv in CORPUS_OK + CORPUS_VIOLATED if argv[0] == "cert"]
+    assert len(runs) == 11
+    for argv in runs:
+        flags = argv[:argv.index("--format")] if "--format" in argv else argv
+        main(flags + ["--format", "json"])
+        text = capsys.readouterr().out
+        assert text == certificate_json(Certificate.from_json(text)) + "\n", argv
 
 
 def test_json_output_round_trips(capsys):

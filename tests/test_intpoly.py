@@ -73,10 +73,12 @@ def test_derivative_product_rule():
     assert IntPolynomial((1, 2, 3)).derivative() == IntPolynomial((2, 6))
 
 
-def test_eval_interval_contains_pointwise_values():
+def test_interval_horner_contains_pointwise_values():
+    # f over [-3, 5] / 2 comes back as [x, y] / 2^3, 3 the degree
     f = IntPolynomial((1, -3, 0, 2))
     box = Enclosure(Fraction(-3, 2), Fraction(5, 2))
-    out = f.eval_interval(box)
+    x, y = intpoly._interval_horner(f.coeffs, -3, 5, 1)
+    out = Enclosure(Fraction(x, 8), Fraction(y, 8))
     step = (box.hi - box.lo) / 16
     for i in range(17):
         x = box.lo + i * step
@@ -218,13 +220,19 @@ def test_sign_at_is_the_sign_of_fraction_horner(coeffs, p, q):
 
 
 @PROPERTY
-@given(f=polys, a=rationals, b=rationals)
-def test_sturm_count_equals_the_fraction_count(f, a, b):
+@given(f=polys, a=rationals, b=rationals, g=st.integers(1, 2 ** 40))
+def test_sturm_count_equals_the_fraction_count(f, a, b, g):
     lo, hi = min(a, b), max(a, b)
     assume(lo < hi and fraction_horner(f.coeffs, lo) != 0 and fraction_horner(f.coeffs, hi) != 0)
     want = fraction_sturm_count(fraction_sturm_chain(fraction_squarefree_part(f.coeffs)), lo, hi)
     assert count_roots_between(f, lo, hi) == want
-    assert count_roots_between(f, lo, hi, sturm_chain(squarefree_part(f))) == want
+    chain = sturm_chain(squarefree_part(f))
+    assert count_roots_between(f, lo, hi, chain) == want
+    # the ends as unreduced integer pairs, as isolation hands them on
+    pairs = [(x.numerator * g, x.denominator * g) for x in (lo, hi)]
+    assert count_roots_between(f, *pairs, chain) == want
+    with pytest.raises(ValueError, match="need lo < hi"):
+        count_roots_between(f, pairs[1], pairs[0], chain)
 
 
 # Sparse polynomials, whose remainders drop by more than one degree at a

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
                                  Root, SinInv, SinOf, Sqrt, enclose,
                                  integer_nth_root)
 from irratcert.enclosure import Enclosure
-from irratcert.intpoly import IntPolynomial
+from irratcert.intpoly import _interval_horner
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
                              trig_functional)
@@ -27,12 +27,12 @@ from irratcert.sequences import (_BOUND_WIDTH, cos_inv_m_approximant,
                                  e_approximant, e_squared_approximant,
                                  inv_e_approximant, mth_root_form,
                                  sin_inv_m_approximant, sqrt_approximant)
-from irratcert.verify import (FAMILIES, PAIR, Certificate, ConstantCache,
-                              LinearForm, certify, integral_exp_poly,
+from irratcert.verify import (FAMILIES, FORM, LAYOUTS, PAIR, TRIG, Certificate,
+                              CertRow, ConstantCache, LinearForm, certify, integral_exp_poly,
                               integral_sin_poly, pair_residual,
                               power_form_residual, trig_residual)
 
-from oracles import (FractionConstantCache, cos_bracket, enclosure_horner,
+from oracles import (FractionConstantCache, certificate_json, cos_bracket, enclosure_horner,
                      enclosure_pair_residual, enclosure_power_form_residual,
                      enclosure_trig_residual, sin_bracket)
 from test_kernel import KINDS
@@ -227,6 +227,49 @@ def test_json_round_trip():
         assert again == cert
 
 
+json_integers = st.integers() | st.sampled_from((10 ** 4400 + 1, -(7 ** 5300)))
+json_rationals = st.builds(Fraction, json_integers, json_integers.filter(bool))
+verdicts = st.just("nice") | st.integers(1, 10 ** 6).map(lambda n: f"violated:{n}")
+
+
+@st.composite
+def _certificates(draw):
+    """Certificates of one layout with drawn integers, rationals, flags,
+    verdict and free text for the constant and family."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(0, 4)) if layout.vector else len(layout.fields)
+        ints = tuple(draw(st.lists(json_integers, min_size=size, max_size=size)))
+        lo, hi = sorted(draw(st.lists(json_rationals, min_size=2, max_size=2)))
+        rows.append(CertRow(draw(st.integers(1, 10 ** 6)), LinearForm(layout, ints),
+                            Enclosure(lo, hi), draw(json_rationals), draw(st.booleans()),
+                            draw(st.booleans())))
+    return Certificate(draw(st.text()), draw(st.text()), tuple(rows), draw(verdicts))
+
+
+def _one_row(layout, ints, verdict="nice"):
+    row = CertRow(3, LinearForm(layout, ints), Enclosure(Fraction(-1, 3), Fraction(7 ** 5300, 2)),
+                  Fraction(5, 10 ** 4400 + 1), True, False)
+    return Certificate("root:2,3", "root", (row,), verdict)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_to_json_equals_json_dumps(data):
+    # the hand-written text is the text json.dumps(indent=2) writes; drawn
+    # inside, as hypothesis cannot print the integers past the digit limit
+    cert = data.draw(_certificates())
+    assert cert.to_json() == certificate_json(cert)
+    assert cert.to_json_dict() == json.loads(certificate_json(cert))
+
+
+def test_to_json_equals_json_dumps_on_each_layout():
+    for cert in (_one_row(FORM, ()), _one_row(FORM, (-(10 ** 4400), 0, 12), "violated:3"),
+                 _one_row(TRIG, (-1, 10 ** 4400 + 1, 0)), _one_row(PAIR, (-5, 2))):
+        assert cert.to_json() == certificate_json(cert)
+
+
 def test_from_json_names_the_missing_field():
     text = certify("trig-angle", CosOf(Fraction(1, 3)), 2).to_json()
 
@@ -418,13 +461,20 @@ def test_pair_residual_equals_enclosure_arithmetic(kind, shared, calls):
                       min_size=1, max_size=4))
 @example(kind=KINDS[1], shared=True, calls=[([0, 0, 0], Fraction(1, 100)),
                                            ([19, -5, -8], Fraction(1, 10 ** 15))])
+@example(kind=KINDS[1], shared=False, calls=[([5], Fraction(1, 7))])
+@example(kind=KINDS[0], shared=True, calls=[([3, 0, 0], Fraction(1, 1000))])
+@example(kind=KINDS[9], shared=True, calls=[([4, 1, -3], Fraction(1, 2 ** 40)),
+                                           ([0, 7, 0, -2 ** 70], Fraction(3, 10 ** 9))])
+@example(kind=KINDS[1], shared=True, calls=[([19, -5, -8], (6, 8 * 10 ** 12))])
 def test_power_form_residual_equals_enclosure_arithmetic(kind, shared, calls):
     spec = kind[0]
     cache, ref = _caches(shared)
     for coeffs, w in calls:
         at = (ref or FractionConstantCache()).enclose
+        # a width may be an unreduced integer pair (num, den)
+        value = Fraction(*w) if isinstance(w, tuple) else w
         assert power_form_residual(PowerForm(coeffs), spec, w, cache) == \
-            enclosure_power_form_residual(coeffs, lambda x: at(spec, x), w)
+            enclosure_power_form_residual(coeffs, lambda x: at(spec, x), value)
 
 
 @PROPERTY
@@ -448,12 +498,23 @@ def _rationals(limit=10 ** 6, den=10 ** 6):
 
 @PROPERTY
 @given(ends=st.lists(_rationals(), min_size=2, max_size=2),
-       coeffs=st.lists(multipliers, max_size=6))
-@example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2])
-@example(ends=[Fraction(1, 3), Fraction(1, 3)], coeffs=[0, 0, -7])
-def test_eval_interval_equals_enclosure_horner(ends, coeffs):
-    box = Enclosure(min(ends), max(ends))
-    assert IntPolynomial(coeffs).eval_interval(box) == enclosure_horner(coeffs, box)
+       coeffs=st.lists(multipliers, max_size=6), k=st.integers(0, 64))
+@example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2], k=0)
+@example(ends=[Fraction(1, 3), Fraction(1, 3)], coeffs=[0, 0, -7], k=0)
+@example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2], k=5)
+def test_interval_horner_equals_enclosure_horner(ends, coeffs, k):
+    # the box is [A, B] / (D 2^k), D the common denominator of the ends:
+    # f over it is g over [A, B] / 2^k, g_i = f_i D^(d - i), divided by D^d,
+    # and the route gives g there as [x, y] / 2^(kd)
+    lo, hi = min(ends), max(ends)
+    den = lcm(lo.denominator, hi.denominator)
+    g = [c * den ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)] or [0]
+    d = len(g) - 1
+    x, y = _interval_horner(g, lo.numerator * den // lo.denominator,
+                            hi.numerator * den // hi.denominator, k)
+    scale = den ** d << k * d
+    box = Enclosure(lo / 2 ** k, hi / 2 ** k)
+    assert Enclosure(Fraction(x, scale), Fraction(y, scale)) == enclosure_horner(coeffs, box)
 
 
 @st.composite
@@ -515,6 +576,31 @@ def test_certify_does_no_fraction_division(monkeypatch, family):
             return _op(*args)
         monkeypatch.setattr(Fraction, name, counting)
     certify(family, FAMILY_CONSTANTS[family], 30)
+    assert calls == []
+
+
+def test_power_form_residual_does_no_fraction_arithmetic(monkeypatch):
+    # the slope probe, every Horner try and its fit test run on integers
+    # from the constant's grid answers; Fractions are only built, by dyadic
+    depth, residuals, calls = [], [], []
+
+    def tracking(*args, _residual=verify.power_form_residual):
+        depth.append(None)
+        residuals.append(None)
+        try:
+            return _residual(*args)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(verify, "power_form_residual", tracking)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__"):
+        def counting(*args, _op=getattr(Fraction, name), _name=name):
+            if depth:
+                calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counting)
+    assert certify("root", Root(7, 4), 12).is_nice
+    assert len(residuals) >= 12
     assert calls == []
 
 
