@@ -118,8 +118,10 @@ class RootBracket:
     poly: IntPolynomial
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo >= self.hi:
             raise ValueError("bracket needs lo < hi")
         flo, fhi = (sign_at(self.poly.coeffs, *x.as_integer_ratio()) for x in (self.lo, self.hi))

@@ -4,11 +4,9 @@ Each constant is a small frozen spec object that validates its own
 parameters.  `enclose` turns a spec into an interval of requested width
 with dyadic endpoints, from integer fixed-point series with strict error
 bounds, integer roots, or `intpoly.bisect_root` for algebraic roots; no
-floating point is involved at any point.  Specs round-trip through a
-canonical text form (`sqrt:2`, `root:2,3`, `e`, `inv-e`, `e-pow:3`,
-`e-rat:1/2`, `sin-inv:3`, `cos-inv:3`, `sin:22/7`, `cos:1/2`,
-`algroot:<coeffs>@<lo>,<hi>`).
-"""
+floating point is involved at any point.  One table, `_TEXT_FORMS`, gives
+each kind's text form (`sqrt:2`, `root:2,3`, `e`, `e-rat:1/2`, `sin:22/7`,
+`algroot:<coeffs>@<lo>,<hi>`, ...) to `canonical_text` and `parse_constant`."""
 
 from __future__ import annotations
 
@@ -104,49 +102,42 @@ class ERational:
 
 
 @dataclass(frozen=True)
-class SinInv:
+class _InverseAngle:
+    m: int
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"{_WRITERS[type(self)][0]} spec needs m >= 1, got {self.m}")
+
+
+@dataclass(frozen=True)
+class SinInv(_InverseAngle):
     """sin(1/m) for an integer m >= 1."""
 
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"sin-inv spec needs m >= 1, got {self.m}")
-
 
 @dataclass(frozen=True)
-class CosInv:
+class CosInv(_InverseAngle):
     """cos(1/m) for an integer m >= 1."""
 
-    m: int
+
+@dataclass(frozen=True)
+class _Angle:
+    x: Fraction
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"cos-inv spec needs m >= 1, got {self.m}")
+        object.__setattr__(self, "x", Fraction(self.x))
+        if self.x == 0:
+            raise ValueError(f"{_WRITERS[type(self)][0]}(0) is rational; angle must be nonzero")
 
 
 @dataclass(frozen=True)
-class SinOf:
+class SinOf(_Angle):
     """sin(x) for a nonzero rational x."""
 
-    x: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.x == 0:
-            raise ValueError("sin(0) is rational; angle must be nonzero")
-
 
 @dataclass(frozen=True)
-class CosOf:
+class CosOf(_Angle):
     """cos(x) for a nonzero rational x."""
-
-    x: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.x == 0:
-            raise ValueError("cos(0) is rational; angle must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -332,73 +323,52 @@ def floor_of(spec: ConstantSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical text form.
+# Canonical text form: prefix:field,...,field with one codec per field, in
+# field order; a kind with no fields is its bare prefix, algroot is coeffs@lo,hi.
+
+_INT = (_from_digits, _digits)
+_RAT = (_from_rational_str, _rational_str)
+_TEXT_FORMS = {
+    "sqrt": (Sqrt, _INT), "root": (Root, _INT, _INT), "e": (E,), "inv-e": (InvE,),
+    "e-pow": (EPow, _INT), "e-rat": (ERational, _RAT), "sin-inv": (SinInv, _INT),
+    "cos-inv": (CosInv, _INT), "sin": (SinOf, _RAT), "cos": (CosOf, _RAT),
+    "algroot": (AlgebraicRoot, (IntPolynomial.from_csv, IntPolynomial.to_csv), _RAT, _RAT),
+}
+# kind -> (prefix, [(field name, writer)]); __match_args__ names the init fields in order
+_WRITERS = {kind: (prefix, [(name, write) for name, (_, write)
+                            in zip(kind.__match_args__, codecs, strict=True)])
+            for prefix, (kind, *codecs) in _TEXT_FORMS.items()}
+
 
 def canonical_text(spec: ConstantSpec) -> str:
-    match spec:
-        case Sqrt(m=m):
-            return f"sqrt:{_digits(m)}"
-        case Root(a=a, m=m):
-            return f"root:{_digits(a)},{_digits(m)}"
-        case E():
-            return "e"
-        case InvE():
-            return "inv-e"
-        case EPow(k=k):
-            return f"e-pow:{_digits(k)}"
-        case ERational(r=r):
-            return f"e-rat:{_rational_str(r)}"
-        case SinInv(m=m):
-            return f"sin-inv:{_digits(m)}"
-        case CosInv(m=m):
-            return f"cos-inv:{_digits(m)}"
-        case SinOf(x=x):
-            return f"sin:{_rational_str(x)}"
-        case CosOf(x=x):
-            return f"cos:{_rational_str(x)}"
-        case AlgebraicRoot(poly=poly, lo=lo, hi=hi):
-            return f"algroot:{poly.to_csv()}@{_rational_str(lo)},{_rational_str(hi)}"
-    raise TypeError(f"not a constant spec: {spec!r}")
+    prefix, writers = _WRITERS.get(type(spec), (None, ()))
+    if prefix is None:
+        raise TypeError(f"not a constant spec: {spec!r}")
+    parts = [write(getattr(spec, name)) for name, write in writers]
+    if prefix == "algroot":
+        return f"algroot:{parts[0]}@{parts[1]},{parts[2]}"
+    return f"{prefix}:{','.join(parts)}" if parts else prefix
 
 
 def parse_constant(text: str) -> ConstantSpec:
     """Inverse of canonical_text; raises ValueError on malformed input."""
     text = text.strip()
-    if text == "e":
-        return E()
-    if text == "inv-e":
-        return InvE()
     head, sep, rest = text.partition(":")
-    if not sep or not rest:
+    kind, *codecs = _TEXT_FORMS.get(head, (None,))
+    if kind is None or (sep and not codecs) or (codecs and not rest):
         raise ValueError(f"unrecognized constant spec {text!r}")
     try:
-        if head == "sqrt":
-            return Sqrt(_from_digits(rest))
-        if head == "root":
-            a, m = rest.split(",")
-            return Root(_from_digits(a), _from_digits(m))
-        if head == "e-pow":
-            return EPow(_from_digits(rest))
-        if head == "e-rat":
-            return ERational(_from_rational_str(rest))
-        if head == "sin-inv":
-            return SinInv(_from_digits(rest))
-        if head == "cos-inv":
-            return CosInv(_from_digits(rest))
-        if head == "sin":
-            return SinOf(_from_rational_str(rest))
-        if head == "cos":
-            return CosOf(_from_rational_str(rest))
-        if head == "algroot":
-            body, sep2, bracket = rest.partition("@")
-            if not sep2:
+        parts = rest.split(",") if rest else []
+        if kind is AlgebraicRoot:
+            body, at, bracket = rest.partition("@")
+            if not at:
                 raise ValueError("algroot spec needs coeffs@lo,hi")
-            lo, hi = bracket.split(",")
-            return AlgebraicRoot(IntPolynomial.from_csv(body),
-                                 _from_rational_str(lo), _from_rational_str(hi))
+            parts = [body, *bracket.split(",")]
+        if len(parts) != len(codecs):
+            raise ValueError(f"{head} spec needs {len(codecs)} field(s), got {len(parts)}")
+        return kind(*[read(part) for (read, _), part in zip(codecs, parts)])
     except (ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, (PerfectPowerError, ZeroExponentError, BracketAmbiguousError)):
             raise
         detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
         raise ValueError(f"malformed constant spec {text!r}: {detail}") from exc
-    raise ValueError(f"unrecognized constant spec {text!r}")

@@ -432,22 +432,26 @@ def _ratio(n: int, d: int) -> Fraction:
     return dyadic(n, d.bit_length() - 1) if d & (d - 1) == 0 else Fraction(n, d)
 
 
+def _cell(f: IntPolynomial, lo, hi, u: int, v: int):
+    """`_narrow` of [lo, hi], whose ends f gives opposite nonzero signs, to
+    width at most u/v: the ends go over one common denominator S, and the
+    cells are integers over S 2^j."""
+    (p, q), (r, t) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    s = lcm(q, t)
+    a, b = p * (s // q), r * (s // t)
+    # the fewest halvings k with (b - a) / (s 2^k) <= u / v
+    return _narrow(f.coeffs, a, b, s, _grid_bits(u * s, (b - a) * v), sign_at(f.coeffs, a, s))
+
+
 def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
                 max_width: Fraction) -> Enclosure:
     """Halve [lo, hi], whose ends f gives opposite nonzero signs, until it is at
     most max_width wide; a midpoint that is the root comes back as a point.
 
-    The ends go over one common denominator S, the cells are integers over
-    S 2^j, halved or skipped ahead by a confirmed Newton jump (`_narrow`),
-    and Fractions are built only for the result.
+    The cells are halved or skipped ahead by a confirmed Newton jump
+    (`_cell`), and Fractions are built only for the result.
     """
-    lo, hi, max_width = Fraction(lo), Fraction(hi), Fraction(max_width)
-    s = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (s // lo.denominator), hi.numerator * (s // hi.denominator)
-    u, v = max_width.as_integer_ratio()
-    # the fewest halvings k with (b - a) / (s 2^k) <= u / v
-    levels = _grid_bits(u * s, (b - a) * v)
-    a, b, s, hit = _narrow(f.coeffs, a, b, s, levels, sign_at(f.coeffs, a, s))
+    a, b, s, hit = _cell(f, lo, hi, *Fraction(max_width).as_integer_ratio())
     if hit:
         x = _ratio(a + b, s << 1)
         return Enclosure(x, x)
@@ -457,11 +461,12 @@ def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
 def rational_root(f: IntPolynomial, lo: Fraction, hi: Fraction):
     """The one root of f in (lo, hi), whose ends f gives opposite nonzero
     signs, if it is rational, else None.  A rational root is z/a for a =
-    |lead(f)|; narrowed by `bisect_root` to width at most 1/a, the bracket
-    holds one candidate, the first multiple of 1/a at or above its left end,
-    and f's sign there decides, with no numeric tolerance at all."""
+    |lead(f)|; narrowed by `_cell` to width at most 1/a, the bracket holds
+    one candidate, the first multiple of 1/a at or above its left end, and
+    f's sign there decides, with no numeric tolerance at all."""
     a = abs(f.leading)
-    enc = bisect_root(f, lo, hi, Fraction(1, a))
-    (p, q), (u, v) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-    z = -(-p * a // q)      # ceil(lo * a): the candidate is z / a
-    return Fraction(z, a) if z * v <= u * a and sign_at(f.coeffs, z, a) == 0 else None
+    x, y, s, hit = _cell(f, lo, hi, 1, a)
+    if hit:
+        return _ratio(x + y, s << 1)
+    z = -(-x * a // s)      # ceil(x / s * a): the candidate is z / a
+    return Fraction(z, a) if z * s <= y * a and sign_at(f.coeffs, z, a) == 0 else None

@@ -132,25 +132,26 @@ class Certificate:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        header, cells = _csv_layout(self.rows)
-        writer.writerows([header, *cells])
+        writer.writerow(["n", *self.rows[0].term.layout.fields,
+                         "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"])
+        writer.writerows([str(row.n), *row.term.layout.csv_cells(row.term.ints),
+                          _frac_str(row.residual.lo), _frac_str(row.residual.hi),
+                          _frac_str(row.bound), str(row.nonzero_ok).lower(),
+                          str(row.bound_ok).lower()] for row in self.rows)
         out.write(f"# verdict: {self.verdict}\n")
         return out.getvalue()
 
     def to_table(self) -> str:
-        header, cells = _csv_layout(self.rows)
         # residual shown as one approximate midpoint column for reading ease
-        display = []
-        for row, row_cells in zip(self.rows, cells):
-            entry = {k: v for k, v in zip(header, row_cells)
-                     if k not in ("residual_lo", "residual_hi", "bound")}
-            entry["residual~"] = _decimal((row.residual.lo + row.residual.hi) / 2)
-            entry["bound~"] = _decimal(row.bound)
-            display.append(entry)
-        columns = list(display[0])
-        widths = {c: max(len(c), max(len(e[c]) for e in display)) for c in columns}
-        lines = ["  ".join(e[c].ljust(widths[c]) for c in columns)
-                 for e in [dict(zip(columns, columns)), *display]]
+        header = ["n", *self.rows[0].term.layout.fields, "nonzero_ok", "bound_ok",
+                  "residual~", "bound~"]
+        cells = [[str(row.n), *row.term.layout.csv_cells(row.term.ints),
+                  str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
+                  _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
+                 for row in self.rows]
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                 for line in [header, *cells]]
         return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
 
 
@@ -240,16 +241,6 @@ def _row_from_dict(d) -> CertRow:
                    residual=residual, bound=_rational(d, "bound"),
                    nonzero_ok=_field(d, "nonzero_ok", bool),
                    bound_ok=_field(d, "bound_ok", bool))
-
-
-def _csv_layout(rows) -> tuple[list[str], list[list[str]]]:
-    header = ["n", *rows[0].term.layout.fields,
-              "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
-    cells = [[str(row.n), *row.term.layout.csv_cells(row.term.ints),
-              _frac_str(row.residual.lo), _frac_str(row.residual.hi),
-              _frac_str(row.bound), str(row.nonzero_ok).lower(), str(row.bound_ok).lower()]
-             for row in rows]
-    return header, cells
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for constant specs, their enclosures, and the text forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -155,8 +156,7 @@ def test_canonical_text_round_trip():
              ERational(Fraction(1, 2)), ERational(Fraction(-3, 4)),
              SinInv(3), CosInv(3), SinOf(Fraction(22, 7)), CosOf(Fraction(1, 1))]
     for spec in specs:
-        text = canonical_text(spec)
-        assert parse_constant(text) == spec
+        assert parse_constant(canonical_text(spec)) == spec
     assert canonical_text(Sqrt(2)) == "sqrt:2"
     assert canonical_text(Root(2, 3)) == "root:2,3"
     assert canonical_text(E()) == "e"
@@ -165,6 +165,8 @@ def test_canonical_text_round_trip():
     assert canonical_text(ERational(Fraction(1, 2))) == "e-rat:1/2"
     assert canonical_text(SinInv(3)) == "sin-inv:3"
     assert canonical_text(CosOf(Fraction(1, 1))) == "cos:1"
+    # surrounding blanks are stripped and the rational is reduced
+    assert canonical_text(parse_constant(" e-rat:-2/4 ")) == "e-rat:-1/2"
 
 
 def test_parse_algebraic_root_text():
@@ -175,26 +177,100 @@ def test_parse_algebraic_root_text():
     assert parse_constant(canonical_text(spec)) == spec
 
 
+# integers on both sides of the interpreter's 4,300-digit str() limit
+def _ints(lo):
+    return st.integers(lo, 10 ** 6) | st.integers(10 ** 4300, 10 ** 4400)
+
+
+_RATIONALS = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
+                       _ints(1), _ints(1), st.booleans())
+_SPECS = st.one_of(
+    _ints(2).filter(lambda m: math.isqrt(m) ** 2 != m).map(Sqrt),
+    st.tuples(_ints(2), st.integers(2, 9))
+      .filter(lambda am: integer_nth_root(*am) ** am[1] != am[0]).map(lambda am: Root(*am)),
+    st.just(E()), st.just(InvE()), _ints(1).map(EPow), _RATIONALS.map(ERational),
+    _ints(1).map(SinInv), _ints(1).map(CosInv), _RATIONALS.map(SinOf), _RATIONALS.map(CosOf))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=_SPECS)
+def test_text_form_round_trips(spec):
+    assert parse_constant(canonical_text(spec)) == spec
+
+
+def test_fixed_text_forms_round_trip():
+    big = 10 ** 4400 + 7
+    low = Fraction(math.isqrt(2 * 10 ** 8800), 10 ** 4400)   # ends past the digit limit
+    for spec in (Sqrt(big), Root(big, 3), ERational(Fraction(-big, 3 * 10 ** 4350 + 1)),
+                 CosOf(Fraction(-7, 10 ** 4301 + 1)),
+                 AlgebraicRoot(IntPolynomial((-2, 0, 1)), Fraction(-3, 2), -1),
+                 AlgebraicRoot(IntPolynomial((-big, 1)), big - 1, big + Fraction(1, 3)),
+                 AlgebraicRoot(IntPolynomial((-2, 0, 1)), low, low + Fraction(1, 10 ** 4400))):
+        assert parse_constant(canonical_text(spec)) == spec
+
+
+# text -> the detail after "spec '<text>': ", or None for an unrecognized spec
+MALFORMED = [
+    ("", None),
+    ("sqrt", None),
+    ("sqrt:", None),
+    ("e:1", None),
+    ("root:2", "root spec needs 2 field(s), got 1"),
+    ("root:2,3,4", "root spec needs 2 field(s), got 3"),
+    ("sqrt:2,3", "sqrt spec needs 1 field(s), got 2"),
+    ("sqrt:x", "invalid literal for int() with base 10: 'x'"),
+    ("e-rat:1/0", "zero denominator"),
+    ("sin:0", "sin(0) is rational; angle must be nonzero"),
+    ("what:7", None),
+    ("algroot:1,2", "algroot spec needs coeffs@lo,hi"),
+    ("cos:1/2/3", "Invalid literal for Fraction: '1/2/3'"),
+]
+
+
+@pytest.mark.parametrize("text, detail", MALFORMED)
+def test_malformed_text(text, detail):
+    with pytest.raises(Exception) as info:
+        parse_constant(text)
+    assert info.type is ValueError
+    want = (f"unrecognized constant spec {text!r}" if detail is None
+            else f"malformed constant spec {text!r}: {detail}")
+    assert str(info.value) == want
+
+
+def test_twin_kinds_name_themselves():
+    for make, message in ((SinInv, "sin-inv spec needs m >= 1, got 0"),
+                          (CosInv, "cos-inv spec needs m >= 1, got 0"),
+                          (SinOf, "sin(0) is rational; angle must be nonzero"),
+                          (CosOf, "cos(0) is rational; angle must be nonzero")):
+        with pytest.raises(ValueError) as info:
+            make(0)
+        assert str(info.value) == message
+    assert SinInv(3) != CosInv(3) and SinOf(Fraction(1, 2)) != CosOf(Fraction(1, 2))
+    assert repr(CosInv(3)) == "CosInv(m=3)"
+    match CosOf(Fraction(1, 2)):
+        case SinOf():
+            raise AssertionError("CosOf matched the SinOf pattern")
+        case CosOf(x=x):
+            assert x == Fraction(1, 2)
+
+
+def test_non_spec_is_a_type_error():
+    for call in (canonical_text, lambda c: enclose(c, Fraction(1, 8))):
+        with pytest.raises(TypeError, match=r"^not a constant spec: Fraction\(1, 2\)$"):
+            call(Fraction(1, 2))
+
+
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_constant("sqrt")
-    with pytest.raises(ValueError):
-        parse_constant("sqrt:x")
+    # the spec's own error classes pass through unwrapped
     with pytest.raises(PerfectPowerError):
         parse_constant("sqrt:4")
     with pytest.raises(PerfectPowerError):
         parse_constant("root:8,3")
     with pytest.raises(ZeroExponentError):
         parse_constant("e-rat:0")
-    with pytest.raises(ValueError):
-        parse_constant("sin:0")
-    with pytest.raises(ValueError):
-        parse_constant("what:7")
     for text in ("cos:1/0", "e-rat:3/0", "algroot:-2,0,1@0,1/0"):
         with pytest.raises(ValueError, match=f"spec '{text}': zero denominator$"):
             parse_constant(text)
-    with pytest.raises(ValueError):
-        parse_constant("")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
