@@ -3,17 +3,19 @@
 The multiples 0, value, 2*value, ..., n*value have n+1 fractional parts
 landing in the n bins [j/n, (j+1)/n); two must share a bin, and their
 difference yields integers p, q with 0 < q <= n and |q*value - p| < 1/n.
-Everything is resolved through enclosures, refined on demand.  The bin scan
-puts the enclosure over one common denominator D and reads every placement
-off floor(n*k*A/D), one integer per multiple and endpoint, making the same
-floor and bin decisions as interval arithmetic would.
+Everything is resolved through enclosures, refined on demand.  Multiple k
+sits in bin floor(k*n*value) mod n, and an enclosure [lo, hi] settles every
+floor exactly when no m/k with k <= n lies in (n*lo, n*hi]: when n*hi and
+the simplest rational inside (n*lo, n*hi) both have denominators above n.
+All of [n*lo, n*hi] then shares those floors, so they are read off that
+simplest p/q, whose terms are typically word-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .constants import ConstantSpec, canonical_text, enclose
 from .enclosure import Enclosure, refine
@@ -29,22 +31,42 @@ class PigeonholeResult:
     residual: Enclosure
 
 
+def simplest_between(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
+    """(p, q) with the least q > 0 such that xn/xd < p/q < yn/yd.
+
+    xd > 0, and yd = 0 stands for no upper end.  The continued-fraction walk:
+    until an integer lies strictly inside, take off the lower end's integer
+    part a and invert, t = a + 1/t'; the first integer inside ends it.
+    """
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while True:
+        a, r = divmod(xn, xd)
+        if not yd or (a + 1) * yd < yn:
+            return p0 * (a + 1) + p1, q0 * (a + 1) + q1
+        p0, q0, p1, q1 = p0 * a + p1, q0 * a + q1, p0, q0
+        xn, xd, yn, yd = yd, yn - a * yd, xd, r
+
+
+def _floors(enc: Enclosure, n: int):
+    """floor(k*n*value) for k = 0..n, or None if enc leaves any one open."""
+    (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    p, q = n * a, da
+    if (a, da) != (b, db):
+        # b is prime to db, so db // gcd(n, db) is the denominator of n*hi
+        if db // gcd(n, db) <= n:
+            return None
+        p, q = simplest_between(p, q, n * b, db)
+        if q <= n:
+            return None
+    return [k * p // q for k in range(n + 1)]
+
+
 def bin_placements(enc: Enclosure, n: int):
     """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous.
-
-    With enc = [A/D, B/D], n*k*value lies in [nkA/D, nkB/D].  For z the
-    floor of kA/D and j the bin of its fractional part, floor(nkA/D) is
-    nz + j, so the placement is divmod(floor(nkA/D), n), and it is settled
-    exactly when floor(nkB/D) is the same integer: the decisions interval
-    arithmetic makes on k*enc - z, from one list of floors per endpoint.
-    """
-    (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-    d = lcm(da, db)
-    na, nb = n * a * (d // da), n * b * (d // db)
-    floors = [k * na // d for k in range(n + 1)]
-    if floors != [k * nb // d for k in range(n + 1)]:
-        return None
-    return [divmod(f, n) for f in floors]
+    Each is divmod(floor(k*n*value), n), settled exactly when every value in
+    enc gives that floor: the decisions interval arithmetic makes on k*enc."""
+    floors = _floors(enc, n)
+    return None if floors is None else [divmod(f, n) for f in floors]
 
 
 def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
@@ -55,17 +77,19 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # whenever a floor or bin assignment stays ambiguous.
     def pin(width):
         enc = enclose(c, width)
-        placed = bin_placements(enc, n)
-        return None if placed is None else (enc, placed)
+        floors = _floors(enc, n)
+        return None if floors is None else (enc, floors)
 
-    enc, placed = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
+    enc, floors = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
                          f"bins for {canonical_text(c)} at n={n}")
 
-    # smallest bin holding two multiples, first two k in it (the sort is stable)
-    bins = [j for _, j in placed]
-    order = sorted(range(n + 1), key=bins.__getitem__)
-    k1, k2 = next((a, b) for a, b in zip(order, order[1:]) if bins[a] == bins[b])
-    p, q = placed[k2][0] - placed[k1][0], k2 - k1
+    # smallest bin holding two multiples, and the first two k in it
+    bins = [f % n for f in floors]
+    s = sorted(bins)
+    j = next(a for a, b in zip(s, s[1:]) if a == b)
+    k1 = bins.index(j)
+    k2 = bins.index(j, k1 + 1)
+    p, q = floors[k2] // n - floors[k1] // n, k2 - k1
     # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z
     residual = Enclosure(k2 * enc.lo - k1 * enc.hi - p, k2 * enc.hi - k1 * enc.lo - p)
     return PigeonholeResult(n=n, p=p, q=q, residual=residual)

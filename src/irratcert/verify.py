@@ -149,8 +149,9 @@ class Certificate:
                   str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
                   _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
                  for row in self.rows]
-        widths = [max(map(len, column)) for column in zip(header, *cells)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+        # the last column is not padded, so no line ends in blanks
+        widths = [max(map(len, column)) for column in zip(header, *cells)][:-1]
+        lines = ["  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
                  for line in [header, *cells]]
         return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
 

@@ -382,6 +382,18 @@ def test_table_output_mentions_verdict():
     assert "residual~" in text.splitlines()[0]
 
 
+def test_table_lines_end_without_blanks():
+    # the last column (bound~) varies in width, so padding it would leave
+    # blanks at the end of the shorter lines
+    text = certify("root", Root(7, 4), 3).to_table()
+    lines = text.splitlines()
+    assert len(lines) == 5
+    assert all(line == line.rstrip() for line in lines)
+    assert lines[0].split() == ["n", "coeffs", "nonzero_ok", "bound_ok", "residual~", "bound~"]
+    # the columns before the last still line up
+    assert len({line.index("true") for line in lines[1:4]}) == 1
+
+
 def test_quadrature_agrees_with_functional_residual():
     # F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n(x) over [0,1];
     # the two enclosures come from unrelated code paths
