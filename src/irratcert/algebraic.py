@@ -3,7 +3,8 @@
 A power form is the coefficient vector of an integer combination
 sum(d_l * alpha^l), 0 <= l < deg(modulus), for alpha a root of a monic
 integer modulus.  Reduction rewrites any higher-degree combination into
-that canonical window by eliminating the top power repeatedly.
+that canonical window: its remainder by the monic modulus, from intpoly's
+pseudo-division.
 
 Real roots are isolated by counts on an integer Sturm chain, and
 `classify_roots` decides each one's rationality exactly by
@@ -21,8 +22,9 @@ from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
 from .enclosure import _grid_bits
-from .intpoly import (IntPolynomial, _narrow, cauchy_root_bound, count_roots_between,
-                      rational_root, sign_at, squarefree_part, sturm_chain)
+from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, cauchy_root_bound,
+                      count_roots_between, rational_root, sign_at, squarefree_part,
+                      sturm_chain)
 
 
 @dataclass(frozen=True)
@@ -39,36 +41,21 @@ class PowerForm:
 
 
 def reduce_power_form(modulus: IntPolynomial, c: Sequence[int]) -> PowerForm:
-    """Rewrite sum(c_k alpha^k) below deg(modulus) using the monic relation.
-
-    The top coefficient is folded down one step at a time via
-    alpha^m = -sum(b_k alpha^k); integer arithmetic throughout.
-    """
+    """Rewrite sum(c_k alpha^k) below deg(modulus): the remainder of c by the
+    monic modulus, from intpoly's pseudo-division, padded to deg(modulus)
+    entries; integer arithmetic throughout."""
     if not modulus.is_monic:
         raise NotMonicError(f"modulus must be monic, leading coefficient is {modulus.leading}")
     m = modulus.degree
     if m < 1:
         raise ValueError("modulus must have degree >= 1")
-    b = modulus.coeffs[:m]
-    work = [int(x) for x in c]
-    while len(work) > m:
-        top = work.pop()
-        if top == 0:
-            continue
-        shift = len(work) - m
-        for k in range(m):
-            work[shift + k] -= b[k] * top
-    work.extend([0] * (m - len(work)))
-    return PowerForm(tuple(work))
+    rem = _pdivmod([int(x) for x in c], modulus.coeffs)[1]
+    return PowerForm(rem + [0] * (m - len(rem)))
 
 
 def multiply_forms(modulus: IntPolynomial, x: Sequence[int], y: Sequence[int]) -> PowerForm:
     """Power form of the product of the combinations x and y, reduced by the modulus."""
-    work = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            work[i + j] += a * b
-    return reduce_power_form(modulus, work)
+    return reduce_power_form(modulus, _convolve(x, y))
 
 
 def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
@@ -77,8 +64,7 @@ def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
         raise ValueError("exponent must be >= 0")
     acc = reduce_power_form(modulus, (1,)).coeffs
     for bit in bin(n)[2:]:
-        # on a 1 bit, times (alpha - z): shift up one power, subtract z times the unshifted
-        other = acc if bit == "0" else [s - z * a for s, a in zip((0, *acc), (*acc, 0))]
+        other = acc if bit == "0" else _convolve(acc, (-z, 1))
         acc = multiply_forms(modulus, acc, other).coeffs
     return PowerForm(acc)
 

@@ -17,7 +17,9 @@ Newton jump confirmed by signs.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .enclosure import Enclosure, _grid_bits, dyadic
@@ -70,14 +72,21 @@ def _trimmed(coeffs):
     return coeffs[:n]
 
 
+def _convolve(a, b) -> list[int]:
+    """Ascending coefficients of the product of those of a and b, zeros kept."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@dataclass(frozen=True, repr=False)
 class IntPolynomial:
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trimmed([int(c) for c in coeffs])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(_trimmed([int(c) for c in self.coeffs])))
 
     @classmethod
     def from_csv(cls, text: str) -> "IntPolynomial":
@@ -103,12 +112,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
 
@@ -116,28 +119,19 @@ class IntPolynomial:
         return IntPolynomial(-c for c in self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return IntPolynomial(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        return self + (-other) if isinstance(other, IntPolynomial) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPolynomial(out)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return IntPolynomial(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -167,18 +161,22 @@ def _primitive(coeffs) -> list[int]:
 def _pdivmod(num, den):
     """(quot, rem) with c num = quot den + rem, deg rem < deg den, for integer
     lists and a factor c > 0: each step multiplies by |lead(den)|, never by
-    lead(den), so rem is a positive multiple of the rational remainder."""
-    num, dd, scale = list(num), len(den) - 1, abs(den[-1])
+    lead(den), so rem is a positive multiple of the rational remainder.  When
+    lead(den) = +-1, c = 1, nothing is rescaled and each step is linear in
+    deg den: plain division, as for a monic modulus."""
+    num, dd, scale, low = list(num), len(den) - 1, abs(den[-1]), den[:-1]
     quot = [0] * max(len(num) - dd, 0)
     while len(num) > dd:
         top = num.pop() if den[-1] > 0 else -num.pop()
         shift = len(num) - dd
-        quot = [c * scale for c in quot]
+        if scale != 1:
+            quot = [c * scale for c in quot]
+            num = [c * scale for c in num]
         quot[shift] = top
-        num = [c * scale for c in num]
-        for i, c in enumerate(den[:-1]):
+        for i, c in enumerate(low):
             num[shift + i] -= top * c
-        num = _trimmed(num)
+        while num and not num[-1]:
+            num.pop()
     return quot, num
 
 
@@ -331,8 +329,7 @@ def _one_simple_root(g) -> bool:
     for i in range(d):
         for k in range(d - 1, i - 1, -1):
             h[k] += h[k + 1]
-    signs = [c > 0 for c in h if c]
-    return sum(x != y for x, y in zip(signs, signs[1:])) == 1
+    return _sign_variations(h) == 1
 
 
 def _newton_guess(g, levels: int):

@@ -5,9 +5,10 @@ higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, schoolbook
 bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals, `json.dumps` for certificate text, and `Fraction`
+certificate residuals, `json.dumps` for certificate text, `Fraction`
 Horner, bisection, division, gcds, Sturm chains and Sturm counts for
-polynomial signs and roots.  Agreement
+polynomial signs and roots, and an inline Descartes count for the Newton
+jump's one-simple-root test.  Agreement
 between a library value and its oracle twin is the point of most tests, so
 nothing in this file may call back into the code paths it checks.
 """
@@ -412,3 +413,16 @@ def fraction_isolate(coeffs, chain, bound: int) -> list[tuple[Fraction, Fraction
         x = nonroot(a, b)
         stack += [(a, x), (x, b)]
     return sorted(found)
+
+
+def descartes_one_simple_root(g) -> bool:
+    """Whether g has exactly one root in (0, 1), and it simple: one sign
+    variation in (1 + y)^d g(1 / (1 + y)), g reversed and Taylor-shifted by
+    one in place, its signs counted inline."""
+    h = g[::-1]
+    d = len(h) - 1
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            h[k] += h[k + 1]
+    signs = [c > 0 for c in h if c]
+    return sum(x != y for x, y in zip(signs, signs[1:])) == 1

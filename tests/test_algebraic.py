@@ -37,12 +37,24 @@ def test_reduce_small_cases():
 
 def test_reduce_matches_modular_powers_oracle():
     rng = random.Random(20240815)
+    cases = []
     for _ in range(500):
         deg = rng.randint(1, 6)
-        modulus_coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [1]
+        cases.append(([rng.randint(-9, 9) for _ in range(deg)] + [1],
+                      [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]))
+    # the empty vector, trailing zeros, degree-1 moduli, lengths up to 40
+    # and coefficients past 2^200, in the vector and in the modulus
+    for _ in range(300):
+        deg = rng.choice((1, 1, 2, 3, 5))
+        big = 2 ** rng.choice((8, 200, 260))
+        vec = [rng.randint(-big, big) for _ in range(rng.randint(0, 40))]
+        cases.append(([rng.randint(-big, big) for _ in range(deg)] + [1],
+                      vec + [0] * rng.choice((0, 0, 1, 7))))
+    cases += [([-2, 1], []), ([5, 0, 1], [0, 0, 0]), ([-2, 1], [0] * 40 + [2 ** 201]),
+              ([-(2 ** 300), 1], [1, 1, 1, 0, 0])]
+    for modulus_coeffs, vec in cases:
+        deg = len(modulus_coeffs) - 1
         modulus = IntPolynomial(modulus_coeffs)
-        length = rng.randint(1, 12)
-        vec = [rng.randint(-9, 9) for _ in range(length)]
         got = reduce_power_form(modulus, vec)
         want = modular_powers_remainder(modulus_coeffs, vec)
         assert got.coeffs == want

@@ -418,6 +418,42 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+# Paths no other test runs, recorded as (argv, exit code, stdout, stderr)
+# before power forms reduced through intpoly's pseudo-division: a fracpart
+# whose first try straddles an integer, three width and degree rejections,
+# and the five malformed algroot brackets (degree 0, lo >= hi, an endpoint
+# that is a root, no sign change, three roots).
+EDGE_RUNS = [
+    (["fracpart", "--constant", "sqrt:2", "--q", "2", "--width", "1"], 0,
+     "{q*x}({q*x} - 1) in [-7/32, -3/32]\nvalue ~ -0.1562500000\n", ""),
+    (["fracpart", "--constant", "e", "--q", "6", "--width", "0"], 1,
+     "", "error[ValueError]: max_width must be positive\n"),
+    (["cert", "--family", "e", "--width", "0"], 1,
+     "", "error[ValueError]: width override must be positive\n"),
+    (["reduce", "--modulus=1", "--coeffs", "1"], 1,
+     "", "error[ValueError]: modulus must have degree >= 1\n"),
+    (["pigeonhole", "--constant", "algroot:5@0,1", "--n", "5"], 1, "",
+     "error[ValueError]: malformed constant spec 'algroot:5@0,1': "
+     "polynomial must have degree >= 1\n"),
+    (["pigeonhole", "--constant", "algroot:-2,0,1@2,1", "--n", "5"], 1, "",
+     "error[ValueError]: malformed constant spec 'algroot:-2,0,1@2,1': "
+     "bracket must satisfy lo < hi\n"),
+    (["pigeonhole", "--constant", "algroot:-2,1@2,3", "--n", "5"], 1, "",
+     "error[BracketAmbiguousError]: bracket endpoint is itself a root\n"),
+    (["pigeonhole", "--constant", "algroot:-1,0,1@-2,2", "--n", "5"], 1, "",
+     "error[BracketAmbiguousError]: no sign change over the bracket\n"),
+    (["pigeonhole", "--constant", "algroot:0,-1,0,1@-2,2", "--n", "5"], 1, "",
+     "error[BracketAmbiguousError]: bracket holds 3 roots, need exactly 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", EDGE_RUNS,
+                         ids=[" ".join(run[0]) for run in EDGE_RUNS])
+def test_edge_runs_are_pinned(capsys, argv, code, out, err):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 # Witness golden corpus, recorded before the pigeonhole bin scan moved to
 # integers.  Each pigeonhole case is (constant, n, p, q, residual_lo,
 # residual_hi, decimal midpoint) and is run in both formats; the full stdout

@@ -16,8 +16,9 @@ from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
                                count_roots_between, is_squarefree,
                                poly_gcd, sign_at, squarefree_part, sturm_chain)
 
-from oracles import (fraction_bisect_root, fraction_horner, fraction_poly_gcd,
-                     fraction_squarefree_part, fraction_sturm_chain, fraction_sturm_count)
+from oracles import (descartes_one_simple_root, fraction_bisect_root, fraction_horner,
+                     fraction_poly_gcd, fraction_squarefree_part, fraction_sturm_chain,
+                     fraction_sturm_count)
 
 
 def test_csv_round_trip_and_trimming():
@@ -61,6 +62,24 @@ def test_arithmetic_via_evaluation():
             assert (f * g)(t) == f(t) * g(t)
             assert (-f)(t) == -f(t)
             assert (f * 3)(t) == 3 * f(t)
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p * Fraction(1, 2),
+    lambda p: Fraction(1, 2) * p,
+    lambda p: p + 1,
+    lambda p: 1 + p,
+    lambda p: p - 1,
+    lambda p: p * 0.5,
+    lambda p: p * "x",
+], ids=["p*Fraction", "Fraction*p", "p+1", "1+p", "p-1", "p*float", "p*str"])
+def test_a_foreign_operand_is_a_type_error(op):
+    p = IntPolynomial((1, 2))
+    with pytest.raises(TypeError):
+        op(p)
+    # an int still scales, on either side
+    assert 3 * p == p * 3 == IntPolynomial((3, 6))
+    assert p * 0 == IntPolynomial()
 
 
 def test_derivative_product_rule():
@@ -281,6 +300,57 @@ def _times(f, g):
         for j, y in enumerate(g):
             out[i + j] += x * y
     return out
+
+
+@PROPERTY
+@given(num=st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12),
+       low=st.lists(st.integers(-9, 9), max_size=5),
+       lead=st.integers(-6, 6).filter(bool))
+@example(num=[], low=[1], lead=1)
+@example(num=[3, 0, 0], low=[-2], lead=-1)                  # trailing zeros
+@example(num=[0, 0, 0, 0, 1], low=[-3, 0], lead=2)
+@example(num=[5, 4], low=[1, 2, 3], lead=4)                 # deg num < deg den
+def test_pdivmod_is_a_pseudo_division(num, low, lead):
+    # c num = quot den + rem, deg rem < deg den, c a power of |lead(den)|,
+    # and c = 1 when lead(den) = +-1
+    den = low + [lead]
+    quot, rem = intpoly._pdivmod(num, den)
+    assert len(IntPolynomial(rem).coeffs) < len(den)
+    got = IntPolynomial(_times(quot, den)) + IntPolynomial(rem)
+    f = IntPolynomial(num)
+    if f.is_zero:
+        assert got.is_zero
+        return
+    c, r = divmod(got.leading, f.leading)
+    assert r == 0 and got == f * c
+    assert c in [abs(lead) ** k for k in range(len(num) + 1)]
+    if abs(lead) == 1:
+        assert c == 1
+
+
+@st.composite
+def _root_products(draw):
+    """Integer coefficients of degree 1 to 9: linear factors q x - p, roots
+    often 0, 1 or repeated, times a random cofactor."""
+    roots = st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (-1, 2), (3, 2), (5, 7)])
+    coeffs = [draw(st.integers(-5, 5).filter(bool))]
+    for p, q in draw(st.lists(roots, max_size=6)):
+        for _ in range(draw(st.sampled_from((1, 1, 2, 3)))):
+            coeffs = _times(coeffs, [-p, q])
+    coeffs = _times(coeffs, draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+    assume(1 <= len(coeffs) - 1 <= 9 and coeffs[-1] != 0)
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=_root_products())
+@example(g=[0, 1])                                          # the root 0 alone
+@example(g=[-1, 1])                                         # the root 1 alone
+@example(g=[-1, 2])                                         # 1/2, simple
+@example(g=[1, -4, 4])                                      # 1/2, double
+@example(g=_times([-1, 2], [-2, 3]))                        # two roots inside
+def test_one_simple_root_matches_the_inline_count(g):
+    assert intpoly._one_simple_root(g) == descartes_one_simple_root(g)
 
 
 CUBIC = [-5, -2, 0, 1]                                  # x^3 - 2x - 5, root in (2, 3)
