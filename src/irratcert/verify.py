@@ -49,8 +49,8 @@ class Layout:
 
     fields: tuple[str, ...]
     vector: bool
-    evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None],
-                       Enclosure]
+    evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None,
+                        int | None], Enclosure]
 
     def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
         if self.vector:
@@ -73,13 +73,14 @@ class LinearForm:
 
 
 # The evaluators look the residual functions up at call time, so rebinding
-# them on this module takes effect.
+# them on this module takes effect.  The last argument is the grid bits the
+# series residuals are rounded to; the power form ignores it.
 PAIR = Layout(("p", "q"), False,
-              lambda ints, c, w, cache: pair_residual(*ints, c, w, cache))
+              lambda ints, c, w, cache, j: pair_residual(*ints, c, w, cache, round_to=j))
 FORM = Layout(("coeffs",), True,
-              lambda ints, c, w, cache: power_form_residual(PowerForm(ints), c, w, cache))
+              lambda ints, c, w, cache, j: power_form_residual(PowerForm(ints), c, w, cache))
 TRIG = Layout(("a", "c", "d"), False,
-              lambda ints, c, w, cache: trig_residual(ints, c.x, w, cache))
+              lambda ints, c, w, cache, j: trig_residual(ints, c.x, w, cache, round_to=j))
 LAYOUTS = (PAIR, FORM, TRIG)
 
 
@@ -252,6 +253,11 @@ def _row_from_dict(d) -> CertRow:
 # A width is a Fraction, or an integer pair (num, den) standing for num/den,
 # in lowest terms or not: certify hands its widths on as pairs.
 
+# The constants enclosed as exact dyadic floors: their grid answers equal fresh
+# enclosures, and their residuals are not rounded.
+_RADICALS = (Sqrt, Root)
+
+
 class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
 
@@ -290,7 +296,7 @@ class ConstantCache:
     def grid(self, spec, u: int, v: int) -> tuple[int, int, int]:
         """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/v wide."""
         k = _grid_bits(u, v)
-        if not isinstance(spec, (Sqrt, Root)):
+        if not isinstance(spec, _RADICALS):
             k += 2
         # equal specs share one entry; each spec object is hashed once
         entry = self._memo(spec, lambda: self._best.setdefault(spec, [-1, 0, 0]))
@@ -318,15 +324,31 @@ def _positive(max_width) -> Fraction:
     return Fraction(*_width(max_width))
 
 
-def pair_residual(p: int, q: int, c, max_width, cache=None) -> Enclosure:
-    """Enclosure of q*value - p, no wider than max_width."""
+def _rounded(x: int, y: int, k: int, j: int | None) -> Enclosure:
+    """[x, y] / 2^k, rounded outward to [floor, ceil] on 2^-j when j < k."""
+    if j is not None and j < k:
+        x, y, k = x >> (k - j), -((-y) >> (k - j)), j
+    return Enclosure(dyadic(x, k), dyadic(y, k))
+
+
+def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) -> Enclosure:
+    """Enclosure of q*value - p, no wider than max_width before rounding.
+
+    It is [x, x + q (H - L)] / 2^k, x = q L - p 2^k, for the constant's grid
+    answer [L, H] / 2^k: one product with the constant's k-bit digits, the
+    other with the few units H - L.  With round_to = j < k its ends are
+    rounded outward to [floor, ceil] on 2^-j, which widens it by less than
+    2^(1 - j); certify takes j 12 bits past the width, so the rounded
+    enclosure stays within it.  With j >= k, or none, nothing is rounded.
+    """
     num, den = _width(max_width)
     if q == 0:
         return Enclosure.point(-p)
     k, lo, hi = (cache or ConstantCache()).grid(c, num, den * abs(q))
     if q < 0:
         lo, hi = hi, lo
-    return Enclosure(dyadic(q * lo - (p << k), k), dyadic(q * hi - (p << k), k))
+    x = q * lo - (p << k)
+    return _rounded(x, x + q * (hi - lo), k, round_to)
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
@@ -357,8 +379,14 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
 
 
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
-                  cache=None) -> Enclosure:
-    """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d)."""
+                  cache=None, *, round_to=None) -> Enclosure:
+    """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d).
+
+    Cosine and sine are taken on one grid 2^-k; the lower end x takes the
+    two products with their k-bit digits, and the upper end adds c and d
+    times the few units their grid answers are wide.  round_to rounds the
+    ends outward as in pair_residual.
+    """
     num, den = _width(max_width)
     a, c, d = acd
     cache = cache or ConstantCache()
@@ -371,8 +399,8 @@ def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
         cos_lo, cos_hi = cos_hi, cos_lo
     if d < 0:
         sin_lo, sin_hi = sin_hi, sin_lo
-    return Enclosure(dyadic(c * cos_lo - d * sin_hi - (a << k), k),
-                     dyadic(c * cos_hi - d * sin_lo - (a << k), k))
+    x = c * cos_lo - d * sin_hi - (a << k)
+    return _rounded(x, x + c * (cos_hi - cos_lo) + d * (sin_hi - sin_lo), k, round_to)
 
 
 def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
@@ -397,7 +425,10 @@ def _decided(n: int, term: LinearForm, enc: Enclosure, bound: Fraction):
 
 
 def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
-    return term.layout.evaluate(term.ints, c, width, cache)
+    """The residual at the width pair (num, den); a series residual rounded
+    outward to 12 bits past the width, which keeps it within the width."""
+    j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
+    return term.layout.evaluate(term.ints, c, width, cache, j)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +599,10 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     doubles its precision when a request is too narrow for it: a few kernel
     calls per certificate, not one or more per row.  Radical answers equal
     fresh enclosures; series residual endpoints may change digits, while the
-    flags and verdict, being decided, do not.
+    flags and verdict, being decided, do not.  Every residual but a sqrt or
+    root one is rounded outward to 2^-j, j 12 bits past the width tried,
+    before the checks are read from it: its ends carry about log2(1/width)
+    + 12 bits whatever the size of q, and it stays within the width.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

@@ -171,22 +171,28 @@ def test_certify_verdict_independent_of_start_width(family, c, n_max):
     assert summary(certify(family, c, n_max, max_width=Fraction(1, 10 ** 6))) == default
 
 
+def _residual_evals(monkeypatch, family, c, n_max):
+    """(certificate, the number of residual evaluations certify made for it)."""
+    calls = []
+    evaluate = verify._residual_eval
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+    monkeypatch.setattr(verify, "_residual_eval", counting)
+    return certify(family, c, n_max), len(calls)
+
+
 @pytest.mark.parametrize("family, c, n_max", [
     ("e-pow", EPow(3), 30), ("e-pow", EPow(6), 40),
     ("e-rat", ERational(Fraction(-3, 2)), 30), ("trig-angle", CosOf(Fraction(7, 3)), 30)])
 def test_certify_carries_refinement_depth(monkeypatch, family, c, n_max):
     # each row starts at the depth the row before needed, so the Niven
     # families take about one residual evaluation per row, not 6 to 9
-    calls = []
-    evaluate = verify._residual_eval
-
-    def counting(term, c, width, cache):
-        calls.append(width)
-        return evaluate(term, c, width, cache)
-    monkeypatch.setattr(verify, "_residual_eval", counting)
-    cert = certify(family, c, n_max)
+    cert, evals = _residual_evals(monkeypatch, family, c, n_max)
     assert cert.verdict == "nice"
-    assert len(calls) <= 2 * n_max
+    assert evals <= 2 * n_max
+
 
 def test_certify_single_row_skips_decay_check():
     assert certify("e", E(), 1).verdict == "nice"
@@ -219,12 +225,11 @@ def test_certify_width_override():
 
 
 def test_json_round_trip():
-    for family, c, n_max in (("sqrt", Sqrt(2), 6), ("root", Root(2, 3), 4),
-                             ("trig-angle", CosOf(Fraction(1, 3)), 3),
-                             ("e-squared-naive", EPow(2), 4)):
-        cert = certify(family, c, n_max)
-        again = Certificate.from_json(cert.to_json())
-        assert again == cert
+    for family, c in FAMILY_CONSTANTS.items():
+        cert = certify(family, c, 12)
+        text = cert.to_json()
+        assert text == certificate_json(cert), family
+        assert Certificate.from_json(text) == cert, family
 
 
 json_integers = st.integers() | st.sampled_from((10 ** 4400 + 1, -(7 ** 5300)))
@@ -504,6 +509,62 @@ def test_trig_residual_equals_enclosure_arithmetic(angle, shared, calls):
             (a, c, d), lambda x: at(CosOf(angle), x), lambda x: at(SinOf(angle), x), w)
 
 
+SERIES_KINDS = [spec for spec, _ in KINDS if not isinstance(spec, verify._RADICALS)]
+round_bits = st.integers(0, 420)
+
+
+def _assert_rounded(rounded, exact, j):
+    """rounded is exact rounded outward to 2^-j: it contains exact, its ends lie
+    on 2^-j, it is at most 2^(1-j) wider, and it is exact itself when exact's
+    ends lie on 2^-j already (as they do when j is at least the grid's bits)."""
+    def on_grid(enc):
+        return all((end * 2 ** j).denominator == 1 for end in (enc.lo, enc.hi))
+    assert rounded.lo <= exact.lo and exact.hi <= rounded.hi
+    assert on_grid(rounded)
+    assert rounded.width - exact.width <= Fraction(2, 2 ** j)
+    if on_grid(exact):
+        assert rounded == exact
+
+
+@PROPERTY
+@given(spec=st.sampled_from(SERIES_KINDS), shared=st.booleans(),
+       calls=st.lists(st.tuples(multipliers, multipliers, residual_widths, round_bits),
+                      min_size=1, max_size=6))
+@example(spec=E(), shared=True, calls=[(7, 3, Fraction(1, 10 ** 6), 0),
+                                        (2 ** 80, 3 ** 50, Fraction(1, 1000), 22),
+                                        (-5, -(2 ** 90), Fraction(1, 2 ** 300), 420)])
+def test_pair_residual_rounds_outward(spec, shared, calls):
+    # round_to changes nothing the cache does: both caches see equal requests
+    caches = (ConstantCache(), ConstantCache()) if shared else (None, None)
+    for p, q, w, j in calls:
+        exact = pair_residual(p, q, spec, w, caches[0])
+        _assert_rounded(pair_residual(p, q, spec, w, caches[1], round_to=j), exact, j)
+
+
+@PROPERTY
+@given(angle=st.sampled_from(TRIG_ANGLES), shared=st.booleans(),
+       calls=st.lists(st.tuples(multipliers, multipliers, multipliers, residual_widths,
+                                round_bits), min_size=1, max_size=6))
+@example(angle=Fraction(1, 3), shared=True,
+         calls=[(a, c, d, Fraction(1, 10 ** 9), j) for a in (-1, 2) for c in (-3, 0, 2 ** 70)
+                for d in (-(5 ** 30), 0, 4) for j in (3, 40)])
+def test_trig_residual_rounds_outward(angle, shared, calls):
+    caches = (ConstantCache(), ConstantCache()) if shared else (None, None)
+    for a, c, d, w, j in calls:
+        exact = trig_residual((a, c, d), angle, w, caches[0])
+        _assert_rounded(trig_residual((a, c, d), angle, w, caches[1], round_to=j), exact, j)
+
+
+def test_certify_rounds_series_residuals_to_their_width():
+    # a series row's residual carries about log2(1/width) + 12 bits, however
+    # large q is: at n = 120, sin-inv:4 has a 4,538-bit q and 44-bit endpoints
+    for family, c in (("sin-inv", SinInv(4)), ("cos-inv", CosInv(3)), ("e", E())):
+        for row in certify(family, c, 120).rows:
+            for end in (row.residual.lo, row.residual.hi):
+                assert abs(end.numerator).bit_length() <= 64, (family, row.n)
+                assert end.denominator.bit_length() <= 64, (family, row.n)
+
+
 def _rationals(limit=10 ** 6, den=10 ** 6):
     return st.builds(Fraction, st.integers(-limit, limit), st.integers(1, den))
 
@@ -561,6 +622,24 @@ FAMILY_CONSTANTS = {
     "e-rat": ERational(Fraction(-1, 2)), "sin-inv": SinInv(2), "cos-inv": CosInv(1),
     "trig-angle": CosOf(Fraction(1, 2)),
 }
+
+
+# residual evaluations certify makes at n_max 30 and 120, recorded when the
+# series residuals were not yet rounded: rounding must cost no narrowing
+RESIDUAL_EVALS = {
+    "sqrt": (30, 120), "root": (30, 120), "e": (30, 121), "inv-e": (30, 120),
+    "e-squared": (30, 120), "e-squared-naive": (30, 120), "e-pow": (44, 178),
+    "e-rat": (43, 178), "sin-inv": (30, 120), "cos-inv": (30, 120),
+    "trig-angle": (43, 178),
+}
+
+
+@pytest.mark.parametrize("family, n_max, want",
+                         [(family, n_max, want) for family, counts in RESIDUAL_EVALS.items()
+                          for n_max, want in zip((30, 120), counts)])
+def test_certify_residual_evaluation_counts(monkeypatch, family, n_max, want):
+    _, evals = _residual_evals(monkeypatch, family, FAMILY_CONSTANTS[family], n_max)
+    assert evals == want
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
