@@ -24,14 +24,17 @@ from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
 
 
 def integer_nth_root(a: int, m: int) -> int:
-    """floor(a ** (1/m)) by Newton iteration on integers."""
+    """floor(a ** (1/m)) by Newton iteration on integers, started past 768 bits
+    just above the root, at (r + 1) 2^s for r the root of a >> (m s), s = bits / 2m."""
     if a < 0 or m < 1:
         raise ValueError("need a >= 0 and m >= 1")
     if a < 2 or m == 1:
         return a
     if m == 2:
         return math.isqrt(a)
-    x = 1 << -(-a.bit_length() // m)
+    s = a.bit_length() // (2 * m)
+    x = (integer_nth_root(a >> m * s, m) + 1 << s if a.bit_length() >= 768
+         else 1 << -(-a.bit_length() // m))
     while True:
         y = ((m - 1) * x + a // x ** (m - 1)) // m
         if y >= x:

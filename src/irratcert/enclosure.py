@@ -106,6 +106,15 @@ class Enclosure:
             raise ValueError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
+    def _grid(cls, x: int, y: int, k: int) -> "Enclosure":
+        """[x, y] / 2^k, its order checked on the integers, not as Fractions."""
+        enc = object.__new__(cls)   # frozen: the fields go into the instance dict
+        enc.__dict__.update(lo=dyadic(x, k), hi=dyadic(y, k))
+        if x > y:
+            raise ValueError(f"enclosure endpoints out of order: {enc.lo} > {enc.hi}")
+        return enc
+
+    @classmethod
     def point(cls, value) -> "Enclosure":
         v = Fraction(value)
         return cls(v, v)

@@ -271,8 +271,8 @@ class ConstantCache:
     as wide as asked.  For Sqrt and Root k = k0, and the answer equals
     enclose(spec, u/v), since [z, z + 1] / 2^K truncates to
     floor(2^k * value) / 2^k.  A constant kept at K < k bits is enclosed
-    again at max(k, 2K) bits, so a run makes a number of kernel calls
-    logarithmic in its final precision.
+    again at max(k, 2K) bits; certify fills the cache once per constant
+    before its first row, so only deeper narrowings call the kernel again.
     """
 
     def __init__(self):
@@ -328,7 +328,7 @@ def _rounded(x: int, y: int, k: int, j: int | None) -> Enclosure:
     """[x, y] / 2^k, rounded outward to [floor, ceil] on 2^-j when j < k."""
     if j is not None and j < k:
         x, y, k = x >> (k - j), -((-y) >> (k - j)), j
-    return Enclosure(dyadic(x, k), dyadic(y, k))
+    return Enclosure._grid(x, y, k)
 
 
 def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) -> Enclosure:
@@ -372,7 +372,7 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
         x, y = _interval_horner(coeffs, a, z, k)
         # [x, y] / 2^(k deg) is at most num/den wide, cross-multiplied
         fits = (y - x) * den <= num << k * deg
-        return Enclosure(dyadic(x, k * deg), dyadic(y, k * deg)) if fits else None
+        return Enclosure._grid(x, y, k * deg) if fits else None
 
     # the widths num/den / (slope + 1) / 2^j, as unreduced integer pairs
     return refine(attempt, (num * t, den * s), "power form residual")
@@ -595,10 +595,13 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     enclosures printed, so the verdict does not depend on where refinement
     started.
 
-    The residuals take their constant from one ConstantCache per call, which
-    doubles its precision when a request is too narrow for it: a few kernel
-    calls per certificate, not one or more per row.  Radical answers equal
-    fresh enclosures; series residual endpoints may change digits, while the
+    The rows are built first.  Their residuals take the constant from one
+    ConstantCache per call, filled once per constant (cos and sin for
+    trig-angle) at what the last row's first try asks for: its start width
+    narrowed by the bits of its largest integer and 8 more.  Only a deeper
+    narrowing calls the kernel again, so a certificate makes a few kernel
+    calls whatever its n_max.  Radical answers equal fresh enclosures;
+    series residual endpoints may change digits with the fill, while the
     flags and verdict, being decided, do not.  Every residual but a sqrt or
     root one is rounded outward to 2^-j, j 12 bits past the width tried,
     before the checks are read from it: its ends carry about log2(1/width)
@@ -621,16 +624,24 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         if max_width <= 0:
             raise ValueError("width override must be positive")
         max_width = max_width.as_integer_ratio()
+
+    def first_width(bound, depth):
+        """A row's first width: the override, or bound / 1000 / 16^depth."""
+        return max_width or (bound.numerator, bound.denominator * 1000 << 4 * depth)
     hi = enclose(c, _BOUND_WIDTH).hi
+    terms = list(islice(rows_of(c, hi), n_max))
     cache = ConstantCache()
+    # one kernel call per constant, at about what the last row's first try asks:
+    # a residual asks for its width over about its largest integer
+    last, bound = terms[-1]
+    u, v = first_width(bound, 0)
+    bits = max(x.bit_length() for x in last.ints) + 8
+    for spec in cache.trig_specs(c.x) if last.layout is TRIG else (c,):
+        cache.grid(spec, u, v << bits)
     rows, widths = [], []
     depth = 0
-    for n, (term, bound) in enumerate(islice(rows_of(c, hi), n_max), 1):
-        if max_width is None:
-            u, v = bound.as_integer_ratio()
-            start = u, v * 1000 << 4 * depth
-        else:
-            start = max_width
+    for n, (term, bound) in enumerate(terms, 1):
+        start = first_width(bound, depth)
         settled, width = _settle(n, term, c, bound, start, cache)
         # each narrowing multiplies the denominator by 16, 4 more bits
         depth += (width[1].bit_length() - start[1].bit_length()) // 4

@@ -237,3 +237,24 @@ def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
     for n, k in ((0, 0), (0, 3), (-12, 0), (6, 3), (-(5 << 40), 41), (_OVER_THE_DIGIT_LIMIT, 9)):
         _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
     assert len(calls) == 6
+
+
+@PROPERTY
+@given(x=_numerators, y=_numerators, k=st.integers(0, 600))
+@example(x=5, y=5, k=3)
+@example(x=6, y=-6, k=2)
+def test_grid_enclosure_equals_the_public_constructor(x, y, k):
+    # Enclosure._grid orders its ends on the integers; it must build what
+    # Enclosure(lo, hi) builds, and refuse what it refuses, in the same words
+    lo, hi = Fraction(x, 2 ** k), Fraction(y, 2 ** k)
+    if x > y:
+        with pytest.raises(ValueError) as public:
+            Enclosure(lo, hi)
+        with pytest.raises(ValueError) as grid:
+            Enclosure._grid(x, y, k)
+        assert str(grid.value) == str(public.value)
+        return
+    enc = Enclosure._grid(x, y, k)
+    _same_fraction(enc.lo, lo)
+    _same_fraction(enc.hi, hi)
+    assert enc == Enclosure(lo, hi) and hash(enc) == hash(Enclosure(lo, hi))

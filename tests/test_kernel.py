@@ -243,6 +243,20 @@ def test_canonical_text_round_trips(spec):
     assert parse_constant(canonical_text(spec)) == spec
 
 
+@PROPERTY
+@given(m=st.integers(2, 9), a=st.one_of(st.integers(2, 2 ** 2000),
+                                       st.integers(2 ** 10000, 2 ** 40000)),
+       near=st.sampled_from((None, -1, 0, 1)))
+def test_integer_nth_root_is_the_floor(m, a, near):
+    # past 768 bits the Newton iteration starts from the root of a's top
+    # half; perfect powers and their neighbours are where a start below the
+    # root, or a stop one step early, would show
+    if near is not None:
+        a = max(integer_nth_root(a, m) ** m + near, 0)
+    r = integer_nth_root(a, m)
+    assert r ** m <= a < (r + 1) ** m
+
+
 def _width_runs(width_strategy):
     """Lists of widths, rising, falling, or in the order drawn."""
     order = st.sampled_from([sorted, lambda ws: sorted(ws, reverse=True), list])
@@ -257,12 +271,16 @@ def _grid_enclosure(cache, spec, max_width) -> Enclosure:
 
 
 @PROPERTY
-@given(kind=st.integers(0, len(KINDS) - 1), run=_width_runs(widths))
-def test_cache_answers_contain_the_value_within_the_width(kind, run):
+@given(kind=st.integers(0, len(KINDS) - 1), run=_width_runs(widths),
+       fill=st.one_of(st.integers(0, 8), st.integers(2100, 4000)))
+def test_cache_answers_contain_the_value_within_the_width(kind, run, fill):
+    # certify fills the cache first at the precision of its last row: the
+    # first request here is at a few bits or at 2,100 to 4,000 (the oracle
+    # has 4,200), below or above the widths that follow (2^-2010 to 1000)
     spec, truth = KINDS[kind]
     exact = _truth(truth)
     cache = ConstantCache()
-    for max_width in run:
+    for max_width in [Fraction(1, 2 ** fill), *run]:
         enc = _grid_enclosure(cache, spec, max_width)
         _assert_encloses(enc, exact, max_width)
         if isinstance(spec, (Sqrt, Root)):

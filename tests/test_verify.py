@@ -341,17 +341,23 @@ def test_from_json_requires_a_json_object():
         Certificate.from_json(text)
 
 
-def test_certify_encloses_the_constant_once_per_precision(monkeypatch):
-    # the per-run cache doubles its precision on a miss, so 120 rows take
-    # a handful of kernel calls, not one or more each
+def _kernel_calls(monkeypatch, family, c, n_max):
+    """(certificate, the specs of the kernel calls certify made for it)."""
     calls = []
     kernel = verify.enclose
 
     def counting(spec, max_width):
-        calls.append(max_width)
+        calls.append(spec)
         return kernel(spec, max_width)
     monkeypatch.setattr(verify, "enclose", counting)
-    assert certify("e", E(), 120).verdict == "nice"
+    return certify(family, c, n_max), calls
+
+
+def test_certify_encloses_the_constant_once_per_precision(monkeypatch):
+    # the per-run cache is filled once and doubles its precision on a miss,
+    # so 120 rows take a handful of kernel calls, not one or more each
+    cert, calls = _kernel_calls(monkeypatch, "e", E(), 120)
+    assert cert.verdict == "nice"
     assert len(calls) <= 16
 
 
@@ -640,6 +646,18 @@ RESIDUAL_EVALS = {
 def test_certify_residual_evaluation_counts(monkeypatch, family, n_max, want):
     _, evals = _residual_evals(monkeypatch, family, FAMILY_CONSTANTS[family], n_max)
     assert evals == want
+
+
+@pytest.mark.parametrize("family, n_max", [(family, n_max) for family in FAMILY_CONSTANTS
+                                            for n_max in (30, 120)])
+def test_certify_kernel_call_budget(monkeypatch, family, n_max):
+    # one coarse call for the bounds, then one fill per cached constant (cos
+    # and sin for trig-angle) at the last row's first precision, and at most
+    # one doubling for the narrowings past it
+    c = FAMILY_CONSTANTS[family]
+    _, calls = _kernel_calls(monkeypatch, family, c, n_max)
+    assert calls[0] == c
+    assert len(calls) <= (5 if family == "trig-angle" else 3)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
