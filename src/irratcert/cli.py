@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except (IrratCertError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error[MemoryError]: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

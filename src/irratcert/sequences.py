@@ -1,12 +1,15 @@
 """Closed-form approximant generators and the sequence transformation rules.
 
-Each construction is one generator of its rows n = 1, 2, ...: the exact
-integers of the construction together with the explicit upper bound it
-guarantees for |q*value - p|.  Row n is built from row n-1 by a fixed
-recurrence, a few multiplications of big integers by small ones, so a run
-over n rows costs about n such steps.  The per-n functions return row n of
-the same generator.  Pairs are used exactly as built; nothing is reduced to
-lowest terms.
+Each construction is one generator of its rows n = 1, 2, ...: plain
+(ints, bound) tuples, the exact integers of the construction (p and q, or
+the coefficients of a power form) and the explicit upper bound, a positive
+Fraction, it guarantees for the linear form they make with the constant.
+Row n is built from row n-1 by a fixed recurrence, a few multiplications of
+big integers by small ones, so a run over n rows costs about n such steps.
+The per-n functions return row n of the same generator as a validated
+Approximant and BoundedBy; apart from them only the e^2 chain builds
+Approximants, to check its composition.  Pairs are used exactly as built;
+nothing is reduced to lowest terms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial, isqrt
+from math import factorial
 
 from .algebraic import PowerForm, monic_certificate, multiply_forms
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
@@ -62,6 +65,12 @@ def _nth(rows, n: int):
     return next(islice(rows, n - 1, None))
 
 
+def _approximant(rows, n: int) -> tuple[Approximant, BoundedBy]:
+    """Row n of a pair generator, as its validated Approximant and BoundedBy."""
+    (p, q), bound = _nth(rows, n)
+    return Approximant(n, p, q), BoundedBy(bound)
+
+
 def root_forms(a: int, m: int):
     """(d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1), z the floor:
     (t - z)**(m-1) modulo t**m - a, then each row times (t - z)**m, reduced."""
@@ -75,39 +84,40 @@ def root_forms(a: int, m: int):
         form = multiply_forms(modulus, form.coeffs, step)
 
 
+def root_rows(a: int, m: int, hi):
+    """The coefficients of root_forms(a, m) with the bound (hi - z)**(mn-1) on the
+    positive power they equal; hi is an upper bound on a**(1/m)."""
+    base = hi - integer_nth_root(a, m)
+    for n, form in enumerate(root_forms(a, m), 1):
+        yield form.coeffs, base ** (m * n - 1)
+
+
 def sqrt_rows(m: int, hi):
-    """The root forms (d_0, d_1) of sqrt(m) read as p = -d_0, q = d_1, so that
+    """root_rows(m, 2, hi) read as p = -d_0, q = d_1, so that
     q*sqrt(m) - p = (sqrt(m) - z)**(2n-1) > 0 exactly; hi is an upper bound on sqrt(m)."""
     Sqrt(m)
-    base = hi - isqrt(m)
-    for n, (d0, d1) in enumerate((form.coeffs for form in root_forms(m, 2)), 1):
-        yield Approximant(n, -d0, d1), BoundedBy(base ** (2 * n - 1))
+    for (d0, d1), bound in root_rows(m, 2, hi):
+        yield (-d0, d1), bound
 
 
 def factorial_rows(s: int):
     """p = sum(s**i * n!/i!), q = n! as p_n = n p_(n-1) + s**n: for s = 1 the e sums,
     1/(n+1) < q*e - p < 1/n; for s = -1 the 1/e sums, 0 < |q/e - p| < 1/n."""
-    for n, p, q in _factorial_sums(s):
-        yield Approximant(n, p, q), BoundedBy(Fraction(1, n))
-
-
-def _factorial_sums(s: int):
-    """(n, p, q) of factorial_rows(s) as bare integers."""
     p = q = 1
     for n in count(1):
         p, q = n * p + s ** n, n * q
-        yield n, p, q
+        yield (p, q), Fraction(1, n)
 
 
 def e_squared_rows(e2_hi):
-    """The e chain composed with the reciprocal 1/e chain at index 2n, both
+    """The e chain composed with the reciprocal 1/e chain at index k = 2n, both
     advanced two indices per row: p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!),
     and 0 < q*e^2 - p < (e^2 + 1)/(2n), e2_hi an upper bound on e^2."""
-    outer = islice(_factorial_sums(1), 1, None, 2)
-    inner = islice(_factorial_sums(-1), 1, None, 2)
-    for (k, p, q), (_, p1, q1) in zip(outer, inner):
+    outer = islice(factorial_rows(1), 1, None, 2)
+    inner = islice(factorial_rows(-1), 1, None, 2)
+    for k, ((p, q), _), ((p1, q1), _) in zip(count(2, 2), outer, inner):
         chained = compose_chain(Approximant(k, p, q), reciprocal(Approximant(k, p1, q1)))
-        yield Approximant(k // 2, chained.p, chained.q), BoundedBy((e2_hi + 1) / k)
+        yield (chained.p, chained.q), (e2_hi + 1) / k
 
 
 def trig_rows(m: int, first: int):
@@ -119,8 +129,8 @@ def trig_rows(m: int, first: int):
         raise ValueError(f"need m >= 1, got {m}")
     mm, big_n = m * m, first
     p, q = big_n * (big_n - 1) * mm - 1, m ** big_n * factorial(big_n)
-    for n in count(1):
-        yield Approximant(n, p, q), BoundedBy(Fraction(1, mm * (big_n + 1) ** 2 - 1))
+    while True:
+        yield (p, q), Fraction(1, mm * (big_n + 1) ** 2 - 1)
         f = (big_n + 1) * (big_n + 2) * (big_n + 3) * (big_n + 4) * mm * mm
         p, q = f * p + (big_n + 3) * (big_n + 4) * mm - 1, f * q
         big_n += 4
@@ -130,7 +140,7 @@ def sqrt_approximant(m: int, n: int, hi=None) -> tuple[Approximant, BoundedBy]:
     """Row n of sqrt_rows(m, hi); hi defaults to enclose(Sqrt(m), _BOUND_WIDTH).hi."""
     check_index(n)
     hi = enclose(Sqrt(m), _BOUND_WIDTH).hi if hi is None else hi
-    return _nth(sqrt_rows(m, hi), n)
+    return _approximant(sqrt_rows(m, hi), n)
 
 
 def mth_root_form(a: int, m: int, n: int) -> PowerForm:
@@ -140,29 +150,29 @@ def mth_root_form(a: int, m: int, n: int) -> PowerForm:
 
 def e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """p = sum(n!/i!), q = n!; then 1/(n+1) < q*e - p < 1/n."""
-    return _nth(factorial_rows(1), n)
+    return _approximant(factorial_rows(1), n)
 
 
 def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     """Alternating partial sum: p = sum((-1)^i n!/i!), q = n!."""
-    return _nth(factorial_rows(-1), n)
+    return _approximant(factorial_rows(-1), n)
 
 
 def e_squared_approximant(n: int, e2_hi=None) -> tuple[Approximant, BoundedBy]:
     """Row n of e_squared_rows(e2_hi); e2_hi defaults to an upper bound on e^2."""
     check_index(n)
     e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi if e2_hi is None else e2_hi
-    return _nth(e_squared_rows(e2_hi), n)
+    return _approximant(e_squared_rows(e2_hi), n)
 
 
 def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     """Sine series at 1/m: q = m^(4n-1) (4n-1)!, bound 1/(m^2 (4n)^2 - 1)."""
-    return _nth(trig_rows(m, 3), n)
+    return _approximant(trig_rows(m, 3), n)
 
 
 def cos_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
     """Cosine series at 1/m: q = m^(4n-2) (4n-2)!, bound 1/(m^2 (4n-1)^2 - 1)."""
-    return _nth(trig_rows(m, 2), n)
+    return _approximant(trig_rows(m, 2), n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
-                        SinOf, Sqrt, _grid_bits, canonical_text, enclose,
-                        integer_nth_root)
+                        SinOf, Sqrt, _grid_bits, canonical_text, enclose)
 from .enclosure import Enclosure, dyadic, refine
 from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
@@ -35,7 +34,7 @@ from .niven import (check_angle, exp_functional_int, exp_functional_rational,
                     functional_rows, trig_functional)
 from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
                         e_squared_approximant, e_squared_rows, factorial_rows,
-                        inv_e_approximant, mth_root_form, root_forms,
+                        inv_e_approximant, mth_root_form, root_rows,
                         sin_inv_m_approximant, sqrt_approximant, sqrt_rows, trig_rows)
 
 
@@ -433,32 +432,16 @@ def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
 
 # ---------------------------------------------------------------------------
 # Families.  Each names the constant kind it certifies (a class, or the one
-# constant it certifies), rows(c, hi) -> an iterator of (form, bound) for
-# n = 1, 2, ..., where hi is a coarse upper enclosure of the constant shared
-# by every row, and the construction behind it.
+# constant it certifies), the layout of its rows, rows(c, hi) -> an iterator
+# of plain (ints, bound) tuples for n = 1, 2, ..., where hi is a coarse upper
+# enclosure of the constant shared by every row and bound a positive
+# Fraction, and the construction behind it.
 
 class Family(NamedTuple):
     kind: object
+    layout: Layout
     rows: Callable
     doc: str
-
-
-def _pairs(rows):
-    return ((LinearForm(PAIR, (app.p, app.q)), bb.bound) for app, bb in rows)
-
-
-def _root_rows(c, hi):
-    base = hi - integer_nth_root(c.a, c.m)
-    for n, form in enumerate(root_forms(c.a, c.m), 1):
-        yield LinearForm(FORM, form.coeffs), base ** (c.m * n - 1)
-
-
-def _e_squared_naive_rows(c, hi):
-    # squaring a nice approximation of e term by term; the residual
-    # q^2 e^2 - p^2 = (q e + p)(q e - p) grows at least like n!/(n+1),
-    # so this family exists to be refuted
-    for app, bb in factorial_rows(1):
-        yield LinearForm(PAIR, (app.p ** 2, app.q ** 2)), bb.bound
 
 
 def _niven_rows(c, hi):
@@ -478,58 +461,59 @@ def _niven_rows(c, hi):
     for n, x in enumerate(functional_rows(p, q, gaussian), 1):
         bound *= Fraction(p * p, n)
         # the trig triple (a, c, d) is (Re F(0), Re F(1), Im F(1))
-        yield (LinearForm(TRIG, x[:1] + x[2:]) if gaussian else LinearForm(PAIR, x)), bound
+        yield (x[:1] + x[2:] if gaussian else x), bound
 
 
 FAMILIES = {
     "sqrt": Family(
-        Sqrt, lambda c, hi: _pairs(sqrt_rows(c.m, hi)),
+        Sqrt, PAIR, lambda c, hi: sqrt_rows(c.m, hi),
         "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
         "z = floor(sqrt(m)); residual equals that power exactly, so it is "
         "positive and shrinks geometrically; bound is an upper enclosure of it."),
     "root": Family(
-        Root, _root_rows,
+        Root, FORM, lambda c, hi: root_rows(c.a, c.m, hi),
         "coefficient vector of (a^(1/m) - z)^(mn-1) reduced below degree m; "
         "the combination sum(d_l a^(l/m)) equals that positive power; "
         "bound is an upper enclosure of it."),
     "e": Family(
-        E, lambda c, hi: _pairs(factorial_rows(1)),
+        E, PAIR, lambda c, hi: factorial_rows(1),
         "p = sum(n!/i!), q = n!; the residual q e - p is the factorial tail, "
         "strictly between 1/(n+1) and 1/n."),
     "inv-e": Family(
-        InvE, lambda c, hi: _pairs(factorial_rows(-1)),
+        InvE, PAIR, lambda c, hi: factorial_rows(-1),
         "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
         "residual is the alternating tail, nonzero with |.| < 1/n."),
     "e-squared": Family(
-        EPow(2), lambda c, hi: _pairs(e_squared_rows(hi)),
+        EPow(2), PAIR, lambda c, hi: e_squared_rows(hi),
         "chains the e pair at index 2n with the reciprocal 1/e pair; "
         "q e^2 - p is positive and below (e^2 + 1)/(2n)."),
     "e-squared-naive": Family(
-        EPow(2), _e_squared_naive_rows,
+        EPow(2), PAIR,
+        lambda c, hi: (((p * p, q * q), bound) for (p, q), bound in factorial_rows(1)),
         "squares the e pair term by term; the residual "
         "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
         "certificate is expected to come back violated."),
     "e-pow": Family(
-        EPow, _niven_rows,
+        EPow, PAIR, _niven_rows,
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
         "positive and below e^k k^(2n+1)/n!."),
     "e-rat": Family(
-        ERational, _niven_rows,
+        ERational, PAIR, _niven_rows,
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
         "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
     "sin-inv": Family(
-        SinInv, lambda c, hi: _pairs(trig_rows(c.m, 3)),
+        SinInv, PAIR, lambda c, hi: trig_rows(c.m, 3),
         "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
         "the grouped tail keeps q sin(1/m) - p positive, below "
         "1/(m^2 (4n)^2 - 1)."),
     "cos-inv": Family(
-        CosInv, lambda c, hi: _pairs(trig_rows(c.m, 2)),
+        CosInv, PAIR, lambda c, hi: trig_rows(c.m, 2),
         "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
         "below 1/(m^2 (4n-1)^2 - 1)."),
     "trig-angle": Family(
-        CosOf, _niven_rows,
+        CosOf, TRIG, _niven_rows,
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
@@ -610,7 +594,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     try:
-        kind, rows_of, _ = FAMILIES[family]
+        kind, layout, rows_of, _ = FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; known families: {known}") from None
@@ -629,18 +613,19 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         """A row's first width: the override, or bound / 1000 / 16^depth."""
         return max_width or (bound.numerator, bound.denominator * 1000 << 4 * depth)
     hi = enclose(c, _BOUND_WIDTH).hi
-    terms = list(islice(rows_of(c, hi), n_max))
+    built = list(islice(rows_of(c, hi), n_max))
     cache = ConstantCache()
     # one kernel call per constant, at about what the last row's first try asks:
     # a residual asks for its width over about its largest integer
-    last, bound = terms[-1]
+    ints, bound = built[-1]
     u, v = first_width(bound, 0)
-    bits = max(x.bit_length() for x in last.ints) + 8
-    for spec in cache.trig_specs(c.x) if last.layout is TRIG else (c,):
+    bits = max(x.bit_length() for x in ints) + 8
+    for spec in cache.trig_specs(c.x) if layout is TRIG else (c,):
         cache.grid(spec, u, v << bits)
     rows, widths = [], []
     depth = 0
-    for n, (term, bound) in enumerate(terms, 1):
+    for n, (ints, bound) in enumerate(built, 1):
+        term = LinearForm(layout, ints)
         start = first_width(bound, depth)
         settled, width = _settle(n, term, c, bound, start, cache)
         # each narrowing multiplies the denominator by 16, 4 more bits

@@ -387,6 +387,36 @@ def test_missing_flags_are_usage_errors(capsys):
         "error[usage]: --modulus must be comma-separated integers, got '-2,y,1'\n")
 
 
+def test_memory_error_is_one_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "certify", exhausted)
+    assert main(["cert", "--family", "e", "--n-max", "3"]) == 1
+    assert capsys.readouterr() == ("", "error[MemoryError]: out of memory\n")
+
+
+@pytest.mark.parametrize("angle, error", [("3141592/1000000", "AngleNearPiError"),
+                                          ("355/113", "AngleNearPiError"),
+                                          ("356/113", "AngleOutOfRangeError")])
+def test_angles_at_the_near_pi_window_are_refused_in_one_line(capsys, angle, error):
+    # 3141592/1000000 and 355/113 lie in (3.14159, 355/113], the refusal
+    # window; 356/113 is past pi
+    assert main(["cert", "--family", "trig-angle", "--angle", angle]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+
+
+def test_the_largest_angle_below_the_near_pi_window_is_certified(capsys):
+    # every row of 3.14159 passes, but its residuals still grow at n = 10
+    assert main(["cert", "--family", "trig-angle", "--angle", "314159/100000"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].split()[:4] == ["n", "a", "c", "d"]
+    assert len(lines) == 12 and lines[-1] == "verdict: violated:10"
+
+
 # back-to-back requests across subcommands, with usage errors between them
 PARSER_RUNS = [
     ["cert", "--family", "e", "--n-max", "3"],

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial, lcm
 from pathlib import Path
 
@@ -23,10 +24,11 @@ from irratcert.intpoly import _interval_horner
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
                              trig_functional)
-from irratcert.sequences import (_BOUND_WIDTH, cos_inv_m_approximant,
-                                 e_approximant, e_squared_approximant,
-                                 inv_e_approximant, mth_root_form,
-                                 sin_inv_m_approximant, sqrt_approximant)
+from irratcert.sequences import (_BOUND_WIDTH, Approximant, BoundedBy,
+                                 cos_inv_m_approximant, e_approximant,
+                                 e_squared_approximant, inv_e_approximant,
+                                 mth_root_form, sin_inv_m_approximant,
+                                 sqrt_approximant)
 from irratcert.verify import (FAMILIES, FORM, LAYOUTS, PAIR, TRIG, Certificate,
                               CertRow, ConstantCache, LinearForm, certify, integral_exp_poly,
                               integral_sin_poly, pair_residual,
@@ -731,6 +733,13 @@ def test_from_json_rejects_an_empty_row_list():
         Certificate.from_json(text)
 
 
+def test_from_json_rejects_a_truncated_certificate():
+    text = certify("root", Root(2, 3), 3).to_json()
+    for cut in (1, len(text) // 2, len(text) - 1):
+        with pytest.raises(ValueError):
+            Certificate.from_json(text[:cut])
+
+
 def test_from_json_rejects_mixed_layouts():
     root_row = json.loads(certify("root", Root(2, 3), 2).to_json())["rows"][1]
     text = _edited("e", E(), 3, lambda d: d["rows"].__setitem__(1, root_row))
@@ -793,6 +802,35 @@ def test_certify_rows_equal_the_per_n_functions(family, c):
         assert (row.term.ints, row.bound) == _per_n_row(family, c, hi, row.n), row.n
     assert [row.n for row in cert.rows] == list(range(1, 61))
     assert certify(family, c, 60) == cert
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONSTANTS))
+def test_certify_builds_no_approximant_or_bound_objects(monkeypatch, family):
+    # rows travel from the generators to the certificate as plain (ints, bound)
+    # tuples; only the e^2 chain builds Approximants, to check its composition
+    built = {Approximant: 0, BoundedBy: 0}
+    for cls in built:
+        def counting(self, _cls=cls, _check=cls.__post_init__):
+            built[_cls] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    certify(family, FAMILY_CONSTANTS[family], 30)
+    assert built[BoundedBy] == 0
+    assert (built[Approximant] > 0) == (family == "e-squared")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONSTANTS))
+def test_family_rows_have_the_shape_of_their_layout(family):
+    # a pair's q is nonzero, a power form has m coefficients, and every
+    # bound is a positive Fraction
+    c = FAMILY_CONSTANTS[family]
+    layout = FAMILIES[family].layout
+    size = c.m if layout is FORM else len(layout.fields)
+    rows = FAMILIES[family].rows(c, enclose(c, _BOUND_WIDTH).hi)
+    for n, (ints, bound) in enumerate(islice(rows, 40), 1):
+        assert len(ints) == size and all(type(x) is int for x in ints), n
+        assert layout is not PAIR or ints[1] != 0, n
+        assert type(bound) is Fraction and bound > 0, n
 
 
 def test_root_rows_reduce_once_per_row(monkeypatch):
