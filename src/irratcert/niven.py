@@ -3,11 +3,12 @@
 Every derivative of f_n at 0 and 1 is an integer, f_n is tiny on [0, 1],
 and suitable alternating combinations F of those derivatives satisfy an
 exact integral identity: F(1) * e^k - F(0) equals a positive integral that
-shrinks to zero.  A Gaussian-integer variant produces an integer triple
-(a, c, d) with c*cos(p/q) - d*sin(p/q) - a provably small but nonzero.
-One generator, functional_rows, builds row n of each functional from the
-two rows before it by a three-term recurrence; the per-n functions
-return row n of that generator.
+shrinks to zero.  A Gaussian-integer variant, whose F(1) is the conjugate
+of F(0) as f_n(1-x) = f_n(x), produces an integer triple (a, c, d) with
+c*cos(p/q) - d*sin(p/q) - a provably small but nonzero.  functional_rows
+builds row n of each functional from the two rows before it by a
+three-term recurrence, niven_rows pairs that row with its bound, and the
+per-n functions return row n of those generators.
 """
 
 from __future__ import annotations
@@ -82,23 +83,48 @@ def functional_rows(p: int, q: int, gaussian: bool = False):
     """Row n = 1, 2, ... of the functional for x = p/q, or for x = ip/q if gaussian.
 
     F_n = sum((-1)^i (qx)^(2n-i) q^i f_n^(i)) is yielded at 0 and 1, as
-    (F(0), F(1)), or as (Re F(0), Im F(0), Re F(1), Im F(1)) in the Gaussian
-    case.  Up to sign and scaling these are the diagonal Pade approximants
-    of e^x, so every entry follows one three-term recurrence from
-    X_0 = (1, 1) and X_1 = (-q(p + 2q), q(p - 2q)), or (1, 0, 1, 0) and
-    (-2q^2, -pq, -2q^2, pq):
+    (F(0), F(1)), or as (Re F(0), Im F(0)) in the Gaussian case, where
+    F(1) is the conjugate of F(0).  Up to sign and scaling these are the
+    diagonal Pade approximants of e^x, so every entry follows one three-term
+    recurrence from X_0 = (1, 1) and X_1 = (-q(p + 2q), q(p - 2q)), or (1, 0)
+    and (-2q^2, -pq):
     X_(n+1) = -(4n + 2) q^2 X_n + (qx)^2 X_(n-1), with (qx)^2 = p^2, or -p^2.
     """
     qq = q * q
     step = (-p * p if gaussian else p * p) * qq
     if gaussian:
-        before, row = (1, 0, 1, 0), (-2 * qq, -p * q, -2 * qq, p * q)
+        before, row = (1, 0), (-2 * qq, -p * q)
     else:
         before, row = (1, 1), (-q * (p + 2 * q), q * (p - 2 * q))
     for n in count(1):
         yield row
         scale = -(4 * n + 2) * qq
         before, row = row, tuple(scale * x + step * y for x, y in zip(row, before))
+
+
+def check_angle(p: int, q: int) -> None:
+    """Refuse an angle p/q outside (0, 3.14159]: up to 355/113 as too close to
+    pi to resolve, above it as out of range."""
+    if p < 1 or q < 1:
+        raise ValueError(f"angle must be a ratio of positive integers, got {p}/{q}")
+    if p * 100000 > 314159 * q:
+        if 113 * p <= 355 * q:
+            raise AngleNearPiError(
+                f"angle {p}/{q} lies within the refusal window just below pi")
+        raise AngleOutOfRangeError(f"angle {p}/{q} exceeds pi")
+
+
+def niven_rows(p: int, q: int, top, gaussian: bool = False):
+    """(ints, bound) for row n = 1, 2, ... of functional_rows(p, q, gaussian):
+    ints is (F(0), F(1)), or for an angle p/q that check_angle accepts the
+    trig triple (a, c, d) = (a, a, -b) of F(0) = a + bi; bound is
+    top |p|^(2n+1) / (n! q)."""
+    if gaussian:
+        check_angle(p, q)
+    bound = top * Fraction(abs(p), q)
+    for n, x in enumerate(functional_rows(p, q, gaussian), 1):
+        bound *= Fraction(p * p, n)
+        yield ((x[0], x[0], -x[1]) if gaussian else x), bound
 
 
 def exp_functional_int(n: int, k: int) -> FPair:
@@ -108,10 +134,9 @@ def exp_functional_int(n: int, k: int) -> FPair:
     The pair satisfies 0 < F(1) e^k - F(0) < e^k k^(2n+1) / n!, because the
     mismatch equals the integral of e^(kx) k^(2n+1) f_n over [0, 1].
     """
-    check_index(n)
     if k < 1:
         raise ValueError(f"need an integer exponent k >= 1, got {k}")
-    return FPair(*_nth(functional_rows(k, 1), n))
+    return exp_functional_rational(n, k)
 
 
 def exp_functional_rational(n: int, r) -> FPair:
@@ -128,28 +153,13 @@ def exp_functional_rational(n: int, r) -> FPair:
     return FPair(*_nth(functional_rows(r.numerator, r.denominator), n))
 
 
-def check_angle(p: int, q: int) -> None:
-    """Refuse an angle p/q outside (0, 3.14159]: up to 355/113 as too close to
-    pi to resolve, above it as out of range."""
-    if p < 1 or q < 1:
-        raise ValueError(f"angle must be a ratio of positive integers, got {p}/{q}")
-    if p * 100000 > 314159 * q:
-        if 113 * p <= 355 * q:
-            raise AngleNearPiError(
-                f"angle {p}/{q} lies within the refusal window just below pi")
-        raise AngleOutOfRangeError(f"angle {p}/{q} exceeds pi")
-
-
 def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
     """Gaussian-integer functional for the angle p/q in (0, pi]: row n of
-    functional_rows(p, q, gaussian=True).
+    niven_rows(p, q, 1, gaussian=True).
 
     F = sum((-1)^i (ip)^(2n-i) q^i f^(i)); writing F(0) = a + bi and
-    F(1) = c + di, the combination c*cos(p/q) - d*sin(p/q) - a is nonzero
-    with absolute value below p^(2n+1) / (n! q).
+    F(1) = c + di = a - bi, the combination c*cos(p/q) - d*sin(p/q) - a is
+    nonzero with absolute value below p^(2n+1) / (n! q).
     """
-    check_index(n)
-    check_angle(p, q)
-    a, b, c, d = _nth(functional_rows(p, q, gaussian=True), n)
-    bound = Fraction(p ** (2 * n + 1), factorial(n) * q)
-    return GaussPair((a, b), (c, d)), TrigWitness(a=a, c=c, d=d, bound=bound)
+    (a, c, d), bound = _nth(niven_rows(p, q, 1, gaussian=True), n)
+    return GaussPair((a, -d), (c, d)), TrigWitness(a=a, c=c, d=d, bound=bound)

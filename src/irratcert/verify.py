@@ -19,19 +19,20 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
-                        SinOf, Sqrt, _grid_bits, canonical_text, enclose)
+                        SinOf, Sqrt, _exp_enclosure, _grid_bits, canonical_text,
+                        enclose)
 from .enclosure import Enclosure, dyadic, refine
 from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
-from .niven import (check_angle, exp_functional_int, exp_functional_rational,
-                    functional_rows, trig_functional)
+from .niven import (exp_functional_int, exp_functional_rational, niven_rows,
+                    trig_functional)
 from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
                         e_squared_approximant, e_squared_rows, factorial_rows,
                         inv_e_approximant, mth_root_form, root_rows,
@@ -119,13 +120,11 @@ class Certificate:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
-        rows = tuple(_row_from_dict(d) for d in _field(data, "rows", list))
-        if not rows:
+        items = _field(data, "rows", list)
+        if not items:
             raise ValueError("certificate field 'rows' must hold at least one row")
-        for i, row in enumerate(rows, 1):
-            if row.term.layout is not rows[0].term.layout:
-                raise ValueError(f"certificate row {i} lacks the field "
-                                 f"{rows[0].term.layout.fields[0]!r} that row 1 has")
+        layout = _layout(items[0])
+        rows = tuple(_row_from_dict(d, layout, i) for i, d in enumerate(items, 1))
         return cls(constant=_field(data, "constant", str), family=_field(data, "family", str),
                    rows=rows, verdict=_field(data, "verdict", str))
 
@@ -165,13 +164,9 @@ def _decimal(fr: Fraction, places: int = 10) -> str:
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
     whole, rem = divmod(fr.numerator, fr.denominator)
-    digits = []
-    for _ in range(places):
-        rem *= 10
-        d, rem = divmod(rem, fr.denominator)
-        digits.append(str(d))
+    digits, rem = divmod(rem * 10 ** places, fr.denominator)
     suffix = "" if rem == 0 else ".."
-    return f"{sign}{_digits(whole)}." + "".join(digits) + suffix
+    return f"{sign}{_digits(whole)}.{digits:0{places}d}{suffix}"
 
 
 _JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
@@ -230,13 +225,21 @@ def _row_json(row: CertRow) -> str:
             f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
 
 
-def _row_from_dict(d) -> CertRow:
+def _layout(d) -> Layout:
+    """The layout of the row object d: the first of LAYOUTS whose first field it holds."""
     if not isinstance(d, dict):
         raise ValueError(f"certificate field 'rows' must hold JSON objects, got {d!r}")
     layout = next((lay for lay in LAYOUTS if lay.fields[0] in d), None)
     if layout is None:
         names = ", ".join(repr(lay.fields[0]) for lay in LAYOUTS)
         raise ValueError(f"certificate row has none of the fields {names}")
+    return layout
+
+
+def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
+    """Row i of a certificate, read through layout, the layout of row 1."""
+    if _layout(d) is not layout and (name := layout.fields[0]) not in d:
+        raise ValueError(f"certificate row {i} lacks the field {name!r} that row 1 has")
     residual = Enclosure(_rational(d, "residual_lo"), _rational(d, "residual_hi"))
     return CertRow(n=_integer(_field(d, "n"), "n"), term=LinearForm(layout, layout.read(d)),
                    residual=residual, bound=_rational(d, "bound"),
@@ -317,10 +320,6 @@ def _width(max_width) -> tuple[int, int]:
     if num <= 0:
         raise ValueError("max_width must be positive")
     return num, den
-
-
-def _positive(max_width) -> Fraction:
-    return Fraction(*_width(max_width))
 
 
 def _rounded(x: int, y: int, k: int, j: int | None) -> Enclosure:
@@ -435,33 +434,14 @@ def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
 # constant it certifies), the layout of its rows, rows(c, hi) -> an iterator
 # of plain (ints, bound) tuples for n = 1, 2, ..., where hi is a coarse upper
 # enclosure of the constant shared by every row and bound a positive
-# Fraction, and the construction behind it.
+# Fraction, and the construction behind it.  sequences and niven build the
+# rows; a Niven family only names the (p, q, top) it hands to niven_rows.
 
 class Family(NamedTuple):
     kind: object
     layout: Layout
     rows: Callable
     doc: str
-
-
-def _niven_rows(c, hi):
-    """e-pow k is e-rat with r = k/1, and trig-angle p/q the Gaussian case of
-    the same functional rows; row n's bound is top |p|^(2n+1) / (n! q)."""
-    gaussian = isinstance(c, CosOf)
-    if gaussian:
-        if c.x <= 0:
-            raise ValueError("trig-angle needs a positive angle")
-        check_angle(c.x.numerator, c.x.denominator)
-        r, top = c.x, 1
-    else:
-        r = Fraction(c.k if isinstance(c, EPow) else c.r)
-        top = hi if r > 0 else 1
-    p, q = r.numerator, r.denominator
-    bound = top * Fraction(abs(p), q)
-    for n, x in enumerate(functional_rows(p, q, gaussian), 1):
-        bound *= Fraction(p * p, n)
-        # the trig triple (a, c, d) is (Re F(0), Re F(1), Im F(1))
-        yield (x[:1] + x[2:] if gaussian else x), bound
 
 
 FAMILIES = {
@@ -494,12 +474,13 @@ FAMILIES = {
         "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
         "certificate is expected to come back violated."),
     "e-pow": Family(
-        EPow, PAIR, _niven_rows,
+        EPow, PAIR, lambda c, hi: niven_rows(c.k, 1, hi),
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
         "positive and below e^k k^(2n+1)/n!."),
     "e-rat": Family(
-        ERational, PAIR, _niven_rows,
+        ERational, PAIR,
+        lambda c, hi: niven_rows(c.r.numerator, c.r.denominator, hi if c.r > 0 else 1),
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
         "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
@@ -513,7 +494,7 @@ FAMILIES = {
         "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
         "below 1/(m^2 (4n-1)^2 - 1)."),
     "trig-angle": Family(
-        CosOf, TRIG, _niven_rows,
+        CosOf, TRIG, lambda c, hi: niven_rows(c.x.numerator, c.x.denominator, 1, True),
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
@@ -650,6 +631,26 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
 # identities above; they integrate truncated series term by term, so tests
 # can compare the two routes.
 
+def _integral(poly, max_width, term, power, ratio, scale=1) -> Enclosure:
+    """Enclosure of the integral over [0, 1] of poly(x) sum(t_j x^power(j)),
+    t_0 = term and t_(j+1) = t_j ratio(j), integrated term by term until the
+    tail's charge, the first term left out times scale and the integral of
+    |poly|, is at most half of max_width."""
+    max_width = Fraction(*_width(max_width))
+    coeffs = [Fraction(c) for c in poly.coeffs]
+    abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
+    if abs_integral == 0:
+        return Enclosure.point(0)
+    total = Fraction(0)
+    for j in count():
+        shift = power(j) + 1
+        total += term * sum(c / (i + shift) for i, c in enumerate(coeffs))
+        term *= ratio(j)
+        rem = abs(term) * scale * abs_integral
+        if 2 * rem <= max_width:
+            return Enclosure(total - rem, total + rem)
+
+
 def integral_exp_poly(rate, poly, max_width) -> Enclosure:
     """Enclosure of the integral over [0, 1] of e^(rate*x) * poly(x).
 
@@ -658,42 +659,13 @@ def integral_exp_poly(rate, poly, max_width) -> Enclosure:
     upper estimate of e^|rate| times the integral of |poly|.
     """
     rate = Fraction(rate)
-    max_width = _positive(max_width)
-    coeffs = [Fraction(c) for c in poly.coeffs]
-    abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
-    if abs_integral == 0:
-        return Enclosure.point(0)
-    from .constants import _exp_enclosure
-    exp_hi = _exp_enclosure(abs(rate), Fraction(1)).hi
-    total = Fraction(0)
-    tp = Fraction(1)
-    j = 0
-    while True:
-        moment = sum(c / (i + j + 1) for i, c in enumerate(coeffs))
-        total += tp * moment
-        tp *= Fraction(rate, j + 1)
-        j += 1
-        rem = abs(tp) * exp_hi * abs_integral
-        if 2 * rem <= max_width:
-            return Enclosure(total - rem, total + rem)
+    return _integral(poly, max_width, Fraction(1), lambda j: j,
+                     lambda j: Fraction(rate, j + 1),
+                     _exp_enclosure(abs(rate), Fraction(1)).hi)
 
 
 def integral_sin_poly(angle, poly, max_width) -> Enclosure:
     """Enclosure of the integral over [0, 1] of sin(angle*x) * poly(x)."""
     angle = Fraction(angle)
-    max_width = _positive(max_width)
-    coeffs = [Fraction(c) for c in poly.coeffs]
-    abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
-    if abs_integral == 0:
-        return Enclosure.point(0)
-    total = Fraction(0)
-    tp = Fraction(angle)
-    j = 0
-    while True:
-        moment = sum(c / (i + 2 * j + 2) for i, c in enumerate(coeffs))
-        total += tp * moment
-        tp *= Fraction(-angle * angle, (2 * j + 2) * (2 * j + 3))
-        j += 1
-        rem = abs(tp) * abs_integral
-        if 2 * rem <= max_width:
-            return Enclosure(total - rem, total + rem)
+    return _integral(poly, max_width, angle, lambda j: 2 * j + 1,
+                     lambda j: Fraction(-angle * angle, (2 * j + 2) * (2 * j + 3)))

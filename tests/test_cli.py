@@ -407,6 +407,13 @@ def test_angles_at_the_near_pi_window_are_refused_in_one_line(capsys, angle, err
     assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
 
 
+def test_a_negative_angle_is_refused_in_one_line(capsys):
+    assert main(["cert", "--family", "trig-angle", "--angle=-1/2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error[ValueError]: angle must be a ratio of positive integers, got -1/2\n"
+
+
 def test_the_largest_angle_below_the_near_pi_window_is_certified(capsys):
     # every row of 3.14159 passes, but its residuals still grow at n = 10
     assert main(["cert", "--family", "trig-angle", "--angle", "314159/100000"]) == 2

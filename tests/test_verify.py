@@ -269,12 +269,36 @@ def test_to_json_equals_json_dumps(data):
     cert = data.draw(_certificates())
     assert cert.to_json() == certificate_json(cert)
     assert cert.to_json_dict() == json.loads(certificate_json(cert))
+    if cert.rows:
+        assert Certificate.from_json(cert.to_json()) == cert
 
 
 def test_to_json_equals_json_dumps_on_each_layout():
     for cert in (_one_row(FORM, ()), _one_row(FORM, (-(10 ** 4400), 0, 12), "violated:3"),
                  _one_row(TRIG, (-1, 10 ** 4400 + 1, 0)), _one_row(PAIR, (-5, 2))):
         assert cert.to_json() == certificate_json(cert)
+
+
+@PROPERTY
+@given(x=st.fractions() | st.builds(Fraction, st.integers(-10 ** 600, 10 ** 600),
+                                    st.integers(1, 10 ** 600)))
+@example(x=Fraction(0))
+@example(x=Fraction(-1, 10 ** 11))
+@example(x=Fraction(-7, 2 ** 40))
+@example(x=Fraction(3, 10 ** 10))
+def test_decimal_is_the_truncated_expansion(x):
+    # the table's decimal text against plain Fraction arithmetic: sign,
+    # floor(|x|), the ten digits floor(|x| 10^10) mod 10^10, and ".." when
+    # digits are cut off
+    text = verify._decimal(x)
+    sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+    whole, point, rest = body.partition(".")
+    digits, suffix = rest[:10], rest[10:]
+    scaled = abs(x) * 10 ** 10
+    assert sign == ("-" if x < 0 else "") and point == "."
+    assert int(whole) == abs(x).numerator // abs(x).denominator
+    assert len(digits) == 10 and int(digits) == scaled.numerator // scaled.denominator % 10 ** 10
+    assert suffix == ("" if scaled.denominator == 1 else "..")
 
 
 def test_from_json_names_the_missing_field():
