@@ -180,7 +180,8 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 # at scale 2^-prec: every term is floored, and an integer bound on its
 # distance from the true scaled term travels with it.  The result is the
 # midpoint-radius interval [S - r, S + r] / 2^prec, where r is the tail bound
-# plus the accumulated rounding error; Fractions appear only at that boundary.
+# plus the accumulated rounding error; Fractions appear only at that boundary,
+# built by shifts (`Enclosure._grid`), not by a gcd.
 # A sum stops as soon as 2r fits the requested width.  If the tail bound alone
 # fits a quarter of it and 2r still does not, the rounding error is what is
 # too wide, and the sum is redone at a finer scale.
@@ -222,8 +223,7 @@ def _exp_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
                 tail = -(-(abs(term) + err) * aa * (j + 2) // ((j + 1) * ((j + 2) * b - aa)))
                 r = tail + total_err
                 if 2 * r <= budget:
-                    return Enclosure(Fraction(total - r, 1 << prec),
-                                     Fraction(total + r, 1 << prec))
+                    return Enclosure._grid(total - r, total + r, prec)
                 if 4 * tail <= budget:
                     break
         prec += total_err.bit_length()
@@ -256,8 +256,7 @@ def _trig_enclosure(x: Fraction, max_width: Fraction, first_power: int) -> Enclo
                 tail = -(-(abs(term) + err) * a2 // d)
                 r = tail + total_err
                 if 2 * r <= budget:
-                    return Enclosure(Fraction(max(total - r, -one), one),
-                                     Fraction(min(total + r, one), one))
+                    return Enclosure._grid(max(total - r, -one), min(total + r, one), prec)
                 if 4 * tail <= budget:
                     break
             term = -term * a2 // d
@@ -275,7 +274,7 @@ def _root_enclosure(a: int, m: int, max_width: Fraction) -> Enclosure:
     reaches."""
     k = _width_bits(max_width)
     z = integer_nth_root(a << (m * k), m)
-    return Enclosure(Fraction(z, 1 << k), Fraction(z + 1, 1 << k))
+    return Enclosure._grid(z, z + 1, k)
 
 
 def enclose(spec: ConstantSpec, max_width) -> Enclosure:

@@ -284,6 +284,8 @@ def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     """
     (p, q), (r, s) = (x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
                       for x in (lo, hi))
+    if q <= 0 or s <= 0:
+        raise ValueError(f"endpoint pair {(p, q) if q <= 0 else (r, s)} needs q > 0")
     if p * s >= r * q:
         raise ValueError("need lo < hi")
     if chain is None:

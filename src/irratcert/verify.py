@@ -249,9 +249,10 @@ def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
 
 # ---------------------------------------------------------------------------
 # Residual evaluation.  Each evaluator takes its constant from a ConstantCache
-# (a fresh one when given none) as integers on a grid 2^-k, forms its linear
-# form there on integers (the power form by interval Horner with shifts), and
-# builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
+# (a fresh one when given none) as integers on a grid 2^-k and forms its
+# residual there on integers: the pair and trig forms through one integer
+# linear form (`_linear`), the power form by interval Horner with shifts.
+# Each builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
 # A width is a Fraction, or an integer pair (num, den) standing for num/den,
 # in lowest terms or not: certify hands its widths on as pairs.
 
@@ -275,10 +276,10 @@ class ConstantCache:
     floor(2^k * value) / 2^k.  A constant kept at K < k bits is enclosed
     again at max(k, 2K) bits; certify fills the cache once per constant
     before its first row, so only deeper narrowings call the kernel again.
+    Entries are kept per spec object: equal specs built apart do not share one.
     """
 
     def __init__(self):
-        self._best = {}     # spec -> [K, L, H]
         self._seen = {}     # id(obj) -> (obj, what _memo made for it)
 
     def _memo(self, obj, make):
@@ -300,8 +301,7 @@ class ConstantCache:
         k = _grid_bits(u, v)
         if not isinstance(spec, _RADICALS):
             k += 2
-        # equal specs share one entry; each spec object is hashed once
-        entry = self._memo(spec, lambda: self._best.setdefault(spec, [-1, 0, 0]))
+        entry = self._memo(spec, lambda: [-1, 0, 0])    # [K, L, H]
         bits, lo, hi = entry
         if bits < k:
             bits = max(k, 2 * bits)
@@ -314,39 +314,41 @@ class ConstantCache:
 
 
 def _width(max_width) -> tuple[int, int]:
-    """max_width as integers (num, den), den > 0: a pair as given, unreduced."""
+    """max_width as integers (num, den), both positive: a pair as given, unreduced."""
     num, den = (max_width if isinstance(max_width, tuple)
                 else Fraction(max_width).as_integer_ratio())
-    if num <= 0:
+    if num <= 0 or den <= 0:
         raise ValueError("max_width must be positive")
     return num, den
 
 
-def _rounded(x: int, y: int, k: int, j: int | None) -> Enclosure:
-    """[x, y] / 2^k, rounded outward to [floor, ceil] on 2^-j when j < k."""
+def _linear(a: int, terms, u: int, v: int, cache: ConstantCache, j: int | None) -> Enclosure:
+    """Enclosure of sum(m * value) - a over the (m, spec) terms, each value the
+    grid answer [L, H] / 2^k to width u/v (one grid: the specs are all series
+    or all radicals), rounded outward to [floor, ceil] on 2^-j when j < k.
+    The lower end takes each m with L when m > 0, else H: one product with the
+    k-bit digits per term; the upper end adds |m| (H - L), a few units each."""
+    x = spread = 0
+    for m, spec in terms:
+        k, lo, hi = cache.grid(spec, u, v)
+        x += m * (lo if m > 0 else hi)
+        spread += abs(m) * (hi - lo)
+    x -= a << k
+    y = x + spread
     if j is not None and j < k:
         x, y, k = x >> (k - j), -((-y) >> (k - j)), j
     return Enclosure._grid(x, y, k)
 
 
 def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) -> Enclosure:
-    """Enclosure of q*value - p, no wider than max_width before rounding.
-
-    It is [x, x + q (H - L)] / 2^k, x = q L - p 2^k, for the constant's grid
-    answer [L, H] / 2^k: one product with the constant's k-bit digits, the
-    other with the few units H - L.  With round_to = j < k its ends are
-    rounded outward to [floor, ceil] on 2^-j, which widens it by less than
-    2^(1 - j); certify takes j 12 bits past the width, so the rounded
-    enclosure stays within it.  With j >= k, or none, nothing is rounded.
-    """
+    """Enclosure of q*value - p, no wider than max_width before rounding:
+    `_linear` of the one term (q, c) at width max_width / |q|.  round_to = j
+    rounds its ends outward to [floor, ceil] on 2^-j when j < k; certify takes
+    j 12 bits past the width, so the rounded enclosure stays within it."""
     num, den = _width(max_width)
     if q == 0:
         return Enclosure.point(-p)
-    k, lo, hi = (cache or ConstantCache()).grid(c, num, den * abs(q))
-    if q < 0:
-        lo, hi = hi, lo
-    x = q * lo - (p << k)
-    return _rounded(x, x + q * (hi - lo), k, round_to)
+    return _linear(p, ((q, c),), num, den * abs(q), cache or ConstantCache(), round_to)
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
@@ -378,27 +380,17 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
 
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
                   cache=None, *, round_to=None) -> Enclosure:
-    """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d).
-
-    Cosine and sine are taken on one grid 2^-k; the lower end x takes the
-    two products with their k-bit digits, and the upper end adds c and d
-    times the few units their grid answers are wide.  round_to rounds the
-    ends outward as in pair_residual.
+    """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d):
+    `_linear` of the terms (c, cos) and (-d, sin), both series constants, at
+    width max_width / 2(|c| + |d| + 1).  round_to rounds the ends outward as
+    in pair_residual.
     """
     num, den = _width(max_width)
     a, c, d = acd
     cache = cache or ConstantCache()
-    v = den * 2 * (abs(c) + abs(d) + 1)
-    # two series constants at one width: both answers are on one grid 2^-k
     cos, sin = cache.trig_specs(angle)
-    k, cos_lo, cos_hi = cache.grid(cos, num, v)
-    _, sin_lo, sin_hi = cache.grid(sin, num, v)
-    if c < 0:
-        cos_lo, cos_hi = cos_hi, cos_lo
-    if d < 0:
-        sin_lo, sin_hi = sin_hi, sin_lo
-    x = c * cos_lo - d * sin_hi - (a << k)
-    return _rounded(x, x + c * (cos_hi - cos_lo) + d * (sin_hi - sin_lo), k, round_to)
+    return _linear(a, ((c, cos), (-d, sin)), num, den * 2 * (abs(c) + abs(d) + 1), cache,
+                   round_to)
 
 
 def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
@@ -416,8 +408,10 @@ def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
     return nonzero, below, (nonzero or a == c == 0) and (below or above)
 
 
-def _decided(n: int, term: LinearForm, enc: Enclosure, bound: Fraction):
-    """Row n with residual enc once enc settles both checks, else None."""
+def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache):
+    """Row n with its residual at the width pair, once that settles both
+    checks, else None."""
+    enc = _residual_eval(term, c, width, cache)
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
     return CertRow(n, term, enc, bound, nonzero_ok, bound_ok) if decided else None
 
@@ -506,7 +500,7 @@ def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int]
     """(row, width) at the first of (num, den), (num, 16 den), ... that decides
     row n, the widths as integer pairs."""
     def attempt(w):
-        row = _decided(n, term, _residual_eval(term, c, w, cache), bound)
+        row = _decided(n, term, bound, c, w, cache)
         return None if row is None else (row, w)
     return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16)
 
@@ -523,8 +517,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
         if s == 1:
             a, b = first, last
         else:
-            a, b = (_decided(row.n, row.term,
-                             _residual_eval(row.term, c, (num, den * s), cache), row.bound)
+            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache)
                     for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None

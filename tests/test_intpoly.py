@@ -143,6 +143,21 @@ def test_count_roots_between():
     assert count_roots_between(doubled, 0, 2) == 1
 
 
+def test_count_roots_between_refuses_a_pair_with_a_nonpositive_denominator():
+    # (2, -1) and (-2, -1) stand for -2 and 2, but pairs must have q > 0:
+    # read as given they would count -2 and -3 roots
+    square, cubic = IntPolynomial((-2, 0, 1)), IntPolynomial((0, -2, 0, 1))
+    for f, want in ((square, 2), (cubic, 3)):
+        assert count_roots_between(f, Fraction(-2), Fraction(2)) == want
+        assert count_roots_between(f, (-2, 1), (2, 1)) == want
+        with pytest.raises(ValueError, match=r"\(2, -1\)"):
+            count_roots_between(f, (2, -1), (-2, -1))
+        with pytest.raises(ValueError, match=r"\(-2, -1\)"):
+            count_roots_between(f, (-2, 1), (-2, -1))
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            count_roots_between(f, (-2, 1), (1, 0))
+
+
 def test_squarefree_detection_and_part():
     f = IntPolynomial((-1, 1))
     g = IntPolynomial((2, 1))

@@ -751,6 +751,17 @@ def test_residuals_take_an_unreduced_width_pair(kind, p, q, angle, w, g):
         power_form_residual(PowerForm((p, q)), kind[0], w)
 
 
+@pytest.mark.parametrize("pair", [(1, -2), (-1, -2)])
+def test_residuals_refuse_a_width_pair_with_a_negative_denominator(pair):
+    # (1, -2) stands for -1/2, not a width, even though its numerator is positive
+    for evaluate in (lambda: pair_residual(3, 2, Sqrt(2), pair),
+                     lambda: pair_residual(3, 0, E(), pair),
+                     lambda: trig_residual((1, 2, 3), Fraction(1, 3), pair),
+                     lambda: power_form_residual(PowerForm((-3, 2)), Sqrt(2), pair)):
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            evaluate()
+
+
 def test_from_json_rejects_an_empty_row_list():
     text = _edited("e", E(), 2, lambda d: d.__setitem__("rows", []))
     with pytest.raises(ValueError, match="'rows' must hold at least one row"):
