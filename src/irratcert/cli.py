@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebraic import classify_roots, reduce_power_form
-from .constants import (CosInv, CosOf, EPow, ERational, Root, SinInv, Sqrt,
-                        canonical_text, parse_constant)
+from .constants import canonical_text, parse_constant
 from .errors import IrratCertError
 from .intpoly import IntPolynomial, _digits, _from_rational_str, _rational_str
 from .pigeonhole import fractional_residual, pigeonhole_approximant
@@ -40,9 +39,10 @@ def _build_parser() -> _Parser:
     """The parser, built on first use and shared by every later call."""
     parser = _Parser(prog="irratcert",
                      description="exact-arithmetic irrationality certificates")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(metavar="command")
 
     cert = sub.add_parser("cert", help="certificate table for one family")
+    cert.set_defaults(handler=_cmd_cert)
     cert.add_argument("--family", required=True, choices=sorted(FAMILIES),
                       help="generator family")
     cert.add_argument("--n-max", dest="n_max", type=int, default=10,
@@ -61,21 +61,25 @@ def _build_parser() -> _Parser:
                       help="print the construction behind the family and exit")
 
     pig = sub.add_parser("pigeonhole", help="bin-collision approximant for one n")
+    pig.set_defaults(handler=_cmd_pigeonhole)
     pig.add_argument("--constant", required=True, help="constant text, e.g. sqrt:2")
     pig.add_argument("--n", type=int, required=True)
     pig.add_argument("--format", choices=("json", "table"), default="table")
 
     red = sub.add_parser("reduce", help="reduce coefficients modulo a monic polynomial")
+    red.set_defaults(handler=_cmd_reduce)
     red.add_argument("--modulus", required=True,
                      help="monic modulus, ascending comma-separated, e.g. -2,0,1")
     red.add_argument("--coeffs", required=True,
                      help="coefficient vector to reduce, ascending comma-separated")
 
     cls = sub.add_parser("classify", help="rational-or-irrational verdict per real root")
+    cls.set_defaults(handler=_cmd_classify)
     cls.add_argument("--poly", required=True,
                      help="integer polynomial, ascending comma-separated, e.g. 1,1,-5,2")
 
     fp = sub.add_parser("fracpart", help="fractional-part product {qx}({qx}-1)")
+    fp.set_defaults(handler=_cmd_fracpart)
     fp.add_argument("--constant", required=True)
     fp.add_argument("--q", type=int, required=True)
     fp.add_argument("--width", help="enclosure width (default 1/10^9)")
@@ -96,12 +100,9 @@ def _parse_poly(text: str, flag: str) -> IntPolynomial:
         raise _UsageError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-# constant kind -> the flag behind each argument of its constructor
-_KIND_FLAGS = {
-    Sqrt: ("--m",), Root: ("--a", "--m"), EPow: ("--k",), ERational: ("--r",),
-    SinInv: ("--m",), CosInv: ("--m",), CosOf: ("--angle",),
-}
-_RATIONAL_FLAGS = ("--r", "--angle")
+# constant kind field -> the cert flag that gives it; __match_args__ names a
+# kind's fields in constructor order, and a flag argparse left as text is rational
+_FIELD_FLAGS = {"m": "--m", "a": "--a", "k": "--k", "r": "--r", "x": "--angle"}
 
 
 def _constant_for(family: str, args):
@@ -109,11 +110,11 @@ def _constant_for(family: str, args):
     if not isinstance(kind, type):
         return kind
     values = []
-    for flag in _KIND_FLAGS.get(kind, ()):
+    for flag in (_FIELD_FLAGS[name] for name in kind.__match_args__):
         value = getattr(args, flag[2:])
         if value is None:
             raise _UsageError(f"family {family!r} requires {flag}")
-        values.append(_parse_fraction(value, flag) if flag in _RATIONAL_FLAGS else value)
+        values.append(_parse_fraction(value, flag) if isinstance(value, str) else value)
     return kind(*values)
 
 
@@ -134,13 +135,7 @@ def _cmd_cert(args) -> int:
     c = _constant_for(args.family, args)
     width = _parse_fraction(args.width, "--width") if args.width is not None else None
     cert = certify(args.family, c, args.n_max, max_width=width)
-    if args.format == "json":
-        text = cert.to_json()
-    elif args.format == "csv":
-        text = cert.to_csv()
-    else:
-        text = cert.to_table()
-    _emit(text, args.output)
+    _emit(getattr(cert, f"to_{args.format}")(), args.output)
     return 0 if cert.is_nice else 2
 
 
@@ -202,32 +197,16 @@ def _cmd_fracpart(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "cert": _cmd_cert,
-    "pigeonhole": _cmd_pigeonhole,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "fracpart": _cmd_fracpart,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if not hasattr(args, "handler"):
+            raise _UsageError("pick a subcommand: cert, pigeonhole, reduce, classify, fracpart")
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
-    if args.command is None:
-        print("error[usage]: pick a subcommand: cert, pigeonhole, reduce, "
-              "classify, fracpart", file=sys.stderr)
-        return 1
-    try:
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 1
-    except (IrratCertError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (IrratCertError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .enclosure import Enclosure, _grid_bits, refine
-from .errors import (BracketAmbiguousError, PerfectPowerError,
+from .errors import (BracketAmbiguousError, IrratCertError, PerfectPowerError,
                      PrecisionExhausted, Unresolvable, ZeroExponentError)
 from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
                       _rational_str, bisect_root, count_roots_between, rational_root,
@@ -30,6 +30,8 @@ def integer_nth_root(a: int, m: int) -> int:
         raise ValueError("need a >= 0 and m >= 1")
     if a < 2 or m == 1:
         return a
+    if a.bit_length() <= m:
+        return 1
     if m == 2:
         return math.isqrt(a)
     s = a.bit_length() // (2 * m)
@@ -370,7 +372,7 @@ def parse_constant(text: str) -> ConstantSpec:
             raise ValueError(f"{head} spec needs {len(codecs)} field(s), got {len(parts)}")
         return kind(*[read(part) for (read, _), part in zip(codecs, parts)])
     except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, (PerfectPowerError, ZeroExponentError, BracketAmbiguousError)):
+        if isinstance(exc, IrratCertError):
             raise
         detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
         raise ValueError(f"malformed constant spec {text!r}: {detail}") from exc

@@ -1,15 +1,19 @@
 """Tests for the command-line interface: golden corpus, formats, exit codes."""
 
 import csv
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irratcert import cli
 from irratcert.cli import main
-from irratcert.verify import Certificate
+from irratcert.verify import FAMILIES, Certificate
 
 from oracles import certificate_json
 
@@ -581,3 +585,96 @@ def test_classify_golden_stdout(capsys):
         assert main(["classify", f"--poly={poly}"]) == code, poly
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err), poly
+
+
+# An exponent, angle or root degree out of the kernel's reach overflows
+# Python's integers; each request ends in one line and exit 1
+OVERFLOW_RUNS = [
+    ["cert", "--family", "e-rat", "--r=1e30", "--n-max", "2"],
+    ["cert", "--family", "e-pow", "--k", "1000000000000000000000000000000", "--n-max", "2"],
+    ["pigeonhole", "--constant", "sin:1e30", "--n", "5"],
+    ["fracpart", "--constant", "e-pow:1000000000000000000000000000000", "--q", "3"],
+    ["cert", "--family", "root", "--a", "2", "--m", "12345678901234567890", "--n-max", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_RUNS, ids=" ".join)
+def test_an_out_of_reach_constant_is_refused_in_one_line(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[OverflowError]") and err.count("\n") == 1
+
+
+# family -> (flag, value) for each field of its constant kind, in field order
+KIND_FLAGS = {
+    "sqrt": [("--m", "2")], "root": [("--a", "2"), ("--m", "3")], "e-pow": [("--k", "1")],
+    "e-rat": [("--r", "1/2")], "sin-inv": [("--m", "2")], "cos-inv": [("--m", "2")],
+    "trig-angle": [("--angle", "1/3")],
+}
+
+
+def test_every_cert_flag_comes_from_its_kinds_fields(capsys):
+    assert set(KIND_FLAGS) == {family for family, f in FAMILIES.items()
+                               if isinstance(f.kind, type) and f.kind.__match_args__}
+    for family, fields in KIND_FLAGS.items():
+        given_flags = [f"{flag}={value}" for flag, value in fields]
+        for i, (flag, _) in enumerate(fields):
+            argv = ["cert", "--family", family, *given_flags[:i], *given_flags[i + 1:]]
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", f"error[usage]: family '{family}' requires {flag}\n")
+        assert main(["cert", "--family", family, *given_flags, "--n-max", "1"]) == 0, family
+        assert capsys.readouterr().err == ""
+    assert main(["cert", "--family", "root"]) == 1
+    assert capsys.readouterr().err == "error[usage]: family 'root' requires --a\n"
+
+
+# Every request ends in an exit code: values at each flag's edges, unknown
+# subcommands and families, and constant texts that are malformed, perfect
+# powers or out of the kernel's reach.  None leaves an optional flag out.
+_INTS = ["2", "-7", "0", "1e30", "abc", "12345678901234567890", "3", None]
+_RATIONALS = ["1/3", "-1/2", "0", "1e30", "3/0", "abc", "12345678901234567890", "2", None]
+_CONSTANTS = ["sqrt:2", "e", "cos:1/3", "sqrt:", "sqrt:x", "root:2", "e-rat:0", "zeta",
+              "algroot:1,2", "algroot:-2,0,1@2,1", "sqrt:4", "root:8,3", "sin:1e30",
+              "e-rat:1e30", "e-pow:12345678901234567890", "root:2,12345678901234567890"]
+_POLYS = ["-2,0,1", "1,1,-5,2", "0", "1,,2", "abc", "12345678901234567890,1"]
+_REQUEST_FLAGS = {
+    "cert": {"--family": [*FAMILIES, "frobnicate"], "--n-max": ["-1", "0", "1", "3", None],
+             "--m": _INTS, "--a": _INTS, "--k": _INTS, "--r": _RATIONALS,
+             "--angle": _RATIONALS, "--width": _RATIONALS,
+             "--format": ["table", "xml", "json", "csv", None]},
+    "pigeonhole": {"--constant": _CONSTANTS, "--n": ["-1", "0", "1", "40"],
+                   "--format": ["json", "table", "csv", None]},
+    "reduce": {"--modulus": _POLYS, "--coeffs": _POLYS},
+    "classify": {"--poly": _POLYS},
+    "fracpart": {"--constant": _CONSTANTS, "--q": _INTS[:-1], "--width": _RATIONALS},
+    "frobnicate": {"--n": ["1"]},
+}
+
+
+@st.composite
+def _requests(draw):
+    command = draw(st.sampled_from([*_REQUEST_FLAGS, None]))
+    argv = [] if command is None else [command]
+    for flag, values in _REQUEST_FLAGS.get(command, {}).items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_requests())
+@example(argv=["fracpart", "--constant", "e-rat:1e30", "--q=3"])
+@example(argv=["cert", "--family=sqrt", "--m=12345678901234567890", "--width=1e30", "--n-max=3"])
+@example(argv=["cert", "--family=trig-angle", "--angle=12345678901234567890", "--n-max=1"])
+def test_every_request_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    if code == 1:
+        assert err.startswith("error[") and err.count("\n") == 1, (argv, err)
+    else:
+        assert code in (0, 2) and err == "", (argv, code, err)

@@ -30,6 +30,15 @@ def test_integer_nth_root():
     assert integer_nth_root(10 ** 60 - 1, 4) == 10 ** 15 - 1
 
 
+def test_integer_nth_root_of_a_degree_past_the_radicand_bits_is_one():
+    # a < 2^m puts the root in [1, 2); the Newton step would raise its start
+    # to the power m - 1, which for m = 10^20 does not fit in memory
+    assert integer_nth_root(2, 10 ** 20) == 1
+    assert integer_nth_root(2 ** 64 - 1, 64) == 1
+    assert integer_nth_root(2 ** 64, 64) == 2
+    assert Root(2, 10 ** 20).m == 10 ** 20
+
+
 def test_spec_validation():
     with pytest.raises(PerfectPowerError):
         Sqrt(4)
