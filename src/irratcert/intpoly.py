@@ -26,6 +26,10 @@ from .enclosure import Enclosure, _grid_bits, dyadic
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the decimal exponent that ends text Fraction reads, and its largest magnitude
+# read: CPython's default limit on the digits int() takes from text
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 4300
 
 
 def _digits(x: int) -> str:
@@ -60,9 +64,17 @@ def _rational_str(x: Fraction) -> str:
 
 def _from_rational_str(text: str) -> Fraction:
     """Fraction(text), also past the digit limit where text is an integer or
-    num/den (stripped), as _from_digits.  Other text keeps Fraction's errors."""
+    num/den (stripped), as _from_digits.  Other text keeps Fraction's errors,
+    and one whose exponent exceeds _MAX_EXPONENT is refused before Fraction
+    expands it to a power of 10 of that many digits."""
     ratio = _RATIO.fullmatch(text.strip())
-    return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2] or "1")) if ratio else Fraction(text)
+    if ratio:
+        return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2] or "1"))
+    # int() of an exponent past the digit limit raises its own ValueError
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent[1]) > _MAX_EXPONENT:
+        raise ValueError(f"the exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def _trimmed(coeffs):

@@ -18,10 +18,11 @@ from fractions import Fraction
 from itertools import count
 from math import comb, factorial
 
+from .constants import ERational
 from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
                      check_index)
 from .intpoly import _trimmed
-from .sequences import _nth
+from .sequences import _nth, _upper
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,14 @@ def check_angle(p: int, q: int) -> None:
         raise AngleOutOfRangeError(f"angle {p}/{q} exceeds pi")
 
 
-def niven_rows(p: int, q: int, top, gaussian: bool = False):
+def niven_rows(p: int, q: int, gaussian: bool = False):
     """(ints, bound) for row n = 1, 2, ... of functional_rows(p, q, gaussian):
     ints is (F(0), F(1)), or for an angle p/q that check_angle accepts the
     trig triple (a, c, d) = (a, a, -b) of F(0) = a + bi; bound is
-    top |p|^(2n+1) / (n! q)."""
+    top |p|^(2n+1) / (n! q), top the upper estimate of e^(p/q) for p > 0, else 1."""
     if gaussian:
         check_angle(p, q)
+    top = _upper(ERational(Fraction(p, q))) if p > 0 and not gaussian else 1
     bound = top * Fraction(abs(p), q)
     for n, x in enumerate(functional_rows(p, q, gaussian), 1):
         bound *= Fraction(p * p, n)
@@ -155,11 +157,11 @@ def exp_functional_rational(n: int, r) -> FPair:
 
 def trig_functional(n: int, p: int, q: int) -> tuple[GaussPair, TrigWitness]:
     """Gaussian-integer functional for the angle p/q in (0, pi]: row n of
-    niven_rows(p, q, 1, gaussian=True).
+    niven_rows(p, q, gaussian=True).
 
     F = sum((-1)^i (ip)^(2n-i) q^i f^(i)); writing F(0) = a + bi and
     F(1) = c + di = a - bi, the combination c*cos(p/q) - d*sin(p/q) - a is
     nonzero with absolute value below p^(2n+1) / (n! q).
     """
-    (a, c, d), bound = _nth(niven_rows(p, q, 1, gaussian=True), n)
+    (a, c, d), bound = _nth(niven_rows(p, q, gaussian=True), n)
     return GaussPair((a, -d), (c, d)), TrigWitness(a=a, c=c, d=d, bound=bound)

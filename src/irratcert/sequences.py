@@ -27,7 +27,7 @@ from .errors import (CapExceededError, ChainMismatchError,
 from .intpoly import IntPolynomial
 
 # Width of the helper enclosure used when a bound formula needs an upper
-# rational estimate of the constant itself, here and in verify.certify.
+# rational estimate of the constant itself (`_upper`, here and in niven).
 # Coarse by design: the bound stays valid for any positive width, and the
 # slack keeps the certified residual comfortably below it.
 _BOUND_WIDTH = Fraction(1, 1000)
@@ -59,6 +59,11 @@ class BoundedBy:
             raise ValueError("bound must be positive")
 
 
+def _upper(spec) -> Fraction:
+    """The upper estimate of the constant that a bound reads, by `enclose`."""
+    return enclose(spec, _BOUND_WIDTH).hi
+
+
 def _nth(rows, n: int):
     """Row n (1-based) of a row generator."""
     check_index(n)
@@ -84,19 +89,19 @@ def root_forms(a: int, m: int):
         form = multiply_forms(modulus, form.coeffs, step)
 
 
-def root_rows(a: int, m: int, hi):
+def root_rows(a: int, m: int):
     """The coefficients of root_forms(a, m) with the bound (hi - z)**(mn-1) on the
-    positive power they equal; hi is an upper bound on a**(1/m)."""
-    base = hi - integer_nth_root(a, m)
+    positive power they equal, hi the upper estimate of a**(1/m)."""
+    base = _upper(Root(a, m)) - integer_nth_root(a, m)
     for n, form in enumerate(root_forms(a, m), 1):
         yield form.coeffs, base ** (m * n - 1)
 
 
-def sqrt_rows(m: int, hi):
-    """root_rows(m, 2, hi) read as p = -d_0, q = d_1, so that
-    q*sqrt(m) - p = (sqrt(m) - z)**(2n-1) > 0 exactly; hi is an upper bound on sqrt(m)."""
+def sqrt_rows(m: int):
+    """root_rows(m, 2) read as p = -d_0, q = d_1, so that
+    q*sqrt(m) - p = (sqrt(m) - z)**(2n-1) > 0 exactly."""
     Sqrt(m)
-    for (d0, d1), bound in root_rows(m, 2, hi):
+    for (d0, d1), bound in root_rows(m, 2):
         yield (-d0, d1), bound
 
 
@@ -109,10 +114,11 @@ def factorial_rows(s: int):
         yield (p, q), Fraction(1, n)
 
 
-def e_squared_rows(e2_hi):
+def e_squared_rows():
     """The e chain composed with the reciprocal 1/e chain at index k = 2n, both
     advanced two indices per row: p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!),
-    and 0 < q*e^2 - p < (e^2 + 1)/(2n), e2_hi an upper bound on e^2."""
+    and 0 < q*e^2 - p < (e^2 + 1)/(2n), e^2 read as its upper estimate."""
+    e2_hi = _upper(EPow(2))
     outer = islice(factorial_rows(1), 1, None, 2)
     inner = islice(factorial_rows(-1), 1, None, 2)
     for k, ((p, q), _), ((p1, q1), _) in zip(count(2, 2), outer, inner):
@@ -136,11 +142,9 @@ def trig_rows(m: int, first: int):
         big_n += 4
 
 
-def sqrt_approximant(m: int, n: int, hi=None) -> tuple[Approximant, BoundedBy]:
-    """Row n of sqrt_rows(m, hi); hi defaults to enclose(Sqrt(m), _BOUND_WIDTH).hi."""
-    check_index(n)
-    hi = enclose(Sqrt(m), _BOUND_WIDTH).hi if hi is None else hi
-    return _approximant(sqrt_rows(m, hi), n)
+def sqrt_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:
+    """Row n of sqrt_rows(m)."""
+    return _approximant(sqrt_rows(m), n)
 
 
 def mth_root_form(a: int, m: int, n: int) -> PowerForm:
@@ -158,11 +162,9 @@ def inv_e_approximant(n: int) -> tuple[Approximant, BoundedBy]:
     return _approximant(factorial_rows(-1), n)
 
 
-def e_squared_approximant(n: int, e2_hi=None) -> tuple[Approximant, BoundedBy]:
-    """Row n of e_squared_rows(e2_hi); e2_hi defaults to an upper bound on e^2."""
-    check_index(n)
-    e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi if e2_hi is None else e2_hi
-    return _approximant(e_squared_rows(e2_hi), n)
+def e_squared_approximant(n: int) -> tuple[Approximant, BoundedBy]:
+    """Row n of e_squared_rows()."""
+    return _approximant(e_squared_rows(), n)
 
 
 def sin_inv_m_approximant(m: int, n: int) -> tuple[Approximant, BoundedBy]:

@@ -33,10 +33,9 @@ from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # here; they are imported only for perfbench/tracing.py to wrap
 from .niven import (exp_functional_int, exp_functional_rational, niven_rows,
                     trig_functional)
-from .sequences import (_BOUND_WIDTH, cos_inv_m_approximant, e_approximant,
-                        e_squared_approximant, e_squared_rows, factorial_rows,
-                        inv_e_approximant, mth_root_form, root_rows,
-                        sin_inv_m_approximant, sqrt_approximant, sqrt_rows, trig_rows)
+from .sequences import (cos_inv_m_approximant, e_approximant, e_squared_approximant,
+                        e_squared_rows, factorial_rows, inv_e_approximant, mth_root_form,
+                        root_rows, sin_inv_m_approximant, sqrt_approximant, sqrt_rows, trig_rows)
 
 
 @dataclass(frozen=True)
@@ -425,11 +424,10 @@ def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
 
 # ---------------------------------------------------------------------------
 # Families.  Each names the constant kind it certifies (a class, or the one
-# constant it certifies), the layout of its rows, rows(c, hi) -> an iterator
-# of plain (ints, bound) tuples for n = 1, 2, ..., where hi is a coarse upper
-# enclosure of the constant shared by every row and bound a positive
-# Fraction, and the construction behind it.  sequences and niven build the
-# rows; a Niven family only names the (p, q, top) it hands to niven_rows.
+# constant it certifies), the layout of its rows, rows(c) -> an iterator of
+# plain (ints, bound) tuples for n = 1, 2, ..., bound a positive Fraction,
+# and the construction behind it.  sequences and niven build the rows; a
+# Niven family only names the (p, q) it hands to niven_rows.
 
 class Family(NamedTuple):
     kind: object
@@ -440,55 +438,54 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "sqrt": Family(
-        Sqrt, PAIR, lambda c, hi: sqrt_rows(c.m, hi),
+        Sqrt, PAIR, lambda c: sqrt_rows(c.m),
         "p, q are the even/odd binomial parts of (sqrt(m) - z)^(2n-1) with "
         "z = floor(sqrt(m)); residual equals that power exactly, so it is "
         "positive and shrinks geometrically; bound is an upper enclosure of it."),
     "root": Family(
-        Root, FORM, lambda c, hi: root_rows(c.a, c.m, hi),
+        Root, FORM, lambda c: root_rows(c.a, c.m),
         "coefficient vector of (a^(1/m) - z)^(mn-1) reduced below degree m; "
         "the combination sum(d_l a^(l/m)) equals that positive power; "
         "bound is an upper enclosure of it."),
     "e": Family(
-        E, PAIR, lambda c, hi: factorial_rows(1),
+        E, PAIR, lambda c: factorial_rows(1),
         "p = sum(n!/i!), q = n!; the residual q e - p is the factorial tail, "
         "strictly between 1/(n+1) and 1/n."),
     "inv-e": Family(
-        InvE, PAIR, lambda c, hi: factorial_rows(-1),
+        InvE, PAIR, lambda c: factorial_rows(-1),
         "alternating partial sums: p = sum((-1)^i n!/i!), q = n!; the "
         "residual is the alternating tail, nonzero with |.| < 1/n."),
     "e-squared": Family(
-        EPow(2), PAIR, lambda c, hi: e_squared_rows(hi),
+        EPow(2), PAIR, lambda c: e_squared_rows(),
         "chains the e pair at index 2n with the reciprocal 1/e pair; "
         "q e^2 - p is positive and below (e^2 + 1)/(2n)."),
     "e-squared-naive": Family(
         EPow(2), PAIR,
-        lambda c, hi: (((p * p, q * q), bound) for (p, q), bound in factorial_rows(1)),
+        lambda c: (((p * p, q * q), bound) for (p, q), bound in factorial_rows(1)),
         "squares the e pair term by term; the residual "
         "q^2 e^2 - p^2 grows at least like n!/(n+1), so the "
         "certificate is expected to come back violated."),
     "e-pow": Family(
-        EPow, PAIR, lambda c, hi: niven_rows(c.k, 1, hi),
+        EPow, PAIR, lambda c: niven_rows(c.k, 1),
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
         "positive and below e^k k^(2n+1)/n!."),
     "e-rat": Family(
-        ERational, PAIR,
-        lambda c, hi: niven_rows(c.r.numerator, c.r.denominator, hi if c.r > 0 else 1),
+        ERational, PAIR, lambda c: niven_rows(c.r.numerator, c.r.denominator),
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
         "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
     "sin-inv": Family(
-        SinInv, PAIR, lambda c, hi: trig_rows(c.m, 3),
+        SinInv, PAIR, lambda c: trig_rows(c.m, 3),
         "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
         "the grouped tail keeps q sin(1/m) - p positive, below "
         "1/(m^2 (4n)^2 - 1)."),
     "cos-inv": Family(
-        CosInv, PAIR, lambda c, hi: trig_rows(c.m, 2),
+        CosInv, PAIR, lambda c: trig_rows(c.m, 2),
         "cosine analogue with q = m^(4n-2)(4n-2)!; positive residual "
         "below 1/(m^2 (4n-1)^2 - 1)."),
     "trig-angle": Family(
-        CosOf, TRIG, lambda c, hi: niven_rows(c.x.numerator, c.x.denominator, 1, True),
+        CosOf, TRIG, lambda c: niven_rows(c.x.numerator, c.x.denominator, True),
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
@@ -528,10 +525,10 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
 
 
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
-    """Certificate for rows n = 1 .. n_max: the first n_max of the family's rows(c, hi).
+    """Certificate for rows n = 1 .. n_max: the first n_max of the family's rows(c).
 
-    Per row the residual enclosure is computed at width bound/1000/16^r (or
-    the override), then narrowed by 16 until both checks are decided: zero
+    Per row the residual enclosure is computed at width w/16^r, w = bound/1000
+    or the override, then narrowed by 16 until both checks are decided: zero
     is excluded (or the residual is exactly zero), and the enclosure sits
     entirely below or entirely at-or-above the bound.  Without the second
     condition an enclosure straddling the bound would fail a row the
@@ -539,9 +536,8 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     before needed in all, 0 for the first row: the residuals of the Niven
     families shrink about 4^n faster than their bounds, so a row usually
     needs at least the depth of the one before.  Every width tried is
-    bound/1000/16^j for some j, so a row whose depth does not drop is decided
-    at the width a fresh start would reach.  An override starts every row at
-    that width and carries nothing.  The widths travel from here to the
+    w/16^j for some j, so a row whose depth does not drop is decided at the
+    width a fresh start would reach.  The widths travel from here to the
     constant's grid as unreduced integer pairs (num, den), den shifted left
     4 bits per narrowing, so no try divides a Fraction.
 
@@ -553,7 +549,8 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     enclosures printed, so the verdict does not depend on where refinement
     started.
 
-    The rows are built first.  Their residuals take the constant from one
+    The rows are built first; a bound that reads the constant makes its own
+    coarse kernel call there.  Their residuals take the constant from one
     ConstantCache per call, filled once per constant (cos and sin for
     trig-angle) at what the last row's first try asks for: its start width
     narrowed by the bits of its largest integer and 8 more.  Only a deeper
@@ -584,10 +581,9 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         max_width = max_width.as_integer_ratio()
 
     def first_width(bound, depth):
-        """A row's first width: the override, or bound / 1000 / 16^depth."""
-        return max_width or (bound.numerator, bound.denominator * 1000 << 4 * depth)
-    hi = enclose(c, _BOUND_WIDTH).hi
-    built = list(islice(rows_of(c, hi), n_max))
+        num, den = max_width or (bound.numerator, bound.denominator * 1000)
+        return num, den << 4 * depth
+    built = list(islice(rows_of(c), n_max))
     cache = ConstantCache()
     # one kernel call per constant, at about what the last row's first try asks:
     # a residual asks for its width over about its largest integer

@@ -606,6 +606,43 @@ def test_an_out_of_reach_constant_is_refused_in_one_line(capsys, argv):
     assert err.startswith("error[OverflowError]") and err.count("\n") == 1
 
 
+# Rational text whose exponent is past 4300 in magnitude, which Fraction would
+# expand into a power of 10 of that many digits (a 20-digit exponent never
+# ends), is refused in one line before anything is expanded
+EXPONENT_RUNS = [
+    (["cert", "--family", "e", "--width", "1e-4301", "--n-max", "2"],
+     "error[usage]: --width must be a rational like 3/5, got '1e-4301'\n"),
+    (["cert", "--family", "e", "--width", "1e-99999999999999999999", "--n-max", "2"],
+     "error[usage]: --width must be a rational like 3/5, got '1e-99999999999999999999'\n"),
+    (["cert", "--family", "e-rat", "--r=1E+4301", "--n-max", "2"],
+     "error[usage]: --r must be a rational like 3/5, got '1E+4301'\n"),
+    (["cert", "--family", "trig-angle", "--angle", "1e-4301", "--n-max", "2"],
+     "error[usage]: --angle must be a rational like 3/5, got '1e-4301'\n"),
+    (["fracpart", "--constant", "e-rat:1e-4301", "--q", "3"],
+     "error[ValueError]: malformed constant spec 'e-rat:1e-4301': "
+     "the exponent of '1e-4301' exceeds 4300 in magnitude\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", EXPONENT_RUNS, ids=[" ".join(run[0]) for run in EXPONENT_RUNS])
+def test_an_exponent_past_the_cap_is_refused_in_one_line(capsys, argv, err):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_malformed_rational_in_certificate_json_is_refused(capsys):
+    assert main(CORPUS_OK[0]) == 0
+    text = capsys.readouterr().out
+    for name in ("residual_lo", "residual_hi", "bound"):
+        for value in ("abc", "1/0", "1e-4301"):
+            data = json.loads(text)
+            data["rows"][1][name] = value
+            with pytest.raises(ValueError) as info:
+                Certificate.from_json(json.dumps(data))
+            assert str(info.value) == (f"certificate field {name!r} must be a rational "
+                                       f"like 3/4, got {value!r}")
+
+
 # family -> (flag, value) for each field of its constant kind, in field order
 KIND_FLAGS = {
     "sqrt": [("--m", "2")], "root": [("--a", "2"), ("--m", "3")], "e-pow": [("--k", "1")],

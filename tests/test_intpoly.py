@@ -1,6 +1,7 @@
 """Tests for integer polynomials and the Sturm machinery."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -433,3 +434,14 @@ def test_newton_jumps_land_where_halving_does(case, guess):
         mp.setattr(intpoly, "_newton_guess", lambda g, levels: (
             None if guess is None else guess % (1 << levels)))
         assert bisect_root(f, lo, hi, max_width) == want
+
+
+def test_rational_text_with_an_exponent_past_the_cap_is_refused():
+    # Fraction expands a decimal exponent at once, into a power of 10 with
+    # that many digits; past 4300 the text is refused before that
+    for text in ("1e-4301", "1E+4301", "1e-99999999999999999999", "2.5e4_301"):
+        with pytest.raises(ValueError, match=re.escape(f"exponent of {text!r} exceeds 4300")):
+            intpoly._from_rational_str(text)
+    assert intpoly._from_rational_str("1e-4300") == Fraction(1, 10 ** 4300)
+    assert intpoly._from_rational_str("1E+4300") == 10 ** 4300
+    assert intpoly._from_rational_str("1e30") == 10 ** 30

@@ -124,9 +124,8 @@ def test_e_squared_values_and_chain_identity():
         assert (app.p, app.q) == (chained.p, chained.q)
     # and its rows, each two steps of both factorial sums, are the sums
     # p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!)
-    e2_hi = Fraction(17, 2)
     for n in range(1, 131):
-        app, _ = e_squared_approximant(n, e2_hi)
+        app, _ = e_squared_approximant(n)
         ratios = [factorial(2 * n) // factorial(i) for i in range(2 * n + 1)]
         assert app.p == sum(ratios), n
         assert app.q == sum((-1) ** i * r for i, r in enumerate(ratios)), n

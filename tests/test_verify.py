@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irratcert import algebraic, verify
+from irratcert import algebraic, constants, verify
 from irratcert.algebraic import PowerForm
 from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
@@ -173,7 +173,7 @@ def test_certify_verdict_independent_of_start_width(family, c, n_max):
     assert summary(certify(family, c, n_max, max_width=Fraction(1, 10 ** 6))) == default
 
 
-def _residual_evals(monkeypatch, family, c, n_max):
+def _residual_evals(monkeypatch, family, c, n_max, max_width=None):
     """(certificate, the number of residual evaluations certify made for it)."""
     calls = []
     evaluate = verify._residual_eval
@@ -182,7 +182,21 @@ def _residual_evals(monkeypatch, family, c, n_max):
         calls.append(None)
         return evaluate(*args)
     monkeypatch.setattr(verify, "_residual_eval", counting)
-    return certify(family, c, n_max), len(calls)
+    return certify(family, c, n_max, max_width), len(calls)
+
+
+@pytest.mark.parametrize("family, c", [
+    ("root", Root(7, 4)), ("sqrt", Sqrt(2)), ("e-pow", EPow(3)),
+    ("trig-angle", CosOf(Fraction(1, 3)))])
+def test_certify_override_carries_refinement_depth(monkeypatch, family, c):
+    # an override is a base width like bound/1000: each row starts at it over
+    # 16^depth, the depth the row before needed, and so does not narrow from
+    # the override again; flags and verdict are the default run's
+    def summary(cert):
+        return cert.verdict, [(r.term, r.nonzero_ok, r.bound_ok) for r in cert.rows]
+    cert, evals = _residual_evals(monkeypatch, family, c, 60, Fraction(1, 10 ** 6))
+    assert evals <= 3 * 60
+    assert summary(cert) == summary(certify(family, c, 60))
 
 
 @pytest.mark.parametrize("family, c, n_max", [
@@ -677,13 +691,33 @@ def test_certify_residual_evaluation_counts(monkeypatch, family, n_max, want):
 @pytest.mark.parametrize("family, n_max", [(family, n_max) for family in FAMILY_CONSTANTS
                                             for n_max in (30, 120)])
 def test_certify_kernel_call_budget(monkeypatch, family, n_max):
-    # one coarse call for the bounds, then one fill per cached constant (cos
-    # and sin for trig-angle) at the last row's first precision, and at most
-    # one doubling for the narrowings past it
+    # one fill per cached constant (cos and sin for trig-angle) at the last
+    # row's first precision, and at most one doubling for the narrowings past
+    # it; a bound's coarse estimate enters the kernel through sequences
     c = FAMILY_CONSTANTS[family]
     _, calls = _kernel_calls(monkeypatch, family, c, n_max)
     assert calls[0] == c
     assert len(calls) <= (5 if family == "trig-angle" else 3)
+
+
+@pytest.mark.parametrize("family, c, n_max", [
+    (family, c, n_max)
+    for family, c in [*FAMILY_CONSTANTS.items(), ("e-rat", ERational(Fraction(2, 3)))]
+    for n_max in (30, 120)])
+def test_kernel_calls_at_the_bound_width(monkeypatch, family, c, n_max):
+    # counted at the kernel itself, whichever module enters it: a bound that
+    # reads the constant (e-rat's for r > 0) asks for its coarse estimate
+    # once, the others never
+    widths = []
+    for name in ("_exp_enclosure", "_trig_enclosure", "_root_enclosure"):
+        def recording(*args, _kernel=getattr(constants, name), **kwargs):
+            widths.append(args[-1])     # _trig_enclosure takes first_power by keyword
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(constants, name, recording)
+    certify(family, c, n_max)
+    reads = family in ("sqrt", "root", "e-squared", "e-pow") or family == "e-rat" and c.r > 0
+    assert widths.count(_BOUND_WIDTH) == reads
+    assert len(widths) <= (5 if family == "trig-angle" else 3)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -808,10 +842,10 @@ def _per_n_row(family, c, hi, n):
         app, _ = e_approximant(n)
         return (app.p ** 2, app.q ** 2), Fraction(1, n)
     app, bb = {
-        "sqrt": lambda: sqrt_approximant(c.m, n, hi),
+        "sqrt": lambda: sqrt_approximant(c.m, n),
         "e": lambda: e_approximant(n),
         "inv-e": lambda: inv_e_approximant(n),
-        "e-squared": lambda: e_squared_approximant(n, hi),
+        "e-squared": lambda: e_squared_approximant(n),
         "sin-inv": lambda: sin_inv_m_approximant(c.m, n),
         "cos-inv": lambda: cos_inv_m_approximant(c.m, n),
     }[family]()
@@ -861,7 +895,7 @@ def test_family_rows_have_the_shape_of_their_layout(family):
     c = FAMILY_CONSTANTS[family]
     layout = FAMILIES[family].layout
     size = c.m if layout is FORM else len(layout.fields)
-    rows = FAMILIES[family].rows(c, enclose(c, _BOUND_WIDTH).hi)
+    rows = FAMILIES[family].rows(c)
     for n, (ints, bound) in enumerate(islice(rows, 40), 1):
         assert len(ints) == size and all(type(x) is int for x in ints), n
         assert layout is not PAIR or ints[1] != 0, n
