@@ -10,17 +10,16 @@ from .algebraic import (PowerForm, RootBracket, RootClassification,
                         monic_certificate, monic_transform, reduce_power_form)
 from .constants import (AlgebraicRoot, ConstantSpec, CosInv, CosOf, E, EPow,
                         ERational, InvE, Root, SinInv, SinOf, Sqrt,
-                        canonical_text, enclose, floor_of, integer_nth_root,
-                        parse_constant)
+                        canonical_text, enclose, integer_nth_root, parse_constant)
 from .enclosure import Enclosure, refinement_budget
 from .errors import (AngleNearPiError, AngleOutOfRangeError, BadIndexError,
                      BracketAmbiguousError, CapExceededError,
                      ChainMismatchError, DivisibilityViolationError,
                      IrratCertError, NotMonicError, NotSquarefreeError,
-                     PerfectPowerError, PrecisionExhausted, Unresolvable,
-                     ZeroExponentError, ZeroNumeratorError, ZeroScaleError)
+                     PerfectPowerError, PrecisionExhausted, ZeroExponentError,
+                     ZeroNumeratorError, ZeroScaleError)
 from .intpoly import (IntPolynomial, cauchy_root_bound, count_roots_between,
-                      is_squarefree, squarefree_part, sturm_chain)
+                      squarefree_part, sturm_chain)
 from .niven import (FPair, GaussPair, RationalPolynomial, TrigWitness,
                     exp_functional_int, exp_functional_rational,
                     niven_poly, trig_functional)
@@ -42,23 +41,22 @@ __all__ = [
     "Approximant", "BadIndexError", "BoundedBy", "BracketAmbiguousError",
     "CapExceededError", "CertRow", "Certificate", "ChainMismatchError",
     "ConstantSpec", "CosInv", "CosOf", "DivisibilityViolationError", "E",
-    "EPow", "ERational", "Enclosure", "FPair", "GaussPair",
-    "IntPolynomial", "InvE", "IrratCertError", "LinearForm",
-    "NotMonicError", "NotSquarefreeError", "PerfectPowerError",
-    "PigeonholeResult", "PowerForm", "PrecisionExhausted",
-    "RationalPolynomial", "Root", "RootBracket", "RootClassification",
-    "SinInv", "SinOf", "Sqrt", "TrigWitness", "Unresolvable",
-    "ZeroExponentError", "ZeroNumeratorError", "ZeroScaleError",
-    "canonical_text", "cauchy_root_bound", "certify", "classify_roots",
-    "compose_chain", "cos_inv_m_approximant", "count_roots_between",
-    "e_approximant", "e_squared_approximant", "enclose",
-    "exp_functional_int", "exp_functional_rational", "floor_of",
+    "EPow", "ERational", "Enclosure", "FPair", "GaussPair", "IntPolynomial",
+    "InvE", "IrratCertError", "LinearForm", "NotMonicError",
+    "NotSquarefreeError", "PerfectPowerError", "PigeonholeResult",
+    "PowerForm", "PrecisionExhausted", "RationalPolynomial", "Root",
+    "RootBracket", "RootClassification", "SinInv", "SinOf", "Sqrt",
+    "TrigWitness", "ZeroExponentError", "ZeroNumeratorError",
+    "ZeroScaleError", "canonical_text", "cauchy_root_bound", "certify",
+    "classify_roots", "compose_chain", "cos_inv_m_approximant",
+    "count_roots_between", "e_approximant", "e_squared_approximant",
+    "enclose", "exp_functional_int", "exp_functional_rational",
     "fractional_residual", "integer_nth_root", "integer_root_test",
     "integral_exp_poly", "integral_sin_poly", "inv_e_approximant",
-    "is_squarefree", "isolate_real_roots", "monic_certificate",
-    "monic_transform", "mth_root_form", "niven_poly", "pair_residual",
-    "parse_constant", "pigeonhole_approximant", "power_form_residual",
-    "reciprocal", "reduce_power_form", "refinement_budget", "rescale",
-    "scaled_compose", "sin_inv_m_approximant", "sqrt_approximant",
-    "squarefree_part", "sturm_chain", "trig_functional", "trig_residual",
+    "isolate_real_roots", "monic_certificate", "monic_transform",
+    "mth_root_form", "niven_poly", "pair_residual", "parse_constant",
+    "pigeonhole_approximant", "power_form_residual", "reciprocal",
+    "reduce_power_form", "refinement_budget", "rescale", "scaled_compose",
+    "sin_inv_m_approximant", "sqrt_approximant", "squarefree_part",
+    "sturm_chain", "trig_functional", "trig_residual",
 ]

@@ -114,10 +114,6 @@ class RootBracket:
         if flo * fhi >= 0:
             raise ValueError("bracket endpoints must straddle a sign change")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def _interior_nonroot(coeffs, a: int, b: int, s: int) -> tuple[int, int, int]:
     """(t, x, sign): x / (s t) is a point inside [a, b] / s that is not a root,

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .enclosure import Enclosure, _grid_bits, refine
+from .enclosure import Enclosure, _grid_bits
 from .errors import (BracketAmbiguousError, IrratCertError, PerfectPowerError,
-                     PrecisionExhausted, Unresolvable, ZeroExponentError)
+                     ZeroExponentError)
 from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
                       _rational_str, bisect_root, count_roots_between, rational_root,
                       sign_at)
@@ -315,15 +315,6 @@ def enclose(spec: ConstantSpec, max_width) -> Enclosure:
         case AlgebraicRoot(rational=r):
             return Enclosure(r, r)
     raise TypeError(f"not a constant spec: {spec!r}")
-
-
-def floor_of(spec: ConstantSpec) -> int:
-    """z with z <= value < z + 1, found by refining until no integer is straddled."""
-    try:
-        return refine(lambda w: enclose(spec, w).floor_if_settled(), Fraction(1, 4),
-                      f"floor of {canonical_text(spec)}")
-    except PrecisionExhausted as exc:
-        raise Unresolvable(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -66,27 +66,24 @@ def _grid_bits(u: int, v: int) -> int:
     return k + 1 if u << k < v else k
 
 
-def refine(attempt, width, what: str, shrink=2):
+def refine(attempt, width: tuple[int, int], what: str, shrink=2):
     """First non-None attempt(width), dividing width by shrink between tries.
 
-    width is a Fraction, or an integer pair (num, den) standing for num/den:
-    a pair steps to (num, den * shrink) and reaches attempt as a pair, never
-    reduced.  This is the one budgeted refinement loop: it makes at most
+    width is an integer pair (num, den) standing for num/den; it steps to
+    (num, den * shrink) and reaches attempt as a pair, never reduced.  This
+    is the one budgeted refinement loop: it makes at most
     refinement_budget() + 1 tries and then raises PrecisionExhausted, naming
     `what`, the number of tries and the last width tried.
     """
-    pair = isinstance(width, tuple)
-    if not pair:
-        width = Fraction(width)
+    num, den = width
     tries = refinement_budget() + 1
     for i in range(tries):
         if i:
-            width = (width[0], width[1] * shrink) if pair else width / shrink
-        result = attempt(width)
+            den *= shrink
+        result = attempt((num, den))
         if result is not None:
             return result
-    if pair:
-        width = Fraction(*width)
+    width = Fraction(num, den)
     exponent = width.numerator.bit_length() - width.denominator.bit_length() + 1
     raise PrecisionExhausted(f"{what} not settled within the refinement budget "
                              f"(tries: {tries}, last width < 2^{exponent})")
@@ -183,6 +180,3 @@ class Enclosure:
         """Common floor of both endpoints, or None while an integer is straddled."""
         a, b = floor(self.lo), floor(self.hi)
         return a if a == b else None
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"

@@ -64,7 +64,3 @@ class AngleNearPiError(AngleOutOfRangeError):
 
 class PrecisionExhausted(IrratCertError, RuntimeError):
     """Refinement budget ran out before the requested property was certified."""
-
-
-class Unresolvable(PrecisionExhausted):
-    """Floor computation kept straddling an integer until the budget ran out."""

@@ -224,10 +224,6 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return _positive(rows[-1]) if rows else IntPolynomial()
 
 
-def is_squarefree(f: IntPolynomial) -> bool:
-    return not f.is_zero and poly_gcd(f, f.derivative()).degree == 0
-
-
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """f divided exactly by gcd(f, f'), made primitive."""
     if f.is_zero:

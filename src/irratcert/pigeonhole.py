@@ -61,14 +61,6 @@ def _floors(enc: Enclosure, n: int):
     return [k * p // q for k in range(n + 1)]
 
 
-def bin_placements(enc: Enclosure, n: int):
-    """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous.
-    Each is divmod(floor(k*n*value), n), settled exactly when every value in
-    enc gives that floor: the decisions interval arithmetic makes on k*enc."""
-    floors = _floors(enc, n)
-    return None if floors is None else [divmod(f, n) for f in floors]
-
-
 def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -76,11 +68,11 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # start from a width that keeps k*width below a quarter bin and refine
     # whenever a floor or bin assignment stays ambiguous.
     def pin(width):
-        enc = enclose(c, width)
+        enc = enclose(c, Fraction(*width))
         floors = _floors(enc, n)
         return None if floors is None else (enc, floors)
 
-    enc, floors = refine(pin, Fraction(1, 4 * n * n * (n + 1)),
+    enc, floors = refine(pin, (1, 4 * n * n * (n + 1)),
                          f"bins for {canonical_text(c)} at n={n}")
 
     # smallest bin holding two multiples, and the first two k in it
@@ -109,7 +101,7 @@ def fractional_residual(q: int, c: ConstantSpec,
     range_enc = Enclosure(Fraction(-1, 4), Fraction(0))
 
     def attempt(width):
-        enc = enclose(c, width) * q
+        enc = enclose(c, Fraction(*width)) * q
         z = enc.floor_if_settled()
         if z is None:
             return None
@@ -117,5 +109,5 @@ def fractional_residual(q: int, c: ConstantSpec,
         product = (frac * (frac - 1)).intersect(range_enc)
         return product if product.width <= max_width else None
 
-    return refine(attempt, max_width / (4 * abs(q)),
+    return refine(attempt, (max_width.numerator, max_width.denominator * 4 * abs(q)),
                   f"fractional part of {q} * {canonical_text(c)}")

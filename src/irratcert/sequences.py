@@ -14,6 +14,7 @@ nothing is reduced to lowest terms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -21,7 +22,7 @@ from math import factorial
 
 from .algebraic import PowerForm, monic_certificate, multiply_forms
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
-from .errors import (CapExceededError, ChainMismatchError,
+from .errors import (BadIndexError, CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
                      ZeroScaleError, check_index)
 from .intpoly import IntPolynomial
@@ -67,6 +68,8 @@ def _upper(spec) -> Fraction:
 def _nth(rows, n: int):
     """Row n (1-based) of a row generator."""
     check_index(n)
+    if n > sys.maxsize:
+        raise BadIndexError(f"index must be <= {sys.maxsize}")
     return next(islice(rows, n - 1, None))
 
 

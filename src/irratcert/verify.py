@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -103,9 +104,6 @@ class Certificate:
     @property
     def is_nice(self) -> bool:
         return self.verdict == "nice"
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """json.dumps(indent=2) of the documented shape, written in one pass."""
@@ -564,6 +562,8 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > sys.maxsize:
+        raise ValueError(f"n_max must be <= {sys.maxsize}")
     try:
         kind, layout, rows_of, _ = FAMILIES[family]
     except KeyError:

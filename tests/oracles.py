@@ -10,7 +10,9 @@ Horner, bisection, division, gcds, Sturm chains and Sturm counts for
 polynomial signs and roots, and an inline Descartes count for the Newton
 jump's one-simple-root test.  Agreement
 between a library value and its oracle twin is the point of most tests, so
-nothing in this file may call back into the code paths it checks.
+nothing in this file may call back into the code paths it checks.  The two
+exceptions are not oracles but readers of library internals that the tests
+check against oracles: `bin_placements` and `is_squarefree`.
 """
 
 import json
@@ -19,6 +21,8 @@ from math import ceil, comb, factorial, floor, gcd, lcm
 
 from irratcert.constants import Root, Sqrt, enclose
 from irratcert.enclosure import Enclosure
+from irratcert.intpoly import IntPolynomial, poly_gcd
+from irratcert.pigeonhole import _floors
 
 
 def sqrt_ring_power(m: int, z: int, exponent: int) -> tuple[int, int]:
@@ -169,6 +173,19 @@ def root_form_binomials(a: int, m: int, z: int, n: int) -> tuple[int, ...]:
     return tuple(sum(comb(e, m * k + l) * a ** k * (-z) ** (e - m * k - l)
                      for k in range(n) if m * k + l <= e)
                  for l in range(m))
+
+
+def bin_placements(enc: Enclosure, n: int):
+    """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous:
+    `pigeonhole._floors` read as divmod(floor(k*n*value), n), settled exactly
+    when every value in enc gives that floor."""
+    floors = _floors(enc, n)
+    return None if floors is None else [divmod(f, n) for f in floors]
+
+
+def is_squarefree(f: IntPolynomial) -> bool:
+    """gcd(f, f') is a constant, by the library's `poly_gcd`."""
+    return not f.is_zero and poly_gcd(f, f.derivative()).degree == 0
 
 
 def fraction_bin_placements(lo: Fraction, hi: Fraction, n: int):

@@ -19,9 +19,9 @@ from irratcert.constants import Sqrt, enclose
 from irratcert.errors import NotMonicError, NotSquarefreeError
 from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
                                count_roots_between, squarefree_part, sturm_chain)
-from irratcert.pigeonhole import bin_placements
 
-from oracles import fraction_isolate, fraction_sturm_chain, modular_powers_remainder
+from oracles import (bin_placements, fraction_isolate, fraction_sturm_chain,
+                     modular_powers_remainder)
 
 
 def test_reduce_small_cases():
@@ -145,7 +145,7 @@ def test_root_classification_is_fast(capsys):
 def test_root_bracket_validation():
     f = IntPolynomial((-2, 0, 1))
     br = RootBracket(Fraction(1), Fraction(2), f)
-    assert br.width == 1
+    assert (br.lo, br.hi) == (1, 2)
     with pytest.raises(ValueError):
         RootBracket(Fraction(2), Fraction(1), f)
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_isolate_real_roots():
     f = IntPolynomial((-2, 0, 1))
     brackets = isolate_real_roots(f)
     assert len(brackets) == 2
-    assert all(br.width <= Fraction(1, 4) for br in brackets)
+    assert all(br.hi - br.lo <= Fraction(1, 4) for br in brackets)
     assert brackets[0].hi < 0 < brackets[1].lo
     assert isolate_real_roots(IntPolynomial((1, 0, 1))) == []
     line = isolate_real_roots(IntPolynomial((-3, 5)))
@@ -215,7 +215,7 @@ def test_classify_finds_exactly_the_planted_rational_roots(planted, d):
     assert sorted(v.rational_value for v in out if not v.is_irrational) == sorted(planted)
     for v in out:
         br = v.bracket
-        assert br.width <= Fraction(1, 4)
+        assert br.hi - br.lo <= Fraction(1, 4)
         assert f(br.lo) != 0 and f(br.hi) != 0
         assert count_roots_between(f, br.lo, br.hi) == 1
         assert v.is_irrational or br.lo < v.rational_value < br.hi

@@ -471,6 +471,10 @@ EDGE_RUNS = [
      "", "error[ValueError]: max_width must be positive\n"),
     (["cert", "--family", "e", "--width", "0"], 1,
      "", "error[ValueError]: width override must be positive\n"),
+    (["cert", "--family", "e", "--n-max", "0"], 1,
+     "", "error[ValueError]: n_max must be >= 1, got 0\n"),
+    (["cert", "--family", "e", "--n-max", "100000000000000000000"], 1,
+     "", f"error[ValueError]: n_max must be <= {sys.maxsize}\n"),
     (["reduce", "--modulus=1", "--coeffs", "1"], 1,
      "", "error[ValueError]: modulus must have degree >= 1\n"),
     (["pigeonhole", "--constant", "algroot:5@0,1", "--n", "5"], 1, "",

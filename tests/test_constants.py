@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
                                  _grid_bits, _width_bits, canonical_text,
-                                 enclose, floor_of, integer_nth_root,
+                                 enclose, integer_nth_root,
                                  parse_constant)
 from irratcert.errors import (BracketAmbiguousError, PerfectPowerError,
                               ZeroExponentError)
@@ -143,21 +143,6 @@ def test_algebraic_root_spec_and_enclosure():
     spec = AlgebraicRoot(h, 0, 2)
     e = enclose(spec, Fraction(1, 10 ** 6))
     assert e.contains(1)
-
-
-def test_floor_of():
-    assert floor_of(Sqrt(2)) == 1
-    assert floor_of(Sqrt(99)) == 9
-    assert floor_of(Root(2, 3)) == 1
-    assert floor_of(E()) == 2
-    assert floor_of(EPow(2)) == 7
-    assert floor_of(InvE()) == 0
-    assert floor_of(SinInv(2)) == 0
-    assert floor_of(CosOf(Fraction(3))) == -1
-    # 3 in (2, 17/5) and -5/3 in (-2, -3/2): no bisection midpoint is the
-    # root, which the spec finds rational and encloses as a point
-    assert floor_of(AlgebraicRoot(IntPolynomial((-3, 1)), 2, Fraction(17, 5))) == 3
-    assert floor_of(AlgebraicRoot(IntPolynomial((5, 3)), -2, Fraction(-3, 2))) == -2
 
 
 def test_canonical_text_round_trip():

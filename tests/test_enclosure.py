@@ -112,10 +112,6 @@ def test_floor_if_settled():
     assert Enclosure(Fraction(7, 2), Fraction(9, 2)).floor_if_settled() is None
 
 
-def test_str_form():
-    assert str(Enclosure(1, Fraction(3, 2))) == "[1, 3/2]"
-
-
 def test_refinement_budget_env(monkeypatch):
     monkeypatch.delenv("IRRATCERT_MAX_REFINE", raising=False)
     assert refinement_budget() == DEFAULT_MAX_REFINE

@@ -14,12 +14,12 @@ from irratcert.algebraic import isolate_real_roots
 from irratcert.enclosure import Enclosure
 from irratcert.errors import NotSquarefreeError
 from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
-                               count_roots_between, is_squarefree,
-                               poly_gcd, sign_at, squarefree_part, sturm_chain)
+                               count_roots_between, poly_gcd, sign_at,
+                               squarefree_part, sturm_chain)
 
 from oracles import (descartes_one_simple_root, fraction_bisect_root, fraction_horner,
                      fraction_poly_gcd, fraction_squarefree_part, fraction_sturm_chain,
-                     fraction_sturm_count)
+                     fraction_sturm_count, is_squarefree)
 
 
 def test_csv_round_trip_and_trimming():

@@ -1,12 +1,13 @@
 """Tests for the bridge polynomial machinery behind the e^k and trig certificates."""
 
+import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
 import pytest
 
-from irratcert.errors import AngleNearPiError, AngleOutOfRangeError
+from irratcert.errors import AngleNearPiError, AngleOutOfRangeError, BadIndexError
 from irratcert.niven import (FPair, RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
                              trig_functional)
@@ -70,6 +71,11 @@ def test_exp_functional_int_validation():
         exp_functional_int(0, 1)
     with pytest.raises(ValueError):
         exp_functional_int(1, 0)
+    for functional in (exp_functional_int, exp_functional_rational):
+        with pytest.raises(BadIndexError, match="index must be <="):
+            functional(sys.maxsize + 1, 2)
+    with pytest.raises(BadIndexError, match="index must be <="):
+        trig_functional(sys.maxsize + 1, 1, 3)
 
 
 def test_exp_functional_rational_examples():

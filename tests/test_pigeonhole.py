@@ -11,10 +11,10 @@ from irratcert import pigeonhole
 from irratcert.constants import (CosInv, E, EPow, ERational, InvE, Root,
                                  SinInv, SinOf, Sqrt, parse_constant)
 from irratcert.enclosure import Enclosure
-from irratcert.pigeonhole import (bin_placements, fractional_residual,
-                                  pigeonhole_approximant, simplest_between)
+from irratcert.pigeonhole import (fractional_residual, pigeonhole_approximant,
+                                  simplest_between)
 
-from oracles import fraction_bin_placements, sqrt_bracket
+from oracles import bin_placements, fraction_bin_placements, sqrt_bracket
 
 
 def test_worked_examples():

@@ -1,13 +1,10 @@
 """Tests for the refinement driver, its budget, and budget exhaustion."""
 
-from fractions import Fraction
-
 import pytest
 
 from irratcert.cli import main
-from irratcert.constants import Sqrt, floor_of
 from irratcert.enclosure import refine, refinement_budget
-from irratcert.errors import PrecisionExhausted, Unresolvable
+from irratcert.errors import PrecisionExhausted
 
 
 def _recorder(succeed_on):
@@ -24,9 +21,8 @@ def _recorder(succeed_on):
 def test_refine_returns_on_first_success(monkeypatch, k, shrink):
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "10")
     attempt, widths = _recorder(k)
-    w = Fraction(1, 3)
-    assert refine(attempt, w, "probe", shrink=shrink) == "done"
-    assert widths == [w / shrink ** i for i in range(k)]
+    assert refine(attempt, (1, 3), "probe", shrink=shrink) == "done"
+    assert widths == [(1, 3 * shrink ** i) for i in range(k)]
 
 
 @pytest.mark.parametrize("budget", [0, 1, 4])
@@ -34,18 +30,30 @@ def test_refine_raises_after_budget_plus_one_tries(monkeypatch, budget):
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", str(budget))
     attempt, widths = _recorder(None)
     with pytest.raises(PrecisionExhausted) as info:
-        refine(attempt, Fraction(1, 4), "probe")
+        refine(attempt, (1, 4), "probe")
     assert len(widths) == budget + 1
-    assert widths[-1] == Fraction(1, 4 * 2 ** budget)
+    assert widths[-1] == (1, 4 * 2 ** budget)
     message = str(info.value)
     assert message.startswith("probe ")
     assert f"tries: {budget + 1}" in message
     assert f"last width < 2^{-1 - budget}" in message
 
 
+def test_refine_reports_the_width_in_lowest_terms(monkeypatch):
+    # the pair reaches attempt unreduced; the message reads num/den reduced
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "2")
+    messages = []
+    for start in [(1, 3), (3, 9)]:
+        with pytest.raises(PrecisionExhausted) as info:
+            refine(lambda w: None, start, "probe")
+        messages.append(str(info.value))
+    assert messages == ["probe not settled within the refinement budget "
+                        "(tries: 3, last width < 2^-2)"] * 2
+
+
 def test_refine_keeps_a_falsy_result(monkeypatch):
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "3")
-    assert refine(lambda w: 0, Fraction(1), "zero") == 0
+    assert refine(lambda w: 0, (1, 1), "zero") == 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", " "])
@@ -81,11 +89,3 @@ def test_cli_reports_an_exhausted_budget(monkeypatch, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error[PrecisionExhausted]: residual at n=6 ")
     assert "tries: 1" in lines[0]
-
-
-def test_floor_of_unresolvable_without_narrowing(monkeypatch):
-    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
-    with pytest.raises(Unresolvable, match="floor of sqrt:99"):
-        floor_of(Sqrt(99))
-    monkeypatch.delenv("IRRATCERT_MAX_REFINE")
-    assert floor_of(Sqrt(99)) == 9

@@ -1,5 +1,6 @@
 """Tests for the explicit approximant families and the transformation rules."""
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -49,6 +50,16 @@ def test_sqrt_rejects_squares():
         sqrt_approximant(4, 1)
     with pytest.raises(BadIndexError):
         sqrt_approximant(2, 0)
+
+
+@pytest.mark.parametrize("row", [
+    lambda n: sqrt_approximant(2, n), lambda n: mth_root_form(2, 3, n), e_approximant,
+    inv_e_approximant, e_squared_approximant, lambda n: sin_inv_m_approximant(2, n),
+    lambda n: cos_inv_m_approximant(2, n)])
+def test_an_index_past_sys_maxsize_is_refused(row):
+    # the rows are walked with islice, which takes no index past sys.maxsize
+    with pytest.raises(BadIndexError, match=f"index must be <= {sys.maxsize}$"):
+        row(sys.maxsize + 1)
 
 
 def test_root_form_worked_examples():
