@@ -188,15 +188,10 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 # fits a quarter of it and 2r still does not, the rounding error is what is
 # too wide, and the sum is redone at a finer scale.
 
-def _width_bits(max_width: Fraction) -> int:
-    """Smallest k >= 0 with 2^-k <= max_width."""
-    return _grid_bits(max_width.numerator, max_width.denominator)
-
-
 def _series_precision(x: Fraction, max_width: Fraction) -> int:
     """Starting scale for a series at x: the bits of max_width, plus guard bits
     for the rounding error, which grows like e^|x| times the number of terms."""
-    k = _width_bits(max_width)
+    k = _grid_bits(max_width.numerator, max_width.denominator)
     return k + 2 * (abs(x.numerator) // x.denominator) + k.bit_length() + 10
 
 
@@ -274,7 +269,7 @@ def _root_enclosure(a: int, m: int, max_width: Fraction) -> Enclosure:
     2^-k <= max_width.  The root is irrational, so it lies strictly inside:
     this is exactly the interval that halving [floor(root), floor(root) + 1]
     reaches."""
-    k = _width_bits(max_width)
+    k = _grid_bits(max_width.numerator, max_width.denominator)
     z = integer_nth_root(a << (m * k), m)
     return Enclosure._grid(z, z + 1, k)
 

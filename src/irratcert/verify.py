@@ -13,8 +13,6 @@ checks decided by integer cross-multiplication.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 import sys
@@ -126,16 +124,16 @@ class Certificate:
                    rows=rows, verdict=_field(data, "verdict", str))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", *self.rows[0].term.layout.fields,
-                         "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"])
-        writer.writerows([str(row.n), *row.term.layout.csv_cells(row.term.ints),
-                          _frac_str(row.residual.lo), _frac_str(row.residual.hi),
-                          _frac_str(row.bound), str(row.nonzero_ok).lower(),
-                          str(row.bound_ok).lower()] for row in self.rows)
-        out.write(f"# verdict: {self.verdict}\n")
-        return out.getvalue()
+        """A header line, a line per row and a `# verdict:` line; no cell needs
+        quoting (digits, '-', '/', ';', field names, true/false)."""
+        header = ["n", *self.rows[0].term.layout.fields,
+                  "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
+        lines = [",".join(header)]
+        lines += [",".join([_digits(row.n), *row.term.layout.csv_cells(row.term.ints),
+                            _frac_str(row.residual.lo), _frac_str(row.residual.hi),
+                            _frac_str(row.bound), "true" if row.nonzero_ok else "false",
+                            "true" if row.bound_ok else "false"]) for row in self.rows]
+        return "\n".join(lines) + f"\n# verdict: {self.verdict}\n"
 
     def to_table(self) -> str:
         # residual shown as one approximate midpoint column for reading ease
@@ -250,8 +248,8 @@ def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
 # residual there on integers: the pair and trig forms through one integer
 # linear form (`_linear`), the power form by interval Horner with shifts.
 # Each builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
-# A width is a Fraction, or an integer pair (num, den) standing for num/den,
-# in lowest terms or not: certify hands its widths on as pairs.
+# A width is an integer pair (num, den) standing for num/den, in lowest terms
+# or not.
 
 # The constants enclosed as exact dyadic floors: their grid answers equal fresh
 # enclosures, and their residuals are not rounded.
@@ -310,10 +308,9 @@ class ConstantCache:
         return k, lo >> (bits - k), -((-hi) >> (bits - k))
 
 
-def _width(max_width) -> tuple[int, int]:
-    """max_width as integers (num, den), both positive: a pair as given, unreduced."""
-    num, den = (max_width if isinstance(max_width, tuple)
-                else Fraction(max_width).as_integer_ratio())
+def _width(max_width: tuple[int, int]) -> tuple[int, int]:
+    """The width pair (num, den) as given, unreduced, once both are positive."""
+    num, den = max_width
     if num <= 0 or den <= 0:
         raise ValueError("max_width must be positive")
     return num, den
@@ -406,18 +403,13 @@ def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
 
 
 def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache):
-    """Row n with its residual at the width pair, once that settles both
-    checks, else None."""
-    enc = _residual_eval(term, c, width, cache)
+    """Row n with its residual at the width pair (num, den), once that settles
+    both checks, else None.  A series residual is rounded outward to 12 bits
+    past the width, which keeps it within the width."""
+    j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
+    enc = term.layout.evaluate(term.ints, c, width, cache, j)
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
     return CertRow(n, term, enc, bound, nonzero_ok, bound_ok) if decided else None
-
-
-def _residual_eval(term: LinearForm, c, width, cache) -> Enclosure:
-    """The residual at the width pair (num, den); a series residual rounded
-    outward to 12 bits past the width, which keeps it within the width."""
-    j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
-    return term.layout.evaluate(term.ints, c, width, cache, j)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,8 @@ def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int]
 
 
 def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
-    """The first and last rows, re-enclosed until |last| < |first| is decided.
+    """(first, last, shrinks): the first and last rows, re-enclosed until
+    |last| < |first| is decided, and whether it holds.
 
     Both rows are narrowed together, by 16 from their own decided widths, and
     each must stay decided against zero and its bound.  The first try keeps
@@ -517,7 +510,8 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
             if a is None or b is None:
                 return None
         x, y = a.residual, b.residual
-        return (a, b) if y.max_abs() < x.min_abs() or y.min_abs() >= x.max_abs() else None
+        shrinks = y.max_abs() < x.min_abs()
+        return (a, b, shrinks) if shrinks or y.min_abs() >= x.max_abs() else None
     return refine(attempt, (1, 1), f"decay of row {last.n} against row {first.n}",
                   shrink=16)
 
@@ -543,9 +537,9 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     first when n_max >= 2 and every row passes.  That comparison is decided,
     not read off whatever enclosures settled the rows: the first and last
     rows are narrowed together, by 16 from their own decided widths, until
-    |last| < |first| or |last| >= |first| is certain.  Those are the
-    enclosures printed, so the verdict does not depend on where refinement
-    started.
+    |last| < |first| or |last| >= |first| is certain, and `_decay` returns
+    which.  Those are the enclosures printed, so the verdict does not depend
+    on where refinement started.
 
     The rows are built first; a bound that reads the constant makes its own
     coarse kernel call there.  Their residuals take the constant from one
@@ -606,8 +600,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if first_bad is not None:
         verdict = f"violated:{first_bad}"
     elif n_max >= 2:
-        rows[0], rows[-1] = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache)
-        shrinks = rows[-1].residual.max_abs() < rows[0].residual.min_abs()
+        rows[0], rows[-1], shrinks = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache)
         verdict = "nice" if shrinks else f"violated:{n_max}"
     else:
         verdict = "nice"
@@ -624,7 +617,7 @@ def _integral(poly, max_width, term, power, ratio, scale=1) -> Enclosure:
     """Enclosure of the integral over [0, 1] of poly(x) sum(t_j x^power(j)),
     t_0 = term and t_(j+1) = t_j ratio(j), integrated term by term until the
     tail's charge, the first term left out times scale and the integral of
-    |poly|, is at most half of max_width."""
+    |poly|, is at most half of the width pair max_width."""
     max_width = Fraction(*_width(max_width))
     coeffs = [Fraction(c) for c in poly.coeffs]
     abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
@@ -641,7 +634,8 @@ def _integral(poly, max_width, term, power, ratio, scale=1) -> Enclosure:
 
 
 def integral_exp_poly(rate, poly, max_width) -> Enclosure:
-    """Enclosure of the integral over [0, 1] of e^(rate*x) * poly(x).
+    """Enclosure of the integral over [0, 1] of e^(rate*x) * poly(x), at most
+    the width pair max_width wide.
 
     poly brings rational coefficients (ascending); the exponential series is
     integrated term by term and the Lagrange remainder is charged against an
@@ -654,7 +648,8 @@ def integral_exp_poly(rate, poly, max_width) -> Enclosure:
 
 
 def integral_sin_poly(angle, poly, max_width) -> Enclosure:
-    """Enclosure of the integral over [0, 1] of sin(angle*x) * poly(x)."""
+    """Enclosure of the integral over [0, 1] of sin(angle*x) * poly(x), at most
+    the width pair max_width wide."""
     angle = Fraction(angle)
     return _integral(poly, max_width, angle, lambda j: 2 * j + 1,
                      lambda j: Fraction(-angle * angle, (2 * j + 2) * (2 * j + 3)))

@@ -5,9 +5,9 @@ higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, schoolbook
 bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals, `json.dumps` for certificate text, `Fraction`
-Horner, bisection, division, gcds, Sturm chains and Sturm counts for
-polynomial signs and roots, and an inline Descartes count for the Newton
+certificate residuals, `json.dumps` and `csv.writer` for certificate text,
+`Fraction` Horner, bisection, division, gcds, Sturm chains and Sturm counts
+for polynomial signs and roots, and an inline Descartes count for the Newton
 jump's one-simple-root test.  Agreement
 between a library value and its oracle twin is the point of most tests, so
 nothing in this file may call back into the code paths it checks.  The two
@@ -15,6 +15,8 @@ exceptions are not oracles but readers of library internals that the tests
 check against oracles: `bin_placements` and `is_squarefree`.
 """
 
+import csv
+import io
 import json
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, gcd, lcm
@@ -269,8 +271,9 @@ def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
         width /= 2
 
 
-# Certificate JSON as verify first wrote it: a dict of the documented shape
-# through json.dumps(indent=2); the library writes the same text by hand.
+# Certificate JSON and CSV as verify first wrote them: a dict of the
+# documented shape through json.dumps(indent=2), and the cells through
+# csv.writer; the library writes the same text by hand.
 
 def decimal_text(x: int) -> str:
     """x in decimal by 18-digit chunks, also past the interpreter's limit on
@@ -282,21 +285,41 @@ def decimal_text(x: int) -> str:
     return sign + str(x) + "".join(reversed(chunks))
 
 
+def _ratio_text(x: Fraction) -> str:
+    return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+
+
 def certificate_json(cert) -> str:
     """json.dumps(indent=2) of cert: integers and rationals as strings, a
     vector layout's integers as one list."""
-    def ratio(x):
-        return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
     rows = []
     for row in cert.rows:
         layout, ints = row.term.layout, row.term.ints
         fields = ({layout.fields[0]: [decimal_text(x) for x in ints]} if layout.vector
                   else {name: decimal_text(x) for name, x in zip(layout.fields, ints)})
-        rows.append({"n": row.n, **fields, "residual_lo": ratio(row.residual.lo),
-                     "residual_hi": ratio(row.residual.hi), "bound": ratio(row.bound),
+        rows.append({"n": row.n, **fields, "residual_lo": _ratio_text(row.residual.lo),
+                     "residual_hi": _ratio_text(row.residual.hi),
+                     "bound": _ratio_text(row.bound),
                      "nonzero_ok": row.nonzero_ok, "bound_ok": row.bound_ok})
     return json.dumps({"constant": cert.constant, "family": cert.family, "rows": rows,
                        "verdict": cert.verdict}, indent=2)
+
+
+def certificate_csv(cert) -> str:
+    """csv.writer's rendering of cert's header and rows, a vector layout's
+    integers ';'-joined in one cell, then the `# verdict:` line."""
+    layout = cert.rows[0].term.layout
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["n", *layout.fields, "residual_lo", "residual_hi", "bound",
+                     "nonzero_ok", "bound_ok"])
+    for row in cert.rows:
+        ints = [decimal_text(x) for x in row.term.ints]
+        writer.writerow([row.n, *([";".join(ints)] if layout.vector else ints),
+                         _ratio_text(row.residual.lo), _ratio_text(row.residual.hi),
+                         _ratio_text(row.bound), str(row.nonzero_ok).lower(),
+                         str(row.bound_ok).lower()])
+    return out.getvalue() + f"# verdict: {cert.verdict}\n"
 
 
 # Polynomial signs and roots on Fractions, as intpoly and algebraic first

@@ -74,16 +74,16 @@ def test_acceptance_03_niven_integrality_and_identity():
     for n in range(1, 7):
         for k in range(1, 4):
             pair = exp_functional_int(n, k)
-            left = pair_residual(pair.at0, pair.at1, EPow(k), Fraction(1, 10 ** 12))
+            left = pair_residual(pair.at0, pair.at1, EPow(k), (1, 10 ** 12))
             scaled = RationalPolynomial(
                 tuple(k ** (2 * n + 1) * c for c in niven_poly(n).coeffs))
-            right = integral_exp_poly(k, scaled, Fraction(1, 10 ** 12))
+            right = integral_exp_poly(k, scaled, (1, 10 ** 12))
             assert left.lo <= right.hi and right.lo <= left.hi
             assert left.lo > 0
             assert left.hi < Fraction(21 * k ** (2 * n + 1), factorial(n))
     # spot value: at (n=1, k=1) the residual is exactly 3 - e
     pair = exp_functional_int(1, 1)
-    enc = pair_residual(pair.at0, pair.at1, E(), Fraction(1, 10 ** 9))
+    enc = pair_residual(pair.at0, pair.at1, E(), (1, 10 ** 9))
     assert enc.width <= Fraction(1, 10 ** 9)
     lo, hi = e_bracket(30)
     assert enc.lo <= 3 - lo and 3 - hi <= enc.hi
@@ -102,7 +102,7 @@ def test_acceptance_04_sin_inv_bounds():
             assert row.residual.hi < row.bound
     app, _ = sin_inv_m_approximant(1, 1)
     assert (app.p, app.q) == (5, 6)
-    enc = pair_residual(5, 6, SinInv(1), Fraction(1, 10 ** 6))
+    enc = pair_residual(5, 6, SinInv(1), (1, 10 ** 6))
     assert Fraction(487, 10 ** 4) < enc.lo <= enc.hi < Fraction(489, 10 ** 4)
     _ok("criterion 4: sin(1/m) residuals positive and below 1/(m^2(4n)^2-1) "
         "for m<=5, n<=8; |6 sin 1 - 5| inside (0.0487, 0.0489)")
@@ -117,7 +117,7 @@ def test_acceptance_05_trig_angle_certificates():
             assert row.bound_ok
             assert row.bound == Fraction(p ** (2 * row.n + 1),
                                          factorial(row.n) * q)
-    enc = trig_residual((-2, -2, 1), Fraction(1), Fraction(1, 10 ** 6))
+    enc = trig_residual((-2, -2, 1), Fraction(1), (1, 10 ** 6))
     assert enc.width <= Fraction(1, 10 ** 6)
     assert Fraction(77923, 10 ** 6) < enc.lo <= enc.hi < Fraction(77926, 10 ** 6)
     _ok("criterion 5: Gaussian witnesses nonzero and below p^(2n+1)/(n! q) "

@@ -193,19 +193,25 @@ def test_json_output_round_trips(capsys):
 
 
 def test_csv_and_json_row_data_agree(capsys):
-    base = ["cert", "--family", "e", "--n-max", "5"]
-    assert main(base + ["--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert main(base + ["--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    header = lines[0].split(",")
-    body = [dict(zip(header, line.split(","))) for line in lines[1:-1]]
-    assert lines[-1] == "# verdict: nice"
-    for json_row, csv_row in zip(data["rows"], body):
-        assert csv_row["p"] == json_row["p"]
-        assert csv_row["q"] == json_row["q"]
-        assert csv_row["residual_lo"] == json_row["residual_lo"]
-        assert csv_row["bound"] == json_row["bound"]
+    # one request per layout; the root vector is one ';'-joined CSV cell
+    for flags, fields in ((["--family", "e"], ["p", "q"]),
+                          (["--family", "root", "--a", "7", "--m", "4"], ["coeffs"]),
+                          (["--family", "trig-angle", "--angle", "1/3"], ["a", "c", "d"])):
+        base = ["cert", *flags, "--n-max", "5"]
+        assert main(base + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert main(base + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        body = [dict(zip(header, line.split(","))) for line in lines[1:-1]]
+        assert lines[-1] == "# verdict: nice"
+        assert len(body) == len(data["rows"]) == 5
+        for json_row, csv_row in zip(data["rows"], body):
+            for name in fields:
+                cell = csv_row[name].split(";") if name == "coeffs" else csv_row[name]
+                assert cell == json_row[name]
+            assert csv_row["residual_lo"] == json_row["residual_lo"]
+            assert csv_row["bound"] == json_row["bound"]
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

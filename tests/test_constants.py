@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from irratcert.constants import (AlgebraicRoot, CosInv, CosOf, E, EPow,
                                  ERational, InvE, Root, SinInv, SinOf, Sqrt,
-                                 _grid_bits, _width_bits, canonical_text,
+                                 _grid_bits, canonical_text,
                                  enclose, integer_nth_root,
                                  parse_constant)
 from irratcert.errors import (BracketAmbiguousError, PerfectPowerError,
@@ -279,6 +279,6 @@ def test_grid_bits_of_an_unreduced_pair(u, v, g):
     # the grid exponent is read off the bit lengths of the pair as given, so
     # a common factor g does not move it
     k = _grid_bits(u * g, v * g)
-    assert k == _width_bits(Fraction(u, v))
+    assert k == _grid_bits(*Fraction(u, v).as_integer_ratio())
     assert v <= u << k
     assert k == 0 or u << (k - 1) < v

@@ -95,7 +95,7 @@ def test_starved_precision_is_raised_until_the_width_fits(monkeypatch, spec, fn,
     # four guard bits leave the rounding error wider than the request, so
     # the sums must be redone at a finer scale
     monkeypatch.setattr(constants, "_series_precision",
-                        lambda x, max_width: constants._width_bits(max_width) + 4)
+                        lambda x, w: constants._grid_bits(*w.as_integer_ratio()) + 4)
     x = spec.r if isinstance(spec, ERational) else spec.x
     max_width = Fraction(1, 2 ** bits)
     _assert_encloses(enclose(spec, max_width), _at(fn, x), max_width)

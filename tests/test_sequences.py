@@ -23,7 +23,7 @@ from oracles import root_form_binomials, root_ring_power, sqrt_ring_power
 
 
 def _residual(app, c):
-    return pair_residual(app.p, app.q, c, Fraction(1, 10 ** 30))
+    return pair_residual(app.p, app.q, c, (1, 10 ** 30))
 
 
 def test_sqrt_worked_examples():

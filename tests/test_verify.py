@@ -34,8 +34,8 @@ from irratcert.verify import (FAMILIES, FORM, LAYOUTS, PAIR, TRIG, Certificate,
                               integral_sin_poly, pair_residual,
                               power_form_residual, trig_residual)
 
-from oracles import (FractionConstantCache, certificate_json, cos_bracket, enclosure_horner,
-                     enclosure_pair_residual, enclosure_power_form_residual,
+from oracles import (FractionConstantCache, certificate_csv, certificate_json, cos_bracket,
+                     enclosure_horner, enclosure_pair_residual, enclosure_power_form_residual,
                      enclosure_trig_residual, sin_bracket)
 from test_kernel import KINDS
 
@@ -44,46 +44,46 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 def test_pair_residual_sqrt_exact_containment():
     # 5*sqrt(2) - 7 lies in the enclosure iff (lo+7)^2 < 50 < (hi+7)^2
-    enc = pair_residual(7, 5, Sqrt(2), Fraction(1, 10 ** 30))
+    enc = pair_residual(7, 5, Sqrt(2), (1, 10 ** 30))
     assert enc.width <= Fraction(1, 10 ** 30)
     assert (enc.lo + 7) ** 2 < 50 < (enc.hi + 7) ** 2
     assert enc.excludes_zero()
 
 
 def test_pair_residual_zero_q_degenerates_to_point():
-    enc = pair_residual(4, 0, E(), Fraction(1, 1000))
+    enc = pair_residual(4, 0, E(), (1, 1000))
     assert enc.is_point and enc.lo == -4
 
 
 def test_power_form_residual_matches_pair_route():
     # the vector (-7, 5) over sqrt(2) denotes the same number as the pair (7, 5)
-    a = power_form_residual(PowerForm((-7, 5)), Sqrt(2), Fraction(1, 10 ** 20))
-    b = pair_residual(7, 5, Sqrt(2), Fraction(1, 10 ** 20))
+    a = power_form_residual(PowerForm((-7, 5)), Sqrt(2), (1, 10 ** 20))
+    b = pair_residual(7, 5, Sqrt(2), (1, 10 ** 20))
     assert a.lo <= b.hi and b.lo <= a.hi
     assert a.width <= Fraction(1, 10 ** 20)
 
 
 def test_power_form_residual_cube_root():
-    enc = power_form_residual(PowerForm((19, -5, -8)), Root(2, 3), Fraction(1, 10 ** 15))
+    enc = power_form_residual(PowerForm((19, -5, -8)), Root(2, 3), (1, 10 ** 15))
     assert enc.excludes_zero() and enc.lo > 0
     assert Fraction(1186, 10 ** 6) < enc.lo  # value ~ 0.0011867
     assert enc.hi < Fraction(1188, 10 ** 6)
 
 
 def test_power_form_residual_zero_vector():
-    enc = power_form_residual(PowerForm((0, 0, 0)), Root(2, 3), Fraction(1, 100))
+    enc = power_form_residual(PowerForm((0, 0, 0)), Root(2, 3), (1, 100))
     assert enc.is_point and enc.lo == 0
 
 
 def test_residual_wrapper():
     # an approximant's residual q*e - p, through pair_residual
     app, _ = e_approximant(3)
-    enc = pair_residual(app.p, app.q, E(), Fraction(1, 10 ** 12))
+    enc = pair_residual(app.p, app.q, E(), (1, 10 ** 12))
     assert Fraction(1, 4) < enc.lo <= enc.hi < Fraction(1, 3)
 
 
 def test_trig_residual_against_series_brackets():
-    enc = trig_residual((-2, -2, 1), Fraction(1), Fraction(1, 10 ** 9))
+    enc = trig_residual((-2, -2, 1), Fraction(1), (1, 10 ** 9))
     slo, shi = sin_bracket(1, 15)
     clo, chi = cos_bracket(1, 15)
     # value is 2 - sin(1) - 2 cos(1)
@@ -189,12 +189,12 @@ def test_certify_verdict_independent_of_start_width(family, c, n_max):
 def _residual_evals(monkeypatch, family, c, n_max, max_width=None):
     """(certificate, the number of residual evaluations certify made for it)."""
     calls = []
-    evaluate = verify._residual_eval
+    decided = verify._decided
 
     def counting(*args):
         calls.append(None)
-        return evaluate(*args)
-    monkeypatch.setattr(verify, "_residual_eval", counting)
+        return decided(*args)
+    monkeypatch.setattr(verify, "_decided", counting)
     return certify(family, c, n_max, max_width), len(calls)
 
 
@@ -267,12 +267,12 @@ verdicts = st.just("nice") | st.integers(1, 10 ** 6).map(lambda n: f"violated:{n
 
 
 @st.composite
-def _certificates(draw):
-    """Certificates of one layout with drawn integers, rationals, flags,
-    verdict and free text for the constant and family."""
-    layout = draw(st.sampled_from(LAYOUTS))
+def _certificates(draw, layouts=LAYOUTS, min_rows=0):
+    """Certificates of one of the layouts with drawn integers, rationals,
+    flags, verdict and free text for the constant and family."""
+    layout = draw(st.sampled_from(layouts))
     rows = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(min_rows, 3))):
         size = draw(st.integers(0, 4)) if layout.vector else len(layout.fields)
         ints = tuple(draw(st.lists(json_integers, min_size=size, max_size=size)))
         lo, hi = sorted(draw(st.lists(json_rationals, min_size=2, max_size=2)))
@@ -304,6 +304,19 @@ def test_to_json_equals_json_dumps_on_each_layout():
     for cert in (_one_row(FORM, ()), _one_row(FORM, (-(10 ** 4400), 0, 12), "violated:3"),
                  _one_row(TRIG, (-1, 10 ** 4400 + 1, 0)), _one_row(PAIR, (-5, 2))):
         assert cert.to_json() == certificate_json(cert)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["PAIR", "FORM", "TRIG"])
+@PROPERTY
+@given(data=st.data())
+def test_to_csv_equals_csv_writer(layout, data):
+    # the cells joined by hand are the text csv.writer writes: no cell needs
+    # quoting, its integers negative, zero or past the 4,300-digit str() limit
+    cert = data.draw(_certificates([layout], min_rows=1))
+    assert cert.to_csv() == certificate_csv(cert)
+    size = 3 if layout.vector else len(layout.fields)
+    cert = _one_row(layout, (-(7 ** 5300), 0, 10 ** 4400 + 1)[:size])
+    assert cert.to_csv() == certificate_csv(cert)
 
 
 @PROPERTY
@@ -422,6 +435,21 @@ def test_json_serializes_integers_as_strings():
     assert data["verdict"] == "nice"
 
 
+def test_certify_row_with_q_zero(capsys):
+    # F(1) = q (p - 2q) vanishes at n = 1 for the rate 2, so row 1 is
+    # p = -4, q = 0: its residual is the exact point 4, well below its bound
+    for family, c in (("e-pow", EPow(2)), ("e-rat", ERational(2))):
+        row = certify(family, c, 3).rows[0]
+        assert row.term.ints == (-4, 0)
+        assert row.residual.lo == row.residual.hi == 4
+        assert row.nonzero_ok and row.bound_ok
+    assert main(["cert", "--family", "e-pow", "--k", "2", "--n-max", "3",
+                 "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert (row["p"], row["q"]) == ("-4", "0")
+    assert row["residual_lo"] == row["residual_hi"] == "4/1"
+
+
 def test_csv_and_json_carry_identical_rows():
     cert = certify("e", E(), 5)
     data = json.loads(cert.to_json())
@@ -464,11 +492,11 @@ def test_quadrature_agrees_with_functional_residual():
     for n in range(1, 7):
         for k in range(1, 4):
             pair = exp_functional_int(n, k)
-            left = pair_residual(pair.at0, pair.at1, EPow(k), Fraction(1, 10 ** 12))
+            left = pair_residual(pair.at0, pair.at1, EPow(k), (1, 10 ** 12))
             f = niven_poly(n)
             scaled = RationalPolynomial(
                 tuple(k ** (2 * n + 1) * c for c in f.coeffs))
-            right = integral_exp_poly(k, scaled, Fraction(1, 10 ** 12))
+            right = integral_exp_poly(k, scaled, (1, 10 ** 12))
             assert left.lo <= right.hi and right.lo <= left.hi
             assert left.lo > 0
             assert left.hi < Fraction(k ** (2 * n + 1), factorial(n)) * 21
@@ -477,8 +505,8 @@ def test_quadrature_agrees_with_functional_residual():
 def test_integral_exp_poly_known_value():
     # integral of e^x * 1 dx = e - 1
     one = RationalPolynomial((Fraction(1),))
-    enc = integral_exp_poly(1, one, Fraction(1, 10 ** 12))
-    ref = pair_residual(1, 1, E(), Fraction(1, 10 ** 12))   # e - 1
+    enc = integral_exp_poly(1, one, (1, 10 ** 12))
+    ref = pair_residual(1, 1, E(), (1, 10 ** 12))   # e - 1
     assert enc.lo <= ref.hi and ref.lo <= enc.hi
 
 
@@ -486,7 +514,7 @@ def test_integral_sin_poly_known_value():
     # integral of sin(t x) dx = (1 - cos t)/t
     one = RationalPolynomial((Fraction(1),))
     for t in (Fraction(1), Fraction(1, 2), Fraction(3)):
-        enc = integral_sin_poly(t, one, Fraction(1, 10 ** 12))
+        enc = integral_sin_poly(t, one, (1, 10 ** 12))
         clo, chi = cos_bracket(t, 20)
         lo, hi = sorted(((1 - chi) / t, (1 - clo) / t))
         assert enc.lo <= hi and lo <= enc.hi
@@ -494,8 +522,8 @@ def test_integral_sin_poly_known_value():
 
 def test_integral_zero_poly():
     zero = RationalPolynomial((Fraction(0),))
-    assert integral_exp_poly(2, zero, Fraction(1, 100)).is_point
-    assert integral_sin_poly(2, zero, Fraction(1, 100)).is_point
+    assert integral_exp_poly(2, zero, (1, 100)).is_point
+    assert integral_sin_poly(2, zero, (1, 100)).is_point
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +531,8 @@ def test_integral_zero_poly():
 # Enclosure arithmetic of the references in oracles.py exactly, with the
 # constant taken from a Fraction-rounding cache fed the same requests.
 
-residual_widths = st.builds(lambda k, num, den: Fraction(num, den << k),
+# widths as the evaluators take them: unreduced integer pairs (num, den)
+residual_widths = st.builds(lambda k, num, den: (num, den << k),
                             st.integers(0, 300), st.integers(1, 1000), st.integers(1, 1000))
 multipliers = st.sampled_from((0, 1, -1)) | st.integers(-2 ** 90, 2 ** 90)
 TRIG_ANGLES = (Fraction(22, 7), Fraction(-31, 2), Fraction(1, 3), Fraction(1, 2))
@@ -520,37 +549,35 @@ def _caches(shared):
 @given(kind=st.sampled_from(KINDS), shared=st.booleans(),
        calls=st.lists(st.tuples(multipliers, multipliers, residual_widths), min_size=1,
                       max_size=6))
-@example(kind=KINDS[2], shared=True, calls=[(5, 0, Fraction(1, 10)), (7, -3, Fraction(1, 999)),
-                                           (-7, 3, Fraction(1, 3)), (0, -1, Fraction(5))])
+@example(kind=KINDS[2], shared=True, calls=[(5, 0, (1, 10)), (7, -3, (1, 999)),
+                                           (-7, 3, (1, 3)), (0, -1, (5, 1))])
 def test_pair_residual_equals_enclosure_arithmetic(kind, shared, calls):
     spec = kind[0]
     cache, ref = _caches(shared)
     for p, q, w in calls:
         at = (ref or FractionConstantCache()).enclose
         assert pair_residual(p, q, spec, w, cache) == \
-            enclosure_pair_residual(p, q, lambda x: at(spec, x), w)
+            enclosure_pair_residual(p, q, lambda x: at(spec, x), Fraction(*w))
 
 
 @PROPERTY
 @given(kind=st.sampled_from(KINDS), shared=st.booleans(),
        calls=st.lists(st.tuples(st.lists(multipliers, max_size=5), residual_widths),
                       min_size=1, max_size=4))
-@example(kind=KINDS[1], shared=True, calls=[([0, 0, 0], Fraction(1, 100)),
-                                           ([19, -5, -8], Fraction(1, 10 ** 15))])
-@example(kind=KINDS[1], shared=False, calls=[([5], Fraction(1, 7))])
-@example(kind=KINDS[0], shared=True, calls=[([3, 0, 0], Fraction(1, 1000))])
-@example(kind=KINDS[9], shared=True, calls=[([4, 1, -3], Fraction(1, 2 ** 40)),
-                                           ([0, 7, 0, -2 ** 70], Fraction(3, 10 ** 9))])
+@example(kind=KINDS[1], shared=True, calls=[([0, 0, 0], (1, 100)),
+                                           ([19, -5, -8], (1, 10 ** 15))])
+@example(kind=KINDS[1], shared=False, calls=[([5], (1, 7))])
+@example(kind=KINDS[0], shared=True, calls=[([3, 0, 0], (1, 1000))])
+@example(kind=KINDS[9], shared=True, calls=[([4, 1, -3], (1, 2 ** 40)),
+                                           ([0, 7, 0, -2 ** 70], (3, 10 ** 9))])
 @example(kind=KINDS[1], shared=True, calls=[([19, -5, -8], (6, 8 * 10 ** 12))])
 def test_power_form_residual_equals_enclosure_arithmetic(kind, shared, calls):
     spec = kind[0]
     cache, ref = _caches(shared)
     for coeffs, w in calls:
         at = (ref or FractionConstantCache()).enclose
-        # a width may be an unreduced integer pair (num, den)
-        value = Fraction(*w) if isinstance(w, tuple) else w
         assert power_form_residual(PowerForm(coeffs), spec, w, cache) == \
-            enclosure_power_form_residual(coeffs, lambda x: at(spec, x), value)
+            enclosure_power_form_residual(coeffs, lambda x: at(spec, x), Fraction(*w))
 
 
 @PROPERTY
@@ -558,14 +585,15 @@ def test_power_form_residual_equals_enclosure_arithmetic(kind, shared, calls):
        calls=st.lists(st.tuples(multipliers, multipliers, multipliers, residual_widths),
                       min_size=1, max_size=6))
 @example(angle=Fraction(1, 2), shared=True,
-         calls=[(a, c, d, Fraction(1, 10 ** 6)) for a in (-1, 2) for c in (-3, 0, 2)
+         calls=[(a, c, d, (1, 10 ** 6)) for a in (-1, 2) for c in (-3, 0, 2)
                 for d in (-5, 0, 4)])
 def test_trig_residual_equals_enclosure_arithmetic(angle, shared, calls):
     cache, ref = _caches(shared)
     for a, c, d, w in calls:
         at = (ref or FractionConstantCache()).enclose
         assert trig_residual((a, c, d), angle, w, cache) == enclosure_trig_residual(
-            (a, c, d), lambda x: at(CosOf(angle), x), lambda x: at(SinOf(angle), x), w)
+            (a, c, d), lambda x: at(CosOf(angle), x), lambda x: at(SinOf(angle), x),
+            Fraction(*w))
 
 
 SERIES_KINDS = [spec for spec, _ in KINDS if not isinstance(spec, verify._RADICALS)]
@@ -589,9 +617,9 @@ def _assert_rounded(rounded, exact, j):
 @given(spec=st.sampled_from(SERIES_KINDS), shared=st.booleans(),
        calls=st.lists(st.tuples(multipliers, multipliers, residual_widths, round_bits),
                       min_size=1, max_size=6))
-@example(spec=E(), shared=True, calls=[(7, 3, Fraction(1, 10 ** 6), 0),
-                                        (2 ** 80, 3 ** 50, Fraction(1, 1000), 22),
-                                        (-5, -(2 ** 90), Fraction(1, 2 ** 300), 420)])
+@example(spec=E(), shared=True, calls=[(7, 3, (1, 10 ** 6), 0),
+                                        (2 ** 80, 3 ** 50, (1, 1000), 22),
+                                        (-5, -(2 ** 90), (1, 2 ** 300), 420)])
 def test_pair_residual_rounds_outward(spec, shared, calls):
     # round_to changes nothing the cache does: both caches see equal requests
     caches = (ConstantCache(), ConstantCache()) if shared else (None, None)
@@ -605,7 +633,7 @@ def test_pair_residual_rounds_outward(spec, shared, calls):
        calls=st.lists(st.tuples(multipliers, multipliers, multipliers, residual_widths,
                                 round_bits), min_size=1, max_size=6))
 @example(angle=Fraction(1, 3), shared=True,
-         calls=[(a, c, d, Fraction(1, 10 ** 9), j) for a in (-1, 2) for c in (-3, 0, 2 ** 70)
+         calls=[(a, c, d, (1, 10 ** 9), j) for a in (-1, 2) for c in (-3, 0, 2 ** 70)
                 for d in (-(5 ** 30), 0, 4) for j in (3, 40)])
 def test_trig_residual_rounds_outward(angle, shared, calls):
     caches = (ConstantCache(), ConstantCache()) if shared else (None, None)
@@ -791,7 +819,7 @@ def test_power_form_residual_does_no_fraction_arithmetic(monkeypatch):
        angle=st.sampled_from(TRIG_ANGLES), w=residual_widths, g=st.integers(1, 2 ** 70))
 def test_residuals_take_an_unreduced_width_pair(kind, p, q, angle, w, g):
     # a pair (num, den) is the width num/den, whatever factor they share
-    pair = (w.numerator * g, w.denominator * g)
+    pair = (w[0] * g, w[1] * g)
     assert pair_residual(p, q, kind[0], pair) == pair_residual(p, q, kind[0], w)
     assert trig_residual((p, q, -p), angle, pair) == trig_residual((p, q, -p), angle, w)
     assert power_form_residual(PowerForm((p, q)), kind[0], pair) == \
