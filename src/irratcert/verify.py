@@ -424,6 +424,9 @@ class Family(NamedTuple):
     layout: Layout
     rows: Callable
     doc: str
+    # bits per index by which row n's residual sits below its bound: 2 for a
+    # Niven family, whose residual carries max x^n (1-x)^n = 4^-n over [0, 1]
+    sink: int = 0
 
 
 FAMILIES = {
@@ -459,12 +462,12 @@ FAMILIES = {
         EPow, PAIR, lambda c: niven_rows(c.k, 1),
         "alternating derivative functional of x^n (1-x)^n / n!; "
         "F(1) e^k - F(0) equals the integral of e^(kx) k^(2n+1) f_n, "
-        "positive and below e^k k^(2n+1)/n!."),
+        "positive and below e^k k^(2n+1)/n!.", sink=2),
     "e-rat": Family(
         ERational, PAIR, lambda c: niven_rows(c.r.numerator, c.r.denominator),
         "same functional driven by p/q: F(1) e^(p/q) - F(0) equals "
         "(p^(2n+1)/q) times the integral of e^(px/q) f_n, nonzero and "
-        "below |p|^(2n+1) max(1, e^(p/q)) / (n! q)."),
+        "below |p|^(2n+1) max(1, e^(p/q)) / (n! q).", sink=2),
     "sin-inv": Family(
         SinInv, PAIR, lambda c: trig_rows(c.m, 3),
         "sine series at 1/m cleared of denominators: q = m^(4n-1)(4n-1)!; "
@@ -479,7 +482,7 @@ FAMILIES = {
         "Gaussian-integer functional at angle p/q in (0, pi]: the triple "
         "(a, c, d) satisfies 0 < |c cos(p/q) - d sin(p/q) - a| < "
         "p^(2n+1)/(n! q), certifying that cos and sin of the angle "
-        "cannot both be rational."),
+        "cannot both be rational.", sink=2),
 }
 
 
@@ -519,19 +522,22 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     """Certificate for rows n = 1 .. n_max: the first n_max of the family's rows(c).
 
-    Per row the residual enclosure is computed at width w/16^r, w = bound/1000
-    or the override, then narrowed by 16 until both checks are decided: zero
-    is excluded (or the residual is exactly zero), and the enclosure sits
-    entirely below or entirely at-or-above the bound.  Without the second
-    condition an enclosure straddling the bound would fail a row the
-    mathematics actually satisfies.  r is the number of narrowings the row
-    before needed in all, 0 for the first row: the residuals of the Niven
-    families shrink about 4^n faster than their bounds, so a row usually
-    needs at least the depth of the one before.  Every width tried is
-    w/16^j for some j, so a row whose depth does not drop is decided at the
-    width a fresh start would reach.  The widths travel from here to the
-    constant's grid as unreduced integer pairs (num, den), den shifted left
-    4 bits per narrowing, so no try divides a Fraction.
+    Per row n the residual enclosure is computed at width w/16^r, w =
+    bound/1000/2^(sink n) or the override as given, then narrowed by 16
+    until both checks are decided: zero is excluded (or the residual is
+    exactly zero), and the enclosure sits entirely below or entirely
+    at-or-above the bound.  Without the second condition an enclosure
+    straddling the bound would fail a row the mathematics actually
+    satisfies.  sink is the family's bits per index between residual and
+    bound: 2 for the Niven families, whose residual carries the 4^-n
+    maximum of x^n (1-x)^n, so their rows settle on the first try.  r is
+    the number of narrowings the row before needed in all, 0 for the first
+    row, as a row usually needs at least the depth of the one before.
+    Every width tried is w/16^j for some j, so a row whose depth does not
+    drop is decided at the width a fresh start would reach.  The widths
+    travel from here to the constant's grid as unreduced integer pairs
+    (num, den), den shifted left 4 bits per narrowing, so no try divides a
+    Fraction.
 
     The verdict also requires the final residual magnitude to sit below the
     first when n_max >= 2 and every row passes.  That comparison is decided,
@@ -559,7 +565,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if n_max > sys.maxsize:
         raise ValueError(f"n_max must be <= {sys.maxsize}")
     try:
-        kind, layout, rows_of, _ = FAMILIES[family]
+        kind, layout, rows_of, _, sink = FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; known families: {known}") from None
@@ -574,15 +580,15 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
             raise ValueError("width override must be positive")
         max_width = max_width.as_integer_ratio()
 
-    def first_width(bound, depth):
-        num, den = max_width or (bound.numerator, bound.denominator * 1000)
+    def first_width(n, bound, depth):
+        num, den = max_width or (bound.numerator, bound.denominator * 1000 << sink * n)
         return num, den << 4 * depth
     built = list(islice(rows_of(c), n_max))
     cache = ConstantCache()
     # one kernel call per constant, at about what the last row's first try asks:
     # a residual asks for its width over about its largest integer
     ints, bound = built[-1]
-    u, v = first_width(bound, 0)
+    u, v = first_width(n_max, bound, 0)
     bits = max(x.bit_length() for x in ints) + 8
     for spec in cache.trig_specs(c.x) if layout is TRIG else (c,):
         cache.grid(spec, u, v << bits)
@@ -590,7 +596,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     depth = 0
     for n, (ints, bound) in enumerate(built, 1):
         term = LinearForm(layout, ints)
-        start = first_width(bound, depth)
+        start = first_width(n, bound, depth)
         settled, width = _settle(n, term, c, bound, start, cache)
         # each narrowing multiplies the denominator by 16, 4 more bits
         depth += (width[1].bit_length() - start[1].bit_length()) // 4

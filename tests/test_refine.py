@@ -81,8 +81,9 @@ def test_cli_reports_a_bad_budget(monkeypatch, capsys, raw):
 
 
 def test_cli_reports_an_exhausted_budget(monkeypatch, capsys):
+    # the override is the literal start width, so row 6 needs a narrowing
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
-    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "6"]) == 1
+    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "6", "--width", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

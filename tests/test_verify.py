@@ -141,10 +141,10 @@ def test_certify_decay_check_catches_growth():
 
 
 def test_certify_decides_the_decay_check(monkeypatch, capsys):
-    # row 19 sits far below row 1, but the enclosure that settles row 19's
-    # own checks is wide enough to overlap row 1's; the decay comparison
-    # narrows both rows until it is decided.  Of the DECAY_GRID runs, only
-    # this one needs a second decay try.
+    # at the override width 1 each row settles its own checks on an enclosure
+    # wide enough to overlap the other row's (row 2 about -0.996, row 1 about
+    # -1.124); the decay comparison narrows both rows until it is decided.
+    # From their default start no DECAY_GRID run needs a second decay try.
     decay_tries = []
 
     def counting_refine(attempt, width, what, shrink=2):
@@ -156,7 +156,7 @@ def test_certify_decides_the_decay_check(monkeypatch, capsys):
             return attempt(w)
         return refine(counted, width, what, shrink)
     monkeypatch.setattr(verify, "refine", counting_refine)
-    assert main(["cert", "--family", "e-pow", "--k", "6", "--n-max", "19",
+    assert main(["cert", "--family", "e-rat", "--r=-3/2", "--n-max", "2", "--width", "1",
                  "--format", "json"]) == 0
     assert len(decay_tries) > 1
     data = Certificate.from_json(capsys.readouterr().out)
@@ -715,9 +715,9 @@ FAMILY_CONSTANTS = {
 # series residuals were not yet rounded: rounding must cost no narrowing
 RESIDUAL_EVALS = {
     "sqrt": (30, 120), "root": (30, 120), "e": (30, 121), "inv-e": (30, 120),
-    "e-squared": (30, 120), "e-squared-naive": (30, 120), "e-pow": (44, 178),
-    "e-rat": (43, 178), "sin-inv": (30, 120), "cos-inv": (30, 120),
-    "trig-angle": (43, 178),
+    "e-squared": (30, 120), "e-squared-naive": (30, 120), "e-pow": (30, 120),
+    "e-rat": (30, 120), "sin-inv": (30, 120), "cos-inv": (30, 120),
+    "trig-angle": (30, 120),
 }
 
 
@@ -734,11 +734,35 @@ def test_certify_residual_evaluation_counts(monkeypatch, family, n_max, want):
 def test_certify_kernel_call_budget(monkeypatch, family, n_max):
     # one fill per cached constant (cos and sin for trig-angle) at the last
     # row's first precision, and at most one doubling for the narrowings past
-    # it; a bound's coarse estimate enters the kernel through sequences
+    # it; a bound's coarse estimate enters the kernel through sequences.  A
+    # Niven row starts at its 4^-n depth, so nothing narrows past the fill.
     c = FAMILY_CONSTANTS[family]
     _, calls = _kernel_calls(monkeypatch, family, c, n_max)
     assert calls[0] == c
     assert len(calls) <= (5 if family == "trig-angle" else 3)
+    if FAMILIES[family].sink:
+        assert calls == ([c, SinOf(c.x)] if family == "trig-angle" else [c])
+
+
+NIVEN_PLAN = [("e-pow", EPow(k)) for k in range(1, 7)]
+NIVEN_PLAN += [("e-rat", ERational(r)) for r in sorted({Fraction(a, b) for a in range(-4, 5) if a
+                                                        for b in range(1, 6)})]
+NIVEN_PLAN += [("trig-angle", CosOf(x)) for x in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2),
+                                                  Fraction(1), Fraction(8, 5), Fraction(2),
+                                                  Fraction(7, 3), Fraction(5, 2), Fraction(3),
+                                                  Fraction(31, 10))]
+
+
+@pytest.mark.parametrize("family, c", NIVEN_PLAN)
+def test_niven_rows_start_at_their_depth(monkeypatch, family, c):
+    # the family's sink, 2 bits per index, is where its residual sits below its
+    # bound (max x^n (1-x)^n = 4^-n): started there, no row narrows and the
+    # decay check needs no second try, so there is one evaluation per row.
+    # At 31/10 row 200 still sits above row 1: the verdict is violated:200.
+    assert FAMILIES[family].sink == 2
+    cert, evals = _residual_evals(monkeypatch, family, c, 200)
+    assert all(row.nonzero_ok and row.bound_ok for row in cert.rows)
+    assert evals == 200
 
 
 @pytest.mark.parametrize("family, c, n_max", [
@@ -759,6 +783,9 @@ def test_kernel_calls_at_the_bound_width(monkeypatch, family, c, n_max):
     reads = family in ("sqrt", "root", "e-squared", "e-pow") or family == "e-rat" and c.r > 0
     assert widths.count(_BOUND_WIDTH) == reads
     assert len(widths) <= (5 if family == "trig-angle" else 3)
+    if FAMILIES[family].sink:
+        # a Niven certificate makes only the fill and the bound's estimate
+        assert len(widths) == (2 if family == "trig-angle" else 1) + reads
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
