@@ -8,7 +8,19 @@ sits in bin floor(k*n*value) mod n, and an enclosure [lo, hi] settles every
 floor exactly when no m/k with k <= n lies in (n*lo, n*hi]: when n*hi and
 the simplest rational inside (n*lo, n*hi) both have denominators above n.
 All of [n*lo, n*hi] then shares those floors, so they are read off that
-simplest p/q, whose terms are typically word-sized.
+simplest P/Q, whose terms are typically word-sized: multiple k sits at
+r_k = k*P mod nQ on a circle of length nQ, in bin r_k // Q.
+
+The shared bin is found by walking those points upward from r_0 = 0 in
+position order.  By the three-distance theorem (Sos, 1958) the point after
+r_k is r_(k+a) if k + a <= n, else r_(k-b) if k >= b, else r_(k+a-b), where
+a and b are the k in 1..n with the least and the greatest r_k: the
+denominators of the neighbours of P/nQ in the Farey sequence of order n.
+Each step repeats while its condition holds, so a run of one step is an
+arithmetic progression: the walk crosses the part of a run that lies in
+one bin, or whose points are each alone in a bin, in one move.  It stops
+when it leaves the first bin it saw two points in, and keeps a few
+integers, never a list of the n+1 multiples.
 """
 
 from __future__ import annotations
@@ -47,21 +59,92 @@ def simplest_between(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
         xn, xd, yn, yd = yd, yn - a * yd, xd, r
 
 
-def _floors(enc: Enclosure, n: int):
-    """floor(k*n*value) for k = 0..n, or None if enc leaves any one open."""
+def _rotation(enc: Enclosure, n: int):
+    """(P, Q) with floor(k*n*value) = floor(k*P/Q) for k = 0..n and every
+    value in enc, or None if enc leaves any one open."""
     (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
-    p, q = n * a, da
-    if (a, da) != (b, db):
-        # b is prime to db, so db // gcd(n, db) is the denominator of n*hi
-        if db // gcd(n, db) <= n:
-            return None
-        p, q = simplest_between(p, q, n * b, db)
-        if q <= n:
-            return None
-    return [k * p // q for k in range(n + 1)]
+    if (a, da) == (b, db):
+        return n * a, da
+    # b is prime to db, so db // gcd(n, db) is the denominator of n*hi
+    if db // gcd(n, db) <= n:
+        return None
+    p, q = simplest_between(n * a, da, n * b, db)
+    return None if q <= n else (p, q)
+
+
+def _farey_neighbours(x: int, m: int, n: int) -> tuple[int, int]:
+    """Denominators (a, b) of the neighbours u/a < x/m < v/b in the Farey
+    sequence of order n, for 0 < x/m < 1 not in it: a Stern-Brocot descent
+    that takes each run of moves to one side in one jump."""
+    u, a, v, b = 0, 1, 1, 1
+    while a + b <= n:
+        below, above = x * a - u * m, v * m - x * b
+        if (u + v) * m < x * (a + b):
+            t = min((below - 1) // above, (n - a) // b)
+            u, a = u + t * v, a + t * b
+        else:
+            t = min((above - 1) // below, (n - b) // a)
+            v, b = v + t * u, b + t * a
+    return a, b
+
+
+def _shared_bin(P: int, Q: int, n: int) -> tuple[int, int]:
+    """The two least k in 0..n in the lowest of the n bins of width Q that
+    holds two of the points k*P mod nQ."""
+    m = n * Q
+    period = m // gcd(P, m)
+    if period <= n:
+        # the points repeat, and a point off 0 is at least m / period >= Q
+        # from it: bin 0 holds just the multiples of the period
+        return 0, period
+    a, b = _farey_neighbours(P % m, m, n)
+    ra, rb = a * P % m, m - b * P % m
+
+    def run(k, d):
+        """How many more steps d follow k: +a while k + a <= n, -b while
+        k >= b, and a - b while neither holds."""
+        if d == a:
+            return (n - k) // a
+        if d == -b:
+            return k // b
+        return (b - 1 - k) // d + 1 if d > 0 else (k - n + a - 1) // -d + 1
+
+    k = r = k1 = 0
+    k2, top = n + 1, Q       # k2 = n + 1 until the bin below top holds two
+    while True:
+        if k + a <= n:
+            d, g = a, ra
+        elif k >= b:
+            d, g = -b, rb
+        else:
+            d, g = a - b, ra + rb
+        k, r = k + d, r + g
+        if r < top:
+            # k and the next i points of its run share this bin, and the
+            # least two of them are at one end
+            i = min(run(k, d), (top - 1 - r) // g)
+            lo = k if d > 0 else k + i * d
+            hi = lo + abs(d) if i else n + 1
+            k1, k2 = (lo, min(k1, hi)) if lo < k1 else (k1, min(k2, lo))
+            k, r = k + i * d, r + i * g
+        elif k2 <= n:
+            return k1, k2
+        else:
+            if g >= Q:
+                # each later point of the run is alone in its bin: go to the last
+                t = run(k, d)
+                k, r = k + t * d, r + t * g
+            k1, top = k, (r // Q + 1) * Q
 
 
 def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
+    """Dirichlet's pair for c at n: 0 < q <= n with |q*c - p| < 1/n.
+
+    Of the multiples k*c, k = 0..n, the two least k in the lowest bin
+    [j/n, (j+1)/n) that holds two fractional parts give q = k2 - k1 and p
+    the difference of their integer parts; the residual q*c - p is enclosed
+    from the enclosure that settled every bin.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     # Each multiple k*value, k <= n, must sit inside a single bin with margin;
@@ -69,19 +152,13 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # whenever a floor or bin assignment stays ambiguous.
     def pin(width):
         enc = enclose(c, Fraction(*width))
-        floors = _floors(enc, n)
-        return None if floors is None else (enc, floors)
+        rotation = _rotation(enc, n)
+        return None if rotation is None else (enc, rotation)
 
-    enc, floors = refine(pin, (1, 4 * n * n * (n + 1)),
+    enc, (P, Q) = refine(pin, (1, 4 * n * n * (n + 1)),
                          f"bins for {canonical_text(c)} at n={n}")
-
-    # smallest bin holding two multiples, and the first two k in it
-    bins = [f % n for f in floors]
-    s = sorted(bins)
-    j = next(a for a, b in zip(s, s[1:]) if a == b)
-    k1 = bins.index(j)
-    k2 = bins.index(j, k1 + 1)
-    p, q = floors[k2] // n - floors[k1] // n, k2 - k1
+    k1, k2 = _shared_bin(P, Q, n)
+    p, q = k2 * P // (n * Q) - k1 * P // (n * Q), k2 - k1
     # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z
     residual = Enclosure(k2 * enc.lo - k1 * enc.hi - p, k2 * enc.hi - k1 * enc.lo - p)
     return PigeonholeResult(n=n, p=p, q=q, residual=residual)

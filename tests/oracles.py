@@ -12,7 +12,9 @@ jump's one-simple-root test.  Agreement
 between a library value and its oracle twin is the point of most tests, so
 nothing in this file may call back into the code paths it checks.  The two
 exceptions are not oracles but readers of library internals that the tests
-check against oracles: `bin_placements` and `is_squarefree`.
+check against oracles: `bin_placements` and `is_squarefree`.  The pigeonhole
+bins have a second oracle, `sorted_shared_bin`, the sort-and-scan the
+three-distance walk replaced.
 """
 
 import csv
@@ -24,7 +26,7 @@ from math import ceil, comb, factorial, floor, gcd, lcm
 from irratcert.constants import Root, Sqrt, enclose
 from irratcert.enclosure import Enclosure
 from irratcert.intpoly import IntPolynomial, poly_gcd
-from irratcert.pigeonhole import _floors
+from irratcert.pigeonhole import _rotation
 
 
 def sqrt_ring_power(m: int, z: int, exponent: int) -> tuple[int, int]:
@@ -179,10 +181,25 @@ def root_form_binomials(a: int, m: int, z: int, n: int) -> tuple[int, ...]:
 
 def bin_placements(enc: Enclosure, n: int):
     """(floor, bin) of k*value for k = 0..n, or None if any one is ambiguous:
-    `pigeonhole._floors` read as divmod(floor(k*n*value), n), settled exactly
-    when every value in enc gives that floor."""
-    floors = _floors(enc, n)
-    return None if floors is None else [divmod(f, n) for f in floors]
+    the rotation (P, Q) of `pigeonhole._rotation` read as
+    divmod(floor(k*P/Q), n), settled exactly when every value in enc gives
+    that floor."""
+    rotation = _rotation(enc, n)
+    if rotation is None:
+        return None
+    P, Q = rotation
+    return [divmod(k * P // Q, n) for k in range(n + 1)]
+
+
+def sorted_shared_bin(P: int, Q: int, n: int) -> tuple[int, int]:
+    """The two least k in 0..n in the lowest bin holding two of the floors
+    floor(k*P/Q) mod n: all n+1 bins listed, sorted, scanned for the first
+    repeat, and the repeated bin looked up twice in the list."""
+    bins = [k * P // Q % n for k in range(n + 1)]
+    s = sorted(bins)
+    j = next(x for x, y in zip(s, s[1:]) if x == y)
+    k1 = bins.index(j)
+    return k1, bins.index(j, k1 + 1)
 
 
 def is_squarefree(f: IntPolynomial) -> bool:

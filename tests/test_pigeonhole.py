@@ -1,20 +1,21 @@
 """Tests for the bin-collision construction and the fractional-part criterion."""
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial, floor, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irratcert import pigeonhole
 from irratcert.constants import (CosInv, E, EPow, ERational, InvE, Root,
                                  SinInv, SinOf, Sqrt, parse_constant)
 from irratcert.enclosure import Enclosure
-from irratcert.pigeonhole import (fractional_residual, pigeonhole_approximant,
-                                  simplest_between)
+from irratcert.pigeonhole import (_farey_neighbours, _shared_bin, fractional_residual,
+                                  pigeonhole_approximant, simplest_between)
 
-from oracles import bin_placements, fraction_bin_placements, sqrt_bracket
+from oracles import bin_placements, fraction_bin_placements, sorted_shared_bin, sqrt_bracket
 
 
 def test_worked_examples():
@@ -249,6 +250,22 @@ PIGEONHOLE_PINS = [
 ]
 
 
+# Recorded at n = 10^6 while the shared bin was still found by sorting the
+# n+1 bins, in the same shape.
+MILLION_PINS = [
+    ('e', 10 ** 6, 1084483, 398959, '232389438063647575/1208925819614629174706176',
+     '232389457875153597/1208925819614629174706176', 1),
+    ('sqrt:2', 10 ** 6, 665857, 470832, '-3462970568561/4611686018427387904',
+     '-3462969707679/4611686018427387904', 1),
+    ('sin:5/7', 10 ** 6, 351560, 536669, '2121250891224063/2361183241434822606848',
+     '135760059278933107/151115727451828646838272', 1),
+    ('cos:-11/4', 10 ** 6, -520666, 563307,
+     '-1533603003487855391/4835703278458516698824704',
+     '-1533602370979335275/4835703278458516698824704', 1),
+    ('algroot:-2,3@0,1', 10 ** 6, 2, 3, '0', '0', 1),
+]
+
+
 def test_pigeonhole_pins(monkeypatch):
     calls, original_enclose = [], pigeonhole.enclose
 
@@ -257,7 +274,7 @@ def test_pigeonhole_pins(monkeypatch):
         return original_enclose(c, width)
 
     monkeypatch.setattr(pigeonhole, "enclose", counting_enclose)
-    for constant, n, p, q, lo, hi, tries in PIGEONHOLE_PINS:
+    for constant, n, p, q, lo, hi, tries in PIGEONHOLE_PINS + MILLION_PINS:
         calls.clear()
         r = pigeonhole_approximant(parse_constant(constant), n)
         assert (r.p, r.q, r.residual.lo, r.residual.hi, len(calls)) == (
@@ -317,9 +334,10 @@ def test_simplest_between_has_the_least_denominator(interval):
 
 
 def test_ambiguous_try_builds_nothing_per_multiple(monkeypatch):
-    """Each per-multiple list in the module is built over range(n + 1); a
-    try whose enclosure leaves a floor open builds none, and the whole
-    approximant builds one, however many tries it makes."""
+    """No try builds anything per multiple: a try whose enclosure leaves a
+    floor open stops at the rotation, and a settled one walks the points
+    holding a few integers, so the module calls no range and the memory an
+    approximant takes does not grow with n."""
     n, lengths, tries = 1500, [], []
     original_enclose = pigeonhole.enclose
 
@@ -338,8 +356,59 @@ def test_ambiguous_try_builds_nothing_per_multiple(monkeypatch):
     assert bin_placements(Enclosure(Fraction(1, 3) - Fraction(1, 10 ** 9), Fraction(1, 3)),
                           3) is None
     assert bin_placements(Enclosure(Fraction(2), Fraction(3)), n) is None
-    assert lengths == []
     monkeypatch.setattr(pigeonhole, "enclose", widened_enclose)
     r = pigeonhole_approximant(E(), n)
     assert (r.p, r.q) == (2721, 1001)
-    assert len(tries) == 3 and lengths == [n + 1]
+    assert len(tries) == 3 and lengths == []
+    # one list of 10^6 + 1 floors alone would take 8 MB
+    monkeypatch.setattr(pigeonhole, "enclose", original_enclose)
+    tracemalloc.start()
+    try:
+        r = pigeonhole_approximant(Sqrt(2), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.p, r.q) == (665857, 470832) and peak < 64 * 1024
+
+
+@st.composite
+def rotations(draw):
+    """(P, Q, n): the rotation `_rotation` returns for an enclosure of some
+    width, Q > n, or any small Q; for a point a/d, P = n*a and Q = d, whose
+    points repeat when d <= n; or P/nQ just off a fraction u/s with s <= n + 2,
+    whose points line up in long runs of one step.  P may be negative."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["width", "point", "near"]))
+    if kind == "point":
+        d = draw(st.integers(1, 2 * n + 2))
+        return n * draw(st.integers(-10 * d, 10 * d)), d, n
+    if kind == "near":
+        s, w = draw(st.integers(1, n + 2)), draw(st.integers(1, 10 ** 6))
+        off = draw(st.integers(-1000, 1000))
+        return n * draw(st.integers(-3 * s, 3 * s)) * w + off, s * w, n
+    Q = draw(st.one_of(st.integers(1, n + 5), st.integers(n + 1, 10 ** 6)))
+    return draw(st.integers(-10 ** 3 * Q, 10 ** 3 * Q)), Q, n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rotation=rotations())
+@example(rotation=(1, 1501, 1500))
+@example(rotation=(2 * 10 ** 6, 3, 10 ** 6))
+@example(rotation=(-7, 5, 1))
+@example(rotation=(-1, 4, 3))
+@example(rotation=(-1, 2, 3))
+@example(rotation=(-4, 3, 5))
+def test_shared_bin_walk_matches_sorted_bins(rotation):
+    assert _shared_bin(*rotation) == sorted_shared_bin(*rotation)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rotation=rotations())
+def test_farey_neighbours_are_the_extreme_points(rotation):
+    # a and b are the k in 1..n at the least and the greatest k*P mod nQ
+    P, Q, n = rotation
+    m = n * Q
+    assume(m // gcd(P, m) > n)
+    points = [k * P % m for k in range(n + 1)]
+    a, b = _farey_neighbours(P % m, m, n)
+    assert points[a] == min(points[1:]) and points[b] == max(points[1:])
