@@ -66,17 +66,18 @@ def _grid_bits(u: int, v: int) -> int:
     return k + 1 if u << k < v else k
 
 
-def refine(attempt, width: tuple[int, int], what: str, shrink=2):
+def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None):
     """First non-None attempt(width), dividing width by shrink between tries.
 
     width is an integer pair (num, den) standing for num/den; it steps to
     (num, den * shrink) and reaches attempt as a pair, never reduced.  This
-    is the one budgeted refinement loop: it makes at most
-    refinement_budget() + 1 tries and then raises PrecisionExhausted, naming
-    `what`, the number of tries and the last width tried.
+    is the one budgeted refinement loop: it makes at most budget + 1 tries,
+    budget being refinement_budget() unless given, and then raises
+    PrecisionExhausted, naming `what`, the number of tries and the last
+    width tried.
     """
     num, den = width
-    tries = refinement_budget() + 1
+    tries = (refinement_budget() if budget is None else budget) + 1
     for i in range(tries):
         if i:
             den *= shrink

@@ -274,8 +274,16 @@ def _interval_horner(coeffs, a: int, b: int, k: int) -> tuple[int, int]:
     """(x, y) with [x, y] / 2^(kd) the exact interval Horner enclosure over
     [a, b] / 2^k, a <= b, of the polynomial with ascending coefficients
     coeffs, d = len(coeffs) - 1 >= 0: the accumulator after j multiplications
-    is [x, y] / 2^(kj), and each step adds the next coefficient << kj."""
+    is [x, y] / 2^(kj), and each step adds the next coefficient << kj.
+    Over a box with a >= 0 each step takes two products, not four: x t is
+    least at t = a when x >= 0, else at t = b, and y t greatest at t = b
+    when y >= 0, else at t = a."""
     x = y = coeffs[-1]
+    if a >= 0:
+        for j in range(1, len(coeffs)):
+            c = coeffs[-1 - j] << k * j
+            x, y = x * (a if x >= 0 else b) + c, y * (b if y >= 0 else a) + c
+        return x, y
     for j in range(1, len(coeffs)):
         c = coeffs[-1 - j] << k * j
         products = x * a, x * b, y * a, y * b

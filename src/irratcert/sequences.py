@@ -94,10 +94,13 @@ def root_forms(a: int, m: int):
 
 def root_rows(a: int, m: int):
     """The coefficients of root_forms(a, m) with the bound (hi - z)**(mn-1) on the
-    positive power they equal, hi the upper estimate of a**(1/m)."""
+    positive power they equal, hi the upper estimate of a**(1/m).  Each row's
+    bound is the last one times base**m, not a fresh power."""
     base = _upper(Root(a, m)) - integer_nth_root(a, m)
-    for n, form in enumerate(root_forms(a, m), 1):
-        yield form.coeffs, base ** (m * n - 1)
+    step, bound = base ** m, base ** (m - 1)
+    for form in root_forms(a, m):
+        yield form.coeffs, bound
+        bound *= step
 
 
 def sqrt_rows(m: int):

@@ -8,7 +8,8 @@ residual magnitude sits below the first; otherwise `violated:<n>` names the
 offending row.  Verdicts are data, not exceptions: a violated certificate
 is a meaningful result about a sequence that fails to shrink.  Residuals
 are formed on integers, the constant taken on a dyadic grid 2^-k, and both
-checks decided by integer cross-multiplication.
+checks decided on integers: by bit lengths, or failing that by
+cross-multiplication with a power-of-two denominator taken as a shift.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _exp_enclosure, _grid_bits, canonical_text,
                         enclose)
-from .enclosure import Enclosure, dyadic, refine
+from .enclosure import Enclosure, dyadic, refine, refinement_budget
 from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
@@ -48,7 +49,7 @@ class Layout:
     fields: tuple[str, ...]
     vector: bool
     evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None,
-                        int | None], Enclosure]
+                        int | None, int | None], Enclosure]
 
     def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
         if self.vector:
@@ -71,14 +72,15 @@ class LinearForm:
 
 
 # The evaluators look the residual functions up at call time, so rebinding
-# them on this module takes effect.  The last argument is the grid bits the
-# series residuals are rounded to; the power form ignores it.
+# them on this module takes effect.  The last two arguments are the grid bits
+# the series residuals are rounded to, which the power form ignores, and the
+# refinement budget of the power form's own narrowing, which the others ignore.
 PAIR = Layout(("p", "q"), False,
-              lambda ints, c, w, cache, j: pair_residual(*ints, c, w, cache, round_to=j))
-FORM = Layout(("coeffs",), True,
-              lambda ints, c, w, cache, j: power_form_residual(PowerForm(ints), c, w, cache))
+              lambda ints, c, w, cache, j, budget: pair_residual(*ints, c, w, cache, round_to=j))
+FORM = Layout(("coeffs",), True, lambda ints, c, w, cache, j, budget:
+              power_form_residual(PowerForm(ints), c, w, cache, budget))
 TRIG = Layout(("a", "c", "d"), False,
-              lambda ints, c, w, cache, j: trig_residual(ints, c.x, w, cache, round_to=j))
+              lambda ints, c, w, cache, j, budget: trig_residual(ints, c.x, w, cache, round_to=j))
 LAYOUTS = (PAIR, FORM, TRIG)
 
 
@@ -345,10 +347,11 @@ def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) ->
     return _linear(p, ((q, c),), num, den * abs(q), cache or ConstantCache(), round_to)
 
 
-def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
+def power_form_residual(form: PowerForm, c, max_width, cache=None, budget=None) -> Enclosure:
     """Enclosure of sum(d_l * value^l), no wider than max_width: interval
     Horner on the grid answer [a, z] / 2^k at width num/den / (slope + 1) / 2^j,
-    j = 0, 1, ..., until it fits, the slope bounded on the grid answer at 1/4."""
+    j = 0, 1, ..., until it fits, the slope bounded on the grid answer at 1/4.
+    budget caps the narrowings as in `refine`."""
     num, den = _width(max_width)
     if form.is_zero():
         return Enclosure.point(0)
@@ -364,12 +367,13 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     def attempt(width):
         k, a, z = cache.grid(c, *width)
         x, y = _interval_horner(coeffs, a, z, k)
-        # [x, y] / 2^(k deg) is at most num/den wide, cross-multiplied
-        fits = (y - x) * den <= num << k * deg
+        # [x, y] / 2^(k deg) is at most num/den wide: num/den < (y - x) / 2^(k deg)
+        # fails, decided by `_less` on bit lengths first
+        fits = not _less(num, den, y - x, 1 << k * deg)
         return Enclosure._grid(x, y, k * deg) if fits else None
 
     # the widths num/den / (slope + 1) / 2^j, as unreduced integer pairs
-    return refine(attempt, (num * t, den * s), "power form residual")
+    return refine(attempt, (num * t, den * s), "power form residual", budget=budget)
 
 
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
@@ -387,27 +391,43 @@ def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
                    round_to)
 
 
+def _less(x: int, b: int, u: int, v: int) -> bool:
+    """x/b < u/v for x >= 0 and positive b and v, that is x v < u b.  The bit
+    lengths of the two sides decide unless they lie within one bit of each
+    other; only then are the sides formed, a power-of-two factor as a shift."""
+    if u <= 0 or not x:
+        return u > 0
+    # x v has x.bit_length() + v.bit_length() bits or one fewer, and so has u b
+    d = x.bit_length() + v.bit_length() - u.bit_length() - b.bit_length()
+    if d > 1 or d < -1:
+        return d < 0
+    lhs = x << v.bit_length() - 1 if v & (v - 1) == 0 else x * v
+    rhs = u << b.bit_length() - 1 if b & (b - 1) == 0 else u * b
+    return lhs < rhs
+
+
 def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
-    """(nonzero_ok, bound_ok, decided) of enc against zero and the bound, by
-    integer products of numerators and (positive) denominators: zero is
-    excluded; |x| < bound on enc; zero is excluded or enc is a point, and
-    enc sits entirely below the bound or entirely at or above it."""
+    """(nonzero_ok, bound_ok, decided) of enc against zero and the bound:
+    zero is excluded; |x| < bound on enc; zero is excluded or enc is a point,
+    and enc sits entirely below the bound or entirely at or above it.  Off
+    zero, the end farthest from zero settles bound_ok and the nearest one
+    whether enc is at or above the bound, each by one `_less`."""
     (a, b), (c, d) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
     u, v = bound.as_integer_ratio()
-    nonzero = a > 0 or c < 0
-    below = abs(a) * v < u * b and abs(c) * v < u * d
-    # min |x| over enc is 0 when enc holds zero
-    above = abs(a) * v >= u * b and abs(c) * v >= u * d if nonzero else u <= 0
-    # an enclosure holding zero is a point only at zero
-    return nonzero, below, (nonzero or a == c == 0) and (below or above)
+    if a > 0 or c < 0:
+        (far, far_den), (near, near_den) = ((c, d), (a, b)) if a > 0 else ((-a, b), (-c, d))
+        below = _less(far, far_den, u, v)
+        return True, below, below or not _less(near, near_den, u, v)
+    # enc holds zero, so it is decided only as the point 0
+    return False, _less(-a, b, u, v) and _less(c, d, u, v), a == c == 0
 
 
-def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache):
+def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache, budget):
     """Row n with its residual at the width pair (num, den), once that settles
     both checks, else None.  A series residual is rounded outward to 12 bits
     past the width, which keeps it within the width."""
     j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
-    enc = term.layout.evaluate(term.ints, c, width, cache, j)
+    enc = term.layout.evaluate(term.ints, c, width, cache, j, budget)
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
     return CertRow(n, term, enc, bound, nonzero_ok, bound_ok) if decided else None
 
@@ -486,16 +506,18 @@ FAMILIES = {
 }
 
 
-def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int], cache):
+def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int], cache,
+            budget: int):
     """(row, width) at the first of (num, den), (num, 16 den), ... that decides
     row n, the widths as integer pairs."""
     def attempt(w):
-        row = _decided(n, term, bound, c, w, cache)
+        row = _decided(n, term, bound, c, w, cache, budget)
         return None if row is None else (row, w)
-    return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16)
+    return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16,
+                  budget=budget)
 
 
-def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
+def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache, budget: int):
     """(first, last, shrinks): the first and last rows, re-enclosed until
     |last| < |first| is decided, and whether it holds.
 
@@ -508,7 +530,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
         if s == 1:
             a, b = first, last
         else:
-            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache)
+            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache, budget)
                     for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None
@@ -516,7 +538,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache):
         shrinks = y.max_abs() < x.min_abs()
         return (a, b, shrinks) if shrinks or y.min_abs() >= x.max_abs() else None
     return refine(attempt, (1, 1), f"decay of row {last.n} against row {first.n}",
-                  shrink=16)
+                  shrink=16, budget=budget)
 
 
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
@@ -553,7 +575,8 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     trig-angle) at what the last row's first try asks for: its start width
     narrowed by the bits of its largest integer and 8 more.  Only a deeper
     narrowing calls the kernel again, so a certificate makes a few kernel
-    calls whatever its n_max.  Radical answers equal fresh enclosures;
+    calls whatever its n_max.  The refinement budget is read once, here, for
+    every narrowing loop of the call.  Radical answers equal fresh enclosures;
     series residual endpoints may change digits with the fill, while the
     flags and verdict, being decided, do not.  Every residual but a sqrt or
     root one is rounded outward to 2^-j, j 12 bits past the width tried,
@@ -579,6 +602,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         if max_width <= 0:
             raise ValueError("width override must be positive")
         max_width = max_width.as_integer_ratio()
+    budget = refinement_budget()
 
     def first_width(n, bound, depth):
         num, den = max_width or (bound.numerator, bound.denominator * 1000 << sink * n)
@@ -597,7 +621,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     for n, (ints, bound) in enumerate(built, 1):
         term = LinearForm(layout, ints)
         start = first_width(n, bound, depth)
-        settled, width = _settle(n, term, c, bound, start, cache)
+        settled, width = _settle(n, term, c, bound, start, cache, budget)
         # each narrowing multiplies the denominator by 16, 4 more bits
         depth += (width[1].bit_length() - start[1].bit_length()) // 4
         rows.append(settled)
@@ -606,7 +630,8 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if first_bad is not None:
         verdict = f"violated:{first_bad}"
     elif n_max >= 2:
-        rows[0], rows[-1], shrinks = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache)
+        rows[0], rows[-1], shrinks = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache,
+                                            budget)
         verdict = "nice" if shrinks else f"violated:{n_max}"
     else:
         verdict = "nice"

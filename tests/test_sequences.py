@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -10,13 +11,13 @@ from irratcert.errors import (BadIndexError, CapExceededError,
                               ChainMismatchError, DivisibilityViolationError,
                               PerfectPowerError, ZeroNumeratorError,
                               ZeroScaleError)
-from irratcert.sequences import (Approximant, BoundedBy, compose_chain,
+from irratcert.sequences import (_BOUND_WIDTH, Approximant, BoundedBy, compose_chain,
                                  cos_inv_m_approximant, e_approximant,
                                  e_squared_approximant, inv_e_approximant,
-                                 mth_root_form, reciprocal, rescale,
+                                 mth_root_form, reciprocal, rescale, root_rows,
                                  scaled_compose, sin_inv_m_approximant,
                                  sqrt_approximant)
-from irratcert.constants import E, EPow, InvE, SinInv, Sqrt, integer_nth_root
+from irratcert.constants import E, EPow, InvE, Root, SinInv, Sqrt, enclose, integer_nth_root
 from irratcert.verify import pair_residual
 
 from oracles import root_form_binomials, root_ring_power, sqrt_ring_power
@@ -82,6 +83,16 @@ def test_root_form_matches_binomial_sums():
         z = integer_nth_root(a, m)
         for n in range(1, 131):
             assert mth_root_form(a, m, n).coeffs == root_form_binomials(a, m, z, n), (a, m, n)
+
+
+@pytest.mark.parametrize("a, m", [(2, 2), (61, 2), (2, 3), (7, 4), (5, 6)])
+def test_root_rows_bound_is_the_fresh_power(a, m):
+    # each row's bound is the last one times base^m; it must be the power
+    # (hi - z)^(mn-1) itself, numerator and denominator alike
+    base = enclose(Root(a, m), _BOUND_WIDTH).hi - integer_nth_root(a, m)
+    for n, (_, bound) in enumerate(islice(root_rows(a, m), 200), 1):
+        fresh = base ** (m * n - 1)
+        assert (bound.numerator, bound.denominator) == (fresh.numerator, fresh.denominator), n
 
 
 def test_root_form_sqrt_consistency():

@@ -19,7 +19,7 @@ from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
                                  Root, SinInv, SinOf, Sqrt, enclose,
                                  integer_nth_root)
-from irratcert.enclosure import Enclosure, refine
+from irratcert.enclosure import Enclosure, dyadic, refine
 from irratcert.intpoly import _interval_horner
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
@@ -147,14 +147,14 @@ def test_certify_decides_the_decay_check(monkeypatch, capsys):
     # From their default start no DECAY_GRID run needs a second decay try.
     decay_tries = []
 
-    def counting_refine(attempt, width, what, shrink=2):
+    def counting_refine(attempt, width, what, shrink=2, budget=None):
         if not what.startswith("decay"):
-            return refine(attempt, width, what, shrink)
+            return refine(attempt, width, what, shrink, budget)
 
         def counted(w):
             decay_tries.append(w)
             return attempt(w)
-        return refine(counted, width, what, shrink)
+        return refine(counted, width, what, shrink, budget)
     monkeypatch.setattr(verify, "refine", counting_refine)
     assert main(["cert", "--family", "e-rat", "--r=-3/2", "--n-max", "2", "--width", "1",
                  "--format", "json"]) == 0
@@ -660,15 +660,22 @@ def _rationals(limit=10 ** 6, den=10 ** 6):
 
 
 @PROPERTY
-@given(ends=st.lists(_rationals(), min_size=2, max_size=2),
+@given(ends=st.lists(_rationals(), min_size=2, max_size=2)
+       | st.lists(_rationals().map(abs), min_size=2, max_size=2),
        coeffs=st.lists(multipliers, max_size=6), k=st.integers(0, 64))
 @example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2], k=0)
 @example(ends=[Fraction(1, 3), Fraction(1, 3)], coeffs=[0, 0, -7], k=0)
 @example(ends=[Fraction(-3, 2), Fraction(1, 3)], coeffs=[1, -3, 0, 2], k=5)
+@example(ends=[Fraction(0), Fraction(5, 3)], coeffs=[2, -1, 3, -4], k=0)
+@example(ends=[Fraction(0), Fraction(0)], coeffs=[-5, 2, 0, -1], k=3)
+@example(ends=[Fraction(7, 2), Fraction(7, 2)], coeffs=[-1, 4, -2, 1], k=3)
+@example(ends=[Fraction(1, 3), Fraction(9, 4)], coeffs=[5, -7, 0, 3, -1], k=2)
+@example(ends=[Fraction(2), Fraction(3)], coeffs=[-(2 ** 70), 3 ** 40, -1, 1], k=7)
 def test_interval_horner_equals_enclosure_horner(ends, coeffs, k):
     # the box is [A, B] / (D 2^k), D the common denominator of the ends:
     # f over it is g over [A, B] / 2^k, g_i = f_i D^(d - i), divided by D^d,
-    # and the route gives g there as [x, y] / 2^(kd)
+    # and the route gives g there as [x, y] / 2^(kd); a box with A >= 0
+    # takes the two-product steps, the one every root constant takes
     lo, hi = min(ends), max(ends)
     den = lcm(lo.denominator, hi.denominator)
     g = [c * den ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)] or [0]
@@ -690,8 +697,41 @@ def _enclosure_and_bound(draw):
     return Enclosure(min(lo, hi), max(lo, hi)), bound
 
 
-@PROPERTY
-@given(case=_enclosure_and_bound())
+@st.composite
+def _dyadics(draw, k_max=4000):
+    """n / 2^k in lowest terms, k up to k_max, |n / 2^k| up to 2^64."""
+    k = draw(st.integers(0, k_max))
+    return dyadic(draw(st.integers(-1 << k + 64, 1 << k + 64)), k)
+
+
+@st.composite
+def _dyadic_enclosure_and_bound(draw):
+    """Dyadic ends, denominators 2^0 to 2^4000, against a bound whose
+    denominator is a power of two (or, now and then, 1/n); an end is often
+    exactly 0, exactly +-bound, or +-bound moved by one unit 2^-j."""
+    bound = draw(_dyadics().map(abs) | st.integers(1, 10 ** 6).map(lambda n: Fraction(1, n)))
+    tie = st.sampled_from((1, -1)).map(lambda sign: sign * bound)
+    off = st.builds(lambda sign, step, j: sign * (bound + step * dyadic(1, j)),
+                    st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.integers(0, 4100))
+    end = st.just(Fraction(0)) | tie | off | _dyadics()
+    lo = draw(end)
+    hi = draw(st.just(lo) | end)
+    return Enclosure(min(lo, hi), max(lo, hi)), bound
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=_enclosure_and_bound() | _dyadic_enclosure_and_bound())
+@example(case=(Enclosure.point(0), dyadic(1, 4000)))
+@example(case=(Enclosure.point(dyadic(-5, 3000)), dyadic(5, 3000)))
+@example(case=(Enclosure(dyadic(-5, 3000), Fraction(0)), dyadic(5, 3000)))
+@example(case=(Enclosure(dyadic(5, 3000), dyadic(5, 2)), dyadic(5, 3000)))
+@example(case=(Enclosure(dyadic(2 ** 4000 - 1, 4001), dyadic(2 ** 4000 + 1, 4001)),
+               Fraction(1, 2)))
+@example(case=(Enclosure(dyadic(3, 4000), dyadic(7, 4000)), dyadic(7, 4000)))
+# sides whose bit-length sums are one apart, so the products decide:
+# 8/3 < 3 as 8 * 1 < 3 * 3, and 3 > 8/3 as 3 * 3 > 8 * 1
+@example(case=(Enclosure.point(Fraction(8, 3)), Fraction(3)))
+@example(case=(Enclosure.point(Fraction(3)), Fraction(8, 3)))
 @example(case=(Enclosure.point(0), Fraction(1, 2)))
 @example(case=(Enclosure.point(0), Fraction(0)))
 @example(case=(Enclosure(Fraction(-1, 2), Fraction(1, 2)), Fraction(1, 2)))
