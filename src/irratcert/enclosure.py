@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import floor
 
 from .errors import PrecisionExhausted
@@ -35,16 +34,24 @@ def refinement_budget() -> int:
 
 def _coprime_constructor(cls=Fraction):
     """The cheapest way to build a cls from a numerator and a positive
-    denominator already in lowest terms.  No public Fraction constructor
-    skips the gcd: Python 3.12 and later have `_from_coprime_ints`, 3.10 and
-    3.11 take `_normalize=False`, and anything else gets plain cls(n, d)."""
+    denominator already in lowest terms, taking no gcd: `_from_coprime_ints`
+    on Python 3.12 and later; on 3.10 and 3.11 object.__new__ with the two
+    slots set, as that method does, once a probe equals cls(n, d); and
+    plain cls(n, d) where the probe fails."""
     if hasattr(cls, "_from_coprime_ints"):
         return cls._from_coprime_ints
+
+    def coprime(n, d, new=object.__new__):
+        x = new(cls)
+        x._numerator, x._denominator = n, d
+        return x
     try:
-        cls(1, 2, _normalize=False)
-    except TypeError:
-        return cls
-    return partial(cls, _normalize=False)
+        probe, want = coprime(-3, 4), cls(-3, 4)
+        if type(probe) is cls and (probe, hash(probe), probe.numerator) == (want, hash(want), -3):
+            return coprime
+    except (TypeError, AttributeError):
+        pass
+    return cls
 
 
 _COPRIME = _coprime_constructor()
@@ -66,7 +73,7 @@ def _grid_bits(u: int, v: int) -> int:
     return k + 1 if u << k < v else k
 
 
-def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None):
+def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None, tried=0):
     """First non-None attempt(width), dividing width by shrink between tries.
 
     width is an integer pair (num, den) standing for num/den; it steps to
@@ -74,11 +81,12 @@ def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None):
     is the one budgeted refinement loop: it makes at most budget + 1 tries,
     budget being refinement_budget() unless given, and then raises
     PrecisionExhausted, naming `what`, the number of tries and the last
-    width tried.
+    width tried.  tried counts the caller's tries before, the last at width:
+    the loop then starts at width / shrink, and they count as its own.
     """
     num, den = width
     tries = (refinement_budget() if budget is None else budget) + 1
-    for i in range(tries):
+    for i in range(tried, tries):
         if i:
             den *= shrink
         result = attempt((num, den))
@@ -88,6 +96,14 @@ def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None):
     exponent = width.numerator.bit_length() - width.denominator.bit_length() + 1
     raise PrecisionExhausted(f"{what} not settled within the refinement budget "
                              f"(tries: {tries}, last width < 2^{exponent})")
+
+
+def _frozen(cls, **fields):
+    """The frozen dataclass cls holding fields, made without its __init__, so
+    without the checks of a __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -106,8 +122,7 @@ class Enclosure:
     @classmethod
     def _grid(cls, x: int, y: int, k: int) -> "Enclosure":
         """[x, y] / 2^k, its order checked on the integers, not as Fractions."""
-        enc = object.__new__(cls)   # frozen: the fields go into the instance dict
-        enc.__dict__.update(lo=dyadic(x, k), hi=dyadic(y, k))
+        enc = _frozen(cls, lo=dyadic(x, k), hi=dyadic(y, k))
         if x > y:
             raise ValueError(f"enclosure endpoints out of order: {enc.lo} > {enc.hi}")
         return enc

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .constants import ERational
+from .enclosure import _COPRIME
 from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
                      check_index)
 from .intpoly import _trimmed
@@ -119,14 +120,21 @@ def niven_rows(p: int, q: int, gaussian: bool = False):
     """(ints, bound) for row n = 1, 2, ... of functional_rows(p, q, gaussian):
     ints is (F(0), F(1)), or for an angle p/q that check_angle accepts the
     trig triple (a, c, d) = (a, a, -b) of F(0) = a + bi; bound is
-    top |p|^(2n+1) / (n! q), top the upper estimate of e^(p/q) for p > 0, else 1."""
+    top |p|^(2n+1) / (n! q), top the upper estimate of e^(p/q) for p > 0, else 1.
+
+    The bound is a coprime pair (num, den) taken times p^2 / n per row by two
+    gcds, each with one small operand, and made a Fraction by _COPRIME."""
     if gaussian:
         check_angle(p, q)
     top = _upper(ERational(Fraction(p, q))) if p > 0 and not gaussian else 1
-    bound = top * Fraction(abs(p), q)
+    num, den = (top * Fraction(abs(p), q)).as_integer_ratio()
+    pp = p * p
     for n, x in enumerate(functional_rows(p, q, gaussian), 1):
-        bound *= Fraction(p * p, n)
-        yield ((x[0], x[0], -x[1]) if gaussian else x), bound
+        g = gcd(num, n)     # a big side is divided only by a gcd above 1
+        num, den = (num // g if g > 1 else num), den * (n // g)
+        g = gcd(pp, den)
+        num, den = num * (pp // g), (den // g if g > 1 else den)
+        yield ((x[0], x[0], -x[1]) if gaussian else x), _COPRIME(num, den)
 
 
 def exp_functional_int(n: int, k: int) -> FPair:

@@ -27,7 +27,7 @@ from .algebraic import PowerForm
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _exp_enclosure, _grid_bits, canonical_text,
                         enclose)
-from .enclosure import Enclosure, dyadic, refine, refinement_budget
+from .enclosure import Enclosure, _frozen, dyadic, refine, refinement_budget
 from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
@@ -75,10 +75,11 @@ class LinearForm:
 # them on this module takes effect.  The last two arguments are the grid bits
 # the series residuals are rounded to, which the power form ignores, and the
 # refinement budget of the power form's own narrowing, which the others ignore.
+# root_rows yields a PowerForm's coefficients, so FORM skips their check.
 PAIR = Layout(("p", "q"), False,
               lambda ints, c, w, cache, j, budget: pair_residual(*ints, c, w, cache, round_to=j))
 FORM = Layout(("coeffs",), True, lambda ints, c, w, cache, j, budget:
-              power_form_residual(PowerForm(ints), c, w, cache, budget))
+              power_form_residual(_frozen(PowerForm, coeffs=ints), c, w, cache, budget))
 TRIG = Layout(("a", "c", "d"), False,
               lambda ints, c, w, cache, j, budget: trig_residual(ints, c.x, w, cache, round_to=j))
 LAYOUTS = (PAIR, FORM, TRIG)
@@ -429,7 +430,8 @@ def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache, budget)
     j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
     enc = term.layout.evaluate(term.ints, c, width, cache, j, budget)
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
-    return CertRow(n, term, enc, bound, nonzero_ok, bound_ok) if decided else None
+    return _frozen(CertRow, n=n, term=term, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
+                   bound_ok=bound_ok) if decided else None
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +510,13 @@ FAMILIES = {
 
 def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int], cache,
             budget: int):
-    """(row, width) at the first of (num, den), (num, 16 den), ... that decides
-    row n, the widths as integer pairs."""
+    """(row, width) at the first of (num, 16 den), (num, 256 den), ... that
+    decides row n, the caller's try at (num, den) counted against the budget."""
     def attempt(w):
         row = _decided(n, term, bound, c, w, cache, budget)
         return None if row is None else (row, w)
     return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16,
-                  budget=budget)
+                  budget=budget, tried=1)
 
 
 def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache, budget: int):
@@ -556,8 +558,11 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     the number of narrowings the row before needed in all, 0 for the first
     row, as a row usually needs at least the depth of the one before.
     Every width tried is w/16^j for some j, so a row whose depth does not
-    drop is decided at the width a fresh start would reach.  The widths
-    travel from here to the constant's grid as unreduced integer pairs
+    drop is decided at the width a fresh start would reach.  The first try
+    is one `_decided` call here; only a row it leaves undecided enters
+    `_settle`, so `refine`, at the next width.  Each row's LinearForm and
+    CertRow are built once, without dataclass __init__.  The
+    widths travel from here to the constant's grid as unreduced integer pairs
     (num, den), den shifted left 4 bits per narrowing, so no try divides a
     Fraction.
 
@@ -619,12 +624,15 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     rows, widths = [], []
     depth = 0
     for n, (ints, bound) in enumerate(built, 1):
-        term = LinearForm(layout, ints)
-        start = first_width(n, bound, depth)
-        settled, width = _settle(n, term, c, bound, start, cache, budget)
-        # each narrowing multiplies the denominator by 16, 4 more bits
-        depth += (width[1].bit_length() - start[1].bit_length()) // 4
-        rows.append(settled)
+        term = _frozen(LinearForm, layout=layout, ints=ints)
+        width = first_width(n, bound, depth)
+        row = _decided(n, term, bound, c, width, cache, budget)
+        if row is None:
+            start = width
+            row, width = _settle(n, term, c, bound, start, cache, budget)
+            # each narrowing multiplies the denominator by 16, 4 more bits
+            depth += (width[1].bit_length() - start[1].bit_length()) // 4
+        rows.append(row)
         widths.append(width)
     first_bad = next((r.n for r in rows if not (r.nonzero_ok and r.bound_ok)), None)
     if first_bad is not None:

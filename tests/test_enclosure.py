@@ -1,5 +1,7 @@
 """Tests for the rational interval type."""
 
+import fractions
+import math
 import sys
 from fractions import Fraction
 
@@ -212,19 +214,58 @@ def test_dyadic_equals_the_reduced_fraction(n, k):
     _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
 
 
-def test_dyadic_skips_the_gcd_here():
+def test_dyadic_skips_the_gcd_here(monkeypatch):
     chosen = enclosure._coprime_constructor()
     if hasattr(Fraction, "_from_coprime_ints"):
         assert chosen == Fraction._from_coprime_ints
     elif sys.version_info < (3, 12):
-        assert (chosen.func, chosen.keywords) == (Fraction, {"_normalize": False})
+        # made by object.__new__ with the slots set, not by Fraction itself
+        assert chosen is not Fraction
+        gcds = []
+
+        def counting(a, b, _gcd=math.gcd):
+            gcds.append((a, b))
+            return _gcd(a, b)
+        monkeypatch.setattr(fractions.math, "gcd", counting)
+        assert (Fraction(6, 4).numerator, len(gcds)) == (3, 1)
+        gcds.clear()
+        # a pair not in lowest terms stays as given: no gcd was taken
+        unreduced = chosen(6, 4)
+        assert type(unreduced) is Fraction
+        assert (unreduced.numerator, unreduced.denominator, gcds) == (6, 4, [])
+
+
+def _repr_or_error(x):
+    try:
+        return repr(x)
+    except ValueError as exc:   # past the int-to-str digit limit
+        return type(exc)
+
+
+@PROPERTY
+@given(n=_numerators, d=st.integers(1, 2 ** 200) | st.integers(1, 50))
+@example(n=0, d=1)
+@example(n=0, d=7)
+@example(n=-1, d=1)
+@example(n=-(3 << 300), d=5 ** 40)
+@example(n=10 ** 4400, d=3)
+@example(n=-_OVER_THE_DIGIT_LIMIT, d=2 ** 64)
+@example(n=_OVER_THE_DIGIT_LIMIT, d=7 ** 90)
+def test_coprime_constructor_equals_the_fraction(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    x, y = enclosure._coprime_constructor()(n, d), Fraction(n, d)
+    _same_fraction(x, y)
+    assert _repr_or_error(x) == _repr_or_error(y)
+    for got, want in ((x + 0, y + 0), (x * 1, y * 1), (-x, -y), (x + x, y + y)):
+        _same_fraction(got, want)
 
 
 def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
     calls = []
 
     def plain(n, d):
-        # takes neither `_normalize` nor has `_from_coprime_ints`
+        # has no `_from_coprime_ints` and no slots to set
         calls.append((n, d))
         return Fraction(n, d)
     fallback = enclosure._coprime_constructor(plain)

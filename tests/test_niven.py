@@ -3,16 +3,20 @@
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import factorial
 
 import pytest
 
+from irratcert.constants import CosOf, EPow, ERational
 from irratcert.errors import AngleNearPiError, AngleOutOfRangeError, BadIndexError
 from irratcert.niven import (FPair, RationalPolynomial, exp_functional_int,
-                             exp_functional_rational, niven_poly,
+                             exp_functional_rational, niven_poly, niven_rows,
                              trig_functional)
+from irratcert.sequences import _upper
 
 from oracles import bridge_derivative_table, gauss_mul
+from test_verify import NIVEN_PLAN
 
 
 def test_niven_poly_small_cases():
@@ -147,3 +151,21 @@ def test_rational_polynomial_behaves():
     p = RationalPolynomial((Fraction(1, 2), Fraction(-1, 3)))
     assert p(3) == Fraction(1, 2) - 1
     assert p.degree == 1
+
+
+@pytest.mark.parametrize("family, c", NIVEN_PLAN)
+def test_niven_rows_bound_is_the_reduced_fraction(family, c):
+    # niven_rows keeps its bound as an integer pair; every row's bound must be
+    # top |p|^(2n+1) / (n! q) formed afresh, with its numerator and
+    # denominator, so in lowest terms
+    if isinstance(c, EPow):
+        p, q, gaussian = c.k, 1, False
+    else:
+        x = c.r if isinstance(c, ERational) else c.x
+        p, q, gaussian = x.numerator, x.denominator, isinstance(c, CosOf)
+    top = _upper(ERational(Fraction(p, q))) if p > 0 and not gaussian else 1
+    for n, (_, bound) in enumerate(islice(niven_rows(p, q, gaussian), 60), 1):
+        want = top * Fraction(abs(p) ** (2 * n + 1), factorial(n) * q)
+        assert type(bound) is Fraction
+        assert (bound, bound.numerator, bound.denominator) == (want, want.numerator,
+                                                               want.denominator)

@@ -92,8 +92,9 @@ print(json.dumps([(c.co_filename, c.co_firstlineno, c.co_name) for c in codes]))
 
 def _requests(output: Path) -> list[list[str]]:
     """The golden corpus, one request per subcommand and format, and the flags
-    that take their own paths; the last request is deep enough for the
-    algebraic kernel's Newton jump."""
+    that take their own paths, among them a start width that row 6 must
+    narrow from; the last request is deep enough for the algebraic kernel's
+    Newton jump."""
     return (CORPUS_OK + CORPUS_VIOLATED + CORPUS_ERROR
             + [["cert", "--family", "sqrt", "--m", "2", "--n-max", "3", "--format", fmt]
                for fmt in ("json", "csv", "table")]
@@ -104,6 +105,7 @@ def _requests(output: Path) -> list[list[str]]:
                ["fracpart", "--constant", "sqrt:2", "--q", "5"],
                ["cert", "--family", "e", "--seed-doc"],
                ["cert", "--family", "e", "--n-max", "3", "--width", "1/1000"],
+               ["cert", "--family", "e-pow", "--k", "3", "--n-max", "6", "--width", "10"],
                ["cert", "--family", "e", "--n-max", "3", "--output", str(output)],
                ["fracpart", "--constant", "algroot:-2,0,1@1,2", "--q", "7",
                 "--width", "1/1" + "0" * 40]])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from irratcert import verify
 from irratcert.cli import main
 from irratcert.enclosure import refine, refinement_budget
 from irratcert.errors import PrecisionExhausted
@@ -80,13 +81,26 @@ def test_cli_reports_a_bad_budget(monkeypatch, capsys, raw):
     assert "IRRATCERT_MAX_REFINE" in lines[0] and repr(raw) in lines[0]
 
 
-def test_cli_reports_an_exhausted_budget(monkeypatch, capsys):
-    # the override is the literal start width, so row 6 needs a narrowing
-    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "0")
-    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "6", "--width", "10"]) == 1
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_cli_reports_an_exhausted_budget(monkeypatch, capsys, budget):
+    # the override is the literal start width, and from 10^6 row 4 needs four
+    # narrowings: certify's own first try and the narrowings refine makes
+    # count as one budget, and the last width tried is 10^6 / 16^budget
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", str(budget))
+    tries = []
+    decided = verify._decided
+
+    def counting(n, *args):
+        tries.append(n)
+        return decided(n, *args)
+    monkeypatch.setattr(verify, "_decided", counting)
+    assert main(["cert", "--family", "e-pow", "--k", "3", "--n-max", "6",
+                 "--width", "1000000"]) == 1
+    assert tries == [1, 2, 3] + [4] * (budget + 1)
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[PrecisionExhausted]: residual at n=6 ")
-    assert "tries: 1" in lines[0]
+    assert lines[0].startswith("error[PrecisionExhausted]: residual at n=4 ")
+    # 2^19 < 10^6 < 2^20, and each narrowing divides by 2^4
+    assert lines[0].endswith(f"(tries: {budget + 1}, last width < 2^{20 - 4 * budget})")

@@ -147,14 +147,14 @@ def test_certify_decides_the_decay_check(monkeypatch, capsys):
     # From their default start no DECAY_GRID run needs a second decay try.
     decay_tries = []
 
-    def counting_refine(attempt, width, what, shrink=2, budget=None):
+    def counting_refine(attempt, width, what, shrink=2, **kw):
         if not what.startswith("decay"):
-            return refine(attempt, width, what, shrink, budget)
+            return refine(attempt, width, what, shrink, **kw)
 
         def counted(w):
             decay_tries.append(w)
             return attempt(w)
-        return refine(counted, width, what, shrink, budget)
+        return refine(counted, width, what, shrink, **kw)
     monkeypatch.setattr(verify, "refine", counting_refine)
     assert main(["cert", "--family", "e-rat", "--r=-3/2", "--n-max", "2", "--width", "1",
                  "--format", "json"]) == 0
