@@ -49,7 +49,7 @@ class Layout:
     fields: tuple[str, ...]
     vector: bool
     evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None,
-                        int | None, int | None], Enclosure]
+                        int | None], Enclosure]
 
     def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
         if self.vector:
@@ -72,16 +72,15 @@ class LinearForm:
 
 
 # The evaluators look the residual functions up at call time, so rebinding
-# them on this module takes effect.  The last two arguments are the grid bits
-# the series residuals are rounded to, which the power form ignores, and the
-# refinement budget of the power form's own narrowing, which the others ignore.
-# root_rows yields a PowerForm's coefficients, so FORM skips their check.
+# them on this module takes effect.  The last argument is the grid bits the
+# series residuals are rounded to, which the power form ignores.  root_rows
+# yields a PowerForm's coefficients, so FORM skips their check.
 PAIR = Layout(("p", "q"), False,
-              lambda ints, c, w, cache, j, budget: pair_residual(*ints, c, w, cache, round_to=j))
-FORM = Layout(("coeffs",), True, lambda ints, c, w, cache, j, budget:
-              power_form_residual(_frozen(PowerForm, coeffs=ints), c, w, cache, budget))
+              lambda ints, c, w, cache, j: pair_residual(*ints, c, w, cache, round_to=j))
+FORM = Layout(("coeffs",), True, lambda ints, c, w, cache, j:
+              power_form_residual(_frozen(PowerForm, coeffs=ints), c, w, cache))
 TRIG = Layout(("a", "c", "d"), False,
-              lambda ints, c, w, cache, j, budget: trig_residual(ints, c.x, w, cache, round_to=j))
+              lambda ints, c, w, cache, j: trig_residual(ints, c.x, w, cache, round_to=j))
 LAYOUTS = (PAIR, FORM, TRIG)
 
 
@@ -157,14 +156,14 @@ def _frac_str(fr: Fraction) -> str:
     return f"{_digits(fr.numerator)}/{_digits(fr.denominator)}"
 
 
-def _decimal(fr: Fraction, places: int = 10) -> str:
-    """Exact decimal expansion truncated to `places` digits after the point."""
+def _decimal(fr: Fraction) -> str:
+    """Exact decimal expansion truncated to 10 digits after the point."""
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
     whole, rem = divmod(fr.numerator, fr.denominator)
-    digits, rem = divmod(rem * 10 ** places, fr.denominator)
+    digits, rem = divmod(rem * 10 ** 10, fr.denominator)
     suffix = "" if rem == 0 else ".."
-    return f"{sign}{_digits(whole)}.{digits:0{places}d}{suffix}"
+    return f"{sign}{_digits(whole)}.{digits:010d}{suffix}"
 
 
 _JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
@@ -249,7 +248,7 @@ def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
 # Residual evaluation.  Each evaluator takes its constant from a ConstantCache
 # (a fresh one when given none) as integers on a grid 2^-k and forms its
 # residual there on integers: the pair and trig forms through one integer
-# linear form (`_linear`), the power form by interval Horner with shifts.
+# linear form (`_linear`), the power form by one interval Horner with shifts.
 # Each builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
 # A width is an integer pair (num, den) standing for num/den, in lowest terms
 # or not.
@@ -348,11 +347,16 @@ def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) ->
     return _linear(p, ((q, c),), num, den * abs(q), cache or ConstantCache(), round_to)
 
 
-def power_form_residual(form: PowerForm, c, max_width, cache=None, budget=None) -> Enclosure:
-    """Enclosure of sum(d_l * value^l), no wider than max_width: interval
-    Horner on the grid answer [a, z] / 2^k at width num/den / (slope + 1) / 2^j,
-    j = 0, 1, ..., until it fits, the slope bounded on the grid answer at 1/4.
-    budget caps the narrowings as in `refine`."""
+def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
+    """Enclosure of sum(d_l * value^l), no wider than max_width: interval Horner
+    on the grid answer [a, z] / 2^k at width num/den / (slope + 1), the slope
+    bounded on the grid answer at 1/4.  It fits on that one try: as k >= 0,
+    the answer at width u/v is at most min(u/v, 1) wide (2^-k for a radical,
+    2 2^-k with k = k0 + 2 for a series), so every x in it has |x| <=
+    |value| + 1 <= box / 2^b = M; as w(YX) <= |Y| w(X) + |X| w(Y), Horner over
+    a box w wide is at most w sum(i |d_i| M^(i - 1)) = w (s/t - 1) wide (Moore,
+    Kearfott and Cloud, Introduction to Interval Analysis, 2009), here at
+    most num/den (1 - t/s)."""
     num, den = _width(max_width)
     if form.is_zero():
         return Enclosure.point(0)
@@ -364,17 +368,8 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None, budget=None) 
     t = 1 << b * max(deg - 1, 0)
     s = t + sum(abs(d) * i * box ** (i - 1) << b * (deg - i)
                 for i, d in enumerate(coeffs) if i)
-
-    def attempt(width):
-        k, a, z = cache.grid(c, *width)
-        x, y = _interval_horner(coeffs, a, z, k)
-        # [x, y] / 2^(k deg) is at most num/den wide: num/den < (y - x) / 2^(k deg)
-        # fails, decided by `_less` on bit lengths first
-        fits = not _less(num, den, y - x, 1 << k * deg)
-        return Enclosure._grid(x, y, k * deg) if fits else None
-
-    # the widths num/den / (slope + 1) / 2^j, as unreduced integer pairs
-    return refine(attempt, (num * t, den * s), "power form residual", budget=budget)
+    k, a, z = cache.grid(c, num * t, den * s)
+    return Enclosure._grid(*_interval_horner(coeffs, a, z, k), k * deg)
 
 
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
@@ -423,12 +418,12 @@ def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
     return False, _less(-a, b, u, v) and _less(c, d, u, v), a == c == 0
 
 
-def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache, budget):
+def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache):
     """Row n with its residual at the width pair (num, den), once that settles
     both checks, else None.  A series residual is rounded outward to 12 bits
     past the width, which keeps it within the width."""
     j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
-    enc = term.layout.evaluate(term.ints, c, width, cache, j, budget)
+    enc = term.layout.evaluate(term.ints, c, width, cache, j)
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
     return _frozen(CertRow, n=n, term=term, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
                    bound_ok=bound_ok) if decided else None
@@ -513,7 +508,7 @@ def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int]
     """(row, width) at the first of (num, 16 den), (num, 256 den), ... that
     decides row n, the caller's try at (num, den) counted against the budget."""
     def attempt(w):
-        row = _decided(n, term, bound, c, w, cache, budget)
+        row = _decided(n, term, bound, c, w, cache)
         return None if row is None else (row, w)
     return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16,
                   budget=budget, tried=1)
@@ -532,7 +527,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache, bud
         if s == 1:
             a, b = first, last
         else:
-            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache, budget)
+            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache)
                     for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None
@@ -581,12 +576,13 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     narrowed by the bits of its largest integer and 8 more.  Only a deeper
     narrowing calls the kernel again, so a certificate makes a few kernel
     calls whatever its n_max.  The refinement budget is read once, here, for
-    every narrowing loop of the call.  Radical answers equal fresh enclosures;
-    series residual endpoints may change digits with the fill, while the
-    flags and verdict, being decided, do not.  Every residual but a sqrt or
-    root one is rounded outward to 2^-j, j 12 bits past the width tried,
-    before the checks are read from it: its ends carry about log2(1/width)
-    + 12 bits whatever the size of q, and it stays within the width.
+    the call's two narrowing loops, `_settle` and `_decay`.  Radical answers
+    equal fresh enclosures; series residual endpoints may change digits with
+    the fill, while the flags and verdict, being decided, do not.  Every
+    residual but a sqrt or root one is rounded outward to 2^-j, j 12 bits
+    past the width tried, before the checks are read from it: its ends carry
+    about log2(1/width) + 12 bits whatever the size of q, and it stays
+    within the width.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -626,7 +622,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     for n, (ints, bound) in enumerate(built, 1):
         term = _frozen(LinearForm, layout=layout, ints=ints)
         width = first_width(n, bound, depth)
-        row = _decided(n, term, bound, c, width, cache, budget)
+        row = _decided(n, term, bound, c, width, cache)
         if row is None:
             start = width
             row, width = _settle(n, term, c, bound, start, cache, budget)

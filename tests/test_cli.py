@@ -207,11 +207,14 @@ def test_csv_and_json_row_data_agree(capsys):
         assert lines[-1] == "# verdict: nice"
         assert len(body) == len(data["rows"]) == 5
         for json_row, csv_row in zip(data["rows"], body):
+            assert csv_row["n"] == str(json_row["n"])
             for name in fields:
                 cell = csv_row[name].split(";") if name == "coeffs" else csv_row[name]
                 assert cell == json_row[name]
-            assert csv_row["residual_lo"] == json_row["residual_lo"]
-            assert csv_row["bound"] == json_row["bound"]
+            for name in ("residual_lo", "residual_hi", "bound"):
+                assert csv_row[name] == json_row[name]
+            for name in ("nonzero_ok", "bound_ok"):
+                assert csv_row[name] == ("true" if json_row[name] else "false")
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -453,24 +453,6 @@ def test_certify_row_with_q_zero(capsys):
     assert row["residual_lo"] == row["residual_hi"] == "4/1"
 
 
-def test_csv_and_json_carry_identical_rows():
-    cert = certify("e", E(), 5)
-    data = json.loads(cert.to_json())
-    lines = cert.to_csv().strip().splitlines()
-    assert lines[-1] == "# verdict: nice"
-    header = lines[0].split(",")
-    for json_row, line in zip(data["rows"], lines[1:-1]):
-        cells = dict(zip(header, line.split(",")))
-        assert cells["n"] == str(json_row["n"])
-        assert cells["p"] == json_row["p"]
-        assert cells["q"] == json_row["q"]
-        assert cells["residual_lo"] == json_row["residual_lo"]
-        assert cells["residual_hi"] == json_row["residual_hi"]
-        assert cells["bound"] == json_row["bound"]
-        assert cells["nonzero_ok"] == ("true" if json_row["nonzero_ok"] else "false")
-        assert cells["bound_ok"] == ("true" if json_row["bound_ok"] else "false")
-
-
 def test_table_output_mentions_verdict():
     text = certify("sqrt", Sqrt(2), 3).to_table()
     assert text.endswith("verdict: nice\n")
@@ -574,6 +556,13 @@ def test_pair_residual_equals_enclosure_arithmetic(kind, shared, calls):
 @example(kind=KINDS[9], shared=True, calls=[([4, 1, -3], (1, 2 ** 40)),
                                            ([0, 7, 0, -2 ** 70], (3, 10 ** 9))])
 @example(kind=KINDS[1], shared=True, calls=[([19, -5, -8], (6, 8 * 10 ** 12))])
+# the single try fits where the grid answer is clipped at k = 0 (a width above
+# slope + 1), on a box straddling zero, and under a 2^90 coefficient
+@example(kind=KINDS[1], shared=False, calls=[([3, 1], (1000, 1)), ([-2, 0, 1], (1000, 1))])
+@example(kind=KINDS[2], shared=True, calls=[([3, 1], (1000, 1))])
+@example(kind=KINDS[8], shared=True, calls=[([1, -3, 2], (1, 10 ** 6)), ([0, 5], (7, 2))])
+@example(kind=KINDS[1], shared=True, calls=[([1, 2 ** 90, -7], (1, 10 ** 9)),
+                                           ([-(2 ** 90), 0, 3], (1, 2 ** 200))])
 def test_power_form_residual_equals_enclosure_arithmetic(kind, shared, calls):
     spec = kind[0]
     cache, ref = _caches(shared)
@@ -860,8 +849,8 @@ def test_certify_does_no_fraction_division(monkeypatch, family):
 
 
 def test_power_form_residual_does_no_fraction_arithmetic(monkeypatch):
-    # the slope probe, every Horner try and its fit test run on integers
-    # from the constant's grid answers; Fractions are only built, by dyadic
+    # the slope probe and the one Horner run on integers from the
+    # constant's grid answers; Fractions are only built, by dyadic
     depth, residuals, calls = [], [], []
 
     def tracking(*args, _residual=verify.power_form_residual):
