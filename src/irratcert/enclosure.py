@@ -66,9 +66,20 @@ def dyadic(n: int, k: int) -> Fraction:
     return _COPRIME(n >> t, 1 << (k - t))
 
 
-def _grid_bits(u: int, v: int) -> int:
-    """Smallest k >= 0 with v <= u * 2^k, for positive u and v, from their bit
-    lengths: 2^-k <= u/v whether or not the pair is in lowest terms."""
+def _grid_bits(u: int, v: int, f: int = 1) -> int:
+    """Smallest k >= 0 with v f <= u * 2^k, for positive u, v and f, from bit
+    lengths: 2^-k <= u/(v f) whether or not the pair is in lowest terms.  For
+    v and f over 64 bits, 2^20 bits^2 together, v f lies in [x, y) 2^s from
+    their top 64 bits; the k for x is the answer if y 2^s <= u 2^k, and only
+    a tie in about 60 bits forms the product."""
+    if f != 1:
+        bv, bf = v.bit_length(), f.bit_length()
+        if min(bv, bf) > 64 and bv * bf > 1 << 20:
+            vh, fh, s = v >> bv - 64, f >> bf - 64, bv + bf - 128
+            k = _grid_bits(u, vh * fh << s)
+            if (vh + 1) * (fh + 1) << s <= u << k:
+                return k
+        v *= f
     k = max(0, v.bit_length() - u.bit_length())
     return k + 1 if u << k < v else k
 

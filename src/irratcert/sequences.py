@@ -18,14 +18,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial
+from math import factorial, gcd
 
-from .algebraic import PowerForm, monic_certificate, multiply_forms
+from .algebraic import PowerForm, monic_certificate
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
+from .enclosure import _COPRIME, _frozen
 from .errors import (BadIndexError, CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
                      ZeroScaleError, check_index)
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, _convolve
 
 # Width of the helper enclosure used when a bound formula needs an upper
 # rational estimate of the constant itself (`_upper`, here and in niven).
@@ -81,26 +82,32 @@ def _approximant(rows, n: int) -> tuple[Approximant, BoundedBy]:
 
 def root_forms(a: int, m: int):
     """(d_0 .. d_{m-1}) with sum(d_l * a**(l/m)) = (a**(1/m) - z)**(mn-1), z the floor:
-    (t - z)**(m-1) modulo t**m - a, then each row times (t - z)**m, reduced."""
+    (t - z)**(m-1) modulo t**m - a, then each row times the step (t - z)**m,
+    big integers by small ones, folded from the top by t**m = a in one pass:
+    no polynomial division, and a PowerForm made without its __init__."""
     Root(a, m)
     modulus = IntPolynomial((-a,) + (0,) * (m - 1) + (1,))
     z = integer_nth_root(a, m)
     step = monic_certificate(modulus, z, m).coeffs
-    form = monic_certificate(modulus, z, m - 1)
+    coeffs = monic_certificate(modulus, z, m - 1).coeffs
     while True:
-        yield form
-        form = multiply_forms(modulus, form.coeffs, step)
+        yield _frozen(PowerForm, coeffs=coeffs)
+        c = _convolve(coeffs, step)
+        for i in range(2 * m - 2, m - 1, -1):
+            c[i - m] += a * c[i]
+        coeffs = tuple(c[:m])
 
 
 def root_rows(a: int, m: int):
     """The coefficients of root_forms(a, m) with the bound (hi - z)**(mn-1) on the
-    positive power they equal, hi the upper estimate of a**(1/m).  Each row's
-    bound is the last one times base**m, not a fresh power."""
-    base = _upper(Root(a, m)) - integer_nth_root(a, m)
-    step, bound = base ** m, base ** (m - 1)
+    positive power they equal, hi the upper estimate of a**(1/m).  hi - z is a
+    reduced u/v, so the bound is the coprime pair (u, v)**(mn-1), advanced by
+    (u**m, v**m) and made a Fraction by _COPRIME, with no gcd."""
+    u, v = (_upper(Root(a, m)) - integer_nth_root(a, m)).as_integer_ratio()
+    num, den, um, vm = u ** (m - 1), v ** (m - 1), u ** m, v ** m
     for form in root_forms(a, m):
-        yield form.coeffs, bound
-        bound *= step
+        yield form.coeffs, _COPRIME(num, den)
+        num, den = num * um, den * vm
 
 
 def sqrt_rows(m: int):
@@ -117,19 +124,21 @@ def factorial_rows(s: int):
     p = q = 1
     for n in count(1):
         p, q = n * p + s ** n, n * q
-        yield (p, q), Fraction(1, n)
+        yield (p, q), _COPRIME(1, n)
 
 
 def e_squared_rows():
-    """The e chain composed with the reciprocal 1/e chain at index k = 2n, both
-    advanced two indices per row: p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!),
-    and 0 < q*e^2 - p < (e^2 + 1)/(2n), e^2 read as its upper estimate."""
-    e2_hi = _upper(EPow(2))
-    outer = islice(factorial_rows(1), 1, None, 2)
-    inner = islice(factorial_rows(-1), 1, None, 2)
-    for k, ((p, q), _), ((p1, q1), _) in zip(count(2, 2), outer, inner):
-        chained = compose_chain(Approximant(k, p, q), reciprocal(Approximant(k, p1, q1)))
-        yield (chained.p, chained.q), (e2_hi + 1) / k
+    """The e chain composed with the reciprocal 1/e chain at k = 2n, the sums
+    and k! each advanced by k(k-1) per row: p = sum(k!/i!), q = sum((-1)^i k!/i!),
+    and 0 < q*e^2 - p < u/(v k), u/v = e^2 + 1 reduced, e^2 read as its upper
+    estimate; the bound is made coprime by dividing out gcd(u, k)."""
+    u, v = (_upper(EPow(2)) + 1).as_integer_ratio()
+    p = p1 = q = 1
+    for k in count(2, 2):
+        p, p1, q = k * (k - 1) * p + k + 1, k * (k - 1) * p1 - k + 1, k * (k - 1) * q
+        chained = compose_chain(Approximant(k, p, q), reciprocal(Approximant(k, p1, q)))
+        g = gcd(u, k)
+        yield (chained.p, chained.q), _COPRIME(u // g, v * (k // g))
 
 
 def trig_rows(m: int, first: int):
@@ -142,7 +151,7 @@ def trig_rows(m: int, first: int):
     mm, big_n = m * m, first
     p, q = big_n * (big_n - 1) * mm - 1, m ** big_n * factorial(big_n)
     while True:
-        yield (p, q), Fraction(1, mm * (big_n + 1) ** 2 - 1)
+        yield (p, q), _COPRIME(1, mm * (big_n + 1) ** 2 - 1)
         f = (big_n + 1) * (big_n + 2) * (big_n + 3) * (big_n + 4) * mm * mm
         p, q = f * p + (big_n + 3) * (big_n + 4) * mm - 1, f * q
         big_n += 4

@@ -262,14 +262,14 @@ class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
 
     Each constant is kept as integers (K, L, H), its value in [L, H] / 2^K.
-    A request for width u/v, given as the integers u and v, is answered on
-    the grid 2^-k by L >> (K - k) and -((-H) >> (K - k)): as
-    floor(floor(x) / 2^s) = floor(x / 2^s), that is the kernel's enclosure
-    rounded outward to 2^-k.  k comes from the bit lengths of u and v
-    (`_grid_bits`), with no Fraction built.  For the series constants k is
-    the smallest k0 with 2^-k0 <= u/v, plus 2, so the answer is at most half
-    as wide as asked.  For Sqrt and Root k = k0, and the answer equals
-    enclose(spec, u/v), since [z, z + 1] / 2^K truncates to
+    A request for width u/v, given as the integers u and v, or as u, v0 and
+    f for v = v0 f, is answered on the grid 2^-k by L >> (K - k) and
+    -((-H) >> (K - k)): as floor(floor(x) / 2^s) = floor(x / 2^s), that is
+    the kernel's enclosure rounded outward to 2^-k.  k comes from the bit
+    lengths of the integers (`_grid_bits`), with no Fraction built.  For the
+    series constants k is the smallest k0 with 2^-k0 <= u/v, plus 2, so the
+    answer is at most half as wide as asked.  For Sqrt and Root k = k0, and
+    the answer equals enclose(spec, u/v), since [z, z + 1] / 2^K truncates to
     floor(2^k * value) / 2^k.  A constant kept at K < k bits is enclosed
     again at max(k, 2K) bits; certify fills the cache once per constant
     before its first row, so only deeper narrowings call the kernel again.
@@ -293,9 +293,9 @@ class ConstantCache:
         """(CosOf(angle), SinOf(angle)), built once per angle object."""
         return self._memo(angle, lambda: (CosOf(angle), SinOf(angle)))
 
-    def grid(self, spec, u: int, v: int) -> tuple[int, int, int]:
-        """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/v wide."""
-        k = _grid_bits(u, v)
+    def grid(self, spec, u: int, v: int, f: int = 1) -> tuple[int, int, int]:
+        """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/(v f) wide."""
+        k = _grid_bits(u, v, f)
         if not isinstance(spec, _RADICALS):
             k += 2
         entry = self._memo(spec, lambda: [-1, 0, 0])    # [K, L, H]
@@ -318,15 +318,16 @@ def _width(max_width: tuple[int, int]) -> tuple[int, int]:
     return num, den
 
 
-def _linear(a: int, terms, u: int, v: int, cache: ConstantCache, j: int | None) -> Enclosure:
+def _linear(a: int, terms, u: int, v: int, f: int, cache: ConstantCache,
+            j: int | None) -> Enclosure:
     """Enclosure of sum(m * value) - a over the (m, spec) terms, each value the
-    grid answer [L, H] / 2^k to width u/v (one grid: the specs are all series
+    grid answer [L, H] / 2^k to width u/(v f) (one grid: the specs are all series
     or all radicals), rounded outward to [floor, ceil] on 2^-j when j < k.
     The lower end takes each m with L when m > 0, else H: one product with the
     k-bit digits per term; the upper end adds |m| (H - L), a few units each."""
     x = spread = 0
     for m, spec in terms:
-        k, lo, hi = cache.grid(spec, u, v)
+        k, lo, hi = cache.grid(spec, u, v, f)
         x += m * (lo if m > 0 else hi)
         spread += abs(m) * (hi - lo)
     x -= a << k
@@ -338,13 +339,13 @@ def _linear(a: int, terms, u: int, v: int, cache: ConstantCache, j: int | None) 
 
 def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) -> Enclosure:
     """Enclosure of q*value - p, no wider than max_width before rounding:
-    `_linear` of the one term (q, c) at width max_width / |q|.  round_to = j
-    rounds its ends outward to [floor, ceil] on 2^-j when j < k; certify takes
-    j 12 bits past the width, so the rounded enclosure stays within it."""
+    `_linear` of the one term (q, c) at width num/(den |q|), den and |q| apart.
+    round_to = j rounds its ends outward to [floor, ceil] on 2^-j when j < k;
+    certify takes j 12 bits past the width, so the rounded enclosure stays within it."""
     num, den = _width(max_width)
     if q == 0:
         return Enclosure.point(-p)
-    return _linear(p, ((q, c),), num, den * abs(q), cache or ConstantCache(), round_to)
+    return _linear(p, ((q, c),), num, den, abs(q), cache or ConstantCache(), round_to)
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
@@ -368,7 +369,7 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     t = 1 << b * max(deg - 1, 0)
     s = t + sum(abs(d) * i * box ** (i - 1) << b * (deg - i)
                 for i, d in enumerate(coeffs) if i)
-    k, a, z = cache.grid(c, num * t, den * s)
+    k, a, z = cache.grid(c, num * t, den, s)
     return Enclosure._grid(*_interval_horner(coeffs, a, z, k), k * deg)
 
 
@@ -383,7 +384,7 @@ def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
     a, c, d = acd
     cache = cache or ConstantCache()
     cos, sin = cache.trig_specs(angle)
-    return _linear(a, ((c, cos), (-d, sin)), num, den * 2 * (abs(c) + abs(d) + 1), cache,
+    return _linear(a, ((c, cos), (-d, sin)), num, den * 2 * (abs(c) + abs(d) + 1), 1, cache,
                    round_to)
 
 

@@ -282,3 +282,47 @@ def test_grid_bits_of_an_unreduced_pair(u, v, g):
     assert k == _grid_bits(*Fraction(u, v).as_integer_ratio())
     assert v <= u << k
     assert k == 0 or u << (k - 1) < v
+
+
+@st.composite
+def _grid_products(draw):
+    """(u, v, f) with u 2^k near v f for some k: u is v f shifted right and
+    nudged by a few units, or any size at all; v and f are often powers of
+    two or one off, so v f falls at, just below or just above one, and are
+    often big enough for their top bits to be read in place of the product."""
+    def factor():
+        bits = draw(st.integers(1, 400) | st.integers(1000, 2500))
+        return draw(st.sampled_from((1 << bits, (1 << bits) - 1, (1 << bits) + 1))
+                    | st.integers(1, 1 << bits))
+    v, f = factor(), factor()
+    if draw(st.booleans()):
+        u = (v * f >> draw(st.integers(0, 1000))) + draw(st.integers(-2, 2))
+    else:
+        u = draw(st.integers(1, 2 ** 5000))
+    return max(u, 1), v, f
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_grid_products())
+@example((1, 1, 1))
+@example((1, 2 ** 70, 2 ** 90))
+@example((2 ** 30, 2 ** 70, 2 ** 90))
+@example((2 ** 30 - 1, 2 ** 70, 2 ** 90))
+@example((2 ** 30 + 1, 2 ** 70, 2 ** 90))
+@example(((2 ** 70 - 1) * (2 ** 90 - 1) >> 40, 2 ** 70 - 1, 2 ** 90 - 1))
+@example((((2 ** 70 - 1) * (2 ** 90 - 1) >> 40) + 1, 2 ** 70 - 1, 2 ** 90 - 1))
+@example((2 ** 100, 2 ** 65 + 1, 2 ** 65 - 1))
+@example((2 ** 1500, 2 ** 1100, 2 ** 1200))
+@example((2 ** 1500 - 1, 2 ** 1100, 2 ** 1200))
+@example(((2 ** 1100 - 1) * (2 ** 1200 - 1) >> 900, 2 ** 1100 - 1, 2 ** 1200 - 1))
+@example((((2 ** 1100 - 1) * (2 ** 1200 - 1) >> 900) + 1, 2 ** 1100 - 1, 2 ** 1200 - 1))
+@example((((2 ** 1100 + 1) * (2 ** 1200 + 1) >> 900) - 1, 2 ** 1100 + 1, 2 ** 1200 + 1))
+@example((3, 2 ** 900, 7))
+def test_grid_bits_of_a_product(uvf):
+    # k for the width u/(v f) is read from the top bits of v and f; it must
+    # be the k of the formed product, at and around the powers of two too
+    u, v, f = uvf
+    k = _grid_bits(u, v, f)
+    assert k == _grid_bits(u, v * f)
+    assert v * f <= u << k
+    assert k == 0 or u << (k - 1) < v * f

@@ -6,6 +6,8 @@ from itertools import islice
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratcert.errors import (BadIndexError, CapExceededError,
                               ChainMismatchError, DivisibilityViolationError,
@@ -14,9 +16,10 @@ from irratcert.errors import (BadIndexError, CapExceededError,
 from irratcert.sequences import (_BOUND_WIDTH, Approximant, BoundedBy, compose_chain,
                                  cos_inv_m_approximant, e_approximant,
                                  e_squared_approximant, inv_e_approximant,
-                                 mth_root_form, reciprocal, rescale, root_rows,
-                                 scaled_compose, sin_inv_m_approximant,
-                                 sqrt_approximant)
+                                 e_squared_rows, factorial_rows, mth_root_form,
+                                 reciprocal, rescale, root_rows, scaled_compose,
+                                 sin_inv_m_approximant, sqrt_approximant, sqrt_rows,
+                                 trig_rows)
 from irratcert.constants import E, EPow, InvE, Root, SinInv, Sqrt, enclose, integer_nth_root
 from irratcert.verify import pair_residual
 
@@ -93,6 +96,54 @@ def test_root_rows_bound_is_the_fresh_power(a, m):
     for n, (_, bound) in enumerate(islice(root_rows(a, m), 200), 1):
         fresh = base ** (m * n - 1)
         assert (bound.numerator, bound.denominator) == (fresh.numerator, fresh.denominator), n
+
+
+def _same_fraction(got, want):
+    # a bound built from a coprime pair without a gcd must be the reduced
+    # Fraction itself: a common factor left in would break == and hash
+    assert type(got) is type(want) is Fraction
+    assert got == want and hash(got) == hash(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@st.composite
+def _radicals(draw):
+    """(a, m, n): a <= 200 not a perfect m-th power, m in 2..9, n <= 150."""
+    m = draw(st.integers(2, 9))
+    a = draw(st.integers(2, 200).filter(lambda a: integer_nth_root(a, m) ** m != a))
+    return a, m, draw(st.integers(1, 150))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_radicals())
+def test_root_rows_are_the_binomial_sums_and_fresh_powers(amn):
+    # the multiply-and-fold rows equal the binomial theorem, and the bound
+    # advanced as an integer pair equals base^(mn-1) formed fresh
+    a, m, n = amn
+    z = integer_nth_root(a, m)
+    base = enclose(Root(a, m), _BOUND_WIDTH).hi - z
+    coeffs, bound = next(islice(root_rows(a, m), n - 1, None))
+    assert coeffs == root_form_binomials(a, m, z, n)
+    _same_fraction(bound, base ** (m * n - 1))
+    if m == 2:
+        (p, q), sqrt_bound = next(islice(sqrt_rows(a), n - 1, None))
+        assert (p, q) == (-coeffs[0], coeffs[1])
+        _same_fraction(sqrt_bound, bound)
+
+
+def test_series_bounds_are_the_fresh_fractions():
+    # e^2: (e2_hi + 1) / 2n; e and 1/e: 1/n; sine and cosine: 1/(m^2 (N+1)^2 - 1)
+    e2_hi = enclose(EPow(2), _BOUND_WIDTH).hi
+    for n, (_, bound) in enumerate(islice(e_squared_rows(), 200), 1):
+        _same_fraction(bound, (e2_hi + 1) / (2 * n))
+    for s in (1, -1):
+        for n, (_, bound) in enumerate(islice(factorial_rows(s), 200), 1):
+            _same_fraction(bound, Fraction(1, n))
+    for m in (1, 2, 7):
+        for first in (2, 3):
+            for n, (_, bound) in enumerate(islice(trig_rows(m, first), 100), 1):
+                big_n = first + 4 * (n - 1)
+                _same_fraction(bound, Fraction(1, m * m * (big_n + 1) ** 2 - 1))
 
 
 def test_root_form_sqrt_consistency():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irratcert import algebraic, constants, verify
+from irratcert import algebraic, constants, sequences, verify
 from irratcert.algebraic import PowerForm
 from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
@@ -1003,17 +1003,30 @@ def test_family_rows_have_the_shape_of_their_layout(family):
 
 
 def test_root_rows_reduce_once_per_row(monkeypatch):
-    # row n is row n-1 times (t - z)^m, one reduction each; rebuilding
-    # every row by repeated squaring takes about nine
-    calls = []
-    reduce = algebraic.reduce_power_form
+    # row n is row n-1 times (t - z)^m, multiplied and folded in place: the
+    # powers (t - z)^m and (t - z)^(m-1) are reduced once, before row 1, so
+    # the reductions do not grow with n_max; rebuilding every row by repeated
+    # squaring would take about nine per row
+    calls = {"monic_certificate": 0, "reduce_power_form": 0}
 
-    def counting(modulus, c):
-        calls.append(len(c))
-        return reduce(modulus, c)
-    monkeypatch.setattr(algebraic, "reduce_power_form", counting)
-    assert certify("root", Root(7, 4), 120).verdict == "nice"
-    assert 120 <= len(calls) <= 2 * 120
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    counting(sequences, "monic_certificate")
+    counting(algebraic, "reduce_power_form")
+    seen = []
+    for n_max in (120, 240):
+        calls.update(dict.fromkeys(calls, 0))
+        assert certify("root", Root(7, 4), n_max).verdict == "nice"
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    # each power by repeated squaring: one reduction per bit of m, plus one
+    assert 1 <= seen[0]["monic_certificate"] <= 4
+    assert seen[0]["reduce_power_form"] <= 4 * seen[0]["monic_certificate"]
 
 
 def test_certificates_print_past_the_int_digit_limit():
