@@ -8,6 +8,7 @@ verifies every claim with rational interval enclosures; no floats anywhere.
 from .algebraic import (PowerForm, RootBracket, RootClassification,
                         classify_roots, integer_root_test, isolate_real_roots,
                         monic_certificate, monic_transform, reduce_power_form)
+from .certificate import Certificate, CertRow
 from .constants import (AlgebraicRoot, ConstantSpec, CosInv, CosOf, E, EPow,
                         ERational, InvE, Root, SinInv, SinOf, Sqrt,
                         canonical_text, enclose, integer_nth_root, parse_constant)
@@ -30,8 +31,7 @@ from .sequences import (Approximant, BoundedBy, compose_chain,
                         e_squared_approximant, inv_e_approximant,
                         mth_root_form, reciprocal, rescale, scaled_compose,
                         sin_inv_m_approximant, sqrt_approximant)
-from .verify import (Certificate, CertRow, LinearForm, certify,
-                     integral_exp_poly, integral_sin_poly, pair_residual,
+from .verify import (certify, integral_exp_poly, integral_sin_poly, pair_residual,
                      power_form_residual, trig_residual)
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "CapExceededError", "CertRow", "Certificate", "ChainMismatchError",
     "ConstantSpec", "CosInv", "CosOf", "DivisibilityViolationError", "E",
     "EPow", "ERational", "Enclosure", "FPair", "GaussPair", "IntPolynomial",
-    "InvE", "IrratCertError", "LinearForm", "NotMonicError",
+    "InvE", "IrratCertError", "NotMonicError",
     "NotSquarefreeError", "PerfectPowerError", "PigeonholeResult",
     "PowerForm", "PrecisionExhausted", "RationalPolynomial", "Root",
     "RootBracket", "RootClassification", "SinInv", "SinOf", "Sqrt",

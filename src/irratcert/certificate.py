@@ -1,0 +1,208 @@
+"""The certificate wire format: rows of integers, residual, bound and flags,
+written as JSON, CSV or a table and read back from JSON.
+
+A certificate names its row layout once; each row holds only its integers.
+Nothing here evaluates a residual or builds a row, so a reader of
+certificates needs no part of the producer.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+
+from .enclosure import Enclosure
+from .intpoly import _digits, _from_digits, _from_rational_str
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One shape of row: the wire names of its integers.
+
+    A vector layout has one field holding all of its integers, written as a
+    JSON list and as one ';'-joined CSV cell.
+    """
+
+    fields: tuple[str, ...]
+    vector: bool
+
+    def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
+        if self.vector:
+            return [";".join(_digits(x) for x in ints)]
+        return [_digits(x) for x in ints]
+
+    def read(self, d: dict) -> tuple[int, ...]:
+        if self.vector:
+            name = self.fields[0]
+            return tuple(_integer(x, name) for x in _field(d, name, list))
+        return tuple(_integer(_field(d, name), name) for name in self.fields)
+
+
+PAIR = Layout(("p", "q"), False)
+FORM = Layout(("coeffs",), True)
+TRIG = Layout(("a", "c", "d"), False)
+LAYOUTS = (PAIR, FORM, TRIG)
+
+
+@dataclass(frozen=True)
+class CertRow:
+    n: int
+    ints: tuple[int, ...]
+    residual: Enclosure
+    bound: Fraction
+    nonzero_ok: bool
+    bound_ok: bool
+
+
+@dataclass(frozen=True)
+class Certificate:
+    constant: str
+    family: str
+    layout: Layout
+    rows: tuple[CertRow, ...]
+    verdict: str
+
+    @property
+    def is_nice(self) -> bool:
+        return self.verdict == "nice"
+
+    def to_json(self) -> str:
+        """json.dumps(indent=2) of the documented shape, written in one pass."""
+        rows = _json_list([_row_json(row, self.layout) for row in self.rows], "  ")
+        return (f'{{\n  "constant": {_quote(self.constant)},\n'
+                f'  "family": {_quote(self.family)},\n  "rows": {rows},\n'
+                f'  "verdict": {_quote(self.verdict)}\n}}')
+
+    @classmethod
+    def from_json(cls, text: str) -> "Certificate":
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
+        items = _field(data, "rows", list)
+        if not items:
+            raise ValueError("certificate field 'rows' must hold at least one row")
+        layout = _layout(items[0])
+        rows = tuple(_row_from_dict(d, layout, i) for i, d in enumerate(items, 1))
+        return cls(constant=_field(data, "constant", str), family=_field(data, "family", str),
+                   layout=layout, rows=rows, verdict=_field(data, "verdict", str))
+
+    def to_csv(self) -> str:
+        """A header line, a line per row and a `# verdict:` line; no cell needs
+        quoting (digits, '-', '/', ';', field names, true/false)."""
+        layout = self.layout
+        header = ["n", *layout.fields, "residual_lo", "residual_hi", "bound", "nonzero_ok",
+                  "bound_ok"]
+        lines = [",".join(header)]
+        lines += [",".join([_digits(row.n), *layout.csv_cells(row.ints),
+                            _frac_str(row.residual.lo), _frac_str(row.residual.hi),
+                            _frac_str(row.bound), "true" if row.nonzero_ok else "false",
+                            "true" if row.bound_ok else "false"]) for row in self.rows]
+        return "\n".join(lines) + f"\n# verdict: {self.verdict}\n"
+
+    def to_table(self) -> str:
+        # residual shown as one approximate midpoint column for reading ease
+        layout = self.layout
+        header = ["n", *layout.fields, "nonzero_ok", "bound_ok", "residual~", "bound~"]
+        cells = [[str(row.n), *layout.csv_cells(row.ints),
+                  str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
+                  _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
+                 for row in self.rows]
+        # the last column is not padded, so no line ends in blanks
+        widths = [max(map(len, column)) for column in zip(header, *cells)][:-1]
+        lines = ["  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
+                 for line in [header, *cells]]
+        return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
+
+
+def _frac_str(fr: Fraction) -> str:
+    return f"{_digits(fr.numerator)}/{_digits(fr.denominator)}"
+
+
+def _decimal(fr: Fraction) -> str:
+    """Exact decimal expansion truncated to 10 digits after the point."""
+    sign = "-" if fr < 0 else ""
+    fr = abs(fr)
+    whole, rem = divmod(fr.numerator, fr.denominator)
+    digits, rem = divmod(rem * 10 ** 10, fr.denominator)
+    suffix = "" if rem == 0 else ".."
+    return f"{sign}{_digits(whole)}.{digits:010d}{suffix}"
+
+
+_JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _field(d: dict, name: str, kind=object):
+    """d[name], which must be a JSON value of the given Python type."""
+    try:
+        value = d[name]
+    except KeyError:
+        raise ValueError(f"certificate is missing the field {name!r}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """An integer field, written as a JSON integer or a decimal string."""
+    if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return _from_digits(value) if isinstance(value, str) else value
+    raise ValueError(f"certificate field {name!r} must be an integer or a decimal "
+                     f"string, got {value!r}")
+
+
+def _rational(d: dict, name: str) -> Fraction:
+    text = _field(d, name, str)
+    try:
+        return _from_rational_str(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"certificate field {name!r} must be a rational like 3/4, "
+                         f"got {text!r}") from None
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of items already indented 2 past indent, closed at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _row_json(row: CertRow, layout: Layout) -> str:
+    """One row as an object of the top-level "rows" list: integers as strings,
+    a vector layout as a list of them."""
+    enc = row.residual
+    if layout.vector:
+        items = _json_list([f'        "{_digits(x)}"' for x in row.ints], "      ")
+        integers = f'"{layout.fields[0]}": {items}'
+    else:
+        integers = ",\n      ".join(f'"{name}": "{_digits(x)}"'
+                                    for name, x in zip(layout.fields, row.ints))
+    return (f'    {{\n      "n": {_digits(row.n)},\n      {integers},\n'
+            f'      "residual_lo": "{_frac_str(enc.lo)}",\n'
+            f'      "residual_hi": "{_frac_str(enc.hi)}",\n'
+            f'      "bound": "{_frac_str(row.bound)}",\n'
+            f'      "nonzero_ok": {"true" if row.nonzero_ok else "false"},\n'
+            f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
+
+
+def _layout(d) -> Layout:
+    """The layout of the row object d: the first of LAYOUTS whose first field it holds."""
+    if not isinstance(d, dict):
+        raise ValueError(f"certificate field 'rows' must hold JSON objects, got {d!r}")
+    layout = next((lay for lay in LAYOUTS if lay.fields[0] in d), None)
+    if layout is None:
+        names = ", ".join(repr(lay.fields[0]) for lay in LAYOUTS)
+        raise ValueError(f"certificate row has none of the fields {names}")
+    return layout
+
+
+def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
+    """Row i of a certificate, read through layout, the layout of row 1."""
+    if _layout(d) is not layout and (name := layout.fields[0]) not in d:
+        raise ValueError(f"certificate row {i} lacks the field {name!r} that row 1 has")
+    residual = Enclosure(_rational(d, "residual_lo"), _rational(d, "residual_hi"))
+    return CertRow(n=_integer(_field(d, "n"), "n"), ints=layout.read(d), residual=residual,
+                   bound=_rational(d, "bound"), nonzero_ok=_field(d, "nonzero_ok", bool),
+                   bound_ok=_field(d, "bound_ok", bool))

@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import cache
 
 from .algebraic import classify_roots, reduce_power_form
+from .certificate import _decimal, _frac_str
 from .constants import canonical_text, parse_constant
 from .errors import IrratCertError
 from .intpoly import IntPolynomial, _digits, _from_rational_str, _rational_str
 from .pigeonhole import fractional_residual, pigeonhole_approximant
-from .verify import FAMILIES, _decimal, _frac_str, certify
+from .verify import FAMILIES, certify
 
 
 class _UsageError(Exception):

@@ -7,9 +7,8 @@ Fraction, it guarantees for the linear form they make with the constant.
 Row n is built from row n-1 by a fixed recurrence, a few multiplications of
 big integers by small ones, so a run over n rows costs about n such steps.
 The per-n functions return row n of the same generator as a validated
-Approximant and BoundedBy; apart from them only the e^2 chain builds
-Approximants, to check its composition.  Pairs are used exactly as built;
-nothing is reduced to lowest terms.
+Approximant and BoundedBy; no generator builds one.  Pairs are used exactly
+as built; nothing is reduced to lowest terms.
 """
 
 from __future__ import annotations
@@ -128,17 +127,17 @@ def factorial_rows(s: int):
 
 
 def e_squared_rows():
-    """The e chain composed with the reciprocal 1/e chain at k = 2n, the sums
-    and k! each advanced by k(k-1) per row: p = sum(k!/i!), q = sum((-1)^i k!/i!),
-    and 0 < q*e^2 - p < u/(v k), u/v = e^2 + 1 reduced, e^2 read as its upper
+    """The e chain composed with the reciprocal 1/e chain at k = 2n: (sum(k!/i!),
+    k!) for e chained with (k!, sum((-1)^i k!/i!)) for e is the pair itself,
+    p = sum(k!/i!), q = sum((-1)^i k!/i!), each sum advanced by k(k-1) per row.
+    0 < q*e^2 - p < u/(v k), u/v = e^2 + 1 reduced, e^2 read as its upper
     estimate; the bound is made coprime by dividing out gcd(u, k)."""
     u, v = (_upper(EPow(2)) + 1).as_integer_ratio()
-    p = p1 = q = 1
+    p = q = 1
     for k in count(2, 2):
-        p, p1, q = k * (k - 1) * p + k + 1, k * (k - 1) * p1 - k + 1, k * (k - 1) * q
-        chained = compose_chain(Approximant(k, p, q), reciprocal(Approximant(k, p1, q)))
+        p, q = k * (k - 1) * p + k + 1, k * (k - 1) * q - k + 1
         g = gcd(u, k)
-        yield (chained.p, chained.q), _COPRIME(u // g, v * (k // g))
+        yield (p, q), _COPRIME(u // g, v * (k // g))
 
 
 def trig_rows(m: int, first: int):

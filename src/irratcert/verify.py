@@ -10,25 +10,23 @@ is a meaningful result about a sequence that fails to shrink.  Residuals
 are formed on integers, the constant taken on a dyadic grid 2^-k, and both
 checks decided on integers: by bit lengths, or failing that by
 cross-multiplication with a power-of-two denominator taken as a shift.
+`certify` builds the certificate; `certificate` holds its wire format.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .algebraic import PowerForm
+from .certificate import FORM, PAIR, TRIG, Certificate, CertRow, Layout
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _exp_enclosure, _grid_bits, canonical_text,
                         enclose)
 from .enclosure import Enclosure, _frozen, dyadic, refine, refinement_budget
-from .intpoly import _digits, _from_digits, _from_rational_str, _interval_horner
+from .intpoly import _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
 from .niven import (exp_functional_int, exp_functional_rational, niven_rows,
@@ -36,212 +34,6 @@ from .niven import (exp_functional_int, exp_functional_rational, niven_rows,
 from .sequences import (cos_inv_m_approximant, e_approximant, e_squared_approximant,
                         e_squared_rows, factorial_rows, inv_e_approximant, mth_root_form,
                         root_rows, sin_inv_m_approximant, sqrt_approximant, sqrt_rows, trig_rows)
-
-
-@dataclass(frozen=True)
-class Layout:
-    """One shape of row: the wire names of its integers and its residual.
-
-    A vector layout has one field holding all of its integers, written as a
-    JSON list and as one ';'-joined CSV cell.
-    """
-
-    fields: tuple[str, ...]
-    vector: bool
-    evaluate: Callable[[tuple[int, ...], object, tuple[int, int], ConstantCache | None,
-                        int | None], Enclosure]
-
-    def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
-        if self.vector:
-            return [";".join(_digits(x) for x in ints)]
-        return [_digits(x) for x in ints]
-
-    def read(self, d: dict) -> tuple[int, ...]:
-        if self.vector:
-            name = self.fields[0]
-            return tuple(_integer(x, name) for x in _field(d, name, list))
-        return tuple(_integer(_field(d, name), name) for name in self.fields)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """The integers of one certificate row, read through their layout."""
-
-    layout: Layout
-    ints: tuple[int, ...]
-
-
-# The evaluators look the residual functions up at call time, so rebinding
-# them on this module takes effect.  The last argument is the grid bits the
-# series residuals are rounded to, which the power form ignores.  root_rows
-# yields a PowerForm's coefficients, so FORM skips their check.
-PAIR = Layout(("p", "q"), False,
-              lambda ints, c, w, cache, j: pair_residual(*ints, c, w, cache, round_to=j))
-FORM = Layout(("coeffs",), True, lambda ints, c, w, cache, j:
-              power_form_residual(_frozen(PowerForm, coeffs=ints), c, w, cache))
-TRIG = Layout(("a", "c", "d"), False,
-              lambda ints, c, w, cache, j: trig_residual(ints, c.x, w, cache, round_to=j))
-LAYOUTS = (PAIR, FORM, TRIG)
-
-
-@dataclass(frozen=True)
-class CertRow:
-    n: int
-    term: LinearForm
-    residual: Enclosure
-    bound: Fraction
-    nonzero_ok: bool
-    bound_ok: bool
-
-
-@dataclass(frozen=True)
-class Certificate:
-    constant: str
-    family: str
-    rows: tuple[CertRow, ...]
-    verdict: str
-
-    @property
-    def is_nice(self) -> bool:
-        return self.verdict == "nice"
-
-    def to_json(self) -> str:
-        """json.dumps(indent=2) of the documented shape, written in one pass."""
-        rows = _json_list([_row_json(row) for row in self.rows], "  ")
-        return (f'{{\n  "constant": {_quote(self.constant)},\n'
-                f'  "family": {_quote(self.family)},\n  "rows": {rows},\n'
-                f'  "verdict": {_quote(self.verdict)}\n}}')
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"a certificate must be a JSON object, got {type(data).__name__}")
-        items = _field(data, "rows", list)
-        if not items:
-            raise ValueError("certificate field 'rows' must hold at least one row")
-        layout = _layout(items[0])
-        rows = tuple(_row_from_dict(d, layout, i) for i, d in enumerate(items, 1))
-        return cls(constant=_field(data, "constant", str), family=_field(data, "family", str),
-                   rows=rows, verdict=_field(data, "verdict", str))
-
-    def to_csv(self) -> str:
-        """A header line, a line per row and a `# verdict:` line; no cell needs
-        quoting (digits, '-', '/', ';', field names, true/false)."""
-        header = ["n", *self.rows[0].term.layout.fields,
-                  "residual_lo", "residual_hi", "bound", "nonzero_ok", "bound_ok"]
-        lines = [",".join(header)]
-        lines += [",".join([_digits(row.n), *row.term.layout.csv_cells(row.term.ints),
-                            _frac_str(row.residual.lo), _frac_str(row.residual.hi),
-                            _frac_str(row.bound), "true" if row.nonzero_ok else "false",
-                            "true" if row.bound_ok else "false"]) for row in self.rows]
-        return "\n".join(lines) + f"\n# verdict: {self.verdict}\n"
-
-    def to_table(self) -> str:
-        # residual shown as one approximate midpoint column for reading ease
-        header = ["n", *self.rows[0].term.layout.fields, "nonzero_ok", "bound_ok",
-                  "residual~", "bound~"]
-        cells = [[str(row.n), *row.term.layout.csv_cells(row.term.ints),
-                  str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
-                  _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
-                 for row in self.rows]
-        # the last column is not padded, so no line ends in blanks
-        widths = [max(map(len, column)) for column in zip(header, *cells)][:-1]
-        lines = ["  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
-                 for line in [header, *cells]]
-        return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
-
-
-def _frac_str(fr: Fraction) -> str:
-    return f"{_digits(fr.numerator)}/{_digits(fr.denominator)}"
-
-
-def _decimal(fr: Fraction) -> str:
-    """Exact decimal expansion truncated to 10 digits after the point."""
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    whole, rem = divmod(fr.numerator, fr.denominator)
-    digits, rem = divmod(rem * 10 ** 10, fr.denominator)
-    suffix = "" if rem == 0 else ".."
-    return f"{sign}{_digits(whole)}.{digits:010d}{suffix}"
-
-
-_JSON_TYPES = {bool: "boolean", list: "list", str: "string"}
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _field(d: dict, name: str, kind=object):
-    """d[name], which must be a JSON value of the given Python type."""
-    try:
-        value = d[name]
-    except KeyError:
-        raise ValueError(f"certificate is missing the field {name!r}") from None
-    if not isinstance(value, kind):
-        raise ValueError(f"certificate field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
-                         f"got {value!r}")
-    return value
-
-
-def _integer(value, name: str) -> int:
-    """An integer field, written as a JSON integer or a decimal string."""
-    if type(value) is int or isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return _from_digits(value) if isinstance(value, str) else value
-    raise ValueError(f"certificate field {name!r} must be an integer or a decimal "
-                     f"string, got {value!r}")
-
-
-def _rational(d: dict, name: str) -> Fraction:
-    text = _field(d, name, str)
-    try:
-        return _from_rational_str(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"certificate field {name!r} must be a rational like 3/4, "
-                         f"got {text!r}") from None
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list of items already indented 2 past indent, closed at indent."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
-def _row_json(row: CertRow) -> str:
-    """One row as an object of the top-level "rows" list: integers as strings,
-    a vector layout as a list of them."""
-    layout, ints, enc = row.term.layout, row.term.ints, row.residual
-    if layout.vector:
-        items = _json_list([f'        "{_digits(x)}"' for x in ints], "      ")
-        integers = f'"{layout.fields[0]}": {items}'
-    else:
-        integers = ",\n      ".join(f'"{name}": "{_digits(x)}"'
-                                    for name, x in zip(layout.fields, ints))
-    return (f'    {{\n      "n": {_digits(row.n)},\n      {integers},\n'
-            f'      "residual_lo": "{_frac_str(enc.lo)}",\n'
-            f'      "residual_hi": "{_frac_str(enc.hi)}",\n'
-            f'      "bound": "{_frac_str(row.bound)}",\n'
-            f'      "nonzero_ok": {"true" if row.nonzero_ok else "false"},\n'
-            f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
-
-
-def _layout(d) -> Layout:
-    """The layout of the row object d: the first of LAYOUTS whose first field it holds."""
-    if not isinstance(d, dict):
-        raise ValueError(f"certificate field 'rows' must hold JSON objects, got {d!r}")
-    layout = next((lay for lay in LAYOUTS if lay.fields[0] in d), None)
-    if layout is None:
-        names = ", ".join(repr(lay.fields[0]) for lay in LAYOUTS)
-        raise ValueError(f"certificate row has none of the fields {names}")
-    return layout
-
-
-def _row_from_dict(d, layout: Layout, i: int) -> CertRow:
-    """Row i of a certificate, read through layout, the layout of row 1."""
-    if _layout(d) is not layout and (name := layout.fields[0]) not in d:
-        raise ValueError(f"certificate row {i} lacks the field {name!r} that row 1 has")
-    residual = Enclosure(_rational(d, "residual_lo"), _rational(d, "residual_hi"))
-    return CertRow(n=_integer(_field(d, "n"), "n"), term=LinearForm(layout, layout.read(d)),
-                   residual=residual, bound=_rational(d, "bound"),
-                   nonzero_ok=_field(d, "nonzero_ok", bool),
-                   bound_ok=_field(d, "bound_ok", bool))
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +211,22 @@ def _checks(enc: Enclosure, bound: Fraction) -> tuple[bool, bool, bool]:
     return False, _less(-a, b, u, v) and _less(c, d, u, v), a == c == 0
 
 
-def _decided(n: int, term: LinearForm, bound: Fraction, c, width, cache):
+def _decided(n: int, layout: Layout, ints: tuple[int, ...], bound: Fraction, c, width,
+             cache):
     """Row n with its residual at the width pair (num, den), once that settles
-    both checks, else None.  A series residual is rounded outward to 12 bits
-    past the width, which keeps it within the width."""
-    j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
-    enc = term.layout.evaluate(term.ints, c, width, cache, j)
+    both checks, else None.  The residual function of the layout is looked up
+    at call time, so rebinding it on this module takes effect; root_rows
+    yields a PowerForm's coefficients, so FORM skips their check.  A series
+    residual is rounded outward to 12 bits past the width, which keeps it
+    within the width."""
+    if layout is FORM:
+        enc = power_form_residual(_frozen(PowerForm, coeffs=ints), c, width, cache)
+    else:
+        j = None if isinstance(c, _RADICALS) else _grid_bits(*width) + 12
+        enc = (trig_residual(ints, c.x, width, cache, round_to=j) if layout is TRIG
+               else pair_residual(*ints, c, width, cache, round_to=j))
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
-    return _frozen(CertRow, n=n, term=term, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
+    return _frozen(CertRow, n=n, ints=ints, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
                    bound_ok=bound_ok) if decided else None
 
 
@@ -504,18 +304,19 @@ FAMILIES = {
 }
 
 
-def _settle(n: int, term: LinearForm, c, bound: Fraction, width: tuple[int, int], cache,
-            budget: int):
+def _settle(n: int, layout: Layout, ints: tuple[int, ...], c, bound: Fraction,
+            width: tuple[int, int], cache, budget: int):
     """(row, width) at the first of (num, 16 den), (num, 256 den), ... that
     decides row n, the caller's try at (num, den) counted against the budget."""
     def attempt(w):
-        row = _decided(n, term, bound, c, w, cache)
+        row = _decided(n, layout, ints, bound, c, w, cache)
         return None if row is None else (row, w)
     return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16,
                   budget=budget, tried=1)
 
 
-def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache, budget: int):
+def _decay(first: CertRow, last: CertRow, layout: Layout, c, first_width, last_width, cache,
+           budget: int):
     """(first, last, shrinks): the first and last rows, re-enclosed until
     |last| < |first| is decided, and whether it holds.
 
@@ -528,7 +329,7 @@ def _decay(first: CertRow, last: CertRow, c, first_width, last_width, cache, bud
         if s == 1:
             a, b = first, last
         else:
-            a, b = (_decided(row.n, row.term, row.bound, c, (num, den * s), cache)
+            a, b = (_decided(row.n, layout, row.ints, row.bound, c, (num, den * s), cache)
                     for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
                 return None
@@ -556,11 +357,10 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     Every width tried is w/16^j for some j, so a row whose depth does not
     drop is decided at the width a fresh start would reach.  The first try
     is one `_decided` call here; only a row it leaves undecided enters
-    `_settle`, so `refine`, at the next width.  Each row's LinearForm and
-    CertRow are built once, without dataclass __init__.  The
-    widths travel from here to the constant's grid as unreduced integer pairs
-    (num, den), den shifted left 4 bits per narrowing, so no try divides a
-    Fraction.
+    `_settle`, so `refine`, at the next width.  Each row's CertRow is built
+    once, without dataclass __init__.  The widths travel from here to the
+    constant's grid as unreduced integer pairs (num, den), den shifted left
+    4 bits per narrowing, so no try divides a Fraction.
 
     The verdict also requires the final residual magnitude to sit below the
     first when n_max >= 2 and every row passes.  That comparison is decided,
@@ -621,12 +421,11 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     rows, widths = [], []
     depth = 0
     for n, (ints, bound) in enumerate(built, 1):
-        term = _frozen(LinearForm, layout=layout, ints=ints)
         width = first_width(n, bound, depth)
-        row = _decided(n, term, bound, c, width, cache)
+        row = _decided(n, layout, ints, bound, c, width, cache)
         if row is None:
             start = width
-            row, width = _settle(n, term, c, bound, start, cache, budget)
+            row, width = _settle(n, layout, ints, c, bound, start, cache, budget)
             # each narrowing multiplies the denominator by 16, 4 more bits
             depth += (width[1].bit_length() - start[1].bit_length()) // 4
         rows.append(row)
@@ -635,12 +434,12 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     if first_bad is not None:
         verdict = f"violated:{first_bad}"
     elif n_max >= 2:
-        rows[0], rows[-1], shrinks = _decay(rows[0], rows[-1], c, widths[0], widths[-1], cache,
-                                            budget)
+        rows[0], rows[-1], shrinks = _decay(rows[0], rows[-1], layout, c, widths[0], widths[-1],
+                                            cache, budget)
         verdict = "nice" if shrinks else f"violated:{n_max}"
     else:
         verdict = "nice"
-    return Certificate(constant=canonical_text(c), family=family,
+    return Certificate(constant=canonical_text(c), family=family, layout=layout,
                        rows=tuple(rows), verdict=verdict)
 
 

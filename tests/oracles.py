@@ -311,7 +311,7 @@ def certificate_json(cert) -> str:
     vector layout's integers as one list."""
     rows = []
     for row in cert.rows:
-        layout, ints = row.term.layout, row.term.ints
+        layout, ints = cert.layout, row.ints
         fields = ({layout.fields[0]: [decimal_text(x) for x in ints]} if layout.vector
                   else {name: decimal_text(x) for name, x in zip(layout.fields, ints)})
         rows.append({"n": row.n, **fields, "residual_lo": _ratio_text(row.residual.lo),
@@ -325,13 +325,13 @@ def certificate_json(cert) -> str:
 def certificate_csv(cert) -> str:
     """csv.writer's rendering of cert's header and rows, a vector layout's
     integers ';'-joined in one cell, then the `# verdict:` line."""
-    layout = cert.rows[0].term.layout
+    layout = cert.layout
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", *layout.fields, "residual_lo", "residual_hi", "bound",
                      "nonzero_ok", "bound_ok"])
     for row in cert.rows:
-        ints = [decimal_text(x) for x in row.term.ints]
+        ints = [decimal_text(x) for x in row.ints]
         writer.writerow([row.n, *([";".join(ints)] if layout.vector else ints),
                          _ratio_text(row.residual.lo), _ratio_text(row.residual.hi),
                          _ratio_text(row.bound), str(row.nonzero_ok).lower(),

@@ -19,8 +19,8 @@ _PER_N = "the paper's explicit constructions: row n of one approximant family"
 _RULES = "the paper's transformation rules on approximants"
 _POLY = "the paper's polynomial types, which algebraic numbers are roots of"
 _NIVEN = "the paper's Niven section: the functionals of x^n (1-x)^n / n!"
-_CHECK_READ = "ROADMAP item 4: the checker reads a certificate back from JSON"
-_CHECK_ROUTE = ("ROADMAP item 4: the checker confirms each row by a route the "
+_CHECK_READ = "ROADMAP item 6: the checker reads a certificate back from JSON"
+_CHECK_ROUTE = ("ROADMAP item 6: the checker confirms each row by a route the "
                 "producer never takes")
 
 # qualified name (module.Class.function) -> why it stays with no request reaching it
@@ -29,6 +29,13 @@ PAPER_API = {
                                    "monic polynomial, the rest irrational",
     "algebraic.monic_transform": "the paper's algebraic section: a root made an algebraic "
                                  "integer by scaling",
+    "certificate.Certificate.from_json": _CHECK_READ,
+    "certificate.Layout.read": _CHECK_READ,
+    "certificate._field": _CHECK_READ,
+    "certificate._integer": _CHECK_READ,
+    "certificate._layout": _CHECK_READ,
+    "certificate._rational": _CHECK_READ,
+    "certificate._row_from_dict": _CHECK_READ,
     "enclosure.Enclosure.__add__": _CHECK_ROUTE,
     "enclosure.Enclosure.__neg__": _CHECK_ROUTE,
     "enclosure.Enclosure.__rsub__": _CHECK_ROUTE,
@@ -36,6 +43,7 @@ PAPER_API = {
     "enclosure.Enclosure.excludes_zero": _CHECK_ROUTE,
     "enclosure.Enclosure.is_point": _CHECK_ROUTE,
     "enclosure.Enclosure.point": _CHECK_ROUTE,
+    "errors.check_index": _PER_N,
     "intpoly.IntPolynomial.__add__": _POLY,
     "intpoly.IntPolynomial.__call__": _POLY,
     "intpoly.IntPolynomial.__mul__": _POLY,
@@ -49,6 +57,7 @@ PAPER_API = {
     "niven.exp_functional_rational": _NIVEN,
     "niven.niven_poly": _NIVEN,
     "niven.trig_functional": _NIVEN,
+    "sequences.Approximant.__post_init__": _PER_N,
     "sequences.BoundedBy.__post_init__": _PER_N,
     "sequences._approximant": _PER_N,
     "sequences._nth": _PER_N,
@@ -59,15 +68,10 @@ PAPER_API = {
     "sequences.mth_root_form": _PER_N,
     "sequences.sin_inv_m_approximant": _PER_N,
     "sequences.sqrt_approximant": _PER_N,
+    "sequences.compose_chain": _RULES,
+    "sequences.reciprocal": _RULES,
     "sequences.rescale": _RULES,
     "sequences.scaled_compose": _RULES,
-    "verify.Certificate.from_json": _CHECK_READ,
-    "verify.Layout.read": _CHECK_READ,
-    "verify._field": _CHECK_READ,
-    "verify._integer": _CHECK_READ,
-    "verify._layout": _CHECK_READ,
-    "verify._rational": _CHECK_READ,
-    "verify._row_from_dict": _CHECK_READ,
     "verify._integral": _CHECK_ROUTE,
     "verify.integral_exp_poly": _CHECK_ROUTE,
     "verify.integral_sin_poly": _CHECK_ROUTE,

@@ -187,14 +187,15 @@ def test_e_squared_values_and_chain_identity():
         # bound is (upper estimate of e^2 + 1) / 2n with a coarse estimate
         assert Fraction(8389, 1000) / (2 * n) < bb.bound < Fraction(17, 2) / (2 * n)
         assert _residual(app, EPow(2)).lo > 0
-    # the family is exactly the chain of the e pair at 2n with the flipped
-    # alternating pair: same p, the alternating numerator as q
-    for n in range(1, 7):
-        outer, _ = e_approximant(2 * n)
-        inner, _ = inv_e_approximant(2 * n)
-        chained = compose_chain(outer, reciprocal(inner))
-        app, _ = e_squared_approximant(n)
-        assert (app.p, app.q) == (chained.p, chained.q)
+    # the paper's rule: row n chains the e pair at k = 2n with the reciprocal
+    # of the 1/e pair at k, the same p and the alternating numerator as q; the
+    # generator advances the chained sums directly
+    e_rows, inv_e_rows = factorial_rows(1), factorial_rows(-1)
+    for n, ((p, q), _) in enumerate(islice(e_squared_rows(), 200), 1):
+        e_pair, inv_e_pair = (next(islice(rows, 1, None))[0] for rows in (e_rows, inv_e_rows))
+        chained = compose_chain(Approximant(2 * n, *e_pair),
+                                reciprocal(Approximant(2 * n, *inv_e_pair)))
+        assert (p, q) == (chained.p, chained.q), n
     # and its rows, each two steps of both factorial sums, are the sums
     # p = sum((2n)!/i!), q = sum((-1)^i (2n)!/i!)
     for n in range(1, 131):

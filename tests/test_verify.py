@@ -1,19 +1,16 @@
 """Tests for residual evaluation, certificates, and their serialization."""
 
-import importlib
-import importlib.util
 import json
 import sys
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irratcert import algebraic, constants, sequences, verify
+from irratcert import algebraic, certificate, constants, sequences, verify
 from irratcert.algebraic import PowerForm
 from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
@@ -29,8 +26,9 @@ from irratcert.sequences import (_BOUND_WIDTH, Approximant, BoundedBy,
                                  e_squared_approximant, inv_e_approximant,
                                  mth_root_form, sin_inv_m_approximant,
                                  sqrt_approximant)
-from irratcert.verify import (FAMILIES, FORM, LAYOUTS, PAIR, TRIG, Certificate,
-                              CertRow, ConstantCache, LinearForm, certify, integral_exp_poly,
+from irratcert.certificate import LAYOUTS
+from irratcert.verify import (FAMILIES, FORM, PAIR, TRIG, Certificate, CertRow,
+                              ConstantCache, certify, integral_exp_poly,
                               integral_sin_poly, pair_residual,
                               power_form_residual, trig_residual)
 
@@ -109,11 +107,11 @@ def test_certify_row_contents_e_family():
     cert = certify("e", E(), 12)
     assert cert.constant == "e"
     assert cert.family == "e"
+    assert cert.layout is PAIR
     assert len(cert.rows) == 12
     for row in cert.rows:
         assert row.nonzero_ok and row.bound_ok
-        assert row.term.layout is PAIR
-        assert row.term.ints[1] == factorial(row.n)
+        assert row.ints[1] == factorial(row.n)
         assert row.bound == Fraction(1, row.n)
         # paper-grade sandwich: strictly between 1/(n+1) and 1/n
         assert Fraction(1, row.n + 1) < row.residual.lo
@@ -180,7 +178,7 @@ def test_certify_verdict_independent_of_start_width(family, c, n_max):
     # flags and verdict are facts about the residuals, so where refinement
     # starts must not change them
     def summary(cert):
-        return cert.verdict, [(r.term, r.nonzero_ok, r.bound_ok) for r in cert.rows]
+        return cert.verdict, [(r.ints, r.nonzero_ok, r.bound_ok) for r in cert.rows]
     default = summary(certify(family, c, n_max))
     assert summary(certify(family, c, n_max, max_width=Fraction(1, 10))) == default
     assert summary(certify(family, c, n_max, max_width=Fraction(1, 10 ** 6))) == default
@@ -206,7 +204,7 @@ def test_certify_override_carries_refinement_depth(monkeypatch, family, c):
     # 16^depth, the depth the row before needed, and so does not narrow from
     # the override again; flags and verdict are the default run's
     def summary(cert):
-        return cert.verdict, [(r.term, r.nonzero_ok, r.bound_ok) for r in cert.rows]
+        return cert.verdict, [(r.ints, r.nonzero_ok, r.bound_ok) for r in cert.rows]
     cert, evals = _residual_evals(monkeypatch, family, c, 60, Fraction(1, 10 ** 6))
     assert evals <= 3 * 60
     assert summary(cert) == summary(certify(family, c, 60))
@@ -234,7 +232,7 @@ def test_certify_epow_rows_match_functional():
     cert = certify("e-pow", EPow(3), 6)
     for row in cert.rows:
         pair = exp_functional_int(row.n, 3)
-        assert row.term == LinearForm(PAIR, (pair.at0, pair.at1))
+        assert row.ints == (pair.at0, pair.at1)
 
 
 def test_certify_rejects_bad_inputs():
@@ -279,16 +277,16 @@ def _certificates(draw, layouts=LAYOUTS, min_rows=0):
         size = draw(st.integers(0, 4)) if layout.vector else len(layout.fields)
         ints = tuple(draw(st.lists(json_integers, min_size=size, max_size=size)))
         lo, hi = sorted(draw(st.lists(json_rationals, min_size=2, max_size=2)))
-        rows.append(CertRow(draw(st.integers(1, 10 ** 6)), LinearForm(layout, ints),
+        rows.append(CertRow(draw(st.integers(1, 10 ** 6)), ints,
                             Enclosure(lo, hi), draw(json_rationals), draw(st.booleans()),
                             draw(st.booleans())))
-    return Certificate(draw(st.text()), draw(st.text()), tuple(rows), draw(verdicts))
+    return Certificate(draw(st.text()), draw(st.text()), layout, tuple(rows), draw(verdicts))
 
 
 def _one_row(layout, ints, verdict="nice"):
-    row = CertRow(3, LinearForm(layout, ints), Enclosure(Fraction(-1, 3), Fraction(7 ** 5300, 2)),
+    row = CertRow(3, ints, Enclosure(Fraction(-1, 3), Fraction(7 ** 5300, 2)),
                   Fraction(5, 10 ** 4400 + 1), True, False)
-    return Certificate("root:2,3", "root", (row,), verdict)
+    return Certificate("root:2,3", "root", layout, (row,), verdict)
 
 
 @PROPERTY
@@ -333,7 +331,7 @@ def test_decimal_is_the_truncated_expansion(x):
     # the table's decimal text against plain Fraction arithmetic: sign,
     # floor(|x|), the ten digits floor(|x| 10^10) mod 10^10, and ".." when
     # digits are cut off
-    text = verify._decimal(x)
+    text = certificate._decimal(x)
     sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
     whole, point, rest = body.partition(".")
     digits, suffix = rest[:10], rest[10:]
@@ -443,7 +441,7 @@ def test_certify_row_with_q_zero(capsys):
     # p = -4, q = 0: its residual is the exact point 4, well below its bound
     for family, c in (("e-pow", EPow(2)), ("e-rat", ERational(2))):
         row = certify(family, c, 3).rows[0]
-        assert row.term.ints == (-4, 0)
+        assert row.ints == (-4, 0)
         assert row.residual.lo == row.residual.hi == 4
         assert row.nonzero_ok and row.bound_ok
     assert main(["cert", "--family", "e-pow", "--k", "2", "--n-max", "3",
@@ -968,7 +966,7 @@ def test_certify_rows_equal_the_per_n_functions(family, c):
     cert = certify(family, c, 60)
     hi = enclose(c, _BOUND_WIDTH).hi
     for row in cert.rows:
-        assert (row.term.ints, row.bound) == _per_n_row(family, c, hi, row.n), row.n
+        assert (row.ints, row.bound) == _per_n_row(family, c, hi, row.n), row.n
     assert [row.n for row in cert.rows] == list(range(1, 61))
     assert certify(family, c, 60) == cert
 
@@ -976,7 +974,7 @@ def test_certify_rows_equal_the_per_n_functions(family, c):
 @pytest.mark.parametrize("family", sorted(FAMILY_CONSTANTS))
 def test_certify_builds_no_approximant_or_bound_objects(monkeypatch, family):
     # rows travel from the generators to the certificate as plain (ints, bound)
-    # tuples; only the e^2 chain builds Approximants, to check its composition
+    # tuples; the e^2 chain is checked against its factors in test_sequences
     built = {Approximant: 0, BoundedBy: 0}
     for cls in built:
         def counting(self, _cls=cls, _check=cls.__post_init__):
@@ -984,8 +982,7 @@ def test_certify_builds_no_approximant_or_bound_objects(monkeypatch, family):
             _check(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
     certify(family, FAMILY_CONSTANTS[family], 30)
-    assert built[BoundedBy] == 0
-    assert (built[Approximant] > 0) == (family == "e-squared")
+    assert built == {Approximant: 0, BoundedBy: 0}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONSTANTS))
@@ -1042,25 +1039,8 @@ def test_certificates_print_past_the_int_digit_limit():
     try:
         assert (cert.to_json(), cert.to_csv(), cert.to_table()) == full
         assert Certificate.from_json(full[0]) == cert
-        assert verify._digits(negative) == negative_text
-        assert verify._from_digits(negative_text) == negative
+        assert certificate._digits(negative) == negative_text
+        assert certificate._from_digits(negative_text) == negative
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(factorial(400)) in full[0]
-
-
-def test_perfbench_trace_sites_exist():
-    # perfbench/tracing.py wraps each (module, attribute) of LAYERS by name;
-    # verify imports its per-n functions only for that, so dropping one of
-    # them, or renaming any traced function, must fail here
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for layer, sites in tracing.LAYERS.items():
-        for module_name, attr in sites:
-            owner = importlib.import_module(f"irratcert.{module_name}")
-            *cls, name = attr.split(".")
-            if cls:
-                owner = owner.__dict__[cls[0]]
-            assert name in owner.__dict__, (layer, module_name, attr)
