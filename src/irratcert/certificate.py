@@ -29,9 +29,15 @@ class Layout:
     fields: tuple[str, ...]
     vector: bool
 
-    def csv_cells(self, ints: tuple[int, ...]) -> list[str]:
+    def csv_cells(self, row: CertRow) -> list[str]:
+        """The cells of row's integers: one per field, or one ';'-joined cell for
+        a vector layout.  A row with another count of integers is refused."""
+        ints = row.ints
         if self.vector:
             return [";".join(_digits(x) for x in ints)]
+        if len(ints) != len(self.fields):
+            raise ValueError(f"certificate row {row.n} holds {len(ints)} integers, but its "
+                             f"layout has the {len(self.fields)} fields {', '.join(self.fields)}")
         return [_digits(x) for x in ints]
 
     def read(self, d: dict) -> tuple[int, ...]:
@@ -96,7 +102,7 @@ class Certificate:
         header = ["n", *layout.fields, "residual_lo", "residual_hi", "bound", "nonzero_ok",
                   "bound_ok"]
         lines = [",".join(header)]
-        lines += [",".join([_digits(row.n), *layout.csv_cells(row.ints),
+        lines += [",".join([_digits(row.n), *layout.csv_cells(row),
                             _frac_str(row.residual.lo), _frac_str(row.residual.hi),
                             _frac_str(row.bound), "true" if row.nonzero_ok else "false",
                             "true" if row.bound_ok else "false"]) for row in self.rows]
@@ -106,7 +112,7 @@ class Certificate:
         # residual shown as one approximate midpoint column for reading ease
         layout = self.layout
         header = ["n", *layout.fields, "nonzero_ok", "bound_ok", "residual~", "bound~"]
-        cells = [[str(row.n), *layout.csv_cells(row.ints),
+        cells = [[str(row.n), *layout.csv_cells(row),
                   str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
                   _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
                  for row in self.rows]
@@ -177,6 +183,8 @@ def _row_json(row: CertRow, layout: Layout) -> str:
         items = _json_list([f'        "{_digits(x)}"' for x in row.ints], "      ")
         integers = f'"{layout.fields[0]}": {items}'
     else:
+        if len(row.ints) != len(layout.fields):
+            layout.csv_cells(row)   # refuses the row, naming it
         integers = ",\n      ".join(f'"{name}": "{_digits(x)}"'
                                     for name, x in zip(layout.fields, row.ints))
     return (f'    {{\n      "n": {_digits(row.n)},\n      {integers},\n'

@@ -74,13 +74,15 @@ def _grid_bits(u: int, v: int, f: int = 1) -> int:
     a tie in about 60 bits forms the product."""
     if f != 1:
         bv, bf = v.bit_length(), f.bit_length()
-        if min(bv, bf) > 64 and bv * bf > 1 << 20:
+        if bv > 64 and bf > 64 and bv * bf > 1 << 20:
             vh, fh, s = v >> bv - 64, f >> bf - 64, bv + bf - 128
             k = _grid_bits(u, vh * fh << s)
             if (vh + 1) * (fh + 1) << s <= u << k:
                 return k
         v *= f
-    k = max(0, v.bit_length() - u.bit_length())
+    k = v.bit_length() - u.bit_length()
+    if k < 0:
+        return 0
     return k + 1 if u << k < v else k
 
 
@@ -132,10 +134,16 @@ class Enclosure:
 
     @classmethod
     def _grid(cls, x: int, y: int, k: int) -> "Enclosure":
-        """[x, y] / 2^k, its order checked on the integers, not as Fractions."""
-        enc = _frozen(cls, lo=dyadic(x, k), hi=dyadic(y, k))
+        """[x, y] / 2^k, its order checked on the integers, not as Fractions, and
+        each end built as `dyadic` builds it, in this body: its trailing zeros,
+        at most k, shifted out, no gcd taken, and `_COPRIME` read at call time."""
         if x > y:
-            raise ValueError(f"enclosure endpoints out of order: {enc.lo} > {enc.hi}")
+            raise ValueError(f"enclosure endpoints out of order: {dyadic(x, k)} > {dyadic(y, k)}")
+        coprime, enc = _COPRIME, object.__new__(cls)
+        t = (x & -x).bit_length() - 1 if x else k     # 0 / 2^k is 0 / 1
+        u = (y & -y).bit_length() - 1 if y else k
+        t, u = (t if t < k else k), (u if u < k else k)     # min() is a slower call
+        enc.__dict__.update(lo=coprime(x >> t, 1 << k - t), hi=coprime(y >> u, 1 << k - u))
         return enc
 
     @classmethod

@@ -95,13 +95,13 @@ def functional_rows(p: int, q: int, gaussian: bool = False):
     qq = q * q
     step = (-p * p if gaussian else p * p) * qq
     if gaussian:
-        before, row = (1, 0), (-2 * qq, -p * q)
+        b0, b1, x0, x1 = 1, 0, -2 * qq, -p * q
     else:
-        before, row = (1, 1), (-q * (p + 2 * q), q * (p - 2 * q))
+        b0, b1, x0, x1 = 1, 1, -q * (p + 2 * q), q * (p - 2 * q)
     for n in count(1):
-        yield row
+        yield x0, x1
         scale = -(4 * n + 2) * qq
-        before, row = row, tuple(scale * x + step * y for x, y in zip(row, before))
+        b0, b1, x0, x1 = x0, x1, scale * x0 + step * b0, scale * x1 + step * b1
 
 
 def check_angle(p: int, q: int) -> None:

@@ -38,12 +38,14 @@ from .sequences import (cos_inv_m_approximant, e_approximant, e_squared_approxim
 
 # ---------------------------------------------------------------------------
 # Residual evaluation.  Each evaluator takes its constant from a ConstantCache
-# (a fresh one when given none) as integers on a grid 2^-k and forms its
-# residual there on integers: the pair and trig forms through one integer
-# linear form (`_linear`), the power form by one interval Horner with shifts.
-# Each builds one Fraction per endpoint of the Enclosure returned, by `dyadic`.
-# A width is an integer pair (num, den) standing for num/den, in lowest terms
-# or not.
+# (a fresh one when given none) as integers (k, lo, hi) on a grid 2^-k and
+# forms its residual there in its own body, in one integer pass: the pair and
+# trig forms as a linear form sum(m * value) - a, its lower end one product of
+# each m with lo or hi and its upper end that plus |m| (hi - lo), a few units
+# each; the power form by one interval Horner with shifts.  A series residual
+# is then rounded outward to 2^-j when round_to = j < k.  Each evaluator ends
+# in `Enclosure._grid`, which builds one Fraction per end by shifts.  A width
+# is an integer pair (num, den) standing for num/den, in lowest terms or not.
 
 # The constants enclosed as exact dyadic floors: their grid answers equal fresh
 # enclosures, and their residuals are not rounded.
@@ -53,44 +55,43 @@ _RADICALS = (Sqrt, Root)
 class ConstantCache:
     """The narrowest enclosure of each constant computed so far, for one run.
 
-    Each constant is kept as integers (K, L, H), its value in [L, H] / 2^K.
-    A request for width u/v, given as the integers u and v, or as u, v0 and
-    f for v = v0 f, is answered on the grid 2^-k by L >> (K - k) and
-    -((-H) >> (K - k)): as floor(floor(x) / 2^s) = floor(x / 2^s), that is
-    the kernel's enclosure rounded outward to 2^-k.  k comes from the bit
-    lengths of the integers (`_grid_bits`), with no Fraction built.  For the
-    series constants k is the smallest k0 with 2^-k0 <= u/v, plus 2, so the
-    answer is at most half as wide as asked.  For Sqrt and Root k = k0, and
-    the answer equals enclose(spec, u/v), since [z, z + 1] / 2^K truncates to
-    floor(2^k * value) / 2^k.  A constant kept at K < k bits is enclosed
-    again at max(k, 2K) bits; certify fills the cache once per constant
-    before its first row, so only deeper narrowings call the kernel again.
-    Entries are kept per spec object: equal specs built apart do not share one.
+    Each constant is kept as integers [K, L, H], its value in [L, H] / 2^K,
+    read by one dict lookup per request.  A request for width u/v, given as
+    the integers u and v, or as u, v0 and f for v = v0 f, is answered on the
+    grid 2^-k by L >> (K - k) and -((-H) >> (K - k)): as floor(floor(x) /
+    2^s) = floor(x / 2^s), that is the kernel's enclosure rounded outward to
+    2^-k.  k comes from the bit lengths of the integers (`_grid_bits`), with
+    no Fraction built.  For the series constants k is the smallest k0 with
+    2^-k0 <= u/v, plus 2, so the answer is at most half as wide as asked.
+    For Sqrt and Root k = k0, and the answer equals enclose(spec, u/v), since
+    [z, z + 1] / 2^K truncates to floor(2^k * value) / 2^k.  A constant kept
+    at K < k bits is enclosed again at max(k, 2K) bits; certify fills the
+    cache once per constant before its first row, so only deeper narrowings
+    call the kernel again.  Entries are kept per spec object, found by its
+    id: hashing a spec that holds a Fraction, or the Fraction, costs
+    microseconds.  The object is kept, so its id is not reused, and equal
+    specs built apart do not share an entry.
     """
 
     def __init__(self):
-        self._seen = {}     # id(obj) -> (obj, what _memo made for it)
-
-    def _memo(self, obj, make):
-        """make() for the first call with obj, and the same value for every
-        later call with that object, found by its id: hashing a spec that
-        holds a Fraction, or the Fraction, costs microseconds.  obj is kept,
-        so its id is not reused."""
-        hit = self._seen.get(id(obj))
-        if hit is None:
-            hit = self._seen[id(obj)] = obj, make()
-        return hit[1]
+        self._seen = {}     # id(obj) -> (obj, [K, L, H] or (cos, sin) specs)
 
     def trig_specs(self, angle: Fraction):
         """(CosOf(angle), SinOf(angle)), built once per angle object."""
-        return self._memo(angle, lambda: (CosOf(angle), SinOf(angle)))
+        hit = self._seen.get(id(angle))
+        if hit is None:
+            hit = self._seen[id(angle)] = angle, (CosOf(angle), SinOf(angle))
+        return hit[1]
 
     def grid(self, spec, u: int, v: int, f: int = 1) -> tuple[int, int, int]:
         """(k, lo, hi): the constant lies in [lo, hi] / 2^k, at most u/(v f) wide."""
         k = _grid_bits(u, v, f)
         if not isinstance(spec, _RADICALS):
             k += 2
-        entry = self._memo(spec, lambda: [-1, 0, 0])    # [K, L, H]
+        hit = self._seen.get(id(spec))
+        if hit is None:
+            hit = self._seen[id(spec)] = spec, [-1, 0, 0]
+        entry = hit[1]
         bits, lo, hi = entry
         if bits < k:
             bits = max(k, 2 * bits)
@@ -110,34 +111,21 @@ def _width(max_width: tuple[int, int]) -> tuple[int, int]:
     return num, den
 
 
-def _linear(a: int, terms, u: int, v: int, f: int, cache: ConstantCache,
-            j: int | None) -> Enclosure:
-    """Enclosure of sum(m * value) - a over the (m, spec) terms, each value the
-    grid answer [L, H] / 2^k to width u/(v f) (one grid: the specs are all series
-    or all radicals), rounded outward to [floor, ceil] on 2^-j when j < k.
-    The lower end takes each m with L when m > 0, else H: one product with the
-    k-bit digits per term; the upper end adds |m| (H - L), a few units each."""
-    x = spread = 0
-    for m, spec in terms:
-        k, lo, hi = cache.grid(spec, u, v, f)
-        x += m * (lo if m > 0 else hi)
-        spread += abs(m) * (hi - lo)
-    x -= a << k
-    y = x + spread
-    if j is not None and j < k:
-        x, y, k = x >> (k - j), -((-y) >> (k - j)), j
-    return Enclosure._grid(x, y, k)
-
-
 def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) -> Enclosure:
-    """Enclosure of q*value - p, no wider than max_width before rounding:
-    `_linear` of the one term (q, c) at width num/(den |q|), den and |q| apart.
-    round_to = j rounds its ends outward to [floor, ceil] on 2^-j when j < k;
-    certify takes j 12 bits past the width, so the rounded enclosure stays within it."""
+    """Enclosure of q*value - p, no wider than max_width before rounding: the
+    grid answer [lo, hi] / 2^k at width num/(den |q|), den and |q| apart,
+    taken times q.  round_to = j rounds its ends outward to [floor, ceil] on
+    2^-j when j < k; certify takes j 12 bits past the width, so the rounded
+    enclosure stays within it."""
     num, den = _width(max_width)
     if q == 0:
         return Enclosure.point(-p)
-    return _linear(p, ((q, c),), num, den, abs(q), cache or ConstantCache(), round_to)
+    k, lo, hi = (cache or ConstantCache()).grid(c, num, den, abs(q))
+    x = q * lo - (p << k) if q > 0 else q * hi - (p << k)
+    y = x + abs(q) * (hi - lo)
+    if round_to is not None and round_to < k:
+        x, y, k = x >> (k - round_to), -((-y) >> (k - round_to)), round_to
+    return Enclosure._grid(x, y, k)
 
 
 def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
@@ -168,16 +156,22 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
 def trig_residual(acd: tuple[int, int, int], angle: Fraction, max_width,
                   cache=None, *, round_to=None) -> Enclosure:
     """Enclosure of c*cos(angle) - d*sin(angle) - a for the triple (a, c, d):
-    `_linear` of the terms (c, cos) and (-d, sin), both series constants, at
-    width max_width / 2(|c| + |d| + 1).  round_to rounds the ends outward as
-    in pair_residual.
+    both series constants on one grid 2^-k at width max_width / 2(|c| + |d| + 1),
+    the lower end c times the cos end and -d times the sin end that make it
+    least.  round_to rounds the ends outward as in pair_residual.
     """
     num, den = _width(max_width)
     a, c, d = acd
     cache = cache or ConstantCache()
     cos, sin = cache.trig_specs(angle)
-    return _linear(a, ((c, cos), (-d, sin)), num, den * 2 * (abs(c) + abs(d) + 1), 1, cache,
-                   round_to)
+    den *= 2 * (abs(c) + abs(d) + 1)
+    k, clo, chi = cache.grid(cos, num, den)
+    _, slo, shi = cache.grid(sin, num, den)
+    x = (c * clo if c > 0 else c * chi) - (d * shi if d > 0 else d * slo) - (a << k)
+    y = x + abs(c) * (chi - clo) + abs(d) * (shi - slo)
+    if round_to is not None and round_to < k:
+        x, y, k = x >> (k - round_to), -((-y) >> (k - round_to)), round_to
+    return Enclosure._grid(x, y, k)
 
 
 def _less(x: int, b: int, u: int, v: int) -> bool:
@@ -218,7 +212,8 @@ def _decided(n: int, layout: Layout, ints: tuple[int, ...], bound: Fraction, c, 
     at call time, so rebinding it on this module takes effect; root_rows
     yields a PowerForm's coefficients, so FORM skips their check.  A series
     residual is rounded outward to 12 bits past the width, which keeps it
-    within the width."""
+    within the width.  The row is made here as `_frozen` makes one, without
+    CertRow's __init__ and without the call."""
     if layout is FORM:
         enc = power_form_residual(_frozen(PowerForm, coeffs=ints), c, width, cache)
     else:
@@ -226,8 +221,12 @@ def _decided(n: int, layout: Layout, ints: tuple[int, ...], bound: Fraction, c, 
         enc = (trig_residual(ints, c.x, width, cache, round_to=j) if layout is TRIG
                else pair_residual(*ints, c, width, cache, round_to=j))
     nonzero_ok, bound_ok, decided = _checks(enc, bound)
-    return _frozen(CertRow, n=n, ints=ints, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
-                   bound_ok=bound_ok) if decided else None
+    if not decided:
+        return None
+    row = object.__new__(CertRow)
+    row.__dict__.update(n=n, ints=ints, residual=enc, bound=bound, nonzero_ok=nonzero_ok,
+                        bound_ok=bound_ok)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,16 @@ def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
     for n, k in ((0, 0), (0, 3), (-12, 0), (6, 3), (-(5 << 40), 41), (_OVER_THE_DIGIT_LIMIT, 9)):
         _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
     assert len(calls) == 6
+    # Enclosure._grid builds its ends in its own body; it too must read the
+    # constructor at call time, not one it captured at import
+    calls.clear()
+    ends = ((0, 0, 0), (-12, 0, 0), (0, 5, 3), (-(3 << 10), 1 << 9, 4),
+            (-(5 << 40), 6 << 50, 41), (-7, _OVER_THE_DIGIT_LIMIT, 9))
+    for x, y, k in ends:
+        enc = Enclosure._grid(x, y, k)
+        _same_fraction(enc.lo, Fraction(x, 2 ** k))
+        _same_fraction(enc.hi, Fraction(y, 2 ** k))
+    assert len(calls) == 2 * len(ends)
 
 
 @PROPERTY

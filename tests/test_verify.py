@@ -1,5 +1,6 @@
 """Tests for residual evaluation, certificates, and their serialization."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -318,6 +319,38 @@ def test_to_csv_equals_csv_writer(layout, data):
     size = 3 if layout.vector else len(layout.fields)
     cert = _one_row(layout, (-(7 ** 5300), 0, 10 ** 4400 + 1)[:size])
     assert cert.to_csv() == certificate_csv(cert)
+
+
+@pytest.mark.parametrize("layout, ints", [(PAIR, (1, 2, 3)), (PAIR, (1,)), (TRIG, (4, 5)),
+                                         (TRIG, (1, 2, 3, 4))])
+def test_writers_refuse_a_row_of_the_wrong_size(layout, ints):
+    # a fixed layout writes one integer per field: JSON would drop an extra
+    # integer that CSV and the table write under a header without its name
+    row = CertRow(1, ints, Enclosure(Fraction(1, 3), Fraction(1, 2)), Fraction(1), True, True)
+    cert = Certificate("e", "e", layout, (row,), "nice")
+    for write in (cert.to_json, cert.to_csv, cert.to_table):
+        with pytest.raises(ValueError, match=f"^certificate row 1 holds {len(ints)} integers, "
+                                             f"but its layout has the {len(layout.fields)} "):
+            write()
+
+
+@pytest.mark.parametrize("family, c", [("e", E()), ("root", Root(7, 4)),
+                                       ("trig-angle", CosOf(Fraction(1, 3)))])
+def test_certify_rows_equal_constructed_rows(family, c):
+    # certify builds its rows and their residuals without __init__; each must
+    # compare, hash, print, copy and refuse assignment as a constructed one does
+    for row in certify(family, c, 5).rows:
+        for obj, built in ((row, CertRow(**vars(row))),
+                           (row.residual, Enclosure(row.residual.lo, row.residual.hi))):
+            fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)}
+            assert vars(obj) == fields
+            assert obj == built and hash(obj) == hash(built) and repr(obj) == repr(built)
+            assert dataclasses.asdict(obj) == dataclasses.asdict(built)
+            name = next(iter(fields))
+            assert dataclasses.replace(obj, **{name: fields[name]}) == built
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, fields[name])
+        assert dataclasses.replace(row, n=row.n + 1) == CertRow(**{**vars(row), "n": row.n + 1})
 
 
 @PROPERTY
