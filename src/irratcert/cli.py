@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebraic import classify_roots, reduce_power_form
-from .certificate import _decimal, _frac_str
+from .certificate import _decimal, _frac_str, _quote
 from .constants import canonical_text, parse_constant
 from .errors import IrratCertError
 from .intpoly import IntPolynomial, _digits, _from_rational_str, _rational_str
@@ -41,6 +41,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="irratcert",
                      description="exact-arithmetic irrationality certificates")
     sub = parser.add_subparsers(metavar="command")
+    parser.commands = sub.choices       # each subcommand's name -> its parser
 
     cert = sub.add_parser("cert", help="certificate table for one family")
     cert.set_defaults(handler=_cmd_cert)
@@ -144,15 +145,11 @@ def _cmd_pigeonhole(args) -> int:
     c = parse_constant(args.constant)
     result = pigeonhole_approximant(c, args.n)
     if args.format == "json":
-        import json
-        text = json.dumps({
-            "constant": canonical_text(c),
-            "n": result.n,
-            "p": _digits(result.p),
-            "q": _digits(result.q),
-            "residual_lo": _frac_str(result.residual.lo),
-            "residual_hi": _frac_str(result.residual.hi),
-        }, indent=2)
+        # json.dumps(indent=2) of these six fields, written in one pass
+        text = (f'{{\n  "constant": {_quote(canonical_text(c))},\n  "n": {result.n},\n'
+                f'  "p": "{_digits(result.p)}",\n  "q": "{_digits(result.q)}",\n'
+                f'  "residual_lo": "{_frac_str(result.residual.lo)}",\n'
+                f'  "residual_hi": "{_frac_str(result.residual.hi)}"\n}}')
     else:
         mid = (result.residual.lo + result.residual.hi) / 2
         text = "\n".join([
@@ -198,9 +195,18 @@ def _cmd_fracpart(args) -> int:
     return 0
 
 
+def _parse(argv):
+    """_build_parser().parse_args(argv), without the top-level pass when
+    argv[0] names a subcommand: that pass would only hand argv[1:] to it."""
+    parser = _build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if not hasattr(args, "handler"):
             raise _UsageError("pick a subcommand: cert, pigeonhole, reduce, classify, fracpart")
         return args.handler(args)

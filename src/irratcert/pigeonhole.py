@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from .constants import ConstantSpec, canonical_text, enclose
-from .enclosure import Enclosure, refine
+from .enclosure import Enclosure, _COPRIME, _frozen, refine
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     Of the multiples k*c, k = 0..n, the two least k in the lowest bin
     [j/n, (j+1)/n) that holds two fractional parts give q = k2 - k1 and p
     the difference of their integer parts; the residual q*c - p is enclosed
-    from the enclosure that settled every bin.
+    from the enclosure that settled every bin, in one integer pass over the
+    common denominator of its ends.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -159,8 +160,14 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
                          f"bins for {canonical_text(c)} at n={n}")
     k1, k2 = _shared_bin(P, Q, n)
     p, q = k2 * P // (n * Q) - k1 * P // (n * Q), k2 - k1
-    # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z
-    residual = Enclosure(k2 * enc.lo - k1 * enc.hi - p, k2 * enc.hi - k1 * enc.lo - p)
+    # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z,
+    # on the ends' common denominator d; lo <= hi and k1 + k2 > 0 order them
+    (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    d = da // gcd(da, db) * db
+    a, b, pd = a * (d // da), b * (d // db), p * d
+    x, y = k2 * a - k1 * b - pd, k2 * b - k1 * a - pd
+    g, h = gcd(x, d), gcd(y, d)
+    residual = _frozen(Enclosure, lo=_COPRIME(x // g, d // g), hi=_COPRIME(y // h, d // h))
     return PigeonholeResult(n=n, p=p, q=q, residual=residual)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -562,6 +563,27 @@ def test_pigeonhole_golden_stdout(capsys):
         assert capsys.readouterr().out == expected, (constant, n)
 
 
+# one constant of each kind, an algebraic root in a bracket with a rational
+# end, and the rational root 2/3, which `enclose` returns as a point
+JSON_CONSTANTS = ["sqrt:2", "root:7,4", "e", "inv-e", "e-pow:3", "e-rat:-7/3", "sin:-22/7",
+                  "cos:1/3", "algroot:1,1,-5,2@2,5/2", "algroot:-2,3@0,1"]
+
+
+@pytest.mark.parametrize("constant", JSON_CONSTANTS)
+def test_pigeonhole_json_is_the_json_dumps_text(capsys, constant):
+    for n in (1, 2, 40, 1500):
+        argv = ["pigeonhole", "--constant", constant, "--n", str(n), "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2) + "\n", (constant, n)
+        assert list(data) == ["constant", "n", "p", "q", "residual_lo", "residual_hi"]
+        assert (data["constant"], data["n"]) == (constant, n)
+        for end in (data["residual_lo"], data["residual_hi"]):
+            num, den = map(int, end.split("/"))
+            assert den > 0 and math.gcd(num, den) == 1, (constant, n, end)
+
+
 # (poly, exit code, stdout, stderr): degrees 2 to 8, with and without rational
 # roots, the last of degree 8 with eight real roots, then a squared factor.
 CLASSIFY_GOLDEN = [
@@ -728,3 +750,33 @@ def test_every_request_ends_in_an_exit_code(argv):
         assert err.startswith("error[") and err.count("\n") == 1, (argv, err)
     else:
         assert code in (0, 2) and err == "", (argv, code, err)
+
+
+def _parsed(parse, argv):
+    """(namespace, usage message, SystemExit code, stdout) of parse(argv)."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            return parse(argv), None, None, out.getvalue()
+        except cli._UsageError as exc:
+            return None, str(exc), None, out.getvalue()
+        except SystemExit as exc:
+            return None, None, exc.code, out.getvalue()
+
+
+# main parses argv with the subcommand's own parser when argv[0] names one;
+# every request must parse, fail or print help as the whole parser would
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_requests())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["--help"])
+@example(argv=["cert", "--help"])
+@example(argv=["frobnicate"])
+@example(argv=["--n", "1", "cert"])
+@example(argv=["cert", "--fam", "e", "--n-max", "3"])
+@example(argv=["cert", "--family", "e", "junk"])
+@example(argv=["cert", "--family", "e-rat", "--r=-1/2", "--n-max", "3"])
+@example(argv=["pigeonhole", "--constant", "e"])
+def test_dispatch_parses_like_the_whole_parser(argv):
+    assert _parsed(cli._parse, argv) == _parsed(cli._build_parser().parse_args, argv)
