@@ -86,25 +86,22 @@ def _grid_bits(u: int, v: int, f: int = 1) -> int:
     return k + 1 if u << k < v else k
 
 
-def refine(attempt, width: tuple[int, int], what: str, shrink=2, budget=None, tried=0):
-    """First non-None attempt(width), dividing width by shrink between tries.
+def refine(width: tuple[int, int], what: str, shrink=2, budget=None):
+    """The widths to try, (num, den), (num, den * shrink), ..., as pairs
+    standing for num/den, never reduced.
 
-    width is an integer pair (num, den) standing for num/den; it steps to
-    (num, den * shrink) and reaches attempt as a pair, never reduced.  This
-    is the one budgeted refinement loop: it makes at most budget + 1 tries,
-    budget being refinement_budget() unless given, and then raises
-    PrecisionExhausted, naming `what`, the number of tries and the last
-    width tried.  tried counts the caller's tries before, the last at width:
-    the loop then starts at width / shrink, and they count as its own.
+    This is the one budgeted refinement loop: it yields at most budget + 1
+    widths, budget being refinement_budget() unless given, and asked for one
+    more raises PrecisionExhausted, naming `what`, the number of tries and
+    the last width yielded.  A caller that tried the first width itself
+    skips it, and that try still counts against the budget.
     """
     num, den = width
     tries = (refinement_budget() if budget is None else budget) + 1
-    for i in range(tried, tries):
+    for i in range(tries):
         if i:
             den *= shrink
-        result = attempt((num, den))
-        if result is not None:
-            return result
+        yield num, den
     width = Fraction(num, den)
     exponent = width.numerator.bit_length() - width.denominator.bit_length() + 1
     raise PrecisionExhausted(f"{what} not settled within the refinement budget "

@@ -151,13 +151,12 @@ def pigeonhole_approximant(c: ConstantSpec, n: int) -> PigeonholeResult:
     # Each multiple k*value, k <= n, must sit inside a single bin with margin;
     # start from a width that keeps k*width below a quarter bin and refine
     # whenever a floor or bin assignment stays ambiguous.
-    def pin(width):
+    for width in refine((1, 4 * n * n * (n + 1)), f"bins for {canonical_text(c)} at n={n}"):
         enc = enclose(c, Fraction(*width))
         rotation = _rotation(enc, n)
-        return None if rotation is None else (enc, rotation)
-
-    enc, (P, Q) = refine(pin, (1, 4 * n * n * (n + 1)),
-                         f"bins for {canonical_text(c)} at n={n}")
+        if rotation is not None:
+            break
+    P, Q = rotation
     k1, k2 = _shared_bin(P, Q, n)
     p, q = k2 * P // (n * Q) - k1 * P // (n * Q), k2 - k1
     # [f2.lo - f1.hi, f2.hi - f1.lo] for the fractional parts f = k*enc - z,
@@ -184,14 +183,12 @@ def fractional_residual(q: int, c: ConstantSpec,
     max_width = Fraction(max_width)
     range_enc = Enclosure(Fraction(-1, 4), Fraction(0))
 
-    def attempt(width):
+    for width in refine((max_width.numerator, max_width.denominator * 4 * abs(q)),
+                        f"fractional part of {q} * {canonical_text(c)}"):
         enc = enclose(c, Fraction(*width)) * q
         z = enc.floor_if_settled()
-        if z is None:
-            return None
-        frac = enc - z
-        product = (frac * (frac - 1)).intersect(range_enc)
-        return product if product.width <= max_width else None
-
-    return refine(attempt, (max_width.numerator, max_width.denominator * 4 * abs(q)),
-                  f"fractional part of {q} * {canonical_text(c)}")
+        if z is not None:
+            frac = enc - z
+            product = (frac * (frac - 1)).intersect(range_enc)
+            if product.width <= max_width:
+                return product

@@ -303,17 +303,6 @@ FAMILIES = {
 }
 
 
-def _settle(n: int, layout: Layout, ints: tuple[int, ...], c, bound: Fraction,
-            width: tuple[int, int], cache, budget: int):
-    """(row, width) at the first of (num, 16 den), (num, 256 den), ... that
-    decides row n, the caller's try at (num, den) counted against the budget."""
-    def attempt(w):
-        row = _decided(n, layout, ints, bound, c, w, cache)
-        return None if row is None else (row, w)
-    return refine(attempt, width, f"residual at n={n} against zero and the bound", shrink=16,
-                  budget=budget, tried=1)
-
-
 def _decay(first: CertRow, last: CertRow, layout: Layout, c, first_width, last_width, cache,
            budget: int):
     """(first, last, shrinks): the first and last rows, re-enclosed until
@@ -321,22 +310,24 @@ def _decay(first: CertRow, last: CertRow, layout: Layout, c, first_width, last_w
 
     Both rows are narrowed together, by 16 from their own decided widths, and
     each must stay decided against zero and its bound.  The first try keeps
-    the enclosures the rows were decided with.
+    the enclosures the rows were decided with.  Both exclude zero, so |first|
+    spans [near, far], read off its ends' signs, and `_checks` of last against
+    near decides that it shrinks, and against far that it does not.
     """
-    def attempt(scale):
-        _, s = scale    # the widths are divided by s = 16^j
-        if s == 1:
-            a, b = first, last
-        else:
+    a, b = first, last
+    for _, s in refine((1, 1), f"decay of row {last.n} against row {first.n}", 16, budget):
+        if s > 1:
             a, b = (_decided(row.n, layout, row.ints, row.bound, c, (num, den * s), cache)
                     for row, (num, den) in ((first, first_width), (last, last_width)))
             if a is None or b is None:
-                return None
-        x, y = a.residual, b.residual
-        shrinks = y.max_abs() < x.min_abs()
-        return (a, b, shrinks) if shrinks or y.min_abs() >= x.max_abs() else None
-    return refine(attempt, (1, 1), f"decay of row {last.n} against row {first.n}",
-                  shrink=16, budget=budget)
+                continue
+        lo, hi = a.residual.lo, a.residual.hi
+        near, far = (lo, hi) if lo > 0 else (-hi, -lo)
+        if _checks(b.residual, near)[1]:
+            return a, b, True
+        _, below, decided = _checks(b.residual, far)
+        if decided and not below:
+            return a, b, False
 
 
 def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
@@ -355,8 +346,9 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     row, as a row usually needs at least the depth of the one before.
     Every width tried is w/16^j for some j, so a row whose depth does not
     drop is decided at the width a fresh start would reach.  The first try
-    is one `_decided` call here; only a row it leaves undecided enters
-    `_settle`, so `refine`, at the next width.  Each row's CertRow is built
+    is one `_decided` call here; only a row it leaves undecided iterates
+    `refine`'s widths, the first skipped as tried but counted against the
+    budget, and r grows by one per width taken.  Each row's CertRow is built
     once, without dataclass __init__.  The widths travel from here to the
     constant's grid as unreduced integer pairs (num, den), den shifted left
     4 bits per narrowing, so no try divides a Fraction.
@@ -376,7 +368,7 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
     narrowed by the bits of its largest integer and 8 more.  Only a deeper
     narrowing calls the kernel again, so a certificate makes a few kernel
     calls whatever its n_max.  The refinement budget is read once, here, for
-    the call's two narrowing loops, `_settle` and `_decay`.  Radical answers
+    the call's two narrowing loops, a row's and `_decay`.  Radical answers
     equal fresh enclosures; series residual endpoints may change digits with
     the fill, while the flags and verdict, being decided, do not.  Every
     residual but a sqrt or root one is rounded outward to 2^-j, j 12 bits
@@ -423,10 +415,12 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
         width = first_width(n, bound, depth)
         row = _decided(n, layout, ints, bound, c, width, cache)
         if row is None:
-            start = width
-            row, width = _settle(n, layout, ints, c, bound, start, cache, budget)
-            # each narrowing multiplies the denominator by 16, 4 more bits
-            depth += (width[1].bit_length() - start[1].bit_length()) // 4
+            what = f"residual at n={n} against zero and the bound"
+            for width in islice(refine(width, what, 16, budget), 1, None):
+                depth += 1
+                row = _decided(n, layout, ints, bound, c, width, cache)
+                if row is not None:
+                    break
         rows.append(row)
         widths.append(width)
     first_bad = next((r.n for r in rows if not (r.nonzero_ok and r.bound_ok)), None)

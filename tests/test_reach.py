@@ -42,6 +42,8 @@ PAPER_API = {
     "enclosure.Enclosure.contains": _CHECK_ROUTE,
     "enclosure.Enclosure.excludes_zero": _CHECK_ROUTE,
     "enclosure.Enclosure.is_point": _CHECK_ROUTE,
+    "enclosure.Enclosure.max_abs": _CHECK_ROUTE,
+    "enclosure.Enclosure.min_abs": _CHECK_ROUTE,
     "enclosure.Enclosure.point": _CHECK_ROUTE,
     "errors.check_index": _PER_N,
     "intpoly.IntPolynomial.__add__": _POLY,

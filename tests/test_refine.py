@@ -8,53 +8,48 @@ from irratcert.enclosure import refine, refinement_budget
 from irratcert.errors import PrecisionExhausted
 
 
-def _recorder(succeed_on):
+def _widths(start, shrink=2, budget=None):
+    """The widths refine yields from start, and the error that ends them."""
     widths = []
-
-    def attempt(width):
-        widths.append(width)
-        return "done" if len(widths) == succeed_on else None
-    return attempt, widths
+    with pytest.raises(PrecisionExhausted) as info:
+        for width in refine(start, "probe", shrink, budget):
+            widths.append(width)
+    return widths, str(info.value)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("shrink", [2, 16])
 def test_refine_returns_on_first_success(monkeypatch, k, shrink):
+    # a loop that breaks at its k-th try has seen the first k widths, each
+    # the one before with its denominator times shrink
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "10")
-    attempt, widths = _recorder(k)
-    assert refine(attempt, (1, 3), "probe", shrink=shrink) == "done"
+    widths = []
+    for width in refine((1, 3), "probe", shrink):
+        widths.append(width)
+        if len(widths) == k:
+            break
     assert widths == [(1, 3 * shrink ** i) for i in range(k)]
 
 
 @pytest.mark.parametrize("budget", [0, 1, 4])
 def test_refine_raises_after_budget_plus_one_tries(monkeypatch, budget):
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", str(budget))
-    attempt, widths = _recorder(None)
-    with pytest.raises(PrecisionExhausted) as info:
-        refine(attempt, (1, 4), "probe")
-    assert len(widths) == budget + 1
-    assert widths[-1] == (1, 4 * 2 ** budget)
-    message = str(info.value)
+    widths, message = _widths((1, 4))
+    assert widths == [(1, 4 * 2 ** i) for i in range(budget + 1)]
     assert message.startswith("probe ")
     assert f"tries: {budget + 1}" in message
     assert f"last width < 2^{-1 - budget}" in message
+    # a budget given outright overrides the environment
+    assert _widths((1, 4), 16, budget + 1)[0] == [(1, 4 * 16 ** i) for i in range(budget + 2)]
 
 
 def test_refine_reports_the_width_in_lowest_terms(monkeypatch):
-    # the pair reaches attempt unreduced; the message reads num/den reduced
+    # the pairs are yielded unreduced; the message reads num/den reduced
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", "2")
-    messages = []
-    for start in [(1, 3), (3, 9)]:
-        with pytest.raises(PrecisionExhausted) as info:
-            refine(lambda w: None, start, "probe")
-        messages.append(str(info.value))
-    assert messages == ["probe not settled within the refinement budget "
-                        "(tries: 3, last width < 2^-2)"] * 2
-
-
-def test_refine_keeps_a_falsy_result(monkeypatch):
-    monkeypatch.setenv("IRRATCERT_MAX_REFINE", "3")
-    assert refine(lambda w: 0, (1, 1), "zero") == 0
+    widths, message = _widths((3, 9))
+    assert widths == [(3, 9), (3, 18), (3, 36)]
+    assert message == _widths((1, 3))[1] == ("probe not settled within the refinement budget "
+                                             "(tries: 3, last width < 2^-2)")
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", " "])
@@ -84,7 +79,7 @@ def test_cli_reports_a_bad_budget(monkeypatch, capsys, raw):
 @pytest.mark.parametrize("budget", [0, 1, 2])
 def test_cli_reports_an_exhausted_budget(monkeypatch, capsys, budget):
     # the override is the literal start width, and from 10^6 row 4 needs four
-    # narrowings: certify's own first try and the narrowings refine makes
+    # narrowings: certify's own first try and the narrowings refine yields
     # count as one budget, and the last width tried is 10^6 / 16^budget
     monkeypatch.setenv("IRRATCERT_MAX_REFINE", str(budget))
     tries = []
@@ -104,3 +99,30 @@ def test_cli_reports_an_exhausted_budget(monkeypatch, capsys, budget):
     assert lines[0].startswith("error[PrecisionExhausted]: residual at n=4 ")
     # 2^19 < 10^6 < 2^20, and each narrowing divides by 2^4
     assert lines[0].endswith(f"(tries: {budget + 1}, last width < 2^{20 - 4 * budget})")
+
+
+EXHAUSTED = [
+    ("0", ["cert", "--family", "e-rat", "--r=-3/2", "--n-max", "2", "--width", "1"],
+     "decay of row 2 against row 1 not settled within the refinement budget "
+     "(tries: 1, last width < 2^1)"),
+    ("0", ["pigeonhole", "--constant", "sin:22/7", "--n", "1"],
+     "bins for sin:22/7 at n=1 not settled within the refinement budget "
+     "(tries: 1, last width < 2^-2)"),
+    ("1", ["pigeonhole", "--constant", "sin:22/7", "--n", "1"],
+     "bins for sin:22/7 at n=1 not settled within the refinement budget "
+     "(tries: 2, last width < 2^-3)"),
+    ("0", ["fracpart", "--constant", "e", "--q", "7", "--width", "1"],
+     "fractional part of 7 * e not settled within the refinement budget "
+     "(tries: 1, last width < 2^-3)"),
+]
+
+
+@pytest.mark.parametrize("budget, argv, message", EXHAUSTED)
+def test_each_narrowing_loop_ends_in_one_error_line(monkeypatch, capsys, budget, argv, message):
+    # the decay check, pigeonhole bins and fracpart each run out of budget with
+    # the one-line error, exit 1 and nothing on stdout, as the rows do above
+    monkeypatch.setenv("IRRATCERT_MAX_REFINE", budget)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[PrecisionExhausted]: {message}\n"

@@ -17,7 +17,7 @@ from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
                                  Root, SinInv, SinOf, Sqrt, enclose,
                                  integer_nth_root)
-from irratcert.enclosure import Enclosure, dyadic, refine
+from irratcert.enclosure import Enclosure, dyadic
 from irratcert.intpoly import _interval_horner
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
@@ -144,20 +144,19 @@ def test_certify_decides_the_decay_check(monkeypatch, capsys):
     # wide enough to overlap the other row's (row 2 about -0.996, row 1 about
     # -1.124); the decay comparison narrows both rows until it is decided.
     # From their default start no DECAY_GRID run needs a second decay try.
-    decay_tries = []
+    calls = []
+    decided = verify._decided
 
-    def counting_refine(attempt, width, what, shrink=2, **kw):
-        if not what.startswith("decay"):
-            return refine(attempt, width, what, shrink, **kw)
-
-        def counted(w):
-            decay_tries.append(w)
-            return attempt(w)
-        return refine(counted, width, what, shrink, **kw)
-    monkeypatch.setattr(verify, "refine", counting_refine)
+    def counting(n, *args):
+        calls.append(n)
+        return decided(n, *args)
+    monkeypatch.setattr(verify, "_decided", counting)
     assert main(["cert", "--family", "e-rat", "--r=-3/2", "--n-max", "2", "--width", "1",
                  "--format", "json"]) == 0
-    assert len(decay_tries) > 1
+    # each row is decided on its first try; each later decay try re-decides
+    # row 1, then row 2
+    assert calls[:2] == [1, 2]
+    assert len(calls) > 2 and calls[2:] == [1, 2] * (len(calls) // 2 - 1)
     data = Certificate.from_json(capsys.readouterr().out)
     assert data.verdict == "nice"
     first, last = data.rows[0], data.rows[-1]
