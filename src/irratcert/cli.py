@@ -34,6 +34,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        vars(self).setdefault("own_actions", []).append(action)     # for _one_pass
+        return action
+
 
 @cache
 def _build_parser() -> _Parser:
@@ -85,6 +90,12 @@ def _build_parser() -> _Parser:
     fp.add_argument("--constant", required=True)
     fp.add_argument("--q", type=int, required=True)
     fp.add_argument("--width", help="enclosure width (default 1/10^9)")
+    for command in parser.commands.values():    # what _one_pass reads
+        acts = command.own_actions
+        command.one_pass = ({f: a for a in acts if a.nargs is None for f in a.option_strings},
+                            {a.dest for a in acts if a.required},
+                            {dest: command.get_default(dest) for dest in ["handler"]
+                             + [a.dest for a in acts if a.default is not argparse.SUPPRESS]})
     return parser
 
 
@@ -195,12 +206,33 @@ def _cmd_fracpart(args) -> int:
     return 0
 
 
+def _one_pass(options, required, defaults, args):
+    """A subcommand's parse_args(args) built in one pass from its one_pass
+    table, or None at the first argument that is not `--flag=value` or
+    `--flag value` (value not starting with -) for one of its options in
+    full with a value of its type and choices, or if a required one is missing."""
+    given, rest = {}, iter(args)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        value = value if eq else next(rest, "-")    # so a missing value falls back
+        action = options.get(flag)
+        if action is None or value in ("", "--") or not eq and value.startswith("-"):
+            return None     # argparse would read a value "--" as none
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    return argparse.Namespace(**defaults | given) if given.keys() >= required else None
+
+
 def _parse(argv):
-    """_build_parser().parse_args(argv), without the top-level pass when
-    argv[0] names a subcommand: that pass would only hand argv[1:] to it."""
+    """_build_parser().parse_args(argv); a subcommand's rest by _one_pass or its parser."""
     parser = _build_parser()
-    if argv and argv[0] in parser.commands:
-        return parser.commands[argv[0]].parse_args(argv[1:])
+    if argv and (command := parser.commands.get(argv[0])) is not None:
+        return _one_pass(*command.one_pass, argv[1:]) or command.parse_args(argv[1:])
     return parser.parse_args(argv)
 
 

@@ -176,19 +176,22 @@ def fractional_residual(q: int, c: ConstantSpec,
 
     The product tends to zero exactly when some integer sequence q makes
     {q*value} approach 0 or 1; for the q produced by a nice approximation
-    sequence it certifies the fractional-part criterion.
+    sequence it certifies the fractional-part criterion.  Each try is one
+    integer pass over the common denominator of q*enc's ends.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
     max_width = Fraction(max_width)
-    range_enc = Enclosure(Fraction(-1, 4), Fraction(0))
-
     for width in refine((max_width.numerator, max_width.denominator * 4 * abs(q)),
                         f"fractional part of {q} * {canonical_text(c)}"):
-        enc = enclose(c, Fraction(*width)) * q
-        z = enc.floor_if_settled()
-        if z is not None:
-            frac = enc - z
-            product = (frac * (frac - 1)).intersect(range_enc)
-            if product.width <= max_width:
-                return product
+        enc = enclose(c, Fraction(*width))
+        (a, da), (b, db) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        d = da // gcd(da, db) * db
+        a, b = sorted((a * (d // da) * q, b * (d // db) * q))
+        z = a // d
+        if z == b // d:
+            # f = {q*value} in [x, y] / d, 0 <= x <= y < d: f (f - 1) in [4y (x-d), 4x (y-d)] / s
+            x, y, s = a - z * d, b - z * d, 4 * d * d
+            lo, hi = max(4 * y * (x - d), -d * d), 4 * x * (y - d)
+            if (hi - lo) * max_width.denominator <= max_width.numerator * s:
+                return _frozen(Enclosure, lo=Fraction(lo, s), hi=Fraction(hi, s))

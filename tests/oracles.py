@@ -5,10 +5,10 @@ higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, schoolbook
 bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals, `json.dumps` and `csv.writer` for certificate text,
-`Fraction` Horner, bisection, division, gcds, Sturm chains and Sturm counts
-for polynomial signs and roots, and an inline Descartes count for the Newton
-jump's one-simple-root test.  Agreement
+certificate residuals and the fractional-part product, `json.dumps` and
+`csv.writer` for certificate text, `Fraction` Horner, bisection, division,
+gcds, Sturm chains and Sturm counts for polynomial signs and roots, and an
+inline Descartes count for the Newton jump's one-simple-root test.  Agreement
 between a library value and its oracle twin is the point of most tests, so
 nothing in this file may call back into the code paths it checks.  The two
 exceptions are not oracles but readers of library internals that the tests
@@ -286,6 +286,25 @@ def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
         if acc.width <= max_width:
             return acc
         width /= 2
+
+
+def enclosure_fractional_residual(q: int, c, max_width) -> Enclosure:
+    """{q*value}({q*value} - 1) as `fractional_residual` formed it before its
+    integer pass: q times the enclosure from the same start width, halved
+    until its floor settles and the product, clamped to [-1/4, 0], is
+    max_width wide."""
+    max_width = Fraction(max_width)
+    width = max_width / (4 * abs(q))
+    for _ in range(400):
+        enc = enclose(c, width) * q
+        z = enc.floor_if_settled()
+        if z is not None:
+            frac = enc - z
+            product = (frac * (frac - 1)).intersect(Enclosure(Fraction(-1, 4), Fraction(0)))
+            if product.width <= max_width:
+                return product
+        width /= 2
+    raise AssertionError(f"fractional part of {q} * {c} not settled")
 
 
 # Certificate JSON and CSV as verify first wrote them: a dict of the

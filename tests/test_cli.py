@@ -705,6 +705,7 @@ def test_every_cert_flag_comes_from_its_kinds_fields(capsys):
 # Every request ends in an exit code: values at each flag's edges, unknown
 # subcommands and families, and constant texts that are malformed, perfect
 # powers or out of the kernel's reach.  None leaves an optional flag out.
+# Each value is spelled --flag=value or --flag value, and a flag may repeat.
 _INTS = ["2", "-7", "0", "1e30", "abc", "12345678901234567890", "3", None]
 _RATIONALS = ["1/3", "-1/2", "0", "1e30", "3/0", "abc", "12345678901234567890", "2", None]
 _CONSTANTS = ["sqrt:2", "e", "cos:1/3", "sqrt:", "sqrt:x", "root:2", "e-rat:0", "zeta",
@@ -730,9 +731,10 @@ def _requests(draw):
     command = draw(st.sampled_from([*_REQUEST_FLAGS, None]))
     argv = [] if command is None else [command]
     for flag, values in _REQUEST_FLAGS.get(command, {}).items():
-        value = draw(st.sampled_from(values))
-        if value is not None:
-            argv.append(f"{flag}={value}")
+        for _ in range(draw(st.integers(1, 2))):
+            value = draw(st.sampled_from(values))
+            if value is not None:
+                argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
@@ -764,8 +766,13 @@ def _parsed(parse, argv):
             return None, None, exc.code, out.getvalue()
 
 
-# main parses argv with the subcommand's own parser when argv[0] names one;
-# every request must parse, fail or print help as the whole parser would
+# main builds argv in one pass, or else parses it with the subcommand's own
+# parser, when argv[0] names one; every request must parse, fail or print
+# help as the whole parser would.  The examples after the first ten are
+# each an argument the one pass leaves to argparse: an abbreviation, a
+# separate value starting with -, an empty value, --seed-doc, -- and a
+# value that is --, which argparse reads as none before 3.13; then ints
+# that int() reads though they are not plain digits, and repeated flags
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(argv=_requests())
 @example(argv=[])
@@ -778,5 +785,39 @@ def _parsed(parse, argv):
 @example(argv=["cert", "--family", "e", "junk"])
 @example(argv=["cert", "--family", "e-rat", "--r=-1/2", "--n-max", "3"])
 @example(argv=["pigeonhole", "--constant", "e"])
+@example(argv=["cert", "--family", "e", "--n-m", "3"])
+@example(argv=["cert", "--family", "e-pow", "--k", "-3"])
+@example(argv=["reduce", "--modulus", "-2,0,1", "--coeffs", "1,2,3"])
+@example(argv=["pigeonhole", "--constant=", "--n", "3"])
+@example(argv=["cert", "--family", "e", "--n-max="])
+@example(argv=["cert", "--family", "e", "--seed-doc"])
+@example(argv=["cert", "--", "--family", "e"])
+@example(argv=["classify", "--poly=--"])
+@example(argv=["cert", "--family", "e", "--n-max", " 5"])
+@example(argv=["cert", "--family", "e", "--n-max=1_0"])
+@example(argv=["pigeonhole", "--constant", "e", "--n", "+3"])
+@example(argv=["cert", "--family=frobnicate", "--family", "e", "--family=sqrt", "--m=2"])
+@example(argv=["cert", "--family=e", "--family", "sqrt", "--m=2", "--m", "3"])
 def test_dispatch_parses_like_the_whole_parser(argv):
     assert _parsed(cli._parse, argv) == _parsed(cli._build_parser().parse_args, argv)
+
+
+def test_documented_spellings_are_parsed_without_argparse(monkeypatch):
+    # every corpus request, in either spelling, is built in one pass: a
+    # silent fall back to argparse would still parse it, only slower
+    def joined(argv):
+        out = argv[:1]
+        for arg in argv[1:]:
+            if out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("-"):
+                out[-1] += "=" + arg
+            else:
+                out.append(arg)
+        return out
+    requests = [spell(argv) for argv in CORPUS_OK + CORPUS_VIOLATED for spell in (list, joined)]
+    want = [cli._build_parser().parse_args(argv) for argv in requests]
+
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args}")
+    monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
+    assert [cli._parse(argv) for argv in requests] == want
+    assert all("=" in argv[1] for argv in requests[1::2])

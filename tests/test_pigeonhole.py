@@ -15,7 +15,8 @@ from irratcert.enclosure import Enclosure
 from irratcert.pigeonhole import (_farey_neighbours, _shared_bin, fractional_residual,
                                   pigeonhole_approximant, simplest_between)
 
-from oracles import bin_placements, fraction_bin_placements, sorted_shared_bin, sqrt_bracket
+from oracles import (bin_placements, enclosure_fractional_residual, fraction_bin_placements,
+                     sorted_shared_bin, sqrt_bracket)
 
 
 def test_worked_examples():
@@ -95,6 +96,30 @@ def test_fractional_residual_factorial_denominators_shrink():
 def test_fractional_residual_rejects_zero():
     with pytest.raises(ValueError):
         fractional_residual(0, E())
+
+
+# one constant of each kind, with the rational algroot points 2/3 and 1/2
+# that `enclose` returns as points
+FRACPART_CONSTANTS = ["sqrt:2", "root:5,3", "e", "inv-e", "e-pow:3", "e-rat:-1/2", "e-rat:7/3",
+                      "sin-inv:2", "cos-inv:3", "sin:1/3", "cos:22/7", "algroot:1,1,-5,2@2,5/2",
+                      "algroot:-2,3@0,1", "algroot:-1,2@0,1"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(constant=st.sampled_from(FRACPART_CONSTANTS),
+       q=st.one_of(st.integers(-60, 60), st.integers(-10 ** 40, 10 ** 40)).filter(bool),
+       width=st.one_of(st.integers(0, 30).map(lambda k: Fraction(1, 10 ** k)),
+                       st.fractions(Fraction(1, 10 ** 12), 1)))
+@example(constant="e", q=10 ** 40, width=Fraction(1))
+@example(constant="algroot:-1,2@0,1", q=-(10 ** 40) - 1, width=Fraction(1, 10 ** 30))
+@example(constant="cos:22/7", q=-7, width=Fraction(1, 10 ** 30))
+@example(constant="sqrt:2", q=-1, width=Fraction(1, 10 ** 6))
+def test_fractional_residual_matches_the_interval_formula(constant, q, width):
+    # the integer pass gives the very ends that q * enc, its floor, f (f - 1)
+    # and the clamp to [-1/4, 0] give on Enclosures
+    c = parse_constant(constant)
+    got, want = fractional_residual(q, c, width), enclosure_fractional_residual(q, c, width)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 @st.composite

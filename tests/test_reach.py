@@ -22,6 +22,8 @@ _NIVEN = "the paper's Niven section: the functionals of x^n (1-x)^n / n!"
 _CHECK_READ = "ROADMAP item 6: the checker reads a certificate back from JSON"
 _CHECK_ROUTE = ("ROADMAP item 6: the checker confirms each row by a route the "
                 "producer never takes")
+_FRACPART = ("interval arithmetic the fractional-part product is checked by "
+             "(oracles.enclosure_fractional_residual); the package forms it on integers")
 
 # qualified name (module.Class.function) -> why it stays with no request reaching it
 PAPER_API = {
@@ -37,14 +39,19 @@ PAPER_API = {
     "certificate._rational": _CHECK_READ,
     "certificate._row_from_dict": _CHECK_READ,
     "enclosure.Enclosure.__add__": _CHECK_ROUTE,
+    "enclosure.Enclosure.__mul__": _FRACPART,
     "enclosure.Enclosure.__neg__": _CHECK_ROUTE,
     "enclosure.Enclosure.__rsub__": _CHECK_ROUTE,
+    "enclosure.Enclosure.__sub__": _FRACPART,
     "enclosure.Enclosure.contains": _CHECK_ROUTE,
     "enclosure.Enclosure.excludes_zero": _CHECK_ROUTE,
+    "enclosure.Enclosure.floor_if_settled": _FRACPART,
+    "enclosure.Enclosure.intersect": _FRACPART,
     "enclosure.Enclosure.is_point": _CHECK_ROUTE,
     "enclosure.Enclosure.max_abs": _CHECK_ROUTE,
     "enclosure.Enclosure.min_abs": _CHECK_ROUTE,
     "enclosure.Enclosure.point": _CHECK_ROUTE,
+    "enclosure.Enclosure.width": _FRACPART,
     "errors.check_index": _PER_N,
     "intpoly.IntPolynomial.__add__": _POLY,
     "intpoly.IntPolynomial.__call__": _POLY,
