@@ -175,24 +175,31 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _row_json(row: CertRow, layout: Layout) -> str:
+def _row_json(row: CertRow, layout: Layout, spell=str) -> str:
     """One row as an object of the top-level "rows" list: integers as strings,
-    a vector layout as a list of them."""
-    enc = row.residual
-    if layout.vector:
-        items = _json_list([f'        "{_digits(x)}"' for x in row.ints], "      ")
-        integers = f'"{layout.fields[0]}": {items}'
-    else:
-        if len(row.ints) != len(layout.fields):
-            layout.csv_cells(row)   # refuses the row, naming it
-        integers = ",\n      ".join(f'"{name}": "{_digits(x)}"'
-                                    for name, x in zip(layout.fields, row.ints))
-    return (f'    {{\n      "n": {_digits(row.n)},\n      {integers},\n'
-            f'      "residual_lo": "{_frac_str(enc.lo)}",\n'
-            f'      "residual_hi": "{_frac_str(enc.hi)}",\n'
-            f'      "bound": "{_frac_str(row.bound)}",\n'
-            f'      "nonzero_ok": {"true" if row.nonzero_ok else "false"},\n'
-            f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
+    a vector layout as a list of them.  Spelled by str, and by _digits again
+    when an integer is past str's digit limit."""
+    ints = row.ints
+    if not layout.vector and len(ints) != len(layout.fields):
+        layout.csv_cells(row)   # refuses the row, naming it
+    lo, lo_den = row.residual.lo.as_integer_ratio()
+    hi, hi_den = row.residual.hi.as_integer_ratio()
+    bound, bound_den = row.bound.as_integer_ratio()
+    try:
+        if layout.vector:
+            items = _json_list([f'        "{spell(x)}"' for x in ints], "      ")
+            integers = f'"{layout.fields[0]}": {items}'
+        else:
+            integers = ",\n      ".join([f'"{name}": "{spell(x)}"'
+                                         for name, x in zip(layout.fields, ints)])
+        return (f'    {{\n      "n": {row.n},\n      {integers},\n'
+                f'      "residual_lo": "{spell(lo)}/{spell(lo_den)}",\n'
+                f'      "residual_hi": "{spell(hi)}/{spell(hi_den)}",\n'
+                f'      "bound": "{spell(bound)}/{spell(bound_den)}",\n'
+                f'      "nonzero_ok": {"true" if row.nonzero_ok else "false"},\n'
+                f'      "bound_ok": {"true" if row.bound_ok else "false"}\n    }}')
+    except ValueError:      # past the digit limit; _digits raises none
+        return _row_json(row, layout, _digits)
 
 
 def _layout(d) -> Layout:

@@ -241,6 +241,12 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if not hasattr(args, "handler"):
             raise _UsageError("pick a subcommand: cert, pigeonhole, reduce, classify, fracpart")
+        # --flag=-- reaches here as [] on Python 3.10-3.12 and as "--" on 3.13
+        if [] in vars(args).values() or "--" in vars(args).values():
+            options = next(c.one_pass[0] for c in _build_parser().commands.values()
+                           if c.one_pass[2]["handler"] is args.handler)
+            flag = next(f for f, a in options.items() if getattr(args, a.dest) in ([], "--"))
+            raise _UsageError(f"argument {flag}: expected one argument")
         return args.handler(args)
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

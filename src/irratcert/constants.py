@@ -187,6 +187,11 @@ ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
 # A sum stops as soon as 2r fits the requested width.  If the tail bound alone
 # fits a quarter of it and 2r still does not, the rounding error is what is
 # too wide, and the sum is redone at a finer scale.
+# The tail is formed only where it may end the sum.  It is at least
+# |term| |a| / ((j + 1) b) for exp and |term| a^2 / d for sin and cos, and
+# |term| |a| >= 2^(bits(term) + bits(a) - 2); so while bits(term) + bits(a) >
+# bits(budget) + bits((j + 1) b) + 2 (a^2 and d), it is over 2 budget, neither
+# exit can fire, and skipping it changes no result.
 
 def _series_precision(x: Fraction, max_width: Fraction) -> int:
     """Starting scale for a series at x: the bits of max_width, plus guard bits
@@ -206,6 +211,7 @@ def _exp_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
     prec = _series_precision(x, max_width)
     while True:
         budget = (max_width.numerator << prec) // max_width.denominator
+        room = budget.bit_length() + 2 - aa.bit_length()
         term = total = 1 << prec
         err = total_err = 0
         j = 0
@@ -216,7 +222,7 @@ def _exp_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
             err = -(-err * aa // d) + 1
             total += term
             total_err += err
-            if aa < (j + 2) * b:
+            if aa < (j + 2) * b and term.bit_length() <= room + (d + b).bit_length():
                 tail = -(-(abs(term) + err) * aa * (j + 2) // ((j + 1) * ((j + 2) * b - aa)))
                 r = tail + total_err
                 if 2 * r <= budget:
@@ -240,6 +246,7 @@ def _trig_enclosure(x: Fraction, max_width: Fraction, first_power: int) -> Enclo
     while True:
         one = 1 << prec
         budget = (max_width.numerator << prec) // max_width.denominator
+        room = budget.bit_length() + 2 - a2.bit_length()
         if first_power:
             term, rem = divmod(a << prec, b)
             err = 1 if rem else 0
@@ -249,7 +256,7 @@ def _trig_enclosure(x: Fraction, max_width: Fraction, first_power: int) -> Enclo
         s = first_power
         while True:
             d = (s + 1) * (s + 2) * b2
-            if a2 < d:
+            if a2 < d and term.bit_length() <= room + d.bit_length():
                 tail = -(-(abs(term) + err) * a2 // d)
                 r = tail + total_err
                 if 2 * r <= budget:

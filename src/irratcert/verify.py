@@ -396,23 +396,20 @@ def certify(family: str, c, n_max: int, max_width=None) -> Certificate:
             raise ValueError("width override must be positive")
         max_width = max_width.as_integer_ratio()
     budget = refinement_budget()
-
-    def first_width(n, bound, depth):
-        num, den = max_width or (bound.numerator, bound.denominator * 1000 << sink * n)
-        return num, den << 4 * depth
     built = list(islice(rows_of(c), n_max))
     cache = ConstantCache()
     # one kernel call per constant, at about what the last row's first try asks:
     # a residual asks for its width over about its largest integer
     ints, bound = built[-1]
-    u, v = first_width(n_max, bound, 0)
+    u, v = max_width or (bound.numerator, bound.denominator * 1000 << sink * n_max)
     bits = max(x.bit_length() for x in ints) + 8
     for spec in cache.trig_specs(c.x) if layout is TRIG else (c,):
         cache.grid(spec, u, v << bits)
     rows, widths = [], []
     depth = 0
     for n, (ints, bound) in enumerate(built, 1):
-        width = first_width(n, bound, depth)
+        num, den = max_width or (bound.numerator, bound.denominator * 1000 << sink * n)
+        width = num, den << 4 * depth
         row = _decided(n, layout, ints, bound, c, width, cache)
         if row is None:
             what = f"residual at n={n} against zero and the bound"

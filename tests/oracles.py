@@ -3,18 +3,20 @@
 Everything here recomputes values along an independent path: quadratic and
 higher ring expansion for radical powers, bottom-up modular powers for
 reduction, term-calculus differentiation for the functional tables, plain
-partial sums with Lagrange tails for the series constants, schoolbook
-bisection for square roots, interval arithmetic on `Enclosure`s for
-certificate residuals and the fractional-part product, `json.dumps` and
-`csv.writer` for certificate text, `Fraction` Horner, bisection, division,
-gcds, Sturm chains and Sturm counts for polynomial signs and roots, and an
-inline Descartes count for the Newton jump's one-simple-root test.  Agreement
-between a library value and its oracle twin is the point of most tests, so
-nothing in this file may call back into the code paths it checks.  The two
-exceptions are not oracles but readers of library internals that the tests
-check against oracles: `bin_placements` and `is_squarefree`.  The pigeonhole
-bins have a second oracle, `sorted_shared_bin`, the sort-and-scan the
-three-distance walk replaced.
+partial sums with Lagrange tails for the series constants, the kernels'
+term loops with the tail bound formed after every term, which the kernels
+skip while its bits rule out an exit, schoolbook bisection for square
+roots, interval arithmetic on `Enclosure`s for certificate residuals and
+the fractional-part product, `json.dumps` and `csv.writer` for certificate
+text, `Fraction` Horner, bisection, division, gcds, Sturm chains and Sturm
+counts for polynomial signs and roots, and an inline Descartes count for the
+Newton jump's one-simple-root test.  Agreement between a library value and
+its oracle twin is the point of most tests, so nothing in this file may
+call back into the code paths it checks.  The two exceptions are not oracles
+but readers of library internals that the tests check against oracles:
+`bin_placements` and `is_squarefree`.  The pigeonhole bins have a second
+oracle, `sorted_shared_bin`, the sort-and-scan the three-distance walk
+replaced.
 """
 
 import csv
@@ -150,6 +152,88 @@ def cos_bracket(x, terms: int) -> tuple[Fraction, Fraction]:
         s += Fraction((-1) ** j) * x ** (2 * j) / factorial(2 * j)
     rem = abs(x) ** (2 * terms + 2) / factorial(2 * terms + 2)
     return s - rem, s + rem
+
+
+def _fewest_bits(max_width: Fraction) -> int:
+    """The fewest k >= 0 with 2^-k <= max_width."""
+    num, den = max_width.numerator, max_width.denominator
+    k = max(0, den.bit_length() - num.bit_length() - 1)
+    while num << k < den:
+        k += 1
+    return k
+
+
+def series_start(x: Fraction, max_width: Fraction, starved: bool = False) -> int:
+    """The series kernels' first scale: the bits of max_width plus guard bits,
+    or only 4 guard bits when starved, so that the rounding error forces a redo."""
+    k = _fewest_bits(max_width)
+    return k + 4 if starved else k + 2 * (abs(x.numerator) // x.denominator) + k.bit_length() + 10
+
+
+def exp_term_loop(x: Fraction, max_width: Fraction, starved: bool = False):
+    """(lo, hi, sums) of the exp kernel as a term loop that forms its tail
+    bound after every term once |x| < j + 2, sums being how often it summed."""
+    a, b = x.numerator, x.denominator
+    aa = abs(a)
+    prec = series_start(x, max_width, starved)
+    sums = 0
+    while True:
+        sums += 1
+        budget = (max_width.numerator << prec) // max_width.denominator
+        term = total = 1 << prec
+        err = total_err = 0
+        j = 0
+        while True:
+            j += 1
+            d = j * b
+            term = term * a // d
+            err = -(-err * aa // d) + 1
+            total += term
+            total_err += err
+            if aa < (j + 2) * b:
+                tail = -(-(abs(term) + err) * aa * (j + 2) // ((j + 1) * ((j + 2) * b - aa)))
+                r = tail + total_err
+                if 2 * r <= budget:
+                    return Fraction(total - r, 1 << prec), Fraction(total + r, 1 << prec), sums
+                if 4 * tail <= budget:
+                    break
+        prec += total_err.bit_length()
+
+
+def trig_term_loop(x: Fraction, max_width: Fraction, first_power: int, starved: bool = False):
+    """(lo, hi, sums) of the sin (first_power 1) or cos (0) kernel as a term
+    loop that forms its tail bound after every term once the terms decrease."""
+    a, b = x.numerator, x.denominator
+    a2, b2 = a * a, b * b
+    prec = series_start(x, max_width, starved)
+    sums = 0
+    while True:
+        sums += 1
+        one = 1 << prec
+        budget = (max_width.numerator << prec) // max_width.denominator
+        if first_power:
+            term, rem = divmod(a << prec, b)
+            err = 1 if rem else 0
+        else:
+            term, err = one, 0
+        total, total_err = term, err
+        s = first_power
+        while True:
+            d = (s + 1) * (s + 2) * b2
+            if a2 < d:
+                tail = -(-(abs(term) + err) * a2 // d)
+                r = tail + total_err
+                if 2 * r <= budget:
+                    return (Fraction(max(total - r, -one), one),
+                            Fraction(min(total + r, one), one), sums)
+                if 4 * tail <= budget:
+                    break
+            term = -term * a2 // d
+            err = -(-err * a2 // d) + 1
+            total += term
+            total_err += err
+            s += 2
+        prec += total_err.bit_length()
 
 
 def sqrt_bracket(m: int, steps: int) -> tuple[Fraction, Fraction]:

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import random
+import signal
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -743,15 +745,97 @@ def _requests(draw):
 @example(argv=["fracpart", "--constant", "e-rat:1e30", "--q=3"])
 @example(argv=["cert", "--family=sqrt", "--m=12345678901234567890", "--width=1e30", "--n-max=3"])
 @example(argv=["cert", "--family=trig-angle", "--angle=12345678901234567890", "--n-max=1"])
+@example(argv=["classify", "--poly=--"])
+@example(argv=["reduce", "--modulus=--", "--coeffs", "1"])
+@example(argv=["pigeonhole", "--constant=--", "--n", "3"])
+@example(argv=["fracpart", "--constant", "e", "--q", "3", "--width=--"])
+@example(argv=["cert", "--family", "e-rat", "--r=--"])
+@example(argv=["cert", "--family", "e", "--n-max=--"])
 def test_every_request_ends_in_an_exit_code(argv):
+    assert _ends_in_an_exit_code(argv) is None
+
+
+def _ends_in_an_exit_code(argv):
+    """None if main(argv) returns 0 or 2 with nothing on stderr, or 1 with one
+    error[...] line; else what it did instead."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     err = err.getvalue()
     if code == 1:
-        assert err.startswith("error[") and err.count("\n") == 1, (argv, err)
-    else:
-        assert code in (0, 2) and err == "", (argv, code, err)
+        return None if err.startswith("error[") and err.count("\n") == 1 else (argv, err)
+    return None if code in (0, 2) and err == "" else (argv, code, err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--poly=--"], "--poly"),
+    (["reduce", "--modulus=--", "--coeffs", "1"], "--modulus"),
+    (["pigeonhole", "--constant=--", "--n", "3"], "--constant"),
+    (["fracpart", "--constant", "e", "--q", "3", "--width=--"], "--width"),
+    (["cert", "--family", "e-rat", "--r=--"], "--r"),
+])
+def test_a_value_of_double_dash_is_a_usage_error(capsys, argv, flag):
+    # argparse reads --flag=-- as [] on Python 3.10-3.12 and as "--" on 3.13
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error[usage]: argument {flag}: expected one argument\n")
+
+
+# Argv fuzz: a fixed seed draws argv over the five subcommands (and, less
+# often, frobnicate, -- or -): each flag of the subcommand given or not (a
+# required one mostly), in either spelling, mostly with one of its values
+# above and otherwise with text that argparse, int() or the handlers read
+# oddly; then at most one stray flag or value.  n and n_max stay small.
+_ODD = ["--", "", "-", "٣", "1_0", "-1_0", "9" * 40, "-" + "9" * 40, "1/0", "nan", "inf",
+        "sqrt:", "sqrt:٣", "root:2,", "e-rat:1/0", "sin:nan", "algroot:1,2@", "algroot:@,",
+        "-2,0,1", ",", "1,,2"]
+_SMALL = ["--", "", "-", "٣", "1_0", "-1", "0", "2", "nan", "1/0"]
+_REQUIRED = {"--family", "--constant", "--n", "--modulus", "--coeffs", "--poly", "--q"}
+_FUZZ_SECONDS = 5
+
+
+class _TooSlow(BaseException):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow
+
+
+def _fuzzed(rng):
+    command = rng.choices([*_REQUEST_FLAGS, "--", "-"], [6] * 5 + [1] * 3)[0]
+    argv = [command]
+    flags = _REQUEST_FLAGS.get(command, {})
+    for flag, values in flags.items():
+        odd = _SMALL if flag in ("--n", "--n-max") else _ODD
+        value = rng.choice(odd if rng.random() < 0.15 else values)
+        if value is not None and rng.random() < (0.9 if flag in _REQUIRED else 0.5):
+            argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    if rng.random() < 0.2:
+        argv.insert(rng.randint(1, len(argv)), rng.choice([*flags, "--seed-doc", "--zzz", *_ODD]))
+    return argv
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_fuzzed_argv_end_in_an_exit_code():
+    # every argv returns 0, 1 or 2 within the time cap, with no exception out of main
+    rng = random.Random(42)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    failures = []
+    try:
+        for _ in range(2000):
+            argv = _fuzzed(rng)
+            signal.setitimer(signal.ITIMER_REAL, _FUZZ_SECONDS)
+            try:
+                failure = _ends_in_an_exit_code(argv)
+            except (Exception, SystemExit, _TooSlow) as exc:
+                failure = (argv, repr(exc))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert failures == []
 
 
 def _parsed(parse, argv):

@@ -6,11 +6,13 @@ Radical enclosures are pinned exactly: [z, z + 1] / 2^k with
 z = floor(2^k * a^(1/m)), checked by integer powers.
 """
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 from mpmath.libmp import to_rational
@@ -25,7 +27,7 @@ from irratcert.enclosure import Enclosure
 from irratcert.intpoly import IntPolynomial
 from irratcert.verify import ConstantCache
 
-from oracles import fraction_bisect_root
+from oracles import exp_term_loop, fraction_bisect_root, trig_term_loop
 
 ORACLE_BITS = 4200
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -99,6 +101,55 @@ def test_starved_precision_is_raised_until_the_width_fits(monkeypatch, spec, fn,
     x = spec.r if isinstance(spec, ERational) else spec.x
     max_width = Fraction(1, 2 ** bits)
     _assert_encloses(enclose(spec, max_width), _at(fn, x), max_width)
+
+
+# widths from 2^-1 down to 2^-4000, scaled by num/den <= 1, so mostly not dyadic
+deep_widths = st.builds(lambda k, num, den: Fraction(min(num, den), max(num, den) << k),
+                        st.integers(1, 4000), st.integers(1, 1000), st.integers(1, 1000))
+BIT_IDENTICAL = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _starving(starved):
+    """Four guard bits, as in the test above, while starved."""
+    if not starved:
+        return contextlib.nullcontext()
+    return mock.patch.object(constants, "_series_precision",
+                             lambda x, w: constants._grid_bits(*w.as_integer_ratio()) + 4)
+
+
+# the kernels skip the tail bound while its bits rule out an exit; each must
+# return what the term loop that forms it after every term returns.  The
+# starved examples take the redo at a finer scale; the others exit within 3
+# bits of the skip test, so a test 3 bits looser would change them
+@BIT_IDENTICAL
+@given(x=_rationals(12), max_width=deep_widths, starved=st.just(False))
+@example(x=Fraction(12), max_width=Fraction(1, 2 ** 50), starved=True)
+@example(x=Fraction(-12), max_width=Fraction(3, 5 << 700), starved=True)
+@example(x=Fraction(1, 3), max_width=Fraction(1, 1 << 4000), starved=True)
+@example(x=Fraction(284, 33), max_width=Fraction(857, 900 << 55), starved=False)
+@example(x=Fraction(-277, 27), max_width=Fraction(725, 383 << 86), starved=False)
+def test_exp_kernel_returns_the_term_loops_enclosure(x, max_width, starved):
+    with _starving(starved):
+        enc = constants._exp_enclosure(x, max_width)
+    lo, hi, sums = exp_term_loop(x, max_width, starved)
+    assert (enc.lo, enc.hi) == (lo, hi)
+    assert sums > 1 or not starved
+
+
+@BIT_IDENTICAL
+@given(x=_rationals(40), max_width=deep_widths, first_power=st.sampled_from([0, 1]),
+       starved=st.just(False))
+@example(x=Fraction(40), max_width=Fraction(1, 2 ** 50), first_power=1, starved=True)
+@example(x=Fraction(-37, 3), max_width=Fraction(7, 9 << 700), first_power=0, starved=True)
+@example(x=Fraction(1, 7), max_width=Fraction(5, 7 << 3999), first_power=0, starved=True)
+@example(x=Fraction(-381, 20), max_width=Fraction(951, 988 << 84), first_power=0, starved=False)
+@example(x=Fraction(-12), max_width=Fraction(3, 25 << 216), first_power=1, starved=False)
+def test_trig_kernel_returns_the_term_loops_enclosure(x, max_width, first_power, starved):
+    with _starving(starved):
+        enc = constants._trig_enclosure(x, max_width, first_power)
+    lo, hi, sums = trig_term_loop(x, max_width, first_power, starved)
+    assert (enc.lo, enc.hi) == (lo, hi)
+    assert sums > 1 or not starved
 
 
 def _fewest_bits(max_width):
