@@ -53,11 +53,6 @@ def reduce_power_form(modulus: IntPolynomial, c: Sequence[int]) -> PowerForm:
     return PowerForm(rem + [0] * (m - len(rem)))
 
 
-def multiply_forms(modulus: IntPolynomial, x: Sequence[int], y: Sequence[int]) -> PowerForm:
-    """Power form of the product of the combinations x and y, reduced by the modulus."""
-    return reduce_power_form(modulus, _convolve(x, y))
-
-
 def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
     """Power form of (alpha - z)**n reduced by the modulus, by repeated squaring."""
     if n < 0:
@@ -65,7 +60,7 @@ def monic_certificate(modulus: IntPolynomial, z: int, n: int) -> PowerForm:
     acc = reduce_power_form(modulus, (1,)).coeffs
     for bit in bin(n)[2:]:
         other = acc if bit == "0" else _convolve(acc, (-z, 1))
-        acc = multiply_forms(modulus, acc, other).coeffs
+        acc = reduce_power_form(modulus, _convolve(acc, other)).coeffs
     return PowerForm(acc)
 
 

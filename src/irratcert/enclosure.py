@@ -34,13 +34,9 @@ def refinement_budget() -> int:
 
 def _coprime_constructor(cls=Fraction):
     """The cheapest way to build a cls from a numerator and a positive
-    denominator already in lowest terms, taking no gcd: `_from_coprime_ints`
-    on Python 3.12 and later; on 3.10 and 3.11 object.__new__ with the two
-    slots set, as that method does, once a probe equals cls(n, d); and
-    plain cls(n, d) where the probe fails."""
-    if hasattr(cls, "_from_coprime_ints"):
-        return cls._from_coprime_ints
-
+    denominator already in lowest terms, taking no gcd: object.__new__ with
+    the two slots set, once a probe equals cls(n, d); plain cls(n, d) where
+    the probe fails."""
     def coprime(n, d, new=object.__new__):
         x = new(cls)
         x._numerator, x._denominator = n, d
@@ -55,15 +51,6 @@ def _coprime_constructor(cls=Fraction):
 
 
 _COPRIME = _coprime_constructor()
-
-
-def dyadic(n: int, k: int) -> Fraction:
-    """n / 2^k, for k >= 0, in lowest terms by shifting out the trailing zeros
-    of n instead of taking a gcd."""
-    if not n:
-        return _COPRIME(0, 1)
-    t = min((n & -n).bit_length() - 1, k)
-    return _COPRIME(n >> t, 1 << (k - t))
 
 
 def _grid_bits(u: int, v: int, f: int = 1) -> int:
@@ -132,10 +119,11 @@ class Enclosure:
     @classmethod
     def _grid(cls, x: int, y: int, k: int) -> "Enclosure":
         """[x, y] / 2^k, its order checked on the integers, not as Fractions, and
-        each end built as `dyadic` builds it, in this body: its trailing zeros,
-        at most k, shifted out, no gcd taken, and `_COPRIME` read at call time."""
+        each end built with its trailing zeros, at most k, shifted out, no gcd
+        taken, by `_COPRIME` read at call time."""
         if x > y:
-            raise ValueError(f"enclosure endpoints out of order: {dyadic(x, k)} > {dyadic(y, k)}")
+            raise ValueError(f"enclosure endpoints out of order: "
+                             f"{Fraction(x, 1 << k)} > {Fraction(y, 1 << k)}")
         coprime, enc = _COPRIME, object.__new__(cls)
         t = (x & -x).bit_length() - 1 if x else k     # 0 / 2^k is 0 / 1
         u = (y & -y).bit_length() - 1 if y else k

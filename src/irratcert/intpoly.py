@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .enclosure import Enclosure, _grid_bits, dyadic
+from .enclosure import Enclosure, _grid_bits
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -442,11 +442,6 @@ def _narrow(coeffs, a: int, b: int, s: int, levels: int, sign_a: int):
     return a, b, s << j, False
 
 
-def _ratio(n: int, d: int) -> Fraction:
-    """n/d in lowest terms, by a shift when d is a power of two."""
-    return dyadic(n, d.bit_length() - 1) if d & (d - 1) == 0 else Fraction(n, d)
-
-
 def _cell(f: IntPolynomial, lo, hi, u: int, v: int):
     """`_narrow` of [lo, hi], whose ends f gives opposite nonzero signs, to
     width at most u/v: the ends go over one common denominator S, and the
@@ -468,9 +463,9 @@ def bisect_root(f: IntPolynomial, lo: Fraction, hi: Fraction,
     """
     a, b, s, hit = _cell(f, lo, hi, *Fraction(max_width).as_integer_ratio())
     if hit:
-        x = _ratio(a + b, s << 1)
+        x = Fraction(a + b, s << 1)
         return Enclosure(x, x)
-    return Enclosure(_ratio(a, s), _ratio(b, s))
+    return Enclosure(Fraction(a, s), Fraction(b, s))
 
 
 def rational_root(f: IntPolynomial, lo: Fraction, hi: Fraction):
@@ -482,6 +477,6 @@ def rational_root(f: IntPolynomial, lo: Fraction, hi: Fraction):
     a = abs(f.leading)
     x, y, s, hit = _cell(f, lo, hi, 1, a)
     if hit:
-        return _ratio(x + y, s << 1)
+        return Fraction(x + y, s << 1)
     z = -(-x * a // s)      # ceil(x / s * a): the candidate is z / a
     return Fraction(z, a) if z * s <= y * a and sign_at(f.coeffs, z, a) == 0 else None

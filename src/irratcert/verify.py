@@ -25,7 +25,7 @@ from .certificate import FORM, PAIR, TRIG, Certificate, CertRow, Layout
 from .constants import (CosInv, CosOf, E, EPow, ERational, InvE, Root, SinInv,
                         SinOf, Sqrt, _exp_enclosure, _grid_bits, canonical_text,
                         enclose)
-from .enclosure import Enclosure, _frozen, dyadic, refine, refinement_budget
+from .enclosure import Enclosure, _COPRIME, _frozen, refine, refinement_budget
 from .intpoly import _interval_horner
 # the per-n functions (*_approximant, mth_root_form, *_functional) are unused
 # here; they are imported only for perfbench/tracing.py to wrap
@@ -96,7 +96,7 @@ class ConstantCache:
         if bits < k:
             bits = max(k, 2 * bits)
             # through the module global, so rebinding `enclose` sees the call
-            enc = enclose(spec, dyadic(1, bits))
+            enc = enclose(spec, _COPRIME(1, 1 << bits))
             lo = (enc.lo.numerator << bits) // enc.lo.denominator
             hi = -((-enc.hi.numerator << bits) // enc.hi.denominator)
             entry[:] = bits, lo, hi

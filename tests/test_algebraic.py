@@ -15,10 +15,11 @@ from irratcert.algebraic import (PowerForm, RootBracket, classify_roots,
                                  monic_certificate, monic_transform,
                                  reduce_power_form)
 from irratcert.cli import main
-from irratcert.constants import Sqrt, enclose
+from irratcert.constants import Sqrt, enclose, integer_nth_root
 from irratcert.errors import NotMonicError, NotSquarefreeError
 from irratcert.intpoly import (IntPolynomial, bisect_root, cauchy_root_bound,
                                count_roots_between, squarefree_part, sturm_chain)
+from irratcert.sequences import trig_rows
 
 from oracles import (bin_placements, fraction_isolate, fraction_sturm_chain,
                      modular_powers_remainder)
@@ -150,6 +151,29 @@ def test_root_bracket_validation():
         RootBracket(Fraction(2), Fraction(1), f)
     with pytest.raises(ValueError):
         RootBracket(Fraction(2), Fraction(3), f)   # no sign change
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integer_nth_root(-1, 2),
+    lambda: integer_nth_root(8, 0),
+    lambda: monic_certificate(IntPolynomial([-2, 0, 1]), 1, -1),
+    lambda: monic_transform(IntPolynomial([5])),
+    lambda: cauchy_root_bound(IntPolynomial([5])),
+    lambda: next(trig_rows(0, 3)),
+], ids=["nth-root-negative", "nth-root-zeroth", "negative-exponent", "transform-constant",
+        "bound-constant", "trig-m-zero"])
+def test_public_argument_checks_refuse(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_public_edge_cases_answer():
+    assert integer_root_test(IntPolynomial([1])) == []
+    br = RootBracket(1, 2, IntPolynomial([-2, 0, 1]))
+    assert (type(br.lo), type(br.hi), br.lo, br.hi) == (Fraction, Fraction, 1, 2)
+    assert repr(IntPolynomial([1, 2])) == "IntPolynomial([1, 2])"
+    # g = (1 - 2t)^2: Newton starts at t = 1/2, where g' vanishes
+    assert intpoly._newton_guess([1, -4, 4], 10) is None
 
 
 def test_isolate_real_roots():

@@ -2,7 +2,6 @@
 
 import fractions
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irratcert import enclosure
-from irratcert.enclosure import DEFAULT_MAX_REFINE, Enclosure, dyadic, refinement_budget
+from irratcert.enclosure import DEFAULT_MAX_REFINE, Enclosure, refinement_budget
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -186,8 +185,8 @@ def test_abs_extremes_agree_with_the_points(case):
 
 
 # ---------------------------------------------------------------------------
-# dyadic(n, k) must be Fraction(n, 2^k) exactly, whichever constructor it
-# was given at import time.
+# Enclosure._grid(x, y, k) must build Fraction(x, 2^k) and Fraction(y, 2^k)
+# exactly, whichever constructor `_COPRIME` holds.
 
 _numerators = (st.sampled_from((0, 1, -1)) | st.integers(-2 ** 200, 2 ** 200)
                | st.builds(lambda m, t: m << t, st.integers(-2 ** 64, 2 ** 64),
@@ -200,39 +199,23 @@ def _same_fraction(x, y):
     assert (x, x.numerator, x.denominator, hash(x)) == (y, y.numerator, y.denominator, hash(y))
 
 
-@PROPERTY
-@given(n=_numerators, k=st.integers(0, 600))
-@example(n=0, k=0)
-@example(n=0, k=77)
-@example(n=-12, k=0)
-@example(n=-(3 << 300), k=5)
-@example(n=3 << 300, k=301)
-@example(n=10 ** 4400, k=100)
-@example(n=-10 ** 4400, k=5000)
-@example(n=_OVER_THE_DIGIT_LIMIT, k=64)
-def test_dyadic_equals_the_reduced_fraction(n, k):
-    _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
-
-
-def test_dyadic_skips_the_gcd_here(monkeypatch):
+def test_coprime_constructor_skips_the_gcd(monkeypatch):
     chosen = enclosure._coprime_constructor()
-    if hasattr(Fraction, "_from_coprime_ints"):
-        assert chosen == Fraction._from_coprime_ints
-    elif sys.version_info < (3, 12):
-        # made by object.__new__ with the slots set, not by Fraction itself
-        assert chosen is not Fraction
-        gcds = []
+    # made by object.__new__ with the slots set, on every supported Python
+    assert chosen is not Fraction and chosen.__name__ == "coprime"
+    assert enclosure._COPRIME.__name__ == "coprime"
+    gcds = []
 
-        def counting(a, b, _gcd=math.gcd):
-            gcds.append((a, b))
-            return _gcd(a, b)
-        monkeypatch.setattr(fractions.math, "gcd", counting)
-        assert (Fraction(6, 4).numerator, len(gcds)) == (3, 1)
-        gcds.clear()
-        # a pair not in lowest terms stays as given: no gcd was taken
-        unreduced = chosen(6, 4)
-        assert type(unreduced) is Fraction
-        assert (unreduced.numerator, unreduced.denominator, gcds) == (6, 4, [])
+    def counting(a, b, _gcd=math.gcd):
+        gcds.append((a, b))
+        return _gcd(a, b)
+    monkeypatch.setattr(fractions.math, "gcd", counting)
+    assert (Fraction(6, 4).numerator, len(gcds)) == (3, 1)
+    gcds.clear()
+    # a pair not in lowest terms stays as given: no gcd was taken
+    unreduced = chosen(6, 4)
+    assert type(unreduced) is Fraction
+    assert (unreduced.numerator, unreduced.denominator, gcds) == (6, 4, [])
 
 
 def _repr_or_error(x):
@@ -261,22 +244,18 @@ def test_coprime_constructor_equals_the_fraction(n, d):
         _same_fraction(got, want)
 
 
-def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
+def test_grid_falls_back_to_the_plain_constructor(monkeypatch):
     calls = []
 
     def plain(n, d):
-        # has no `_from_coprime_ints` and no slots to set
+        # has no slots to set
         calls.append((n, d))
         return Fraction(n, d)
     fallback = enclosure._coprime_constructor(plain)
     assert fallback is plain
     monkeypatch.setattr(enclosure, "_COPRIME", fallback)
-    for n, k in ((0, 0), (0, 3), (-12, 0), (6, 3), (-(5 << 40), 41), (_OVER_THE_DIGIT_LIMIT, 9)):
-        _same_fraction(dyadic(n, k), Fraction(n, 2 ** k))
-    assert len(calls) == 6
-    # Enclosure._grid builds its ends in its own body; it too must read the
-    # constructor at call time, not one it captured at import
-    calls.clear()
+    # Enclosure._grid must read the constructor at call time, not one it
+    # captured at import
     ends = ((0, 0, 0), (-12, 0, 0), (0, 5, 3), (-(3 << 10), 1 << 9, 4),
             (-(5 << 40), 6 << 50, 41), (-7, _OVER_THE_DIGIT_LIMIT, 9))
     for x, y, k in ends:
@@ -290,6 +269,15 @@ def test_dyadic_falls_back_to_the_plain_constructor(monkeypatch):
 @given(x=_numerators, y=_numerators, k=st.integers(0, 600))
 @example(x=5, y=5, k=3)
 @example(x=6, y=-6, k=2)
+@example(x=0, y=0, k=0)
+@example(x=0, y=0, k=77)
+@example(x=-12, y=-12, k=0)
+@example(x=-(3 << 300), y=3 << 300, k=5)
+@example(x=3 << 300, y=3 << 300, k=301)
+@example(x=10 ** 4400, y=10 ** 4400, k=100)
+@example(x=-10 ** 4400, y=0, k=5000)
+@example(x=-1, y=_OVER_THE_DIGIT_LIMIT, k=64)
+@example(x=_OVER_THE_DIGIT_LIMIT, y=-1, k=64)
 def test_grid_enclosure_equals_the_public_constructor(x, y, k):
     # Enclosure._grid orders its ends on the integers; it must build what
     # Enclosure(lo, hi) builds, and refuse what it refuses, in the same words

@@ -17,7 +17,7 @@ from irratcert.cli import main
 from irratcert.constants import (CosInv, CosOf, E, EPow, ERational, InvE,
                                  Root, SinInv, SinOf, Sqrt, enclose,
                                  integer_nth_root)
-from irratcert.enclosure import Enclosure, dyadic
+from irratcert.enclosure import Enclosure
 from irratcert.intpoly import _interval_horner
 from irratcert.niven import (RationalPolynomial, exp_functional_int,
                              exp_functional_rational, niven_poly,
@@ -164,6 +164,28 @@ def test_certify_decides_the_decay_check(monkeypatch, capsys):
     for row in (first, last):
         assert row.nonzero_ok and row.bound_ok
         assert row.residual.max_abs() < row.bound
+
+
+def test_decay_narrows_again_past_an_undecided_try(monkeypatch):
+    # the rows' residuals are replaced by [1/1000, 1], which leaves the decay
+    # comparison undecided, so _decay narrows; its first narrowed try finds
+    # row 1 undecided, and it must go on to the next width, not stop there
+    layout, c = FAMILIES["e"].layout, E()
+    rows = certify("e", c, 5).rows
+    first, last = (dataclasses.replace(row, residual=Enclosure(Fraction(1, 1000), Fraction(1)))
+                   for row in (rows[0], rows[-1]))
+    widths = [(row.bound.numerator, row.bound.denominator * 1000) for row in (first, last)]
+    seen, decided = [], verify._decided
+
+    def undecided_once(n, layout, ints, bound, c, width, cache):
+        seen.append((n, width))
+        return None if len(seen) == 1 else decided(n, layout, ints, bound, c, width, cache)
+    monkeypatch.setattr(verify, "_decided", undecided_once)
+    a, b, shrinks = verify._decay(first, last, layout, c, *widths, verify.ConstantCache(), 10)
+    assert shrinks is True
+    assert seen == [(row.n, (num, den * s)) for s in (16, 256)
+                    for row, (num, den) in zip((first, last), widths)]
+    assert (a.n, b.n) == (1, 5) and b.residual.max_abs() < a.residual.min_abs()
 
 
 DECAY_GRID = [("e-pow", EPow(k), n) for k in (1, 3, 5, 6) for n in (2, 4, 11, 15, 19)]
@@ -720,7 +742,7 @@ def _enclosure_and_bound(draw):
 def _dyadics(draw, k_max=4000):
     """n / 2^k in lowest terms, k up to k_max, |n / 2^k| up to 2^64."""
     k = draw(st.integers(0, k_max))
-    return dyadic(draw(st.integers(-1 << k + 64, 1 << k + 64)), k)
+    return Fraction(draw(st.integers(-1 << k + 64, 1 << k + 64)), 1 << k)
 
 
 @st.composite
@@ -730,7 +752,7 @@ def _dyadic_enclosure_and_bound(draw):
     exactly 0, exactly +-bound, or +-bound moved by one unit 2^-j."""
     bound = draw(_dyadics().map(abs) | st.integers(1, 10 ** 6).map(lambda n: Fraction(1, n)))
     tie = st.sampled_from((1, -1)).map(lambda sign: sign * bound)
-    off = st.builds(lambda sign, step, j: sign * (bound + step * dyadic(1, j)),
+    off = st.builds(lambda sign, step, j: sign * (bound + step * Fraction(1, 1 << j)),
                     st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.integers(0, 4100))
     end = st.just(Fraction(0)) | tie | off | _dyadics()
     lo = draw(end)
@@ -740,13 +762,13 @@ def _dyadic_enclosure_and_bound(draw):
 
 @settings(PROPERTY, max_examples=300)
 @given(case=_enclosure_and_bound() | _dyadic_enclosure_and_bound())
-@example(case=(Enclosure.point(0), dyadic(1, 4000)))
-@example(case=(Enclosure.point(dyadic(-5, 3000)), dyadic(5, 3000)))
-@example(case=(Enclosure(dyadic(-5, 3000), Fraction(0)), dyadic(5, 3000)))
-@example(case=(Enclosure(dyadic(5, 3000), dyadic(5, 2)), dyadic(5, 3000)))
-@example(case=(Enclosure(dyadic(2 ** 4000 - 1, 4001), dyadic(2 ** 4000 + 1, 4001)),
+@example(case=(Enclosure.point(0), Fraction(1, 1 << 4000)))
+@example(case=(Enclosure.point(Fraction(-5, 1 << 3000)), Fraction(5, 1 << 3000)))
+@example(case=(Enclosure(Fraction(-5, 1 << 3000), Fraction(0)), Fraction(5, 1 << 3000)))
+@example(case=(Enclosure(Fraction(5, 1 << 3000), Fraction(5, 1 << 2)), Fraction(5, 1 << 3000)))
+@example(case=(Enclosure(Fraction(2 ** 4000 - 1, 1 << 4001), Fraction(2 ** 4000 + 1, 1 << 4001)),
                Fraction(1, 2)))
-@example(case=(Enclosure(dyadic(3, 4000), dyadic(7, 4000)), dyadic(7, 4000)))
+@example(case=(Enclosure(Fraction(3, 1 << 4000), Fraction(7, 1 << 4000)), Fraction(7, 1 << 4000)))
 # sides whose bit-length sums are one apart, so the products decide:
 # 8/3 < 3 as 8 * 1 < 3 * 3, and 3 > 8/3 as 3 * 3 > 8 * 1
 @example(case=(Enclosure.point(Fraction(8, 3)), Fraction(3)))
@@ -880,7 +902,7 @@ def test_certify_does_no_fraction_division(monkeypatch, family):
 
 def test_power_form_residual_does_no_fraction_arithmetic(monkeypatch):
     # the slope probe and the one Horner run on integers from the
-    # constant's grid answers; Fractions are only built, by dyadic
+    # constant's grid answers; Fractions are only built, by Enclosure._grid
     depth, residuals, calls = [], [], []
 
     def tracking(*args, _residual=verify.power_form_residual):
