@@ -10,8 +10,8 @@ Real roots are isolated by counts on an integer Sturm chain, and
 `classify_roots` decides each one's rationality exactly by
 `intpoly.rational_root`.  Every sign on the way is read on integers by
 `intpoly.sign_at`: isolation carries each interval as integers (a, b, s) for
-[a, b] / s, hands `count_roots_between` its ends as integer pairs, and
-builds Fractions only for the brackets and roots returned.
+[a, b] / s with the chain's sign variations at a / s, reads each point's
+signs once, and builds Fractions only for the brackets and roots returned.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
 from .enclosure import _grid_bits
-from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, cauchy_root_bound,
-                      count_roots_between, rational_root, sign_at, squarefree_part,
-                      sturm_chain)
+from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, _sign_variations,
+                      _signs_at_infinity, cauchy_root_bound, rational_root, sign_at,
+                      squarefree_part, sturm_chain)
+# unused here, where isolation counts on its own chain; imported only for
+# perfbench/tracing.py to wrap
+from .intpoly import count_roots_between
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,15 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     roots, so a one-root interval's root lies in the half where f changes
     sign; such an interval is halved by `intpoly._narrow` down to 1/4 wide,
     and split at another interior point where a midpoint is the root.  Each
-    interval is integers (a, b, s) for [a, b] / s, counted by the pairs
-    (a, s) and (b, s); Fractions are built only for the brackets returned.
+    interval is integers (a, b, s) for [a, b] / s; Fractions are built only
+    for the brackets returned.
+
+    Each count is a difference of the chain's sign variations, and each
+    point's are read once.  At -B and B, B = `cauchy_root_bound(f)`, they
+    are those at -inf and +inf, read off the rows' leading coefficients.  A
+    split point x of an interval with two or more roots gets the chain's
+    values by `sign_at`, row 0's being f's sign there, and its left part
+    holds var(a) - var(x) roots.
     """
     if f.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -147,11 +157,13 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     coeffs = f.coeffs
     bound = cauchy_root_bound(f)
     found: list[RootBracket] = []
-    # (a, b, s, f's sign at a / s, roots strictly between a / s and b / s)
-    stack = [(-bound, bound, 1, sign_at(coeffs, -bound, 1),
-              count_roots_between(f, (-bound, 1), (bound, 1), chain))]
+    at_lo, at_hi = _signs_at_infinity(chain)
+    var_lo = _sign_variations(at_lo)
+    # (a, b, s, f's sign at a / s, the chain's variations there, roots
+    # strictly between a / s and b / s)
+    stack = [(-bound, bound, 1, at_lo[0], var_lo, var_lo - _sign_variations(at_hi))]
     while stack:
-        a, b, s, sign_a, count = stack.pop()
+        a, b, s, sign_a, var_a, count = stack.pop()
         if count == 0:
             continue
         if count == 1:
@@ -165,9 +177,9 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
         if count == 1:
             left = int(sign_x != sign_a)
         else:
-            left = count_roots_between(f, (a, s), (x, s), chain)
-        stack.append((a, x, s, sign_a, left))
-        stack.append((x, b, s, sign_x, count - left))
+            left = var_a - _sign_variations([sign_x] + [sign_at(row, x, s) for row in chain[1:]])
+        stack.append((a, x, s, sign_a, var_a, left))
+        stack.append((x, b, s, sign_x, var_a - left, count - left))
     found.sort(key=lambda br: br.lo)
     return found
 

@@ -212,6 +212,15 @@ def _sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _signs_at_infinity(chain) -> tuple[list[int], list[int]]:
+    """The signs of the chain's rows at -inf and at +inf: each row's leading
+    coefficient, negated at -inf where the row's degree is odd.  Sturm
+    variations change only at roots of f, so at -B and B, for B =
+    `cauchy_root_bound(f)`, they are these."""
+    at_hi = [1 if row[-1] > 0 else -1 for row in chain]
+    return [v if len(row) % 2 else -v for v, row in zip(at_hi, chain)], at_hi
+
+
 def _positive(coeffs) -> IntPolynomial:
     """The nonzero list coeffs, made primitive with a positive leading coefficient."""
     return IntPolynomial(c * _sign(coeffs[-1]) for c in _primitive(coeffs))
@@ -297,6 +306,9 @@ def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     Each end is a rational or an integer pair (p, q), q > 0, for p/q reduced
     or not.  Endpoints must not be roots.  chain, if given, is
     sturm_chain(squarefree_part(f)), whose integer rows `sign_at` reads as they are.
+    Without it, sturm_chain(f) is built and used when its last row, gcd(f, f')
+    up to a factor, is a constant; only where that row shows a repeated root
+    is sturm_chain(squarefree_part(f)) built instead.
     """
     (p, q), (r, s) = (x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
                       for x in (lo, hi))
@@ -305,7 +317,9 @@ def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     if p * s >= r * q:
         raise ValueError("need lo < hi")
     if chain is None:
-        chain = sturm_chain(squarefree_part(f))
+        chain = sturm_chain(f)
+        if not chain or len(chain[-1]) > 1:
+            chain = sturm_chain(squarefree_part(f))
     at_lo, at_hi = [sign_at(row, p, q) for row in chain], [sign_at(row, r, s) for row in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")

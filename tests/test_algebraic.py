@@ -257,14 +257,19 @@ def test_isolation_builds_one_sturm_chain_and_no_gcd(monkeypatch):
             return fn(*args)
         return wrapper
 
-    chain_fn = intpoly.sturm_chain
+    chain_fn, count_fn = intpoly.sturm_chain, intpoly.count_roots_between
     monkeypatch.setattr(intpoly, "sturm_chain", counting(chains, chain_fn))
     monkeypatch.setattr(algebraic, "sturm_chain", counting(chains, chain_fn))
     monkeypatch.setattr(intpoly, "poly_gcd", counting(gcds, intpoly.poly_gcd))
+    # each count is read off the one chain: none is a separate Sturm count
+    counts = []
+    monkeypatch.setattr(intpoly, "count_roots_between", counting(counts, count_fn))
+    monkeypatch.setattr(algebraic, "count_roots_between", counting(counts, count_fn))
     brackets = isolate_real_roots(f)
     assert len(brackets) == 8
     assert len(chains) <= 1
     assert gcds == []
+    assert counts == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -273,6 +278,10 @@ def test_isolation_builds_one_sturm_chain_and_no_gcd(monkeypatch):
        quadratic=st.lists(st.integers(-30, 30), min_size=3, max_size=3).filter(lambda c: c[2]))
 @example(planted={Fraction(0)}, quadratic=[-2, 0, 1])      # 0 is the first midpoint
 @example(planted={Fraction(0), Fraction(1, 2), Fraction(-3, 4)}, quadratic=[1, 0, 1])
+# dense degree 7 and 8, the witness shape, given whole in place of the quadratic
+@example(planted=set(), quadratic=[9, 8, 6, 9, 5, -2, 1, -1])
+@example(planted=set(), quadratic=[5, -1, -9, 6, -8, 6, 5, -4])        # five real roots
+@example(planted=set(), quadratic=[-12, -2, 98, -59, -114, 92, 22, -31, 6])
 def test_isolation_equals_fraction_isolation(planted, quadratic):
     # planted rational roots, dyadic ones among them so that midpoints hit
     # roots, times a quadratic with two, one or no real roots

@@ -354,6 +354,21 @@ def test_a_rational_algebraic_root_is_placed_as_a_point(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_a_repeated_factor_outside_the_bracket_changes_no_output(capsys):
+    # (x^2 - 2)(x - 5)^2 has the one root sqrt(2) in (1, 2), as x^2 - 2 has;
+    # its bracket's Sturm count is made on the squarefree part
+    outs = []
+    for poly in ("-2,0,1", "-50,20,23,-10,1"):
+        constant = f"algroot:{poly}@1,2"
+        assert main(["pigeonhole", "--constant", constant, "--n", "50", "--format", "json"]) == 0
+        pigeonhole = capsys.readouterr().out
+        assert json.loads(pigeonhole)["constant"] == constant
+        assert main(["fracpart", "--constant", constant, "--q", "12345"]) == 0
+        outs.append((pigeonhole.replace(constant, "algroot"), capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert (json.loads(outs[0][0])["p"], json.loads(outs[0][0])["q"]) == ("41", "29")
+
+
 def test_a_classify_bracket_past_the_digit_limit_feeds_pigeonhole(capsys):
     # the bracket printed for the root 11...1 of 4,400 digits, under the
     # default limit, read back as an algroot constant

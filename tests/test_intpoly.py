@@ -236,6 +236,57 @@ def test_chain_squarefree_test_agrees_with_is_squarefree(f, g, square):
             isolate_real_roots(f)
 
 
+# the witness shape: squarefree, degree 1 to 8, coefficients in -9..9
+witness_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=9).map(IntPolynomial).filter(
+    lambda f: f.degree >= 1 and is_squarefree(f))
+
+
+@PROPERTY
+@given(f=witness_polys)
+@example(f=IntPolynomial((9, 8, 6, 9, 5, -2, 1, -1)))                # dense, degree 7
+@example(f=IntPolynomial((5, -1, -9, 6, -8, 6, 5, -4)))               # five real roots
+@example(f=IntPolynomial((-12, -2, 98, -59, -114, 92, 22, -31, 6)))   # eight real roots
+@example(f=IntPolynomial((5, -9)))
+def test_variations_at_the_root_bound_are_read_off_the_leading_coefficients(f):
+    # isolation takes the chain's variations at -B and B from the rows'
+    # leading coefficients; evaluated there, the chain gives the same
+    assert is_squarefree(f)
+    chain, b = sturm_chain(f), cauchy_root_bound(f)
+    at_lo, at_hi = intpoly._signs_at_infinity(chain)
+    assert at_lo[0] == sign_at(f.coeffs, -b, 1)
+    for ends, x in ((at_lo, -b), (at_hi, b)):
+        assert (intpoly._sign_variations(ends)
+                == intpoly._sign_variations([sign_at(row, x, 1) for row in chain]))
+
+
+def test_a_count_without_a_chain_builds_one_remainder_sequence_for_a_squarefree_f(monkeypatch):
+    # a squarefree f's own chain counts; only a repeated root, shown by the
+    # chain's last row, sends the count to squarefree_part, whose gcd and
+    # chain take one sequence each
+    calls, chains = [], []
+    sequence, chain_fn = intpoly._remainder_sequence, intpoly.sturm_chain
+
+    def counting_sequence(f, g):
+        calls.append((f, g))
+        return sequence(f, g)
+
+    def counting_chain(f):
+        chains.append(f)
+        return chain_fn(f)
+
+    monkeypatch.setattr(intpoly, "_remainder_sequence", counting_sequence)
+    monkeypatch.setattr(intpoly, "sturm_chain", counting_chain)
+    squarefree = IntPolynomial((-2, 0, 1))
+    assert count_roots_between(squarefree, 1, 2) == 1
+    assert (len(calls), chains) == (1, [squarefree])
+    calls.clear()
+    chains.clear()
+    repeated = IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((2, 1))
+    assert count_roots_between(repeated, -3, 2) == 2
+    assert chains == [repeated, IntPolynomial((-2, 1, 1))]
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # Integer signs and bisection against their Fraction references.
 

@@ -106,8 +106,9 @@ print(json.dumps([(c.co_filename, c.co_firstlineno, c.co_name) for c in codes]))
 def _requests(output: Path) -> list[list[str]]:
     """The golden corpus, one request per subcommand and format, and the flags
     that take their own paths, among them a start width that row 6 must
-    narrow from; the last request is deep enough for the algebraic kernel's
-    Newton jump."""
+    narrow from; the last fracpart request is deep enough for the algebraic
+    kernel's Newton jump, and the last request's polynomial has a repeated
+    factor."""
     return (CORPUS_OK + CORPUS_VIOLATED + CORPUS_ERROR
             + [["cert", "--family", "sqrt", "--m", "2", "--n-max", "3", "--format", fmt]
                for fmt in ("json", "csv", "table")]
@@ -121,7 +122,10 @@ def _requests(output: Path) -> list[list[str]]:
                ["cert", "--family", "e-pow", "--k", "3", "--n-max", "6", "--width", "10"],
                ["cert", "--family", "e", "--n-max", "3", "--output", str(output)],
                ["fracpart", "--constant", "algroot:-2,0,1@1,2", "--q", "7",
-                "--width", "1/1" + "0" * 40]])
+                "--width", "1/1" + "0" * 40],
+               # (x^2 - 2)(x - 5)^2: a repeated root, outside the bracket, sends
+               # the bracket's Sturm count to the squarefree part
+               ["pigeonhole", "--constant", "algroot:-50,20,23,-10,1@1,2", "--n", "50"]])
 
 
 def _reached(requests) -> set:
