@@ -16,12 +16,11 @@ signs once, and builds Fractions only for the brackets and roots returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
-from .enclosure import _grid_bits
+from .enclosure import _grid_bits, _record
 from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, _sign_variations,
                       _signs_at_infinity, cauchy_root_bound, rational_root, sign_at,
                       squarefree_part, sturm_chain)
@@ -30,7 +29,7 @@ from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, _sign_variati
 from .intpoly import count_roots_between
 
 
-@dataclass(frozen=True)
+@_record
 class PowerForm:
     """Coefficients (d_0, ..., d_{m-1}) of an integer power combination."""
 
@@ -93,7 +92,7 @@ def integer_root_test(g: IntPolynomial) -> list[int]:
             if v.rational_value is not None and v.rational_value.denominator == 1]
 
 
-@dataclass(frozen=True)
+@_record
 class RootBracket:
     """Open rational interval with a sign change isolating one real root."""
 
@@ -184,7 +183,7 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
     return found
 
 
-@dataclass(frozen=True)
+@_record
 class RootClassification:
     """Verdict for one isolated root: its exact rational value, or irrational."""
 

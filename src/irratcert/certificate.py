@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .enclosure import Enclosure
+from .enclosure import Enclosure, _record
 from .intpoly import _digits, _from_digits, _from_rational_str
 
 
-@dataclass(frozen=True)
+@_record
 class Layout:
     """One shape of row: the wire names of its integers.
 
@@ -53,8 +52,12 @@ TRIG = Layout(("a", "c", "d"), False)
 LAYOUTS = (PAIR, FORM, TRIG)
 
 
-@dataclass(frozen=True)
+@_record
 class CertRow:
+    """Row n: its integers, an enclosure of its residual, the bound it must
+    stay under, and whether the residual is certainly nonzero and certainly
+    below the bound."""
+
     n: int
     ints: tuple[int, ...]
     residual: Enclosure
@@ -63,8 +66,11 @@ class CertRow:
     bound_ok: bool
 
 
-@dataclass(frozen=True)
+@_record
 class Certificate:
+    """A family's rows for one constant, their layout, and the verdict: `nice`
+    or `violated:<n>`."""
+
     constant: str
     family: str
     layout: Layout

@@ -11,11 +11,11 @@ each kind's text form (`sqrt:2`, `root:2,3`, `e`, `e-rat:1/2`, `sin:22/7`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .enclosure import Enclosure, _grid_bits
+from .enclosure import Enclosure, _grid_bits, _record
 from .errors import (BracketAmbiguousError, IrratCertError, PerfectPowerError,
                      ZeroExponentError)
 from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
@@ -44,7 +44,7 @@ def integer_nth_root(a: int, m: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
+@_record
 class Sqrt:
     """sqrt(m) for an integer m >= 2 that is not a perfect square."""
 
@@ -58,7 +58,7 @@ class Sqrt:
             raise PerfectPowerError(f"{self.m} is a perfect square ({z}**2)")
 
 
-@dataclass(frozen=True)
+@_record
 class Root:
     """a ** (1/m) for a >= 2 not an exact m-th power, m >= 2."""
 
@@ -73,17 +73,17 @@ class Root:
             raise PerfectPowerError(f"{self.a} is a perfect power ({z}**{self.m})")
 
 
-@dataclass(frozen=True)
+@_record
 class E:
     """The constant e."""
 
 
-@dataclass(frozen=True)
+@_record
 class InvE:
     """The constant 1/e."""
 
 
-@dataclass(frozen=True)
+@_record
 class EPow:
     """e**k for an integer k >= 1."""
 
@@ -94,7 +94,7 @@ class EPow:
             raise ValueError(f"e-pow spec needs k >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@_record
 class ERational:
     """e**r for a nonzero rational r."""
 
@@ -106,8 +106,10 @@ class ERational:
             raise ZeroExponentError("e**0 is rational; exponent must be nonzero")
 
 
-@dataclass(frozen=True)
+@_record
 class _InverseAngle:
+    """A function of the angle 1/m for an integer m >= 1."""
+
     m: int
 
     def __post_init__(self):
@@ -115,18 +117,20 @@ class _InverseAngle:
             raise ValueError(f"{_WRITERS[type(self)][0]} spec needs m >= 1, got {self.m}")
 
 
-@dataclass(frozen=True)
+@_record
 class SinInv(_InverseAngle):
     """sin(1/m) for an integer m >= 1."""
 
 
-@dataclass(frozen=True)
+@_record
 class CosInv(_InverseAngle):
     """cos(1/m) for an integer m >= 1."""
 
 
-@dataclass(frozen=True)
+@_record
 class _Angle:
+    """A function of a nonzero rational angle x."""
+
     x: Fraction
 
     def __post_init__(self):
@@ -135,17 +139,17 @@ class _Angle:
             raise ValueError(f"{_WRITERS[type(self)][0]}(0) is rational; angle must be nonzero")
 
 
-@dataclass(frozen=True)
+@_record
 class SinOf(_Angle):
     """sin(x) for a nonzero rational x."""
 
 
-@dataclass(frozen=True)
+@_record
 class CosOf(_Angle):
     """cos(x) for a nonzero rational x."""
 
 
-@dataclass(frozen=True)
+@_record
 class AlgebraicRoot:
     """The unique real root of an integer polynomial inside (lo, hi); rational
     holds its value when it is rational, decided once by `intpoly.rational_root`."""
@@ -173,8 +177,11 @@ class AlgebraicRoot:
         object.__setattr__(self, "rational", rational_root(self.poly, self.lo, self.hi))
 
 
-ConstantSpec = Union[Sqrt, Root, E, InvE, EPow, ERational, SinInv, CosInv,
-                     SinOf, CosOf, AlgebraicRoot]
+# a types.UnionType, which isinstance accepts; typing.Union[...] would sit in
+# typing's subscription cache and keep these classes, and their modules, alive
+# after the package is dropped from sys.modules
+ConstantSpec = (Sqrt | Root | E | InvE | EPow | ERational | SinInv | CosInv
+                | SinOf | CosOf | AlgebraicRoot)
 
 
 # ---------------------------------------------------------------------------

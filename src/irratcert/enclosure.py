@@ -4,12 +4,13 @@ An Enclosure is a closed interval [lo, hi] whose endpoints are Fractions and
 which is certified (by whoever built it) to contain some real value.  The
 arithmetic here is plain interval arithmetic; since the endpoints are exact
 rationals there is no rounding step, so containment is preserved exactly.
+Every record of the package, the Enclosure first, is declared by `_record`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import floor
 
@@ -103,8 +104,44 @@ def _frozen(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return (tuple(getattr(self, name) for name in self._compared)
+                == tuple(getattr(other, name) for name in self._compared))
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(tuple(getattr(self, name) for name in self._compared))
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record(cls=None, /, *, repr=True):
+    """cls as a frozen dataclass whose ==, hash and (unless repr is false)
+    repr are the three shared functions above, which return what 3.11's
+    dataclass writes for each class: ==, hash over the fields compared, repr
+    over those shown.  dataclass then writes only __init__, __setattr__ and
+    __delattr__ per class."""
+    def wrap(cls):
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+        if repr:
+            cls.__repr__ = _record_repr
+        cls = dataclass(frozen=True, repr=False, eq=False)(cls)
+        cls._compared = tuple(f.name for f in fields(cls) if f.compare)
+        cls._shown = tuple(f.name for f in fields(cls) if f.repr)
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
+@_record
 class Enclosure:
+    """The closed interval [lo, hi] of two Fractions, lo <= hi; other
+    rationals given as endpoints are made Fractions."""
+
     lo: Fraction
     hi: Fraction
 

@@ -17,12 +17,11 @@ Newton jump confirmed by signs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .enclosure import Enclosure, _grid_bits
+from .enclosure import Enclosure, _grid_bits, _record
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -93,8 +92,11 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, repr=False)
+@_record(repr=False)
 class IntPolynomial:
+    """An integer polynomial by its ascending coefficients, trailing zeros
+    trimmed; the zero polynomial has none."""
+
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):

@@ -13,20 +13,19 @@ per-n functions return row n of those generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb, factorial, gcd
 
 from .constants import ERational
-from .enclosure import _COPRIME
+from .enclosure import _COPRIME, _record
 from .errors import (AngleNearPiError, AngleOutOfRangeError, ZeroExponentError,
                      check_index)
 from .intpoly import _trimmed
 from .sequences import _nth, _upper
 
 
-@dataclass(frozen=True)
+@_record
 class RationalPolynomial:
     """Ascending rational coefficients, trailing zeros trimmed."""
 
@@ -46,7 +45,7 @@ class RationalPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
+@_record
 class FPair:
     """A derivative functional evaluated at the endpoints of [0, 1]."""
 
@@ -54,7 +53,7 @@ class FPair:
     at1: int
 
 
-@dataclass(frozen=True)
+@_record
 class GaussPair:
     """A Gaussian-integer functional at 0 and 1, each value as (re, im)."""
 
@@ -62,7 +61,7 @@ class GaussPair:
     at1: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@_record
 class TrigWitness:
     """Integer triple with |c*cos(angle) - d*sin(angle) - a| in (0, bound)."""
 

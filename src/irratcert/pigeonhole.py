@@ -25,15 +25,14 @@ integers, never a list of the n+1 multiples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .constants import ConstantSpec, canonical_text, enclose
-from .enclosure import Enclosure, _COPRIME, _frozen, refine
+from .enclosure import Enclosure, _COPRIME, _frozen, _record, refine
 
 
-@dataclass(frozen=True)
+@_record
 class PigeonholeResult:
     """Pair with 0 < q <= n and a certified residual enclosure inside (-1/n, 1/n)."""
 

@@ -14,14 +14,13 @@ as built; nothing is reduced to lowest terms.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import factorial, gcd
 
 from .algebraic import PowerForm, monic_certificate
 from .constants import EPow, Root, Sqrt, enclose, integer_nth_root
-from .enclosure import _COPRIME, _frozen
+from .enclosure import _COPRIME, _frozen, _record
 from .errors import (BadIndexError, CapExceededError, ChainMismatchError,
                      DivisibilityViolationError, ZeroNumeratorError,
                      ZeroScaleError, check_index)
@@ -34,7 +33,7 @@ from .intpoly import IntPolynomial, _convolve
 _BOUND_WIDTH = Fraction(1, 1000)
 
 
-@dataclass(frozen=True)
+@_record
 class Approximant:
     """One term (p, q) of a rational approximation sequence."""
 
@@ -48,7 +47,7 @@ class Approximant:
             raise ValueError("approximant denominator q must be nonzero")
 
 
-@dataclass(frozen=True)
+@_record
 class BoundedBy:
     """Upper bound for |q*value - p| at one index."""
 

@@ -24,6 +24,8 @@ _CHECK_ROUTE = ("ROADMAP item 6: the checker confirms each row by a route the "
                 "producer never takes")
 _FRACPART = ("interval arithmetic the fractional-part product is checked by "
              "(oracles.enclosure_fractional_residual); the package forms it on integers")
+_RECORD = ("every record's repr and hash, shared in place of the ones dataclass would "
+           "write per class; no request prints or hashes a record")
 
 # qualified name (module.Class.function) -> why it stays with no request reaching it
 PAPER_API = {
@@ -52,6 +54,8 @@ PAPER_API = {
     "enclosure.Enclosure.min_abs": _CHECK_ROUTE,
     "enclosure.Enclosure.point": _CHECK_ROUTE,
     "enclosure.Enclosure.width": _FRACPART,
+    "enclosure._record_hash": _RECORD,
+    "enclosure._record_repr": _RECORD,
     "errors.check_index": _PER_N,
     "intpoly.IntPolynomial.__add__": _POLY,
     "intpoly.IntPolynomial.__call__": _POLY,
