@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMonicError, NotSquarefreeError
-from .enclosure import _grid_bits, _record
+from .enclosure import _frozen, _grid_bits, _record
 from .intpoly import (IntPolynomial, _convolve, _narrow, _pdivmod, _sign_variations,
                       _signs_at_infinity, cauchy_root_bound, rational_root, sign_at,
                       squarefree_part, sturm_chain)
@@ -169,7 +169,10 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBracket]:
             # the fewest halvings k with (b - a) / (s 2^k) <= 1/4
             a, b, s, hit = _narrow(coeffs, a, b, s, _grid_bits(s, 4 * (b - a)), sign_a)
             if not hit:
-                found.append(RootBracket(Fraction(a, s), Fraction(b, s), f))
+                # no end is a root (each is -B, B, a split point or a midpoint
+                # `_narrow` found f nonzero at), and `_narrow` kept the half
+                # where f changes sign: RootBracket.__post_init__'s check holds
+                found.append(_frozen(RootBracket, lo=Fraction(a, s), hi=Fraction(b, s), poly=f))
                 continue
         t, x, sign_x = _interior_nonroot(coeffs, a, b, s)
         a, b, s = a * t, b * t, s * t

@@ -117,12 +117,10 @@ class _InverseAngle:
             raise ValueError(f"{_WRITERS[type(self)][0]} spec needs m >= 1, got {self.m}")
 
 
-@_record
 class SinInv(_InverseAngle):
     """sin(1/m) for an integer m >= 1."""
 
 
-@_record
 class CosInv(_InverseAngle):
     """cos(1/m) for an integer m >= 1."""
 
@@ -139,12 +137,10 @@ class _Angle:
             raise ValueError(f"{_WRITERS[type(self)][0]}(0) is rational; angle must be nonzero")
 
 
-@_record
 class SinOf(_Angle):
     """sin(x) for a nonzero rational x."""
 
 
-@_record
 class CosOf(_Angle):
     """cos(x) for a nonzero rational x."""
 

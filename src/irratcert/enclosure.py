@@ -4,13 +4,15 @@ An Enclosure is a closed interval [lo, hi] whose endpoints are Fractions and
 which is certified (by whoever built it) to contain some real value.  The
 arithmetic here is plain interval arithmetic; since the endpoints are exact
 rationals there is no rounding step, so containment is preserved exactly.
-Every record of the package, the Enclosure first, is declared by `_record`.
+Every record of the package, the Enclosure first, is declared by `_record`:
+a dataclass frozen by a shared __setattr__ and __delattr__, with a shared ==,
+hash and repr, so that dataclass writes only its __init__.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from math import floor
 
@@ -97,8 +99,8 @@ def refine(width: tuple[int, int], what: str, shrink=2, budget=None):
 
 
 def _frozen(cls, **fields):
-    """The frozen dataclass cls holding fields, made without its __init__, so
-    without the checks of a __post_init__."""
+    """The record cls holding fields, all of them, made without its __init__,
+    so without the checks of a __post_init__."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -120,17 +122,41 @@ def _record_repr(self):
     return f"{self.__class__.__qualname__}({shown})"
 
 
+def _record_setattr(self, name, value):
+    """Each field is written once, and only the generated __init__ meets one
+    not yet set; every other assignment raises, as on a frozen dataclass.  A
+    __post_init__ rewrites a field by object.__setattr__.
+
+    The test and the store leave self.__dict__ unread: on 3.11 reading it
+    gives the instance a dict of its own, and every later load of a field
+    from that instance then runs about 2-4 times slower."""
+    if name in self._fields and not hasattr(self, name):
+        object.__setattr__(self, name, value)
+    else:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _record(cls=None, /, *, repr=True):
-    """cls as a frozen dataclass whose ==, hash and (unless repr is false)
-    repr are the three shared functions above, which return what 3.11's
-    dataclass writes for each class: ==, hash over the fields compared, repr
-    over those shown.  dataclass then writes only __init__, __setattr__ and
-    __delattr__ per class."""
+    """cls as a dataclass whose __setattr__ and __delattr__, which freeze it,
+    ==, hash and (unless repr is false) repr are the five shared functions
+    above.  The last three return what 3.11's dataclass writes for each
+    class: ==, hash over the fields compared, repr over those shown.  So
+    dataclass writes only __init__ per class.  A subclass that adds no field
+    needs no decorator: it inherits all of these, its base's fields and
+    __init__, and refuses new attributes as its base does."""
     def wrap(cls):
         cls.__eq__, cls.__hash__ = _record_eq, _record_hash
         if repr:
             cls.__repr__ = _record_repr
-        cls = dataclass(frozen=True, repr=False, eq=False)(cls)
+        cls = dataclass(repr=False, eq=False)(cls)
+        cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+        cls._fields = tuple(f.name for f in fields(cls))
+        for name in cls.__dict__.keys() & set(cls._fields):
+            delattr(cls, name)      # a default left on the class would read as set
         cls._compared = tuple(f.name for f in fields(cls) if f.compare)
         cls._shown = tuple(f.name for f in fields(cls) if f.repr)
         return cls

@@ -237,12 +237,17 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """f divided exactly by gcd(f, f'), made primitive."""
+    return _over_gcd(f, poly_gcd(f, f.derivative()).coeffs)
+
+
+def _over_gcd(f: IntPolynomial, g) -> IntPolynomial:
+    """f divided exactly by the integer list g, gcd(f, f') times any nonzero
+    factor, made primitive; f itself when g is a constant."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
+    if len(g) == 1:
         return f
-    quot, rem = _pdivmod(f.coeffs, g.coeffs)
+    quot, rem = _pdivmod(f.coeffs, g)
     if rem:
         raise ValueError("gcd does not divide the polynomial; coefficients corrupt")
     return _positive(quot)
@@ -310,7 +315,7 @@ def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     sturm_chain(squarefree_part(f)), whose integer rows `sign_at` reads as they are.
     Without it, sturm_chain(f) is built and used when its last row, gcd(f, f')
     up to a factor, is a constant; only where that row shows a repeated root
-    is sturm_chain(squarefree_part(f)) built instead.
+    is f divided by it, and the quotient's chain built instead.
     """
     (p, q), (r, s) = (x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
                       for x in (lo, hi))
@@ -321,7 +326,7 @@ def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
     if chain is None:
         chain = sturm_chain(f)
         if not chain or len(chain[-1]) > 1:
-            chain = sturm_chain(squarefree_part(f))
+            chain = sturm_chain(_over_gcd(f, chain[-1] if chain else ()))
     at_lo, at_hi = [sign_at(row, p, q) for row in chain], [sign_at(row, r, s) for row in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")

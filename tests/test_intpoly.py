@@ -261,8 +261,8 @@ def test_variations_at_the_root_bound_are_read_off_the_leading_coefficients(f):
 
 def test_a_count_without_a_chain_builds_one_remainder_sequence_for_a_squarefree_f(monkeypatch):
     # a squarefree f's own chain counts; only a repeated root, shown by the
-    # chain's last row, sends the count to squarefree_part, whose gcd and
-    # chain take one sequence each
+    # chain's last row, sends the count to f divided by that row, gcd(f, f')
+    # up to a factor, whose chain is the second sequence
     calls, chains = [], []
     sequence, chain_fn = intpoly._remainder_sequence, intpoly.sturm_chain
 
@@ -284,7 +284,7 @@ def test_a_count_without_a_chain_builds_one_remainder_sequence_for_a_squarefree_
     repeated = IntPolynomial((-1, 1)) * IntPolynomial((-1, 1)) * IntPolynomial((2, 1))
     assert count_roots_between(repeated, -3, 2) == 2
     assert chains == [repeated, IntPolynomial((-2, 1, 1))]
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ _CHECK_ROUTE = ("ROADMAP item 6: the checker confirms each row by a route the "
                 "producer never takes")
 _FRACPART = ("interval arithmetic the fractional-part product is checked by "
              "(oracles.enclosure_fractional_residual); the package forms it on integers")
-_RECORD = ("every record's repr and hash, shared in place of the ones dataclass would "
-           "write per class; no request prints or hashes a record")
+_GCD = ("the gcd and squarefree part `integer_root_test` divides out; a request's "
+        "count takes gcd(f, f') from its own Sturm chain")
+_RECORD = ("every record's repr, hash and __delattr__, shared in place of the ones "
+           "dataclass would write per class; no request prints, hashes or deletes from a record")
 
 # qualified name (module.Class.function) -> why it stays with no request reaching it
 PAPER_API = {
@@ -33,6 +35,8 @@ PAPER_API = {
                                    "monic polynomial, the rest irrational",
     "algebraic.monic_transform": "the paper's algebraic section: a root made an algebraic "
                                  "integer by scaling",
+    "algebraic.RootBracket.__post_init__": "checks a bracket a caller builds; isolation's "
+                                           "own hold their sign change as they are made",
     "certificate.Certificate.from_json": _CHECK_READ,
     "certificate.Layout.read": _CHECK_READ,
     "certificate._field": _CHECK_READ,
@@ -54,6 +58,7 @@ PAPER_API = {
     "enclosure.Enclosure.min_abs": _CHECK_ROUTE,
     "enclosure.Enclosure.point": _CHECK_ROUTE,
     "enclosure.Enclosure.width": _FRACPART,
+    "enclosure._record_delattr": _RECORD,
     "enclosure._record_hash": _RECORD,
     "enclosure._record_repr": _RECORD,
     "errors.check_index": _PER_N,
@@ -63,6 +68,8 @@ PAPER_API = {
     "intpoly.IntPolynomial.__neg__": _POLY,
     "intpoly.IntPolynomial.__repr__": _POLY,
     "intpoly.IntPolynomial.__sub__": _POLY,
+    "intpoly.poly_gcd": _GCD,
+    "intpoly.squarefree_part": _GCD,
     "niven.RationalPolynomial.__call__": _NIVEN,
     "niven.RationalPolynomial.__post_init__": _NIVEN,
     "niven.RationalPolynomial.degree": _NIVEN,

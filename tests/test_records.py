@@ -1,5 +1,6 @@
-"""Every record is a frozen dataclass whose ==, hash and repr are the package's
-shared ones, and a re-imported package leaves no earlier copy alive."""
+"""Every record is a dataclass whose ==, hash, repr, __setattr__ and __delattr__
+are the package's shared ones, the last two freezing it, and a re-imported
+package leaves no earlier copy alive."""
 
 import copy
 import dataclasses
@@ -79,16 +80,48 @@ def test_a_record_compares_hashes_and_prints_over_its_fields(x):
 
 @pytest.mark.parametrize("x", EXAMPLES, ids=IDS)
 def test_a_record_is_frozen_and_copies_as_a_dataclass(x):
+    cls = type(x)
+    assert (cls.__setattr__, cls.__delattr__) == (enclosure._record_setattr,
+                                                  enclosure._record_delattr)
     names = [f.name for f in dataclasses.fields(x)]
-    for name in names[:1] + ["extra"]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in names + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
             setattr(x, name, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
             delattr(x, name)
     assert not hasattr(x, "extra")
     assert dataclasses.replace(x) == x
     assert list(dataclasses.asdict(x)) == names
     assert dataclasses.asdict(x) == dataclasses.asdict(copy.copy(x))
+
+
+@pytest.mark.parametrize("x", EXAMPLES, ids=IDS)
+def test_a_record_made_by_frozen_refuses_every_field(x):
+    # _frozen fills every field at once, so none is left for an assignment
+    y = enclosure._frozen(type(x), **vars(x))
+    assert y == x
+    for f in dataclasses.fields(x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(y, f.name, 1)
+    assert vars(y) == vars(x)
+
+
+@pytest.mark.parametrize("x", [SinInv(3), CosInv(3), SinOf(Fraction(1, 3)), CosOf(Fraction(1, 3))],
+                         ids=lambda x: type(x).__name__)
+def test_an_angle_class_inherits_its_bases_record_methods(x):
+    # undecorated, so dataclass writes nothing for it; that it refuses an
+    # extra attribute is checked with every other record above
+    cls = type(x)
+    assert not {"__init__", "__setattr__", "__delattr__"} & vars(cls).keys()
+    assert dataclasses.fields(cls) == dataclasses.fields(cls.__base__)
+
+
+def test_a_frozen_dataclass_cannot_subclass_a_record():
+    # a record's dataclass parameters say frozen=False: its freezing is the
+    # shared __setattr__, which dataclass does not see
+    assert not Sqrt.__dataclass_params__.frozen
+    with pytest.raises(TypeError, match="frozen"):
+        dataclasses.dataclass(frozen=True)(type("Sub", (Sqrt,), {}))
 
 
 @pytest.mark.parametrize("a, b", [(SinInv(3), CosInv(3)), (E(), InvE()),
