@@ -82,11 +82,18 @@ class Certificate:
         return self.verdict == "nice"
 
     def to_json(self) -> str:
-        """json.dumps(indent=2) of the documented shape, written in one pass."""
-        rows = _json_list([_row_json(row, self.layout) for row in self.rows], "  ")
-        return (f'{{\n  "constant": {_quote(self.constant)},\n'
-                f'  "family": {_quote(self.family)},\n  "rows": {rows},\n'
-                f'  "verdict": {_quote(self.verdict)}\n}}')
+        """json.dumps(indent=2) of the documented shape, written in one pass: one
+        join copies the header, each row and its separator, and the footer."""
+        head = (f'{{\n  "constant": {_quote(self.constant)},\n'
+                f'  "family": {_quote(self.family)},\n  "rows": ')
+        foot = f',\n  "verdict": {_quote(self.verdict)}\n}}'
+        if not self.rows:
+            return f"{head}[]{foot}"
+        parts = [head, "[\n"]
+        for row in self.rows:
+            parts += (_row_json(row, self.layout), ",\n")
+        parts[-1:] = ("\n  ]", foot)      # in place of the last row's separator
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -112,7 +119,8 @@ class Certificate:
                             _frac_str(row.residual.lo), _frac_str(row.residual.hi),
                             _frac_str(row.bound), "true" if row.nonzero_ok else "false",
                             "true" if row.bound_ok else "false"]) for row in self.rows]
-        return "\n".join(lines) + f"\n# verdict: {self.verdict}\n"
+        lines.append(f"# verdict: {self.verdict}\n")
+        return "\n".join(lines)
 
     def to_table(self) -> str:
         # residual shown as one approximate midpoint column for reading ease
@@ -176,11 +184,6 @@ def _rational(d: dict, name: str) -> Fraction:
                          f"got {text!r}") from None
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list of items already indented 2 past indent, closed at indent."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
 def _row_json(row: CertRow, layout: Layout, spell=str) -> str:
     """One row as an object of the top-level "rows" list: integers as strings,
     a vector layout as a list of them.  Spelled by str, and by _digits again
@@ -193,7 +196,8 @@ def _row_json(row: CertRow, layout: Layout, spell=str) -> str:
     bound, bound_den = row.bound.as_integer_ratio()
     try:
         if layout.vector:
-            items = _json_list([f'        "{spell(x)}"' for x in ints], "      ")
+            items = ",\n        ".join([f'"{spell(x)}"' for x in ints])
+            items = f"[\n        {items}\n      ]" if ints else "[]"
             integers = f'"{layout.fields[0]}": {items}'
         else:
             integers = ",\n      ".join([f'"{name}": "{spell(x)}"'

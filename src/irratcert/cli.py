@@ -6,6 +6,10 @@ index, `reduce` reduces an integer coefficient vector modulo a monic
 polynomial, `classify` gives an exact rational-or-irrational verdict per
 real root, and `fracpart` evaluates the fractional-part product criterion.
 
+One table, `_COMMANDS`, holds each subcommand's handler, help and options.
+A documented argv is read from it in one pass; argparse is built from it
+only for any other argv, and owns every usage error, abbreviation and `--help`.
+
 Exit codes: 0 for a nice certificate or any successful query, 2 for a
 violated certificate, 1 for usage or input errors.
 """
@@ -33,70 +37,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        vars(self).setdefault("own_actions", []).append(action)     # for _one_pass
-        return action
-
-
-@cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and shared by every later call."""
-    parser = _Parser(prog="irratcert",
-                     description="exact-arithmetic irrationality certificates")
-    sub = parser.add_subparsers(metavar="command")
-    parser.commands = sub.choices       # each subcommand's name -> its parser
-
-    cert = sub.add_parser("cert", help="certificate table for one family")
-    cert.set_defaults(handler=_cmd_cert)
-    cert.add_argument("--family", required=True, choices=sorted(FAMILIES),
-                      help="generator family")
-    cert.add_argument("--n-max", dest="n_max", type=int, default=10,
-                      help="last row index (default 10)")
-    cert.add_argument("--m", type=int, help="radicand (sqrt), root degree (root), "
-                                            "or argument denominator (sin-inv, cos-inv)")
-    cert.add_argument("--a", type=int, help="radicand for the root family")
-    cert.add_argument("--k", type=int, help="integer exponent for e-pow")
-    cert.add_argument("--r", help="rational exponent for e-rat, e.g. -1/2")
-    cert.add_argument("--angle", help="rational angle for trig-angle, e.g. 1/3")
-    cert.add_argument("--format", choices=("json", "csv", "table"),
-                      default="table", help="report format (default table)")
-    cert.add_argument("--output", help="write the report to this path")
-    cert.add_argument("--width", help="per-row verification width override")
-    cert.add_argument("--seed-doc", dest="seed_doc", action="store_true",
-                      help="print the construction behind the family and exit")
-
-    pig = sub.add_parser("pigeonhole", help="bin-collision approximant for one n")
-    pig.set_defaults(handler=_cmd_pigeonhole)
-    pig.add_argument("--constant", required=True, help="constant text, e.g. sqrt:2")
-    pig.add_argument("--n", type=int, required=True)
-    pig.add_argument("--format", choices=("json", "table"), default="table")
-
-    red = sub.add_parser("reduce", help="reduce coefficients modulo a monic polynomial")
-    red.set_defaults(handler=_cmd_reduce)
-    red.add_argument("--modulus", required=True,
-                     help="monic modulus, ascending comma-separated, e.g. -2,0,1")
-    red.add_argument("--coeffs", required=True,
-                     help="coefficient vector to reduce, ascending comma-separated")
-
-    cls = sub.add_parser("classify", help="rational-or-irrational verdict per real root")
-    cls.set_defaults(handler=_cmd_classify)
-    cls.add_argument("--poly", required=True,
-                     help="integer polynomial, ascending comma-separated, e.g. 1,1,-5,2")
-
-    fp = sub.add_parser("fracpart", help="fractional-part product {qx}({qx}-1)")
-    fp.set_defaults(handler=_cmd_fracpart)
-    fp.add_argument("--constant", required=True)
-    fp.add_argument("--q", type=int, required=True)
-    fp.add_argument("--width", help="enclosure width (default 1/10^9)")
-    for command in parser.commands.values():    # what _one_pass reads
-        acts = command.own_actions
-        command.one_pass = ({f: a for a in acts if a.nargs is None for f in a.option_strings},
-                            {a.dest for a in acts if a.required},
-                            {dest: command.get_default(dest) for dest in ["handler"]
-                             + [a.dest for a in acts if a.default is not argparse.SUPPRESS]})
-    return parser
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -132,13 +72,16 @@ def _constant_for(family: str, args):
 
 
 def _emit(text: str, output) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write text, then a newline as a second write if it lacks one, so that
+    text is not copied to add it."""
+    end = "" if text.endswith("\n") else "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _cmd_cert(args) -> int:
@@ -206,34 +149,105 @@ def _cmd_fracpart(args) -> int:
     return 0
 
 
+# Each subcommand: its handler, its help and each option's add_argument
+# keywords.  _one_pass reads a request straight from here; _build_parser
+# builds argparse from it only for the argv _one_pass leaves.
+_COMMANDS = {
+    "cert": (_cmd_cert, "certificate table for one family", {
+        "--family": dict(required=True, choices=sorted(FAMILIES), help="generator family"),
+        "--n-max": dict(type=int, default=10, help="last row index (default 10)"),
+        "--m": dict(type=int, help="radicand (sqrt), root degree (root), "
+                                   "or argument denominator (sin-inv, cos-inv)"),
+        "--a": dict(type=int, help="radicand for the root family"),
+        "--k": dict(type=int, help="integer exponent for e-pow"),
+        "--r": dict(help="rational exponent for e-rat, e.g. -1/2"),
+        "--angle": dict(help="rational angle for trig-angle, e.g. 1/3"),
+        "--format": dict(choices=("json", "csv", "table"), default="table",
+                         help="report format (default table)"),
+        "--output": dict(help="write the report to this path"),
+        "--width": dict(help="per-row verification width override"),
+        "--seed-doc": dict(action="store_true", default=False,
+                           help="print the construction behind the family and exit"),
+    }),
+    "pigeonhole": (_cmd_pigeonhole, "bin-collision approximant for one n", {
+        "--constant": dict(required=True, help="constant text, e.g. sqrt:2"),
+        "--n": dict(type=int, required=True),
+        "--format": dict(choices=("json", "table"), default="table"),
+    }),
+    "reduce": (_cmd_reduce, "reduce coefficients modulo a monic polynomial", {
+        "--modulus": dict(required=True,
+                          help="monic modulus, ascending comma-separated, e.g. -2,0,1"),
+        "--coeffs": dict(required=True,
+                         help="coefficient vector to reduce, ascending comma-separated"),
+    }),
+    "classify": (_cmd_classify, "rational-or-irrational verdict per real root", {
+        "--poly": dict(required=True,
+                       help="integer polynomial, ascending comma-separated, e.g. 1,1,-5,2"),
+    }),
+    "fracpart": (_cmd_fracpart, "fractional-part product {qx}({qx}-1)", {
+        "--constant": dict(required=True),
+        "--q": dict(type=int, required=True),
+        "--width": dict(help="enclosure width (default 1/10^9)"),
+    }),
+}
+
+
+@cache
+def _build_parser() -> _Parser:
+    """The parser, built from _COMMANDS on first use and shared by every later call."""
+    parser = _Parser(prog="irratcert",
+                     description="exact-arithmetic irrationality certificates")
+    sub = parser.add_subparsers(metavar="command")
+    for name, (handler, summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(handler=handler)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+    parser.commands = sub.choices       # each subcommand's name -> its parser
+    return parser
+
+
+def _one_pass_table(handler, options):
+    """What _one_pass reads of a _COMMANDS entry: (dest, type, choices) of each
+    single-value option by flag, the required dests, and the defaults."""
+    dest = {flag: flag[2:].replace("-", "_") for flag in options}     # --n-max -> n_max
+    return ({f: (dest[f], o.get("type"), o.get("choices")) for f, o in options.items()
+             if "action" not in o}, {dest[f] for f, o in options.items() if o.get("required")},
+            {"handler": handler} | {dest[f]: o.get("default") for f, o in options.items()})
+
+
+_ONE_PASS = {name: _one_pass_table(h, options) for name, (h, _, options) in _COMMANDS.items()}
+
+
 def _one_pass(options, required, defaults, args):
-    """A subcommand's parse_args(args) built in one pass from its one_pass
-    table, or None at the first argument that is not `--flag=value` or
-    `--flag value` (value not starting with -) for one of its options in
-    full with a value of its type and choices, or if a required one is missing."""
+    """A subcommand's parse_args(args) built in one pass from its _ONE_PASS table,
+    or None at the first argument that is not `--flag=value` or `--flag value`
+    (value not starting with -) for one of its single-value options in full
+    with a value of its type and choices, or if a required one is missing."""
     given, rest = {}, iter(args)
     for arg in rest:
         flag, eq, value = arg.partition("=")
         value = value if eq else next(rest, "-")    # so a missing value falls back
-        action = options.get(flag)
-        if action is None or value in ("", "--") or not eq and value.startswith("-"):
+        dest, kind, choices = options.get(flag, (None, None, None))
+        if dest is None or value in ("", "--") or not eq and value.startswith("-"):
             return None     # argparse would read a value "--" as none
         try:
-            value = value if action.type is None else action.type(value)
+            value = value if kind is None else kind(value)
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        given[action.dest] = value
+        given[dest] = value
     return argparse.Namespace(**defaults | given) if given.keys() >= required else None
 
 
 def _parse(argv):
-    """_build_parser().parse_args(argv); a subcommand's rest by _one_pass or its parser."""
-    parser = _build_parser()
-    if argv and (command := parser.commands.get(argv[0])) is not None:
-        return _one_pass(*command.one_pass, argv[1:]) or command.parse_args(argv[1:])
-    return parser.parse_args(argv)
+    """_build_parser().parse_args(argv); a subcommand's rest by _one_pass, else by
+    its own parser, which is all that builds argparse for a subcommand's argv."""
+    if argv and (table := _ONE_PASS.get(argv[0])) is not None:
+        return (_one_pass(*table, argv[1:])
+                or _build_parser().commands[argv[0]].parse_args(argv[1:]))
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -241,12 +255,11 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if not hasattr(args, "handler"):
             raise _UsageError("pick a subcommand: cert, pigeonhole, reduce, classify, fracpart")
-        # --flag=-- reaches here as [] on Python 3.10-3.12 and as "--" on 3.13
+        # --flag=-- reaches here as [] on Python 3.10-3.12 and as "--" on 3.13;
+        # argparse sets dests in option order, so the first such dest names the flag
         if [] in vars(args).values() or "--" in vars(args).values():
-            options = next(c.one_pass[0] for c in _build_parser().commands.values()
-                           if c.one_pass[2]["handler"] is args.handler)
-            flag = next(f for f, a in options.items() if getattr(args, a.dest) in ([], "--"))
-            raise _UsageError(f"argument {flag}: expected one argument")
+            dest = next(d for d, value in vars(args).items() if value in ([], "--"))
+            raise _UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
         return args.handler(args)
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

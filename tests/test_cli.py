@@ -1,5 +1,6 @@
 """Tests for the command-line interface: golden corpus, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,8 @@ import random
 import signal
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from irratcert import cli
 from irratcert.cli import main
-from irratcert.verify import FAMILIES, Certificate
+from irratcert.verify import FAMILIES, Certificate, certify
 
 from oracles import certificate_json
 
@@ -227,6 +229,27 @@ def test_output_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     cert = Certificate.from_json(target.read_text())
     assert cert.constant == "sqrt:3"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_report_holds_about_two_copies_of_it(tmp_path, monkeypatch, fmt):
+    # the rows are joined once with the header and footer, and a missing
+    # newline is a second write, so the peak is the rows and the text, then
+    # the text and its encoded bytes: 2.0x its length, against 3.1x when
+    # the rows were joined, wrapped, and copied again to add the newline
+    cert = certify("e", FAMILIES["e"].kind(), 1000)
+    size = len(getattr(cert, f"to_{fmt}")())
+    monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: cert)
+    argv = ["cert", "--family", "e", "--n-max", "1000", "--format", fmt,
+            "--output", str(tmp_path / f"e.{fmt}")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 2_000_000
+    assert peak < 2.5 * size
 
 
 def test_output_flag_reports_unwritable_path(tmp_path, capsys):
@@ -468,6 +491,86 @@ PARSER_RUNS = [
     ["fracpart", "--constant", "e", "--q", "7"],
     ["cert", "--family", "root", "--a", "2", "--m", "3", "--n-max", "2"],
 ]
+
+
+# Each subcommand's argparse actions as recorded before the parser was built
+# from cli._COMMANDS: (option strings, dest, type, choices, default,
+# required, nargs, help).  The actions are pinned rather than the --help
+# text, whose wording differs between Python versions.
+_HELP = (("-h", "--help"), "help", None, None, "==SUPPRESS==", False, 0,
+         "show this help message and exit")
+PARSER_ACTIONS = {
+    "cert": [
+        _HELP,
+        (("--family",), "family", None, ["cos-inv", "e", "e-pow", "e-rat", "e-squared",
+                                         "e-squared-naive", "inv-e", "root", "sin-inv", "sqrt",
+                                         "trig-angle"], None, True, None, "generator family"),
+        (("--n-max",), "n_max", int, None, 10, False, None, "last row index (default 10)"),
+        (("--m",), "m", int, None, None, False, None,
+         "radicand (sqrt), root degree (root), or argument denominator (sin-inv, cos-inv)"),
+        (("--a",), "a", int, None, None, False, None, "radicand for the root family"),
+        (("--k",), "k", int, None, None, False, None, "integer exponent for e-pow"),
+        (("--r",), "r", None, None, None, False, None, "rational exponent for e-rat, e.g. -1/2"),
+        (("--angle",), "angle", None, None, None, False, None,
+         "rational angle for trig-angle, e.g. 1/3"),
+        (("--format",), "format", None, ["json", "csv", "table"], "table", False, None,
+         "report format (default table)"),
+        (("--output",), "output", None, None, None, False, None, "write the report to this path"),
+        (("--width",), "width", None, None, None, False, None,
+         "per-row verification width override"),
+        (("--seed-doc",), "seed_doc", None, None, False, False, 0,
+         "print the construction behind the family and exit"),
+    ],
+    "pigeonhole": [
+        _HELP,
+        (("--constant",), "constant", None, None, None, True, None, "constant text, e.g. sqrt:2"),
+        (("--n",), "n", int, None, None, True, None, None),
+        (("--format",), "format", None, ["json", "table"], "table", False, None, None),
+    ],
+    "reduce": [
+        _HELP,
+        (("--modulus",), "modulus", None, None, None, True, None,
+         "monic modulus, ascending comma-separated, e.g. -2,0,1"),
+        (("--coeffs",), "coeffs", None, None, None, True, None,
+         "coefficient vector to reduce, ascending comma-separated"),
+    ],
+    "classify": [
+        _HELP,
+        (("--poly",), "poly", None, None, None, True, None,
+         "integer polynomial, ascending comma-separated, e.g. 1,1,-5,2"),
+    ],
+    "fracpart": [
+        _HELP,
+        (("--constant",), "constant", None, None, None, True, None, None),
+        (("--q",), "q", int, None, None, True, None, None),
+        (("--width",), "width", None, None, None, False, None, "enclosure width (default 1/10^9)"),
+    ],
+}
+SUBCOMMAND_HELP = [
+    ("cert", "certificate table for one family"),
+    ("pigeonhole", "bin-collision approximant for one n"),
+    ("reduce", "reduce coefficients modulo a monic polynomial"),
+    ("classify", "rational-or-irrational verdict per real root"),
+    ("fracpart", "fractional-part product {qx}({qx}-1)"),
+]
+
+
+def test_the_parser_keeps_the_recorded_options():
+    parser = cli._build_parser()
+    assert (parser.prog, parser.description) == (
+        "irratcert", "exact-arithmetic irrationality certificates")
+    top = [(a.option_strings, a.dest, a.metavar) for a in parser._actions]
+    assert top == [(["-h", "--help"], "help", None), ([], argparse.SUPPRESS, "command")]
+    assert [(a.dest, a.help) for a in parser._actions[1]._choices_actions] == SUBCOMMAND_HELP
+    actions = {name: [(tuple(a.option_strings), a.dest, a.type,
+                       None if a.choices is None else list(a.choices), a.default, a.required,
+                       a.nargs, a.help) for a in command._actions]
+               for name, command in parser.commands.items()}
+    assert actions == PARSER_ACTIONS
+    handlers = {name: command.get_default("handler") for name, command in parser.commands.items()}
+    assert handlers == {"cert": cli._cmd_cert, "pigeonhole": cli._cmd_pigeonhole,
+                        "reduce": cli._cmd_reduce, "classify": cli._cmd_classify,
+                        "fracpart": cli._cmd_fracpart}
 
 
 def test_shared_parser_answers_like_a_fresh_one(capsys):
@@ -901,22 +1004,44 @@ def test_dispatch_parses_like_the_whole_parser(argv):
     assert _parsed(cli._parse, argv) == _parsed(cli._build_parser().parse_args, argv)
 
 
-def test_documented_spellings_are_parsed_without_argparse(monkeypatch):
-    # every corpus request, in either spelling, is built in one pass: a
-    # silent fall back to argparse would still parse it, only slower
-    def joined(argv):
-        out = argv[:1]
-        for arg in argv[1:]:
-            if out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("-"):
-                out[-1] += "=" + arg
-            else:
-                out.append(arg)
-        return out
-    requests = [spell(argv) for argv in CORPUS_OK + CORPUS_VIOLATED for spell in (list, joined)]
-    want = [cli._build_parser().parse_args(argv) for argv in requests]
+def _joined(argv):
+    """argv with each `--flag value` spelled `--flag=value`."""
+    out = argv[:1]
+    for arg in argv[1:]:
+        if out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
-    def refuse(self, args=None, namespace=None):
-        raise AssertionError(f"argparse parsed {args}")
-    monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
-    assert [cli._parse(argv) for argv in requests] == want
+
+# One documented request per subcommand, each spelled --flag value
+DOCUMENTED = [
+    ["cert", "--family", "e", "--n-max", "3", "--format", "csv"],
+    ["pigeonhole", "--constant", "e", "--n", "40", "--format", "json"],
+    ["reduce", "--modulus", "2,0,1", "--coeffs", "1,2,3"],
+    ["classify", "--poly", "1,1,-5,2"],
+    ["fracpart", "--constant", "sqrt:2", "--q", "5", "--width", "1/1000"],
+]
+
+
+def test_documented_spellings_are_parsed_without_argparse(capsys):
+    # every corpus request, in either spelling, is built in one pass with no
+    # parser built (a silent fall back to argparse would still parse it, only
+    # slower), and so is one request per subcommand run through main; an
+    # abbreviation, --help and a value of -- each build the parser once
+    requests = [spell(argv) for argv in CORPUS_OK + CORPUS_VIOLATED for spell in (list, _joined)]
     assert all("=" in argv[1] for argv in requests[1::2])
+    cli._build_parser.cache_clear()
+    got = [cli._parse(argv) for argv in requests]
+    assert [main(spell(argv)) for argv in DOCUMENTED for spell in (list, _joined)] == [0] * 10
+    assert cli._build_parser.cache_info().currsize == 0
+    assert got == [cli._build_parser().parse_args(argv) for argv in requests]
+    for argv in (["pigeonhole", "--con", "e", "--n", "40"], ["fracpart", "--help"],
+                 ["classify", "--poly=--"]):
+        cli._build_parser.cache_clear()
+        with suppress(SystemExit):      # argparse's --help exits
+            main(argv)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), argv
+    capsys.readouterr()
