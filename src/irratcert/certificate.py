@@ -125,16 +125,18 @@ class Certificate:
     def to_table(self) -> str:
         # residual shown as one approximate midpoint column for reading ease
         layout = self.layout
-        header = ["n", *layout.fields, "nonzero_ok", "bound_ok", "residual~", "bound~"]
-        cells = [[str(row.n), *layout.csv_cells(row),
-                  str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
-                  _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
-                 for row in self.rows]
+        lines = [["n", *layout.fields, "nonzero_ok", "bound_ok", "residual~", "bound~"]]
+        lines += ([str(row.n), *layout.csv_cells(row),
+                   str(row.nonzero_ok).lower(), str(row.bound_ok).lower(),
+                   _decimal((row.residual.lo + row.residual.hi) / 2), _decimal(row.bound)]
+                  for row in self.rows)
         # the last column is not padded, so no line ends in blanks
-        widths = [max(map(len, column)) for column in zip(header, *cells)][:-1]
-        lines = ["  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
-                 for line in [header, *cells]]
-        return "\n".join(lines) + f"\nverdict: {self.verdict}\n"
+        widths = [max(map(len, column)) for column in zip(*lines)][:-1]
+        # each padded line replaces its cells, so the text is built once
+        for i, line in enumerate(lines):
+            lines[i] = "  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
+        lines.append(f"verdict: {self.verdict}\n")
+        return "\n".join(lines)
 
 
 def _frac_str(fr: Fraction) -> str:

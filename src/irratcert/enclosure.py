@@ -1,9 +1,9 @@
 """Exact rational intervals, used everywhere floating point would normally appear.
 
 An Enclosure is a closed interval [lo, hi] whose endpoints are Fractions and
-which is certified (by whoever built it) to contain some real value.  The
-arithmetic here is plain interval arithmetic; since the endpoints are exact
-rationals there is no rounding step, so containment is preserved exactly.
+which is certified (by whoever built it) to contain some real value.  It
+carries no arithmetic: the package forms its residuals on the integers of a
+dyadic grid and builds the Enclosure of the result once, by `_grid`.
 Every record of the package, the Enclosure first, is declared by `_record`:
 a dataclass frozen by a shared __setattr__ and __delattr__, with a shared ==,
 hash and repr, so that dataclass writes only its __init__.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from math import floor
 
 from .errors import PrecisionExhausted
 
@@ -140,27 +139,25 @@ def _record_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _record(cls=None, /, *, repr=True):
+def _record(cls):
     """cls as a dataclass whose __setattr__ and __delattr__, which freeze it,
-    ==, hash and (unless repr is false) repr are the five shared functions
-    above.  The last three return what 3.11's dataclass writes for each
-    class: ==, hash over the fields compared, repr over those shown.  So
+    ==, hash and (unless cls defines its own) repr are the five shared
+    functions above.  The last three return what 3.11's dataclass writes for
+    each class: ==, hash over the fields compared, repr over those shown.  So
     dataclass writes only __init__ per class.  A subclass that adds no field
     needs no decorator: it inherits all of these, its base's fields and
     __init__, and refuses new attributes as its base does."""
-    def wrap(cls):
-        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
-        if repr:
-            cls.__repr__ = _record_repr
-        cls = dataclass(repr=False, eq=False)(cls)
-        cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
-        cls._fields = tuple(f.name for f in fields(cls))
-        for name in cls.__dict__.keys() & set(cls._fields):
-            delattr(cls, name)      # a default left on the class would read as set
-        cls._compared = tuple(f.name for f in fields(cls) if f.compare)
-        cls._shown = tuple(f.name for f in fields(cls) if f.repr)
-        return cls
-    return wrap if cls is None else wrap(cls)
+    cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _record_repr
+    cls = dataclass(repr=False, eq=False)(cls)
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    cls._fields = tuple(f.name for f in fields(cls))
+    for name in cls.__dict__.keys() & set(cls._fields):
+        delattr(cls, name)      # a default left on the class would read as set
+    cls._compared = tuple(f.name for f in fields(cls) if f.compare)
+    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
+    return cls
 
 
 @_record
@@ -193,73 +190,3 @@ class Enclosure:
         t, u = (t if t < k else k), (u if u < k else k)     # min() is a slower call
         enc.__dict__.update(lo=coprime(x >> t, 1 << k - t), hi=coprime(y >> u, 1 << k - u))
         return enc
-
-    @classmethod
-    def point(cls, value) -> "Enclosure":
-        v = Fraction(value)
-        return cls(v, v)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
-    def excludes_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
-    def max_abs(self) -> Fraction:
-        """Largest |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
-    def min_abs(self) -> Fraction:
-        """Smallest |x| over the interval; zero when 0 is inside."""
-        if self.lo <= 0 <= self.hi:
-            return Fraction(0)
-        return min(abs(self.lo), abs(self.hi))
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        return Enclosure(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo - other.hi, self.hi - other.lo)
-        return Enclosure(self.lo - other, self.hi - other)
-
-    def __rsub__(self, other) -> "Enclosure":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            products = (self.lo * other.lo, self.lo * other.hi,
-                        self.hi * other.lo, self.hi * other.hi)
-            return Enclosure(min(products), max(products))
-        other = Fraction(other)
-        if other >= 0:
-            return Enclosure(self.lo * other, self.hi * other)
-        return Enclosure(self.hi * other, self.lo * other)
-
-    __rmul__ = __mul__
-
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("enclosures are disjoint")
-        return Enclosure(lo, hi)
-
-    def floor_if_settled(self):
-        """Common floor of both endpoints, or None while an integer is straddled."""
-        a, b = floor(self.lo), floor(self.hi)
-        return a if a == b else None

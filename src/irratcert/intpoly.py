@@ -92,7 +92,7 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-@_record(repr=False)
+@_record
 class IntPolynomial:
     """An integer polynomial by its ascending coefficients, trailing zeros
     trimmed; the zero polynomial has none."""
@@ -307,26 +307,19 @@ def _interval_horner(coeffs, a: int, b: int, k: int) -> tuple[int, int]:
     return x, y
 
 
-def count_roots_between(f: IntPolynomial, lo, hi, chain=None) -> int:
-    """Number of distinct real roots of f in the open interval (lo, hi).
-
-    Each end is a rational or an integer pair (p, q), q > 0, for p/q reduced
-    or not.  Endpoints must not be roots.  chain, if given, is
-    sturm_chain(squarefree_part(f)), whose integer rows `sign_at` reads as they are.
-    Without it, sturm_chain(f) is built and used when its last row, gcd(f, f')
-    up to a factor, is a constant; only where that row shows a repeated root
-    is f divided by it, and the quotient's chain built instead.
+def count_roots_between(f: IntPolynomial, lo, hi) -> int:
+    """Number of distinct real roots of f in the open interval (lo, hi), two
+    rationals that must not be roots.  sturm_chain(f) is built and used when
+    its last row, gcd(f, f') up to a factor, is a constant; only where that
+    row shows a repeated root is f divided by it, and the quotient's chain
+    built instead.
     """
-    (p, q), (r, s) = (x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
-                      for x in (lo, hi))
-    if q <= 0 or s <= 0:
-        raise ValueError(f"endpoint pair {(p, q) if q <= 0 else (r, s)} needs q > 0")
+    (p, q), (r, s) = Fraction(lo).as_integer_ratio(), Fraction(hi).as_integer_ratio()
     if p * s >= r * q:
         raise ValueError("need lo < hi")
-    if chain is None:
-        chain = sturm_chain(f)
-        if not chain or len(chain[-1]) > 1:
-            chain = sturm_chain(_over_gcd(f, chain[-1] if chain else ()))
+    chain = sturm_chain(f)
+    if not chain or len(chain[-1]) > 1:
+        chain = sturm_chain(_over_gcd(f, chain[-1] if chain else ()))
     at_lo, at_hi = [sign_at(row, p, q) for row in chain], [sign_at(row, r, s) for row in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ValueError("interval endpoint is a root")

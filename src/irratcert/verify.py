@@ -119,7 +119,7 @@ def pair_residual(p: int, q: int, c, max_width, cache=None, *, round_to=None) ->
     enclosure stays within it."""
     num, den = _width(max_width)
     if q == 0:
-        return Enclosure.point(-p)
+        return Enclosure(-p, -p)
     k, lo, hi = (cache or ConstantCache()).grid(c, num, den, abs(q))
     x = q * lo - (p << k) if q > 0 else q * hi - (p << k)
     y = x + abs(q) * (hi - lo)
@@ -140,7 +140,7 @@ def power_form_residual(form: PowerForm, c, max_width, cache=None) -> Enclosure:
     most num/den (1 - t/s)."""
     num, den = _width(max_width)
     if form.is_zero():
-        return Enclosure.point(0)
+        return Enclosure(0, 0)
     cache = cache or ConstantCache()
     coeffs, deg = form.coeffs, len(form.coeffs) - 1
     b, lo, hi = cache.grid(c, 1, 4)
@@ -447,7 +447,7 @@ def _integral(poly, max_width, term, power, ratio, scale=1) -> Enclosure:
     coeffs = [Fraction(c) for c in poly.coeffs]
     abs_integral = sum(abs(c) / (i + 1) for i, c in enumerate(coeffs))
     if abs_integral == 0:
-        return Enclosure.point(0)
+        return Enclosure(0, 0)
     total = Fraction(0)
     for j in count():
         shift = power(j) + 1

@@ -6,11 +6,12 @@ reduction, term-calculus differentiation for the functional tables, plain
 partial sums with Lagrange tails for the series constants, the kernels'
 term loops with the tail bound formed after every term, which the kernels
 skip while its bits rule out an exit, schoolbook bisection for square
-roots, interval arithmetic on `Enclosure`s for certificate residuals and
-the fractional-part product, `json.dumps` and `csv.writer` for certificate
-text, `Fraction` Horner, bisection, division, gcds, Sturm chains and Sturm
-counts for polynomial signs and roots, and an inline Descartes count for the
-Newton jump's one-simple-root test.  Agreement between a library value and
+roots, interval arithmetic (`Interval`, an `Enclosure` with the operators
+the package leaves out) for certificate residuals and the fractional-part
+product, `json.dumps` and `csv.writer` for certificate text, `Fraction`
+Horner, bisection, division, gcds, Sturm chains and Sturm counts for
+polynomial signs and roots, and an inline Descartes count for the Newton
+jump's one-simple-root test.  Agreement between a library value and
 its oracle twin is the point of most tests, so nothing in this file may
 call back into the code paths it checks.  The two exceptions are not oracles
 but readers of library internals that the tests check against oracles:
@@ -308,9 +309,95 @@ def fraction_bin_placements(lo: Fraction, hi: Fraction, n: int):
     return placed
 
 
-# Certificate residuals by `Enclosure` arithmetic, as verify first formed
-# them.  `enclose_at(width)` is the constant's enclosure at that width; the
-# library forms the same linear forms on integers on a dyadic grid.
+# Certificate residuals by interval arithmetic, as verify first formed them.
+# `enclose_at(width)` is the constant's enclosure at that width, an
+# `Interval`; the library forms the same linear forms on integers on a dyadic
+# grid.  Each oracle returns a plain `Enclosure`, which == compares with the
+# library's, as records of one class only compare equal.
+
+class Interval(Enclosure):
+    """An `Enclosure` with plain interval arithmetic; since the endpoints are
+    exact rationals there is no rounding step, so containment is preserved
+    exactly.  Operators take an `Enclosure` or a rational and give an
+    `Interval`."""
+
+    @classmethod
+    def point(cls, value) -> "Interval":
+        v = Fraction(value)
+        return cls(v, v)
+
+    @classmethod
+    def of(cls, enc: Enclosure) -> "Interval":
+        return cls(enc.lo, enc.hi)
+
+    def plain(self) -> Enclosure:
+        return Enclosure(self.lo, self.hi)
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @property
+    def is_point(self) -> bool:
+        return self.lo == self.hi
+
+    def contains(self, value) -> bool:
+        return self.lo <= value <= self.hi
+
+    def excludes_zero(self) -> bool:
+        return self.lo > 0 or self.hi < 0
+
+    def max_abs(self) -> Fraction:
+        """Largest |x| over the interval."""
+        return max(abs(self.lo), abs(self.hi))
+
+    def min_abs(self) -> Fraction:
+        """Smallest |x| over the interval; zero when 0 is inside."""
+        if self.lo <= 0 <= self.hi:
+            return Fraction(0)
+        return min(abs(self.lo), abs(self.hi))
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "Interval":
+        if isinstance(other, Enclosure):
+            return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(self.lo + other, self.hi + other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Interval":
+        if isinstance(other, Enclosure):
+            return Interval(self.lo - other.hi, self.hi - other.lo)
+        return Interval(self.lo - other, self.hi - other)
+
+    def __rsub__(self, other) -> "Interval":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Interval":
+        if isinstance(other, Enclosure):
+            products = (self.lo * other.lo, self.lo * other.hi,
+                        self.hi * other.lo, self.hi * other.hi)
+            return Interval(min(products), max(products))
+        other = Fraction(other)
+        if other >= 0:
+            return Interval(self.lo * other, self.hi * other)
+        return Interval(self.hi * other, self.lo * other)
+
+    __rmul__ = __mul__
+
+    def intersect(self, other: Enclosure) -> "Interval":
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
+            raise ValueError("enclosures are disjoint")
+        return Interval(lo, hi)
+
+    def floor_if_settled(self):
+        """Common floor of both endpoints, or None while an integer is straddled."""
+        a, b = floor(self.lo), floor(self.hi)
+        return a if a == b else None
+
 
 class FractionConstantCache:
     """Per-run constant enclosures as Fractions: the kernel's enclosure at K
@@ -321,7 +408,7 @@ class FractionConstantCache:
     def __init__(self):
         self._best = {}
 
-    def enclose(self, spec, max_width) -> Enclosure:
+    def enclose(self, spec, max_width) -> Interval:
         max_width = Fraction(max_width)
         k = max(0, max_width.denominator.bit_length() - max_width.numerator.bit_length() - 1)
         while Fraction(1, 2 ** k) > max_width:
@@ -333,41 +420,41 @@ class FractionConstantCache:
             bits = max(k, 2 * bits)
             enc = enclose(spec, Fraction(1, 2 ** bits))
             self._best[spec] = bits, enc
-        return Enclosure(Fraction(floor(enc.lo * 2 ** k), 2 ** k),
-                         Fraction(ceil(enc.hi * 2 ** k), 2 ** k))
+        return Interval(Fraction(floor(enc.lo * 2 ** k), 2 ** k),
+                        Fraction(ceil(enc.hi * 2 ** k), 2 ** k))
 
 
 def enclosure_horner(coeffs, enc: Enclosure) -> Enclosure:
     """Interval Horner evaluation of sum(coeffs[i] x^i) over enc."""
-    acc = Enclosure.point(0)
+    acc = Interval.point(0)
     for c in reversed(coeffs):
         acc = acc * enc + c
-    return acc
+    return acc.plain()
 
 
 def enclosure_pair_residual(p: int, q: int, enclose_at, max_width) -> Enclosure:
     if q == 0:
-        return Enclosure.point(-p)
-    return enclose_at(Fraction(max_width) / abs(q)) * q - p
+        return Enclosure(-p, -p)
+    return (enclose_at(Fraction(max_width) / abs(q)) * q - p).plain()
 
 
 def enclosure_trig_residual(acd, cos_at, sin_at, max_width) -> Enclosure:
     a, c, d = acd
     w = Fraction(max_width) / (2 * (abs(c) + abs(d) + 1))
-    return cos_at(w) * c - sin_at(w) * d - a
+    return (cos_at(w) * c - sin_at(w) * d - a).plain()
 
 
 def enclosure_power_form_residual(coeffs, enclose_at, max_width) -> Enclosure:
     """Horner at width max_width / (slope + 1), halved until the result fits."""
     max_width = Fraction(max_width)
     if not any(coeffs):
-        return Enclosure.point(0)
+        return Enclosure(0, 0)
     box = enclose_at(Fraction(1, 4)).max_abs() + 1
     slope = sum(abs(c) * i * box ** (i - 1) for i, c in enumerate(coeffs) if i)
     width = max_width / (slope + 1)
     while True:
         acc = enclosure_horner(coeffs, enclose_at(width))
-        if acc.width <= max_width:
+        if acc.hi - acc.lo <= max_width:
             return acc
         width /= 2
 
@@ -380,13 +467,13 @@ def enclosure_fractional_residual(q: int, c, max_width) -> Enclosure:
     max_width = Fraction(max_width)
     width = max_width / (4 * abs(q))
     for _ in range(400):
-        enc = enclose(c, width) * q
+        enc = Interval.of(enclose(c, width)) * q
         z = enc.floor_if_settled()
         if z is not None:
             frac = enc - z
             product = (frac * (frac - 1)).intersect(Enclosure(Fraction(-1, 4), Fraction(0)))
             if product.width <= max_width:
-                return product
+                return product.plain()
         width /= 2
     raise AssertionError(f"fractional part of {q} * {c} not settled")
 

@@ -22,7 +22,7 @@ from irratcert.sequences import sin_inv_m_approximant, sqrt_approximant
 from irratcert.verify import (Certificate, certify, integral_exp_poly,
                               pair_residual, trig_residual)
 
-from oracles import (bridge_derivative_at, e_bracket, modular_powers_remainder,
+from oracles import (Interval, bridge_derivative_at, e_bracket, modular_powers_remainder,
                      sqrt_ring_power)
 from test_cli import CORPUS_ERROR, CORPUS_OK, CORPUS_VIOLATED
 
@@ -52,7 +52,7 @@ def test_acceptance_02_e_sandwich():
     cert = certify("e", E(), 20, max_width=Fraction(1, 10 ** 8))
     assert cert.verdict == "nice"
     for row in cert.rows:
-        assert row.residual.width <= Fraction(1, 10 ** 8)
+        assert row.residual.hi - row.residual.lo <= Fraction(1, 10 ** 8)
         assert Fraction(1, row.n + 1) < row.residual.lo
         assert row.residual.hi < Fraction(1, row.n)
     _ok("criterion 2: e residuals strictly inside (1/(n+1), 1/n) for "
@@ -84,7 +84,7 @@ def test_acceptance_03_niven_integrality_and_identity():
     # spot value: at (n=1, k=1) the residual is exactly 3 - e
     pair = exp_functional_int(1, 1)
     enc = pair_residual(pair.at0, pair.at1, E(), (1, 10 ** 9))
-    assert enc.width <= Fraction(1, 10 ** 9)
+    assert enc.hi - enc.lo <= Fraction(1, 10 ** 9)
     lo, hi = e_bracket(30)
     assert enc.lo <= 3 - lo and 3 - hi <= enc.hi
     _ok("criterion 3: functional tables integral and equal to the symbolic "
@@ -118,7 +118,7 @@ def test_acceptance_05_trig_angle_certificates():
             assert row.bound == Fraction(p ** (2 * row.n + 1),
                                          factorial(row.n) * q)
     enc = trig_residual((-2, -2, 1), Fraction(1), (1, 10 ** 6))
-    assert enc.width <= Fraction(1, 10 ** 6)
+    assert enc.hi - enc.lo <= Fraction(1, 10 ** 6)
     assert Fraction(77923, 10 ** 6) < enc.lo <= enc.hi < Fraction(77926, 10 ** 6)
     _ok("criterion 5: Gaussian witnesses nonzero and below p^(2n+1)/(n! q) "
         "for angles {1, 1/2, 1/3, 3}, n<=8; spot residual ~0.077924")
@@ -139,7 +139,7 @@ def test_acceptance_06_pigeonhole_all_constants():
             if n == 200:
                 big_run += took
             assert 0 < r.q <= n
-            assert r.residual.max_abs() < Fraction(1, n)
+            assert Interval.of(r.residual).max_abs() < Fraction(1, n)
         again = pigeonhole_approximant(spec, 50)
         once = pigeonhole_approximant(spec, 50)
         assert (again.p, again.q, again.residual) == (once.p, once.q, once.residual)

@@ -231,12 +231,13 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert cert.constant == "sqrt:3"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_writing_a_report_holds_about_two_copies_of_it(tmp_path, monkeypatch, fmt):
     # the rows are joined once with the header and footer, and a missing
     # newline is a second write, so the peak is the rows and the text, then
     # the text and its encoded bytes: 2.0x its length, against 3.1x when
-    # the rows were joined, wrapped, and copied again to add the newline
+    # the rows were joined, wrapped, and copied again to add the newline,
+    # and 3.6x when the table's verdict line was added to its joined lines
     cert = certify("e", FAMILIES["e"].kind(), 1000)
     size = len(getattr(cert, f"to_{fmt}")())
     monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: cert)

@@ -69,7 +69,7 @@ def test_spec_validation():
 def test_sqrt_enclosure_squeezes_truth():
     for width in (Fraction(1, 10), Fraction(1, 10 ** 6), Fraction(1, 10 ** 30)):
         e = enclose(Sqrt(2), width)
-        assert e.width <= width
+        assert e.hi - e.lo <= width
         assert 0 < e.lo
         assert e.lo * e.lo < 2 < e.hi * e.hi
     lo, hi = sqrt_bracket(7, 80)
@@ -79,7 +79,7 @@ def test_sqrt_enclosure_squeezes_truth():
 def test_root_enclosure():
     e = enclose(Root(2, 3), Fraction(1, 10 ** 12))
     assert e.lo ** 3 < 2 < e.hi ** 3
-    assert e.width <= Fraction(1, 10 ** 12)
+    assert e.hi - e.lo <= Fraction(1, 10 ** 12)
     e = enclose(Root(4, 4), Fraction(1, 10 ** 9))
     assert e.lo ** 4 < 4 < e.hi ** 4
 
@@ -123,7 +123,7 @@ def test_enclosures_overlap_across_widths():
         wide = enclose(spec, Fraction(1, 100))
         narrow = enclose(spec, Fraction(1, 10 ** 18))
         assert_overlaps(narrow, wide.lo, wide.hi)
-        assert narrow.width <= Fraction(1, 10 ** 18)
+        assert narrow.hi - narrow.lo <= Fraction(1, 10 ** 18)
 
 
 def test_algebraic_root_spec_and_enclosure():
@@ -142,7 +142,7 @@ def test_algebraic_root_spec_and_enclosure():
     h = IntPolynomial((-1, 1))
     spec = AlgebraicRoot(h, 0, 2)
     e = enclose(spec, Fraction(1, 10 ** 6))
-    assert e.contains(1)
+    assert e.lo <= 1 <= e.hi
 
 
 def test_canonical_text_round_trip():

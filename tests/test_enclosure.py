@@ -1,4 +1,5 @@
-"""Tests for the rational interval type."""
+"""Tests for the rational interval type, and for the interval arithmetic the
+test oracles form residuals by (`oracles.Interval`)."""
 
 import fractions
 import math
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from irratcert import enclosure
 from irratcert.enclosure import DEFAULT_MAX_REFINE, Enclosure, refinement_budget
+from oracles import Interval
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -24,52 +26,52 @@ def test_construction_coerces_and_orders():
 
 
 def test_point_and_width():
-    p = Enclosure.point(Fraction(3, 7))
+    p = Interval.point(Fraction(3, 7))
     assert p.is_point
     assert p.width == 0
-    assert Enclosure(1, 3).width == 2
-    assert not Enclosure(1, 3).is_point
+    assert Interval(1, 3).width == 2
+    assert not Interval(1, 3).is_point
 
 
 def test_contains_and_zero_exclusion():
-    e = Enclosure(Fraction(-1, 2), Fraction(1, 3))
+    e = Interval(Fraction(-1, 2), Fraction(1, 3))
     assert e.contains(0)
     assert e.contains(Fraction(-1, 2))
     assert not e.contains(1)
     assert not e.excludes_zero()
-    assert Enclosure(1, 2).excludes_zero()
-    assert Enclosure(-2, -1).excludes_zero()
+    assert Interval(1, 2).excludes_zero()
+    assert Interval(-2, -1).excludes_zero()
     # an endpoint touching zero does not exclude it
-    assert not Enclosure(0, 1).excludes_zero()
-    assert not Enclosure(-1, 0).excludes_zero()
+    assert not Interval(0, 1).excludes_zero()
+    assert not Interval(-1, 0).excludes_zero()
 
 
 def test_abs_extremes():
-    assert Enclosure(-3, 2).max_abs() == 3
-    assert Enclosure(-3, 2).min_abs() == 0
-    assert Enclosure(1, 4).min_abs() == 1
-    assert Enclosure(-4, -1).min_abs() == 1
-    assert Enclosure(-4, -1).max_abs() == 4
+    assert Interval(-3, 2).max_abs() == 3
+    assert Interval(-3, 2).min_abs() == 0
+    assert Interval(1, 4).min_abs() == 1
+    assert Interval(-4, -1).min_abs() == 1
+    assert Interval(-4, -1).max_abs() == 4
 
 
 def test_addition_subtraction_negation():
-    a = Enclosure(1, 2)
-    b = Enclosure(-1, 3)
-    assert a + b == Enclosure(0, 5)
-    assert a - b == Enclosure(-2, 3)
-    assert -a == Enclosure(-2, -1)
-    assert a + 1 == Enclosure(2, 3)
-    assert 1 - a == Enclosure(-1, 0)
-    assert 3 + a == Enclosure(4, 5)
+    a = Interval(1, 2)
+    b = Interval(-1, 3)
+    assert a + b == Interval(0, 5)
+    assert a - b == Interval(-2, 3)
+    assert -a == Interval(-2, -1)
+    assert a + 1 == Interval(2, 3)
+    assert 1 - a == Interval(-1, 0)
+    assert 3 + a == Interval(4, 5)
 
 
 def test_scalar_multiplication_sign_aware():
-    a = Enclosure(1, 2)
-    assert a * 3 == Enclosure(3, 6)
-    assert a * -3 == Enclosure(-6, -3)
-    assert -2 * a == Enclosure(-4, -2)
-    assert a * 0 == Enclosure(0, 0)
-    assert a * Fraction(1, 2) == Enclosure(Fraction(1, 2), 1)
+    a = Interval(1, 2)
+    assert a * 3 == Interval(3, 6)
+    assert a * -3 == Interval(-6, -3)
+    assert -2 * a == Interval(-4, -2)
+    assert a * 0 == Interval(0, 0)
+    assert a * Fraction(1, 2) == Interval(Fraction(1, 2), 1)
 
 
 def _grid():
@@ -78,7 +80,7 @@ def _grid():
     for lo in vals:
         for hi in vals:
             if lo <= hi:
-                out.append(Enclosure(lo, hi))
+                out.append(Interval(lo, hi))
     return out
 
 
@@ -95,22 +97,22 @@ def test_interval_product_contains_all_pointwise_products():
 
 
 def test_intersect():
-    a = Enclosure(0, 2)
-    b = Enclosure(1, 3)
-    assert a.intersect(b) == Enclosure(1, 2)
-    assert b.intersect(a) == Enclosure(1, 2)
-    assert a.intersect(Enclosure(2, 5)) == Enclosure(2, 2)
+    a = Interval(0, 2)
+    b = Interval(1, 3)
+    assert a.intersect(b) == Interval(1, 2)
+    assert b.intersect(a) == Interval(1, 2)
+    assert a.intersect(Interval(2, 5)) == Interval(2, 2)
     with pytest.raises(ValueError):
-        a.intersect(Enclosure(3, 4))
+        a.intersect(Interval(3, 4))
 
 
 def test_floor_if_settled():
-    assert Enclosure(Fraction(5, 2), Fraction(11, 4)).floor_if_settled() == 2
-    assert Enclosure(Fraction(-3, 2), Fraction(-5, 4)).floor_if_settled() == -2
-    assert Enclosure(Fraction(19, 10), Fraction(21, 10)).floor_if_settled() is None
+    assert Interval(Fraction(5, 2), Fraction(11, 4)).floor_if_settled() == 2
+    assert Interval(Fraction(-3, 2), Fraction(-5, 4)).floor_if_settled() == -2
+    assert Interval(Fraction(19, 10), Fraction(21, 10)).floor_if_settled() is None
     # integer point settles; interval with an interior integer does not
-    assert Enclosure.point(4).floor_if_settled() == 4
-    assert Enclosure(Fraction(7, 2), Fraction(9, 2)).floor_if_settled() is None
+    assert Interval.point(4).floor_if_settled() == 4
+    assert Interval(Fraction(7, 2), Fraction(9, 2)).floor_if_settled() is None
 
 
 def test_refinement_budget_env(monkeypatch):
@@ -133,13 +135,13 @@ _where = st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_de
 def _enclosure_and_point(draw):
     a, b = draw(_ends), draw(st.just(None) | _ends)
     lo, hi = (a, a) if b is None else (min(a, b), max(a, b))
-    return Enclosure(lo, hi), lo + draw(_where) * (hi - lo)
+    return Interval(lo, hi), lo + draw(_where) * (hi - lo)
 
 
 @PROPERTY
 @given(first=_enclosure_and_point(), second=_enclosure_and_point(),
        s=st.sampled_from((0, 1, -1)) | _ends)
-@example(first=(Enclosure(-2, 3), Fraction(-2)), second=(Enclosure(-5, -1), Fraction(-5)), s=-3)
+@example(first=(Interval(-2, 3), Fraction(-2)), second=(Interval(-5, -1), Fraction(-5)), s=-3)
 def test_arithmetic_contains_the_point_results(first, second, s):
     (a, x), (b, y) = first, second
     assert (a + b).contains(x + y)
@@ -153,8 +155,8 @@ def test_arithmetic_contains_the_point_results(first, second, s):
 
 @PROPERTY
 @given(first=_enclosure_and_point(), second=_enclosure_and_point())
-@example(first=(Enclosure(0, 2), Fraction(2)), second=(Enclosure(2, 5), Fraction(2)))
-@example(first=(Enclosure(0, 2), Fraction(1)), second=(Enclosure(3, 4), Fraction(3)))
+@example(first=(Interval(0, 2), Fraction(2)), second=(Interval(2, 5), Fraction(2)))
+@example(first=(Interval(0, 2), Fraction(1)), second=(Interval(3, 4), Fraction(3)))
 def test_intersect_agrees_with_the_points(first, second):
     (a, x), (b, y) = first, second
     if a.hi < b.lo or b.hi < a.lo:
@@ -172,9 +174,9 @@ def test_intersect_agrees_with_the_points(first, second):
 
 @PROPERTY
 @given(case=_enclosure_and_point())
-@example(case=(Enclosure(-3, 2), Fraction(0)))
-@example(case=(Enclosure(0, 0), Fraction(0)))
-@example(case=(Enclosure(-4, -1), Fraction(-1)))
+@example(case=(Interval(-3, 2), Fraction(0)))
+@example(case=(Interval(0, 0), Fraction(0)))
+@example(case=(Interval(-4, -1), Fraction(-1)))
 def test_abs_extremes_agree_with_the_points(case):
     a, x = case
     assert a.min_abs() <= abs(x) <= a.max_abs()

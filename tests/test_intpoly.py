@@ -144,21 +144,6 @@ def test_count_roots_between():
     assert count_roots_between(doubled, 0, 2) == 1
 
 
-def test_count_roots_between_refuses_a_pair_with_a_nonpositive_denominator():
-    # (2, -1) and (-2, -1) stand for -2 and 2, but pairs must have q > 0:
-    # read as given they would count -2 and -3 roots
-    square, cubic = IntPolynomial((-2, 0, 1)), IntPolynomial((0, -2, 0, 1))
-    for f, want in ((square, 2), (cubic, 3)):
-        assert count_roots_between(f, Fraction(-2), Fraction(2)) == want
-        assert count_roots_between(f, (-2, 1), (2, 1)) == want
-        with pytest.raises(ValueError, match=r"\(2, -1\)"):
-            count_roots_between(f, (2, -1), (-2, -1))
-        with pytest.raises(ValueError, match=r"\(-2, -1\)"):
-            count_roots_between(f, (-2, 1), (-2, -1))
-        with pytest.raises(ValueError, match=r"\(1, 0\)"):
-            count_roots_between(f, (-2, 1), (1, 0))
-
-
 def test_squarefree_detection_and_part():
     f = IntPolynomial((-1, 1))
     g = IntPolynomial((2, 1))
@@ -207,19 +192,6 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 polys = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(IntPolynomial).filter(
     lambda f: f.degree >= 1)
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
-
-
-@PROPERTY
-@given(f=polys, g=polys, square=st.booleans(), a=rationals, b=rationals)
-def test_shared_chain_counts_like_the_three_argument_call(f, g, square, a, b):
-    # isolation passes the chain of f itself, which is squarefree there;
-    # square=True gives a product with a squared factor, whose chain is
-    # that of its squarefree part
-    f = f * f * g if square else f
-    lo, hi = min(a, b), max(a, b)
-    assume(lo < hi and f(lo) != 0 and f(hi) != 0)
-    chain = sturm_chain(f if is_squarefree(f) else squarefree_part(f))
-    assert count_roots_between(f, lo, hi, chain) == count_roots_between(f, lo, hi)
 
 
 @PROPERTY
@@ -306,19 +278,14 @@ def test_sign_at_is_the_sign_of_fraction_horner(coeffs, p, q):
 
 
 @PROPERTY
-@given(f=polys, a=rationals, b=rationals, g=st.integers(1, 2 ** 40))
-def test_sturm_count_equals_the_fraction_count(f, a, b, g):
+@given(f=polys, a=rationals, b=rationals)
+def test_sturm_count_equals_the_fraction_count(f, a, b):
     lo, hi = min(a, b), max(a, b)
     assume(lo < hi and fraction_horner(f.coeffs, lo) != 0 and fraction_horner(f.coeffs, hi) != 0)
     want = fraction_sturm_count(fraction_sturm_chain(fraction_squarefree_part(f.coeffs)), lo, hi)
     assert count_roots_between(f, lo, hi) == want
-    chain = sturm_chain(squarefree_part(f))
-    assert count_roots_between(f, lo, hi, chain) == want
-    # the ends as unreduced integer pairs, as isolation hands them on
-    pairs = [(x.numerator * g, x.denominator * g) for x in (lo, hi)]
-    assert count_roots_between(f, *pairs, chain) == want
     with pytest.raises(ValueError, match="need lo < hi"):
-        count_roots_between(f, pairs[1], pairs[0], chain)
+        count_roots_between(f, hi, lo)
 
 
 # Sparse polynomials, whose remainders drop by more than one degree at a

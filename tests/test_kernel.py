@@ -50,7 +50,7 @@ def _at(fn, x: Fraction) -> tuple[Fraction, Fraction]:
 
 def _assert_encloses(enc, truth, max_width):
     lo, hi = truth
-    assert enc.width <= max_width
+    assert enc.hi - enc.lo <= max_width
     assert enc.lo <= lo and hi <= enc.hi, (enc, float(lo))
 
 
@@ -205,7 +205,7 @@ def test_algebraic_root_matches_mpmath_at_2_pow_minus_2000():
     # the sign change pins the one root of the bracket within 2^-4000 of v
     eps = Fraction(1, 2 ** 4000)
     assert CUBIC(v - eps) < 0 < CUBIC(v + eps)
-    assert enc.width <= max_width
+    assert enc.hi - enc.lo <= max_width
     assert enc.lo <= v - eps and v + eps <= enc.hi
 
 
@@ -219,7 +219,7 @@ def test_algebraic_root_at_2_pow_minus_20000_by_a_newton_jump(monkeypatch):
     monkeypatch.setattr(intpoly, "_confirm", recording)
     max_width = Fraction(1, 2 ** 20000)
     enc = enclose(AlgebraicRoot(CUBIC, 2, 3), max_width)
-    assert enc.width == max_width
+    assert enc.hi - enc.lo == max_width
     assert CUBIC(enc.lo) < 0 < CUBIC(enc.hi)
     assert len(confirmed) == 1 and confirmed[0] is not None
 
@@ -239,7 +239,7 @@ def test_an_exact_rational_root_comes_back_as_a_point_at_a_deep_width():
     assert enc.lo == enc.hi == root
     # a width the halving stops short of gives the cell around it
     enc = intpoly.bisect_root(poly, 2, 3, Fraction(1, 2 ** 3999))
-    assert enc.lo < root < enc.hi and enc.width == Fraction(1, 2 ** 3999)
+    assert enc.lo < root < enc.hi and enc.hi - enc.lo == Fraction(1, 2 ** 3999)
     # the spec knows the root is rational, so every width gives the point
     spec = AlgebraicRoot(poly, 2, 3)
     assert spec.rational == root
@@ -348,5 +348,5 @@ def test_cache_answers_for_an_algebraic_root(run):
     cache = ConstantCache()
     for max_width in run:
         enc = _grid_enclosure(cache, spec, max_width)
-        assert enc.width <= max_width
+        assert enc.hi - enc.lo <= max_width
         assert CUBIC(enc.lo) <= 0 <= CUBIC(enc.hi)

@@ -22,8 +22,6 @@ _NIVEN = "the paper's Niven section: the functionals of x^n (1-x)^n / n!"
 _CHECK_READ = "ROADMAP item 6: the checker reads a certificate back from JSON"
 _CHECK_ROUTE = ("ROADMAP item 6: the checker confirms each row by a route the "
                 "producer never takes")
-_FRACPART = ("interval arithmetic the fractional-part product is checked by "
-             "(oracles.enclosure_fractional_residual); the package forms it on integers")
 _GCD = ("the gcd and squarefree part `integer_root_test` divides out; a request's "
         "count takes gcd(f, f') from its own Sturm chain")
 _RECORD = ("every record's repr, hash and __delattr__, shared in place of the ones "
@@ -44,20 +42,6 @@ PAPER_API = {
     "certificate._layout": _CHECK_READ,
     "certificate._rational": _CHECK_READ,
     "certificate._row_from_dict": _CHECK_READ,
-    "enclosure.Enclosure.__add__": _CHECK_ROUTE,
-    "enclosure.Enclosure.__mul__": _FRACPART,
-    "enclosure.Enclosure.__neg__": _CHECK_ROUTE,
-    "enclosure.Enclosure.__rsub__": _CHECK_ROUTE,
-    "enclosure.Enclosure.__sub__": _FRACPART,
-    "enclosure.Enclosure.contains": _CHECK_ROUTE,
-    "enclosure.Enclosure.excludes_zero": _CHECK_ROUTE,
-    "enclosure.Enclosure.floor_if_settled": _FRACPART,
-    "enclosure.Enclosure.intersect": _FRACPART,
-    "enclosure.Enclosure.is_point": _CHECK_ROUTE,
-    "enclosure.Enclosure.max_abs": _CHECK_ROUTE,
-    "enclosure.Enclosure.min_abs": _CHECK_ROUTE,
-    "enclosure.Enclosure.point": _CHECK_ROUTE,
-    "enclosure.Enclosure.width": _FRACPART,
     "enclosure._record_delattr": _RECORD,
     "enclosure._record_hash": _RECORD,
     "enclosure._record_repr": _RECORD,

@@ -23,7 +23,7 @@ from irratcert.sequences import (_BOUND_WIDTH, Approximant, BoundedBy, compose_c
 from irratcert.constants import E, EPow, InvE, Root, SinInv, Sqrt, enclose, integer_nth_root
 from irratcert.verify import pair_residual
 
-from oracles import root_form_binomials, root_ring_power, sqrt_ring_power
+from oracles import Interval, root_form_binomials, root_ring_power, sqrt_ring_power
 
 
 def _residual(app, c):
@@ -172,7 +172,7 @@ def test_inv_e_family_values():
         assert app.p == sum((-1) ** i * (factorial(n) // factorial(i))
                             for i in range(n + 1))
         # only nonzero is claimed: the alternating tail has sign (-1)^(n+1)
-        enc = _residual(app, InvE())
+        enc = Interval.of(_residual(app, InvE()))
         assert enc.excludes_zero() and (enc.lo > 0) == (n % 2 == 1)
         assert enc.max_abs() < bb.bound
     assert (inv_e_approximant(1)[0].p, inv_e_approximant(1)[0].q) == (0, 1)
