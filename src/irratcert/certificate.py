@@ -1,9 +1,10 @@
 """The certificate wire format: rows of integers, residual, bound and flags,
-written as JSON, CSV or a table and read back from JSON.
+written as JSON, CSV or a table and read back from JSON, and the package's
+codecs that spell and read integers and rationals, past the digit limit too.
 
 A certificate names its row layout once; each row holds only its integers.
-Nothing here evaluates a residual or builds a row, so a reader of
-certificates needs no part of the producer.
+Nothing here evaluates a residual or builds a row: this module imports only
+`enclosure`, so a reader of certificates needs no part of the producer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .enclosure import Enclosure, _record
-from .intpoly import _digits, _from_digits, _from_rational_str
 
 
 @_record
@@ -137,6 +137,59 @@ class Certificate:
             lines[i] = "  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]])
         lines.append(f"verdict: {self.verdict}\n")
         return "\n".join(lines)
+
+
+_SIGNED = re.compile(r"[+-]?[0-9]+")
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the decimal exponent that ends text Fraction reads, and its largest magnitude
+# read: CPython's default limit on the digits int() takes from text
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 4300
+
+
+def _digits(x: int) -> str:
+    """str(x), also where x has more digits than the interpreter converts at
+    once (sys.get_int_max_str_digits): there x is split by a power of 10."""
+    try:
+        return str(x)
+    except ValueError:
+        half = x.bit_length() * 3 // 20     # about half of x's decimal digits
+        high, low = divmod(abs(x), 10 ** half)
+        return "-" * (x < 0) + _digits(high) + _digits(low).zfill(half)
+
+
+def _from_digits(text: str) -> int:
+    """int(text), also past that limit where text is [+-]?[0-9]+ (stripped):
+    there it is split as in _digits.  Other text keeps int()'s error."""
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        if not _SIGNED.fullmatch(text):
+            raise
+        half = len(text) // 2
+        low = _from_digits(text[-half:])
+        return _from_digits(text[:-half]) * 10 ** half + (-low if text[0] == "-" else low)
+
+
+def _rational_str(x: Fraction) -> str:
+    """str(x), also past the digit limit, as _digits."""
+    return _digits(x.numerator) + ("/" + _digits(x.denominator)) * (x.denominator != 1)
+
+
+def _from_rational_str(text: str) -> Fraction:
+    """Fraction(text), also past the digit limit where text is an integer or
+    num/den (stripped), as _from_digits.  Other text keeps Fraction's errors,
+    and one whose exponent exceeds _MAX_EXPONENT is refused before Fraction
+    expands it to a power of 10 of that many digits."""
+    ratio = _RATIO.fullmatch(text.strip())
+    if ratio:
+        return Fraction(_from_digits(ratio[1]), _from_digits(ratio[2] or "1"))
+    # int() of an exponent past the digit limit raises its own ValueError
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent[1]) > _MAX_EXPONENT:
+        raise ValueError(f"the exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def _frac_str(fr: Fraction) -> str:

@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import cache
 
 from .algebraic import classify_roots, reduce_power_form
-from .certificate import _decimal, _frac_str, _quote
+from .certificate import _decimal, _digits, _frac_str, _from_rational_str, _quote, _rational_str
 from .constants import canonical_text, parse_constant
 from .errors import IrratCertError
-from .intpoly import IntPolynomial, _digits, _from_rational_str, _rational_str
+from .intpoly import IntPolynomial
 from .pigeonhole import fractional_residual, pigeonhole_approximant
 from .verify import FAMILIES, certify
 

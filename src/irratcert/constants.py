@@ -15,12 +15,11 @@ from dataclasses import field
 from fractions import Fraction
 from typing import Optional
 
+from .certificate import _digits, _from_digits, _from_rational_str, _rational_str
 from .enclosure import Enclosure, _grid_bits, _record
 from .errors import (BracketAmbiguousError, IrratCertError, PerfectPowerError,
                      ZeroExponentError)
-from .intpoly import (IntPolynomial, _digits, _from_digits, _from_rational_str,
-                      _rational_str, bisect_root, count_roots_between, rational_root,
-                      sign_at)
+from .intpoly import IntPolynomial, bisect_root, count_roots_between, rational_root, sign_at
 
 
 def integer_nth_root(a: int, m: int) -> int:

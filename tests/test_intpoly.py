@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from irratcert import intpoly
+from irratcert import certificate, intpoly
 from irratcert.algebraic import isolate_real_roots
 from irratcert.enclosure import Enclosure
 from irratcert.errors import NotSquarefreeError
@@ -459,7 +459,7 @@ def test_rational_text_with_an_exponent_past_the_cap_is_refused():
     # that many digits; past 4300 the text is refused before that
     for text in ("1e-4301", "1E+4301", "1e-99999999999999999999", "2.5e4_301"):
         with pytest.raises(ValueError, match=re.escape(f"exponent of {text!r} exceeds 4300")):
-            intpoly._from_rational_str(text)
-    assert intpoly._from_rational_str("1e-4300") == Fraction(1, 10 ** 4300)
-    assert intpoly._from_rational_str("1E+4300") == 10 ** 4300
-    assert intpoly._from_rational_str("1e30") == 10 ** 30
+            certificate._from_rational_str(text)
+    assert certificate._from_rational_str("1e-4300") == Fraction(1, 10 ** 4300)
+    assert certificate._from_rational_str("1E+4300") == 10 ** 4300
+    assert certificate._from_rational_str("1e30") == 10 ** 30

@@ -1103,3 +1103,30 @@ def test_certificates_print_past_the_int_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(factorial(400)) in full[0]
+
+
+_SIGNS = st.sampled_from((1, -1))
+# past the lowest limit the interpreter allows (640 digits): 10^k and its
+# neighbours, and (10^k + a) 10^k + b, whose low half is b after zeros
+_PAST_THE_LIMIT = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(lambda s, k, d: s * (10 ** k + d), _SIGNS, st.integers(630, 2500),
+              st.integers(-1, 1)),
+    st.builds(lambda s, k, a, b: s * ((10 ** k + a) * 10 ** k + b), _SIGNS,
+              st.integers(320, 1250), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(x=_PAST_THE_LIMIT, y=_PAST_THE_LIMIT)
+def test_number_text_round_trips_past_the_digit_limit(x, y):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-str digits")
+    fr = Fraction(x, abs(y) + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert certificate._from_digits(certificate._digits(x)) == x
+        assert certificate._from_rational_str(certificate._rational_str(fr)) == fr
+        assert certificate._from_rational_str(certificate._frac_str(fr)) == fr
+    finally:
+        sys.set_int_max_str_digits(limit)
