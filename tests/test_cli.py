@@ -178,21 +178,30 @@ def test_corpus_certificates_equal_the_json_dumps_text(capsys):
 
 
 def test_json_output_round_trips(capsys):
-    # one run per row layout: p/q, coeffs, a/c/d
+    # one run per row layout: p/q, coeffs, a/c/d, and two with rounded series
+    # residuals; the text written by hand is what json.dumps and csv.writer write
     for flags, constant, fields in (
             (["--family", "sqrt", "--m", "2"], "sqrt:2", ["p", "q"]),
             (["--family", "root", "--a", "2", "--m", "3"], "root:2,3", ["coeffs"]),
-            (["--family", "trig-angle", "--angle", "1/3"], "cos:1/3", ["a", "c", "d"])):
+            (["--family", "trig-angle", "--angle", "1/3"], "cos:1/3", ["a", "c", "d"]),
+            (["--family", "sin-inv", "--m", "4"], "sin-inv:4", ["p", "q"]),
+            (["--family", "e-pow", "--k", "3"], "e-pow:3", ["p", "q"])):
         argv = ["cert", *flags, "--n-max", "8", "--format"]
         assert main(argv + ["json"]) == 0
         text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", constant
         cert = Certificate.from_json(text)
         assert cert.to_json() + "\n" == text
         assert cert.verdict == "nice"
         assert cert.constant == constant
         assert len(cert.rows) == 8
         assert main(argv + ["csv"]) == 0
-        header = capsys.readouterr().out.splitlines()[0].split(",")
+        text = capsys.readouterr().out
+        *lines, verdict = text.splitlines(keepends=True)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(csv.reader(lines))
+        assert text == out.getvalue() + verdict and verdict.startswith("# verdict: "), constant
+        header = lines[0].rstrip("\n").split(",")
         assert header == ["n", *fields, "residual_lo", "residual_hi", "bound",
                           "nonzero_ok", "bound_ok"]
 
@@ -636,7 +645,8 @@ def test_edge_runs_are_pinned(capsys, argv, code, out, err):
 # is compared.  sqrt:761 at 1500, root:41,5 at 50, e-pow:3 at 200, e-pow:6
 # at 1500, sin:22/7 at 1 and cos:1/3 at 1 need more than one refine try.
 # algroot:-1,2@0,1 is the exact root 1/2, which `enclose` must return as a
-# point: any interval around it straddles a bin boundary.
+# point: any interval around it straddles a bin boundary.  e at 1500 is the
+# witness PIGEONHOLE_PINS pins in tests/test_pigeonhole.py.
 PIGEONHOLE_GOLDEN = [
     ("sqrt:2", 1, "1", "1", "3/8", "1/2", "0.4375000000"),
     ("sqrt:761", 1500, "800", "29", "10737409/17179869184", "42949665/68719476736",
@@ -646,6 +656,8 @@ PIGEONHOLE_GOLDEN = [
     ("e", 7, "19", "7", "3328719/134217728", "3754977/134217728", "0.0263888239.."),
     ("e", 850, "1264", "465", "147784585573/140737488355328",
      "591228896857/562949953421312", "0.0010501530.."),
+    ("e", 1500, "2721", "1001", "248289969909/2251799813685248",
+     "62086350071/562949953421312", "0.0001102752.."),
     ("inv-e", 2, "0", "1", "191363/524288", "403705/1048576", "0.3749995231.."),
     ("inv-e", 533, "71", "193", "6439985553/8796093022208", "51524586483/70368744177664",
      "0.0007321750.."),
